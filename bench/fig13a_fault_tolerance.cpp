@@ -61,7 +61,7 @@ int main(int argc, char **argv) {
     }
 
     // NV-BDD: meta-protocol, compiled, all scenarios at once + check
-    // (the check's scenario-indexing loop is sharded over the pool).
+    // (the check's per-node descents are sharded over the pool).
     FtOptions FtOpts;
     FtOpts.Threads = A.Threads;
     Stopwatch W;

@@ -9,10 +9,13 @@
 #include "support/Timer.h"
 #include "transform/Transforms.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdlib>
 #include <memory>
-#include <unordered_set>
+#include <ranges>
+#include <unordered_map>
 
 using namespace nv;
 
@@ -211,44 +214,37 @@ std::string FtScenario::str() const {
 std::vector<FtScenario> nv::enumerateScenarios(const Program &P,
                                                const FtOptions &Opts) {
   auto Links = P.links();
-  std::vector<FtScenario> Out;
+  unsigned K = Opts.LinkFailures;
 
-  // Combinations of links with repetition (repetition = fewer failures).
-  std::vector<std::vector<size_t>> LinkCombos;
-  std::vector<size_t> Cur(Opts.LinkFailures, 0);
-  std::function<void(unsigned, size_t)> Rec = [&](unsigned Pos, size_t From) {
-    if (Pos == Opts.LinkFailures) {
-      LinkCombos.push_back(Cur);
-      return;
-    }
-    for (size_t I = From; I < Links.size(); ++I) {
-      Cur[Pos] = I;
-      Rec(Pos + 1, I);
-    }
-  };
-  if (Opts.LinkFailures == 0)
-    LinkCombos.push_back({});
-  else
-    Rec(0, 0);
-
-  uint32_t N = P.numNodes();
-  if (Opts.NodeFailure) {
-    for (uint32_t U = 0; U < N; ++U)
-      for (const auto &Combo : LinkCombos) {
-        FtScenario S;
-        S.Node = U;
-        for (size_t I : Combo)
-          S.Links.push_back(Links[I]);
-        Out.push_back(std::move(S));
-      }
-  } else {
-    for (const auto &Combo : LinkCombos) {
+  // Combinations of links with repetition (repetition = fewer failures):
+  // the non-decreasing index sequences Cur, in lexicographic order.
+  std::vector<FtScenario> Combos;
+  std::vector<size_t> Cur(K, 0);
+  if (K == 0 || !Links.empty())
+    for (;;) {
       FtScenario S;
-      for (size_t I : Combo)
+      S.Links.reserve(K);
+      for (size_t I : Cur)
         S.Links.push_back(Links[I]);
-      Out.push_back(std::move(S));
+      Combos.push_back(std::move(S));
+      unsigned Pos = K;
+      while (Pos > 0 && Cur[Pos - 1] + 1 == Links.size())
+        --Pos;
+      if (Pos == 0)
+        break;
+      ++Cur[Pos - 1];
+      std::fill(Cur.begin() + Pos, Cur.end(), Cur[Pos - 1]);
     }
-  }
+
+  if (!Opts.NodeFailure)
+    return Combos;
+  std::vector<FtScenario> Out;
+  Out.reserve(size_t(P.numNodes()) * Combos.size());
+  for (uint32_t U = 0; U < P.numNodes(); ++U)
+    for (const FtScenario &Combo : Combos) {
+      Out.push_back(Combo);
+      Out.back().Node = U;
+    }
   return Out;
 }
 
@@ -264,72 +260,254 @@ const Value *nv::scenarioKey(NvContext &Ctx, const FtScenario &S,
   return Ctx.tupleV(std::move(Parts));
 }
 
+unsigned nv::scenarioKeyWidth(const FtOptions &Opts, unsigned NodeBits) {
+  return (Opts.NodeFailure ? NodeBits : 0) + 2 * NodeBits * Opts.LinkFailures;
+}
+
+void nv::packScenarioKey(const FtScenario &S, const FtOptions &Opts,
+                         unsigned NodeBits, uint64_t *Words) {
+  std::fill(Words, Words + (scenarioKeyWidth(Opts, NodeBits) + 63) / 64, 0);
+  // Each field is NodeBits wide (at most 32), so it spans at most two
+  // words.
+  unsigned Pos = 0;
+  auto Put = [&](uint64_t X) {
+    unsigned Off = Pos % 64, Fit = std::min(NodeBits, 64 - Off);
+    Words[Pos / 64] |= (X >> (NodeBits - Fit)) << (64 - Off - Fit);
+    if (Fit < NodeBits)
+      Words[Pos / 64 + 1] |= X << (64 - (NodeBits - Fit));
+    Pos += NodeBits;
+  };
+  if (Opts.NodeFailure)
+    Put(S.Node.value_or(0));
+  for (const auto &[U, V] : S.Links) {
+    Put(U);
+    Put(V);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // FtChecker
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+using Ref = BddManager::Ref;
+
+/// The scenario keys of a check, sorted so that keys sharing a prefix are
+/// contiguous: Words holds key I of the sorted order at [I*W, (I+1)*W).
+struct SortedKeys {
+  size_t W = 0;
+  std::vector<uint64_t> Words;
+  std::vector<uint32_t> Scenario; ///< Sorted position -> scenario index.
+
+  bool bit(size_t I, unsigned B) const {
+    return (Words[I * W + B / 64] >> (63 - B % 64)) & 1;
+  }
+
+  /// The first bit at which sorted keys I <= J differ (~0u if none).
+  /// Every key between them shares the bits before it.
+  unsigned firstDiff(size_t I, size_t J) const {
+    for (size_t K = 0; K < W; ++K)
+      if (uint64_t X = Words[I * W + K] ^ Words[J * W + K])
+        return unsigned(K * 64 + std::countl_zero(X));
+    return ~0u;
+  }
+};
+
+/// The part of one node's label diagram that leads to a failing leaf,
+/// copied into a flat array: subdiagrams without a failing leaf are cut
+/// (None), so a descent never enters them.
+struct FailingPart {
+  static constexpr uint32_t None = ~0u;
+  struct Node {
+    uint32_t Var; ///< BddManager::LeafVar for a failing leaf.
+    uint32_t Lo, Hi;
+    const Value *Route; ///< The failing leaf's route.
+  };
+  std::vector<Node> Nodes;
+  uint32_t Root = None;
+
+  /// Visited-set walk over the nodes reachable from \p Label's diagram,
+  /// evaluating \p U's assert once per distinct leaf (lo before hi, so
+  /// leaves are met in cube order).
+  FailingPart(const BddManager &Mgr, ProtocolEvaluator &BaseEval, uint32_t U,
+              Ref Label) {
+    std::unordered_map<Ref, uint32_t> Seen;
+    std::function<uint32_t(Ref)> Walk = [&](Ref R) {
+      if (auto It = Seen.find(R); It != Seen.end())
+        return It->second;
+      // Copied, not referenced: evaluating an assert may grow the store.
+      BddManager::Node Nd = Mgr.node(R);
+      uint32_t Id = None;
+      if (Nd.Var == BddManager::LeafVar) {
+        const Value *Route = static_cast<const Value *>(Nd.Leaf);
+        if (!BaseEval.assertAt(U, Route)) {
+          Id = uint32_t(Nodes.size());
+          Nodes.push_back({Nd.Var, None, None, Route});
+        }
+      } else {
+        uint32_t Lo = Walk(Nd.Lo), Hi = Walk(Nd.Hi);
+        if (Lo != None || Hi != None) {
+          Id = uint32_t(Nodes.size());
+          Nodes.push_back({Nd.Var, Lo, Hi, nullptr});
+        }
+      }
+      Seen.emplace(R, Id);
+      return Id;
+    };
+    Root = Walk(Label);
+  }
+
+  /// Maps the sorted keys [Lo, Hi) through node \p Id and appends a
+  /// (scenario, route) hit for every key that lands on a failing leaf.
+  void descend(const SortedKeys &Keys, uint32_t Id, size_t Lo, size_t Hi,
+               std::vector<std::pair<uint32_t, const Value *>> &Out) const {
+    // Follow the diagram down through the bits the whole range agrees on.
+    unsigned D = Keys.firstDiff(Lo, Hi - 1);
+    while (Nodes[Id].Var < D) { // LeafVar is above any key bit
+      const Node &Nd = Nodes[Id];
+      Id = Keys.bit(Lo, Nd.Var) ? Nd.Hi : Nd.Lo;
+      if (Id == None)
+        return;
+    }
+    const Node &Nd = Nodes[Id];
+    if (Nd.Var == BddManager::LeafVar) {
+      for (size_t I = Lo; I < Hi; ++I)
+        Out.emplace_back(Keys.Scenario[I], Nd.Route);
+      return;
+    }
+    // Split the range at bit D; a node testing a later bit serves both
+    // halves.
+    auto Range = std::views::iota(Lo, Hi);
+    size_t Mid = Lo + (std::ranges::partition_point(
+                           Range, [&](size_t I) { return !Keys.bit(I, D); }) -
+                       Range.begin());
+    uint32_t LoId = Id, HiId = Id;
+    if (Nd.Var == D) {
+      LoId = Nd.Lo;
+      HiId = Nd.Hi;
+    }
+    if (LoId != None)
+      descend(Keys, LoId, Lo, Mid, Out);
+    if (HiId != None)
+      descend(Keys, HiId, Mid, Hi, Out);
+  }
+};
+
+} // namespace
+
 struct FtChecker::ImplTy {
-  NvContext &Ctx;
-  const SimResult &Meta;
   FtOptions Opts;
-  uint32_t N;
   std::vector<FtScenario> Scenarios;
   /// Roots the meta labels' diagrams for the checker's lifetime: the
-  /// assert pre-pass and key encoding intern fresh values, and if a
-  /// collection fires the label roots must survive it.
+  /// assert pre-pass interns fresh values, and if a collection fires the
+  /// label roots must survive it.
   BddManager::RootSet MetaRoots;
-  std::vector<std::unordered_set<const void *>> FailingLeaves;
-  std::vector<std::vector<bool>> KeyBits;
+  /// Every violation, sorted by (scenario, node): scenario I's are
+  /// Hits[Offsets[I], Offsets[I + 1]).
+  struct Hit {
+    uint32_t Node;
+    const Value *Route;
+  };
+  std::vector<Hit> Hits;
+  std::vector<size_t> Offsets;
 
   ImplTy(NvContext &Ctx, const Program &BaseProgram,
-         ProtocolEvaluator &BaseEval, const SimResult &MetaResult,
-         const FtOptions &Opts)
-      : Ctx(Ctx), Meta(MetaResult), Opts(Opts), N(BaseProgram.numNodes()),
-        Scenarios(enumerateScenarios(BaseProgram, Opts)), MetaRoots(Ctx.Mgr) {
+         ProtocolEvaluator &BaseEval, const SimResult &Meta,
+         const FtOptions &Opts, ThreadPool *Pool)
+      : Opts(Opts), Scenarios(enumerateScenarios(BaseProgram, Opts)),
+        MetaRoots(Ctx.Mgr) {
     if (this->Opts.CheckChunkSize == 0)
       this->Opts.CheckChunkSize = 512;
-    for (uint32_t U = 0; U < N; ++U)
-      if (Meta.Labels[U]->K == Value::Kind::Map)
-        MetaRoots.add(Meta.Labels[U]->MapRoot);
+    uint32_t N = BaseProgram.numNodes();
+    Offsets.assign(Scenarios.size() + 1, 0);
+    if (Scenarios.empty() || N == 0)
+      return;
+    for (uint32_t U = 0; U < N; ++U) {
+      assert(Meta.Labels[U]->K == Value::Kind::Map &&
+             "meta-labels must be dicts");
+      MetaRoots.add(Meta.Labels[U]->MapRoot);
+    }
 
     // Serial pre-pass: evaluate the assert once per (node, distinct leaf)
-    // by walking each label diagram's cubes — far fewer evaluations than
-    // once per (node, scenario), since MTBDD sharing keeps the number of
-    // distinct routes per node tiny (Fig. 4). This is also what makes the
-    // sharded phase safe: the interpreter and the value arena are only
-    // touched here.
-    FailingLeaves.resize(N);
-    for (uint32_t U = 0; U < N; ++U) {
-      const Value *L = Meta.Labels[U];
-      assert(L->K == Value::Kind::Map && "meta-labels must be dicts");
-      std::unordered_set<const void *> Seen;
-      Ctx.Mgr.forEachCube(L->MapRoot, L->KeyBits,
-                          [&](const std::vector<int8_t> &, const void *Leaf) {
-                            if (!Seen.insert(Leaf).second)
-                              return;
-                            if (!BaseEval.assertAt(
-                                    U, static_cast<const Value *>(Leaf)))
-                              FailingLeaves[U].insert(Leaf);
-                          });
+    // — far fewer evaluations than once per (node, scenario), since MTBDD
+    // sharing keeps the number of distinct routes per node tiny (Fig. 4).
+    // The interpreter and the value arena are only touched here, which is
+    // what makes the sharded descents below safe.
+    std::vector<FailingPart> Parts;
+    Parts.reserve(N);
+    for (uint32_t U = 0; U < N; ++U)
+      Parts.emplace_back(Ctx.Mgr, BaseEval, U, Meta.Labels[U]->MapRoot);
+
+    // Scenario keys, encoded straight from node ids (no interning) and
+    // sorted so that keys sharing a prefix are contiguous.
+    unsigned NodeBits = Ctx.Layout.nodeBits();
+    size_t W = (scenarioKeyWidth(this->Opts, NodeBits) + 63) / 64;
+    assert(scenarioKeyWidth(this->Opts, NodeBits) == Meta.Labels[0]->KeyBits &&
+           "scenario key width mismatch");
+    std::vector<uint64_t> Packed(Scenarios.size() * W);
+    for (size_t I = 0; I < Scenarios.size(); ++I)
+      packScenarioKey(Scenarios[I], this->Opts, NodeBits, &Packed[I * W]);
+    // (first key word, scenario): sorting these stays in one contiguous
+    // array, and only keys wider than 64 bits compare further words.
+    std::vector<std::pair<uint64_t, uint32_t>> Order(Scenarios.size());
+    for (size_t I = 0; I < Scenarios.size(); ++I)
+      Order[I] = {Packed[I * W], uint32_t(I)};
+    std::sort(Order.begin(), Order.end(), [&](const auto &A, const auto &B) {
+      if (A.first != B.first)
+        return A.first < B.first;
+      const uint64_t *KA = &Packed[A.second * W], *KB = &Packed[B.second * W];
+      return std::lexicographical_compare(KA + 1, KA + W, KB + 1, KB + W);
+    });
+    SortedKeys Keys;
+    Keys.W = W;
+    Keys.Words.resize(Packed.size());
+    Keys.Scenario.resize(Scenarios.size());
+    for (size_t I = 0; I < Scenarios.size(); ++I) {
+      Keys.Scenario[I] = Order[I].second;
+      std::copy_n(&Packed[Order[I].second * W], W, &Keys.Words[I * W]);
     }
 
-    // Serial: scenario keys intern values, so encode them before fanning
-    // out. Chunk checking afterwards only reads the MTBDD node array.
-    KeyBits.resize(Scenarios.size());
-    if (!Scenarios.empty()) {
-      const TypePtr &KeyTy = Meta.Labels[0]->KeyType;
-      for (size_t I = 0; I < Scenarios.size(); ++I)
-        Ctx.encodeValue(scenarioKey(Ctx, Scenarios[I], Opts), KeyTy,
-                        KeyBits[I]);
-    }
+    // One descent per label diagram, each reading only its own failing
+    // part and the sorted keys, so the nodes shard over the pool.
+    std::vector<std::vector<std::pair<uint32_t, const Value *>>> PerNode(N);
+    auto Descend = [&](size_t U) {
+      if (Parts[U].Root != FailingPart::None)
+        Parts[U].descend(Keys, Parts[U].Root, 0, Scenarios.size(),
+                         PerNode[U]);
+    };
+    if (Pool && Pool->numThreads() > 1)
+      Pool->parallelFor(N, Descend);
+    else
+      for (uint32_t U = 0; U < N; ++U)
+        Descend(U);
+
+    // Counting sort by scenario, visiting nodes in order, so each
+    // scenario's hits come out sorted by node. A failed node asserts
+    // nothing.
+    auto Exempt = [&](uint32_t S, uint32_t U) {
+      return Scenarios[S].Node && *Scenarios[S].Node == U;
+    };
+    for (uint32_t U = 0; U < N; ++U)
+      for (const auto &[S, Route] : PerNode[U])
+        if (!Exempt(S, U))
+          ++Offsets[S + 1];
+    for (size_t I = 0; I < Scenarios.size(); ++I)
+      Offsets[I + 1] += Offsets[I];
+    Hits.resize(Offsets.back());
+    std::vector<size_t> Next(Offsets.begin(), Offsets.end() - 1);
+    for (uint32_t U = 0; U < N; ++U)
+      for (const auto &[S, Route] : PerNode[U])
+        if (!Exempt(S, U))
+          Hits[Next[S]++] = {U, Route};
   }
 };
 
 FtChecker::FtChecker(NvContext &Ctx, const Program &BaseProgram,
                      ProtocolEvaluator &BaseEval, const SimResult &MetaResult,
-                     const FtOptions &Opts)
+                     const FtOptions &Opts, ThreadPool *Pool)
     : Impl(std::make_unique<ImplTy>(Ctx, BaseProgram, BaseEval, MetaResult,
-                                    Opts)) {}
+                                    Opts, Pool)) {}
 
 FtChecker::~FtChecker() = default;
 
@@ -349,41 +527,26 @@ std::string FtChecker::chunkKey(size_t C) {
 }
 
 void FtChecker::checkScenario(size_t I, std::vector<FtViolation> &Out) const {
-  const FtScenario &S = Impl->Scenarios[I];
-  for (uint32_t U = 0; U < Impl->N; ++U) {
-    if (S.Node && *S.Node == U)
-      continue; // a failed node asserts nothing
-    const Value *Route = static_cast<const Value *>(
-        Impl->Ctx.Mgr.get(Impl->Meta.Labels[U]->MapRoot, Impl->KeyBits[I]));
-    if (Impl->FailingLeaves[U].count(Route))
-      Out.push_back({S, U, Route, {}});
-  }
+  for (size_t H = Impl->Offsets[I]; H < Impl->Offsets[I + 1]; ++H)
+    Out.push_back(
+        {Impl->Scenarios[I], Impl->Hits[H].Node, Impl->Hits[H].Route, {}});
 }
 
-UnitRecord FtChecker::checkChunk(size_t C, ThreadPool *Pool,
+UnitRecord FtChecker::checkChunk(size_t C, ThreadPool *,
                                  std::vector<FtViolation> *LiveOut) {
   size_t Begin = C * Impl->Opts.CheckChunkSize;
   size_t End = std::min(Begin + Impl->Opts.CheckChunkSize,
                         Impl->Scenarios.size());
-  // Per-scenario slots, concatenated in scenario order, so the record is
-  // identical for any pool size and any shard interleaving.
-  std::vector<std::vector<FtViolation>> PerScenario(End - Begin);
-  if (Pool && Pool->numThreads() > 1)
-    Pool->parallelFor(End - Begin, [&](size_t I) {
-      checkScenario(Begin + I, PerScenario[I]);
-    });
-  else
-    for (size_t I = Begin; I < End; ++I)
-      checkScenario(I, PerScenario[I - Begin]);
-
   UnitRecord Rec;
   Rec.Key = chunkKey(C);
   Rec.add("status", "ok");
   for (size_t I = Begin; I < End; ++I)
-    for (const FtViolation &V : PerScenario[I - Begin]) {
+    for (size_t H = Impl->Offsets[I]; H < Impl->Offsets[I + 1]; ++H) {
+      FtViolation V{Impl->Scenarios[I], Impl->Hits[H].Node,
+                    Impl->Hits[H].Route, {}};
       addViolationField(Rec, I, V);
       if (LiveOut)
-        LiveOut->push_back(V);
+        LiveOut->push_back(std::move(V));
     }
   return Rec;
 }
@@ -430,22 +593,17 @@ FtCheckResult nv::checkFaultTolerance(NvContext &Ctx,
                                       const FtOptions &Opts,
                                       ThreadPool *Pool) {
   FtCheckResult R;
-  uint32_t N = BaseProgram.numNodes();
-  {
-    auto Scenarios = enumerateScenarios(BaseProgram, Opts);
-    R.ScenariosChecked = Scenarios.size();
-    if (Scenarios.empty() || N == 0)
-      return R;
-  }
-
-  FtChecker Checker(Ctx, BaseProgram, BaseEval, MetaResult, Opts);
+  FtChecker Checker(Ctx, BaseProgram, BaseEval, MetaResult, Opts, Pool);
   const auto &Scenarios = Checker.scenarios();
+  R.ScenariosChecked = Scenarios.size();
+  if (Scenarios.empty() || BaseProgram.numNodes() == 0)
+    return R;
 
   if (Opts.Resume) {
     // Checkpointed mode: scenarios are journaled in fixed chunks (one
     // entry per chunk keeps journal traffic sane at fig13 scales). Chunks
     // are processed in order; a replayed chunk's violations come from the
-    // journal, a fresh chunk is indexed (sharded over the pool) and then
+    // journal, a fresh chunk is sliced from the checker's result and then
     // durably recorded. Cancellation drains between chunks — the partial
     // chunk is simply not recorded and re-runs on resume.
     size_t ChunkSize = Opts.CheckChunkSize ? Opts.CheckChunkSize : 512;
@@ -474,19 +632,8 @@ FtCheckResult nv::checkFaultTolerance(NvContext &Ctx,
       Opts.Resume->recordDone(Rec);
     }
   } else {
-    // Unchunked: index every scenario; embarrassingly parallel and
-    // read-only, with per-scenario slots keeping the violation order
-    // identical for any pool size.
-    std::vector<std::vector<FtViolation>> PerScenario(Scenarios.size());
-    if (Pool && Pool->numThreads() > 1)
-      Pool->parallelFor(Scenarios.size(), [&](size_t I) {
-        Checker.checkScenario(I, PerScenario[I]);
-      });
-    else
-      for (size_t I = 0; I < Scenarios.size(); ++I)
-        Checker.checkScenario(I, PerScenario[I]);
-    for (auto &Part : PerScenario)
-      R.Violations.insert(R.Violations.end(), Part.begin(), Part.end());
+    for (size_t I = 0; I < Scenarios.size(); ++I)
+      Checker.checkScenario(I, R.Violations);
   }
   return R;
 }

@@ -48,9 +48,9 @@ struct FtOptions {
   /// NV source of the "dropped route" value (Fig. 5 uses None; override
   /// for protocols whose attribute is not an option).
   std::string DropValueSource = "None";
-  /// Worker threads for the per-scenario assert check (1 = serial; 0 =
-  /// NV_THREADS / hardware concurrency). The meta-simulation itself is one
-  /// fixpoint and stays single-threaded.
+  /// Worker threads for the assert check's per-node descents (1 =
+  /// serial; 0 = NV_THREADS / hardware concurrency). The meta-simulation
+  /// itself is one fixpoint and stays single-threaded.
   unsigned Threads = 1;
   /// Resource budget for the whole analysis (transform, meta-simulation,
   /// assert check). Budget.MaxSteps bounds the meta-simulation's pops:
@@ -104,6 +104,19 @@ std::vector<FtScenario> enumerateScenarios(const Program &P,
 const Value *scenarioKey(NvContext &Ctx, const FtScenario &S,
                          const FtOptions &Opts);
 
+/// Bit width of a scenario key: the failed node's NodeBits when
+/// NodeFailure is set, then two node fields per link.
+unsigned scenarioKeyWidth(const FtOptions &Opts, unsigned NodeBits);
+
+/// Writes the bits of \p S's key straight from its node ids, without
+/// interning anything: bit for bit what encodeValue(scenarioKey(...))
+/// produces (node first, then each link's u and v, each MSB first).
+/// \p Words receives ceil(scenarioKeyWidth / 64) words, packed MSB first:
+/// key bit 0 is bit 63 of Words[0], so comparing the words as unsigned
+/// integers orders keys lexicographically by bit.
+void packScenarioKey(const FtScenario &S, const FtOptions &Opts,
+                     unsigned NodeBits, uint64_t *Words);
+
 struct FtViolation {
   FtScenario Scenario;
   uint32_t Node;
@@ -153,37 +166,49 @@ struct FtCheckResult {
   bool holds() const { return Violations.empty(); }
 };
 
-/// Checks the base program's assert under every scenario, by indexing the
-/// converged dict labels of the meta-program with each scenario key. The
-/// failed node (if any) is exempt from its own assertion.
-///
-/// The assert is evaluated once per (node, distinct leaf) by walking each
-/// label diagram's cubes up front — not once per (node, scenario) — and
-/// the scenario indexing loop is sharded over \p Pool when given (the
-/// shards only read the already-built MTBDD, so no locking is needed).
-/// Output is identical for any pool size, including the violation order.
+/// Checks the base program's assert under every scenario against the
+/// converged dict labels of the meta-program. The failed node (if any) is
+/// exempt from its own assertion. Violations come out in (scenario, node)
+/// order. The work is FtChecker's; see there for the algorithm. \p Pool
+/// shards its per-node descents. Output is identical for any pool size,
+/// including the violation order.
 FtCheckResult checkFaultTolerance(NvContext &Ctx, const Program &BaseProgram,
                                   ProtocolEvaluator &BaseEval,
                                   const SimResult &MetaResult,
                                   const FtOptions &Opts,
                                   ThreadPool *Pool = nullptr);
 
-/// The reusable assert-check engine underneath checkFaultTolerance: the
-/// serial pre-pass (assert once per distinct MTBDD leaf, scenario-key
-/// encoding, meta-label rooting) runs once at construction; checkChunk
-/// then indexes one chunk of scenarios — read-only over the diagram, so
-/// shardable over a pool — and returns the chunk's canonical UnitRecord
-/// ("c<C>", status, one "v" field per violation). In-process chunked
-/// checking journals these records; fleet workers send the *same* records
-/// over the result pipe, which is what makes `--workers N` aggregates
-/// bit-identical to `--workers 0`.
+/// The assert-check engine underneath checkFaultTolerance. Construction
+/// answers every scenario at once:
+///  1. evaluate the assert once per (node, distinct leaf), by a
+///     visited-set walk over each label diagram's reachable nodes that
+///     also marks which nodes lead to a failing leaf;
+///  2. encode every scenario key straight from its node ids
+///     (packScenarioKey) and sort the keys, so keys sharing a prefix are
+///     contiguous;
+///  3. for each node whose label has a failing leaf, descend that part
+///     of its diagram once over the sorted keys: a key range is split
+///     where its keys first differ, bits they all share are followed
+///     without splitting, a leaf answers the whole range, and
+///     subdiagrams without failing leaves are never entered;
+///  4. order the hits by (scenario, node).
+/// Step 3 only reads step 1's copies and the sorted keys, so it shards
+/// over \p Pool with per-node outputs merged in node order. It relies on
+/// the MTBDD variable index being the key bit position.
+///
+/// checkScenario and checkChunk then read slices of that result.
+/// checkChunk returns the chunk's canonical UnitRecord ("c<C>", status,
+/// one "v" field per violation). In-process chunked checking journals
+/// these records; fleet workers send the *same* records over the result
+/// pipe, which is what makes `--workers N` aggregates bit-identical to
+/// `--workers 0`.
 class FtChecker {
 public:
   /// \p MetaResult must be converged with dict labels; both it and
   /// \p Ctx/\p BaseEval must outlive the checker.
   FtChecker(NvContext &Ctx, const Program &BaseProgram,
             ProtocolEvaluator &BaseEval, const SimResult &MetaResult,
-            const FtOptions &Opts);
+            const FtOptions &Opts, ThreadPool *Pool = nullptr);
   ~FtChecker();
 
   const std::vector<FtScenario> &scenarios() const;
@@ -191,13 +216,15 @@ public:
   /// The journal/fleet key of chunk \p C: "c<C>".
   static std::string chunkKey(size_t C);
 
-  /// Checks scenarios [C*CheckChunkSize, ...) and returns the chunk's
-  /// record. Live violations (Route interned in Ctx) are additionally
-  /// appended to \p LiveOut when given, in scenario order.
+  /// The record of scenarios [C*CheckChunkSize, ...). Live violations
+  /// (Route interned in Ctx) are additionally appended to \p LiveOut when
+  /// given, in scenario order. The pool is unused: the checking happened
+  /// at construction.
   UnitRecord checkChunk(size_t C, ThreadPool *Pool = nullptr,
                         std::vector<FtViolation> *LiveOut = nullptr);
 
-  /// Indexes a single scenario (thread-safe; read-only).
+  /// Appends scenario \p I's violations in node order (thread-safe;
+  /// read-only).
   void checkScenario(size_t I, std::vector<FtViolation> &Out) const;
 
 private:

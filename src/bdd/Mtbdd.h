@@ -288,8 +288,11 @@ public:
                                            const void *)> &Fn) const;
 
   /// Visits each maximal uniform cube as (bit assignment template, leaf):
-  /// entries of the template are 0, 1 or -1 (don't care). Linear in the
-  /// diagram size.
+  /// entries of the template are 0, 1 or -1 (don't care). One visit per
+  /// root-to-leaf path, so shared subdiagrams are walked once per path
+  /// into them: the cost can be exponential in the diagram size. To visit
+  /// each node or distinct leaf once, walk the reachable nodes with a
+  /// visited set instead.
   void forEachCube(Ref R, unsigned NumBits,
                    const std::function<void(const std::vector<int8_t> &,
                                             const void *)> &Fn) const;

@@ -13,8 +13,11 @@
 #include "core/Printer.h"
 #include "core/TypeChecker.h"
 #include "eval/Compile.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
+
+#include <random>
 
 using namespace nv;
 
@@ -28,10 +31,12 @@ Program parseAndCheck(const std::string &Src) {
   return *P;
 }
 
-/// Shortest-path routing with an all-nodes-reachable assertion, on a
-/// configurable topology.
+/// Shortest-path routing on a configurable topology. The assertion fails
+/// on a missing route, and on a present route where \p SomeOk (an NV
+/// expression over the hop count d) is false.
 std::string spProgram(uint32_t Nodes,
-                      const std::vector<std::pair<int, int>> &Links) {
+                      const std::vector<std::pair<int, int>> &Links,
+                      const std::string &SomeOk = "true") {
   std::string Edges;
   for (size_t I = 0; I < Links.size(); ++I) {
     if (I)
@@ -53,7 +58,8 @@ std::string spProgram(uint32_t Nodes,
          "  | None, _ -> y\n"
          "  | Some a, Some b -> if a <= b then x else y\n"
          "let assert (u : node) (x : option[int]) =\n"
-         "  match x with | None -> false | Some d -> true\n";
+         "  match x with | None -> false | Some d -> " +
+         SomeOk + "\n";
 }
 
 /// Diamond: 0-1, 0-2, 1-3, 2-3 — survives any single link failure.
@@ -87,6 +93,164 @@ void expectMatchesNaive(const std::string &Src, const FtOptions &Opts) {
           << FromMeta->str() << " naive=" << NaiveR.Labels[U]->str();
     }
   }
+}
+
+/// The per-(scenario, node) lookup the checker's descent replaces: encode
+/// each interned scenario key, follow one MTBDD path per node, evaluate the
+/// assert on the route found. Returns (scenario index, violation) pairs.
+std::vector<std::pair<size_t, FtViolation>>
+referenceCheck(NvContext &Ctx, const Program &P, ProtocolEvaluator &BaseEval,
+               const SimResult &Meta, const FtOptions &Opts) {
+  std::vector<std::pair<size_t, FtViolation>> Out;
+  auto Scenarios = enumerateScenarios(P, Opts);
+  for (size_t I = 0; I < Scenarios.size(); ++I) {
+    const FtScenario &S = Scenarios[I];
+    std::vector<bool> Bits;
+    Ctx.encodeValue(scenarioKey(Ctx, S, Opts), Meta.Labels[0]->KeyType, Bits);
+    for (uint32_t U = 0; U < P.numNodes(); ++U) {
+      if (S.Node && *S.Node == U)
+        continue;
+      auto *Route = static_cast<const Value *>(
+          Ctx.Mgr.get(Meta.Labels[U]->MapRoot, Bits));
+      if (!BaseEval.assertAt(U, Route))
+        Out.push_back({I, {S, U, Route, {}}});
+    }
+  }
+  return Out;
+}
+
+void expectSameViolations(
+    const std::vector<FtViolation> &Got,
+    const std::vector<std::pair<size_t, FtViolation>> &Want,
+    const std::string &What) {
+  ASSERT_EQ(Got.size(), Want.size()) << What;
+  for (size_t I = 0; I < Got.size(); ++I) {
+    EXPECT_EQ(Got[I].Scenario.str(), Want[I].second.Scenario.str())
+        << What << " #" << I;
+    EXPECT_EQ(Got[I].Node, Want[I].second.Node) << What << " #" << I;
+    EXPECT_EQ(Got[I].Route, Want[I].second.Route) << What << " #" << I;
+  }
+}
+
+/// The checker against referenceCheck: unchunked (serial and sharded), and
+/// chunk by chunk, where every record must equal the matching slice of the
+/// reference.
+void expectMatchesReference(const std::string &Src, FtOptions Opts) {
+  Program P = parseAndCheck(Src);
+  DiagnosticEngine Diags;
+  auto Meta = makeFaultTolerantProgram(P, Opts, Diags);
+  ASSERT_TRUE(Meta.has_value()) << Diags.str();
+  NvContext Ctx(P.numNodes());
+  InterpProgramEvaluator MetaEval(Ctx, *Meta);
+  SimResult MetaR = simulate(*Meta, MetaEval);
+  ASSERT_TRUE(MetaR.Converged);
+  InterpProgramEvaluator BaseEval(Ctx, P);
+
+  auto Want = referenceCheck(Ctx, P, BaseEval, MetaR, Opts);
+  EXPECT_FALSE(Want.empty());
+  expectSameViolations(
+      checkFaultTolerance(Ctx, P, BaseEval, MetaR, Opts).Violations, Want,
+      "serial");
+  ThreadPool Pool(3);
+  expectSameViolations(
+      checkFaultTolerance(Ctx, P, BaseEval, MetaR, Opts, &Pool).Violations,
+      Want, "3 threads");
+
+  size_t NumScenarios = enumerateScenarios(P, Opts).size();
+  ASSERT_NE(NumScenarios % Opts.CheckChunkSize, 0u)
+      << "the chunk size must leave a partial last chunk";
+  FtChecker Checker(Ctx, P, BaseEval, MetaR, Opts);
+  ASSERT_EQ(Checker.numChunks(),
+            (NumScenarios + Opts.CheckChunkSize - 1) / Opts.CheckChunkSize);
+  std::vector<FtViolation> Live;
+  for (size_t C = 0; C < Checker.numChunks(); ++C) {
+    UnitRecord Expected;
+    Expected.Key = FtChecker::chunkKey(C);
+    Expected.add("status", "ok");
+    for (const auto &[I, V] : Want)
+      if (I / Opts.CheckChunkSize == C)
+        addViolationField(Expected, I, V);
+    EXPECT_EQ(Checker.checkChunk(C, nullptr, &Live).render(),
+              Expected.render())
+        << "chunk " << C;
+  }
+  expectSameViolations(Live, Want, "chunked");
+}
+
+/// Seven links listed out of key-bit order (neither the pairs nor the list
+/// are sorted), so the checker's key sort has work to do.
+const std::vector<std::pair<int, int>> Shuffled = {
+    {4, 5}, {3, 0}, {2, 1}, {5, 0}, {1, 4}, {3, 2}, {0, 1}};
+
+TEST(FaultTolerance, DescentMatchesPerScenarioLookup) {
+  for (unsigned Links : {1u, 2u, 3u})
+    for (bool Node : {false, true}) {
+      SCOPED_TRACE(std::to_string(Links) + " links" +
+                   (Node ? " + node" : ""));
+      FtOptions Opts;
+      Opts.LinkFailures = Links;
+      Opts.NodeFailure = Node;
+      Opts.CheckChunkSize = 5;
+      expectMatchesReference(spProgram(6, Shuffled, "d <= 2"), Opts);
+    }
+}
+
+TEST(FaultTolerance, DescentMatchesPerScenarioLookupOnWideKeys) {
+  // 300 nodes take 9 bits each: four links give a 72-bit key, so keys span
+  // two words. The isolated nodes never have a route.
+  FtOptions Opts;
+  Opts.LinkFailures = 4;
+  Opts.CheckChunkSize = 64;
+  expectMatchesReference(
+      spProgram(300,
+                {{299, 3}, {0, 257}, {257, 3}, {3, 128}, {128, 0}, {299, 0},
+                 {128, 257}},
+                "d <= 1"),
+      Opts);
+}
+
+TEST(FaultTolerance, PackedKeyEqualsEncodedValue) {
+  // 1500 nodes take 11 bits, so a node plus three links is 77 bits and
+  // some fields straddle the word boundary.
+  const uint32_t Nodes = 1500;
+  NvContext Ctx(Nodes);
+  unsigned NodeBits = Ctx.Layout.nodeBits();
+  ASSERT_EQ(NodeBits, 11u);
+  std::mt19937 Rng(7);
+  std::uniform_int_distribution<uint32_t> Id(0, Nodes - 1);
+  for (unsigned Links : {1u, 2u, 3u})
+    for (bool Node : {false, true}) {
+      FtOptions Opts;
+      Opts.LinkFailures = Links;
+      Opts.NodeFailure = Node;
+      std::vector<TypePtr> Parts;
+      if (Node)
+        Parts.push_back(Type::nodeTy());
+      for (unsigned L = 0; L < Links; ++L)
+        Parts.push_back(Type::edgeTy());
+      TypePtr KeyTy = Parts.size() == 1 ? Parts[0] : Type::tupleTy(Parts);
+      unsigned Width = scenarioKeyWidth(Opts, NodeBits);
+      ASSERT_EQ(Width, Ctx.Layout.widthOf(KeyTy));
+      for (int Trial = 0; Trial < 200; ++Trial) {
+        FtScenario S;
+        if (Node)
+          S.Node = Id(Rng);
+        for (unsigned L = 0; L < Links; ++L)
+          S.Links.push_back({Id(Rng), Id(Rng)});
+        std::vector<bool> Want;
+        Ctx.encodeValue(scenarioKey(Ctx, S, Opts), KeyTy, Want);
+        ASSERT_EQ(Want.size(), Width);
+        std::vector<uint64_t> Words((Width + 63) / 64, ~uint64_t(0));
+        packScenarioKey(S, Opts, NodeBits, Words.data());
+        for (unsigned B = 0; B < Width; ++B)
+          ASSERT_EQ(bool((Words[B / 64] >> (63 - B % 64)) & 1), Want[B])
+              << S.str() << " bit " << B;
+        // Padding past the key stays zero, so packed keys compare as keys.
+        if (Width % 64) {
+          EXPECT_EQ(Words.back() << (Width % 64), 0u) << S.str();
+        }
+      }
+    }
 }
 
 TEST(FaultTolerance, SingleLinkMatchesNaiveOnDiamond) {
