@@ -17,11 +17,11 @@ static size_t watermarkFromEnv() {
 
 BddManager::BddManager(size_t OpCacheSlots) {
   Nodes.reserve(1 << 12);
-  size_t Slots = 16;
-  while (Slots < OpCacheSlots)
-    Slots <<= 1;
-  OpCache.assign(Slots, OpEntry{});
-  OpCacheMask = Slots - 1;
+  OpCacheCap = 16;
+  while (OpCacheCap < OpCacheSlots)
+    OpCacheCap <<= 1;
+  OpCache.assign(std::min(OpCacheCap, InitialOpCacheSlots), OpEntry{});
+  OpCacheMask = OpCache.size() - 1;
   UniqueSlots.assign(size_t(1) << 13, InvalidRef);
   UniqueMask = UniqueSlots.size() - 1;
   LeafSlots.assign(size_t(1) << 10, InvalidRef);
@@ -36,7 +36,7 @@ BddManager::BddManager(size_t OpCacheSlots) {
 void BddManager::growUnique() {
   // Safe point before the table is touched: a throw here leaves the old
   // table intact and no node allocated (callers grow before inserting).
-  pollSafePoint(GovSite::TableGrow);
+  pollSafePoint(GovSite::TableGrow, UniqueSlots.size() * sizeof(Ref));
   std::vector<Ref> Old = std::move(UniqueSlots);
   UniqueSlots.assign(Old.size() * 2, InvalidRef);
   UniqueMask = UniqueSlots.size() - 1;
@@ -52,7 +52,7 @@ void BddManager::growUnique() {
 }
 
 void BddManager::growLeaf() {
-  pollSafePoint(GovSite::TableGrow);
+  pollSafePoint(GovSite::TableGrow, LeafSlots.size() * sizeof(Ref));
   std::vector<Ref> Old = std::move(LeafSlots);
   LeafSlots.assign(Old.size() * 2, InvalidRef);
   LeafMask = LeafSlots.size() - 1;
@@ -63,6 +63,22 @@ void BddManager::growLeaf() {
     while (LeafSlots[H] != InvalidRef)
       H = (H + 1) & LeafMask;
     LeafSlots[H] = S;
+  }
+}
+
+void BddManager::growOpCache() {
+  const size_t OldSlots = OpCache.size();
+  pollSafePoint(GovSite::TableGrow, OldSlots * sizeof(OpEntry));
+  OpCache.resize(OldSlots * 2);
+  OpCacheMask = OpCache.size() - 1;
+  // Doubling adds one hash bit: an entry either stays in its slot or moves
+  // up by OldSlots, so no two live entries collide and none is lost.
+  for (size_t I = 0; I < OldSlots; ++I) {
+    OpEntry &E = OpCache[I];
+    if (E.Tag != 0 && (opHash(E.Tag, E.A, E.B) & OldSlots)) {
+      OpCache[I + OldSlots] = E;
+      E = OpEntry{};
+    }
   }
 }
 
@@ -109,6 +125,7 @@ BddManager::Ref BddManager::leaf(const void *Payload) {
     ++UniqueProbes;
     H = (H + 1) & LeafMask;
   }
+  growOpCacheForNewNode();
   Ref R = static_cast<Ref>(Nodes.size());
   Nodes.push_back(Node{LeafVar, 0, 0, Payload});
   LeafSlots[H] = R;
@@ -140,6 +157,7 @@ BddManager::Ref BddManager::mkNode(uint32_t Var, Ref Lo, Ref Hi) {
     ++UniqueProbes;
     H = (H + 1) & UniqueMask;
   }
+  growOpCacheForNewNode();
   Ref R = static_cast<Ref>(Nodes.size());
   Nodes.push_back(Node{Var, Lo, Hi, nullptr});
   UniqueSlots[H] = R;

@@ -21,9 +21,13 @@
 ///  - map1/apply2 are templates dispatched on the callback's static type,
 ///    so per-node visits cost a direct (usually inlined) call instead of a
 ///    std::function virtual dispatch;
-///  - the operation cache is a CUDD-style fixed-size direct-mapped array:
-///    lookups are one probe, inserts overwrite (lossy). Losing an entry
-///    only costs a recomputation, never correctness;
+///  - the operation cache is a CUDD-style direct-mapped array: lookups are
+///    one probe, inserts overwrite (lossy). Losing an entry only costs a
+///    recomputation, never correctness. Like CUDD's, it grows with the node
+///    store: it starts at InitialOpCacheSlots and doubles (keeping every
+///    live entry) whenever a new node would leave fewer than two slots per
+///    node, up to the cap given at construction. Growth depends only on the
+///    node count, so cache statistics stay deterministic;
 ///  - the unique (hash-consing) tables are open-addressed, power-of-two
 ///    sized, linear-probe arrays of Refs: the key (Var, Lo, Hi) or leaf
 ///    payload is read back from the node store, so a probe touches one
@@ -78,9 +82,11 @@ public:
   /// collected nodes. Never a valid node index.
   static constexpr Ref InvalidRef = 0xFFFFFFFFu;
 
-  /// Default number of direct-mapped operation-cache slots (rounded up to
-  /// a power of two). 2^17 entries * 24 bytes = 3 MiB per manager arena.
-  static constexpr size_t DefaultOpCacheSlots = size_t(1) << 17;
+  /// Default cap on the direct-mapped operation cache. 2^17 entries * 24
+  /// bytes = 3 MiB, reached once a manager holds 2^16 nodes.
+  static constexpr size_t MaxOpCacheSlots = size_t(1) << 17;
+  /// Slots a fresh manager starts with (48 KiB), or the cap if smaller.
+  static constexpr size_t InitialOpCacheSlots = size_t(1) << 11;
 
   /// Default GC watermark: collect once this many nodes have been
   /// allocated since the last collection. Sized so that the benchmark
@@ -96,10 +102,12 @@ public:
     const void *Leaf = nullptr; ///< Leaf payload (LeafVar nodes only).
   };
 
-  /// \p OpCacheSlots sizes the direct-mapped operation cache (rounded up
-  /// to a power of two; tiny values are useful to stress eviction in
-  /// tests).
-  explicit BddManager(size_t OpCacheSlots = DefaultOpCacheSlots);
+  /// \p OpCacheSlots caps the direct-mapped operation cache (rounded up
+  /// to a power of two, at least 16). The cache starts at
+  /// min(cap, InitialOpCacheSlots) and grows toward the cap as nodes are
+  /// created; a cap of 16 or less never grows, which tests use to stress
+  /// eviction.
+  explicit BddManager(size_t OpCacheSlots = MaxOpCacheSlots);
 
   /// Returns the canonical leaf holding \p Payload.
   Ref leaf(const void *Payload);
@@ -242,9 +250,9 @@ public:
 
   /// Mark-and-sweep: keeps everything reachable from the roots, compacts
   /// the node store (preserving relative Ref order), rebuilds the unique
-  /// tables, drops the operation cache, and notifies every provider of the
-  /// remap. Returns the number of nodes reclaimed. Callers must not hold
-  /// un-rooted Refs across this call.
+  /// tables, empties the operation cache (keeping its size), and notifies
+  /// every provider of the remap. Returns the number of nodes reclaimed.
+  /// Callers must not hold un-rooted Refs across this call.
   size_t collectGarbage();
 
   /// Collects iff the watermark is enabled and node growth since the last
@@ -297,7 +305,8 @@ public:
                    const std::function<void(const std::vector<int8_t> &,
                                             const void *)> &Fn) const;
 
-  /// Drops all operation caches (unique tables are kept).
+  /// Empties the operation cache, keeping its size (unique tables are
+  /// kept).
   void clearCaches();
 
   /// Approximate bytes used by nodes and tables.
@@ -307,7 +316,7 @@ public:
   uint64_t cacheHits() const { return CacheHits; }
   uint64_t cacheMisses() const { return CacheMisses; }
 
-  /// Number of direct-mapped operation-cache slots.
+  /// Current number of direct-mapped operation-cache slots.
   size_t opCacheSlots() const { return OpCache.size(); }
 
   /// Disables operation caching (for the cache ablation bench).
@@ -344,6 +353,7 @@ private:
 
   std::vector<OpEntry> OpCache; ///< Power-of-two sized, lossy.
   size_t OpCacheMask = 0;
+  size_t OpCacheCap = 0; ///< Power of two; OpCache never grows past it.
 
   const void *TruePayload = nullptr;
   const void *FalsePayload = nullptr;
@@ -389,6 +399,14 @@ private:
 
   void growUnique();
   void growLeaf();
+  /// Doubles the operation cache, keeping every live entry.
+  void growOpCache();
+  /// Called before a new node is stored: grows the operation cache so it
+  /// keeps at least two slots per node, up to the cap.
+  void growOpCacheForNewNode() {
+    if (OpCache.size() < OpCacheCap && OpCache.size() < 2 * (Nodes.size() + 1))
+      growOpCache();
+  }
   /// Rebuilds both tables from the node store (after a sweep).
   void rebuildTables();
 
@@ -422,11 +440,13 @@ private:
   /// Safe point on the operation-cache miss path (and at table growth):
   /// checks the governed node budget / heap watermark / deadline /
   /// cancellation and fault injection. Sits before any recursion or table
-  /// mutation, so a throw leaves the manager fully consistent. Ungoverned
+  /// mutation, so a throw leaves the manager fully consistent. A growing
+  /// table passes the bytes it is about to add as \p GrowBytes, so a heap
+  /// watermark trips before the growth instead of after it. Ungoverned
   /// runs pay one flag test.
-  void pollSafePoint(GovSite Site) const {
+  void pollSafePoint(GovSite Site, size_t GrowBytes = 0) const {
     if (Governor::active())
-      Governor::pollSafePoint(Site, Nodes.size(), memoryBytes());
+      Governor::pollSafePoint(Site, Nodes.size(), memoryBytes() + GrowBytes);
   }
 
   template <typename UnaryFn> Ref map1Rec(Ref A, UnaryFn &Fn, uint64_t Tag) {

@@ -214,7 +214,7 @@ struct RunBudget {
 enum class GovSite : uint8_t {
   SimPop = 0,     ///< "sim-pop": simulator worklist pop (counts one step).
   ApplyCacheMiss, ///< "apply-cache-miss": MTBDD op-cache miss, pre-recursion.
-  TableGrow,      ///< "table-grow": MTBDD unique/leaf table growth, pre-rebuild.
+  TableGrow,      ///< "table-grow": MTBDD unique/leaf/op-cache growth.
   EvalAlloc,      ///< "alloc": value-arena interning of a new value.
   SmtEncode,      ///< "smt-encode": SMT per-node encode loop.
   SolverCheck,    ///< "solver-check": immediately before z3 solver.check().

@@ -11,6 +11,7 @@
 
 #include "analysis/FaultTolerance.h"
 #include "baselines/NaiveFailures.h"
+#include "bdd/Mtbdd.h"
 #include "core/Parser.h"
 #include "core/TypeChecker.h"
 #include "eval/ProgramEvaluator.h"
@@ -313,6 +314,59 @@ TEST(Governor, HeapWatermarkTripsMetaSimulation) {
   FtRunResult R = runFaultTolerance(P, Opts, /*Compiled=*/false, Diags);
   EXPECT_FALSE(R.Converged);
   EXPECT_EQ(R.Outcome.Status, RunStatus::HeapBudgetExceeded);
+}
+
+TEST(Governor, OpCacheGrowthIsAGovernedSafePoint) {
+  // 40 leaves and every ordered pair of distinct leaves under bit 0: 1600
+  // internal nodes, so the op cache doubles once (at the 1025th node) and
+  // no other table grows. A heap watermark halfway between the fresh and
+  // the grown footprint must trip at that table-grow safe point, before
+  // the cache or the node store changes.
+  static int Payloads[40];
+  auto Build = [](BddManager &M) {
+    std::vector<BddManager::Ref> Leaves, Out;
+    for (int &P : Payloads)
+      Leaves.push_back(M.leaf(&P));
+    for (BddManager::Ref Lo : Leaves)
+      for (BddManager::Ref Hi : Leaves)
+        if (Lo != Hi)
+          Out.push_back(M.mkNode(0, Lo, Hi));
+    return Out;
+  };
+
+  BddManager Reference;
+  const size_t Fresh = Reference.memoryBytes();
+  const size_t FreshSlots = Reference.opCacheSlots();
+  const std::vector<BddManager::Ref> Want = Build(Reference);
+  ASSERT_EQ(Reference.opCacheSlots(), 2 * FreshSlots);
+  const size_t Grown = Reference.memoryBytes();
+  ASSERT_GT(Grown, Fresh);
+
+  BddManager M;
+  ASSERT_EQ(M.memoryBytes(), Fresh);
+  {
+    RunBudget B;
+    B.MaxHeapBytes = Fresh + (Grown - Fresh) / 2;
+    Governor::Scope Scope(B);
+    try {
+      Build(M);
+      FAIL() << "op-cache growth did not trip the heap watermark";
+    } catch (const EngineError &E) {
+      EXPECT_EQ(E.outcome().Status, RunStatus::HeapBudgetExceeded);
+      EXPECT_STREQ(E.outcome().Site, "table-grow");
+    }
+  }
+  EXPECT_EQ(M.numNodes(), FreshSlots / 2);
+  EXPECT_EQ(M.opCacheSlots(), FreshSlots);
+
+  // Ungoverned, the same manager finishes the build with the same nodes
+  // and answers an apply2 like the reference.
+  EXPECT_EQ(Build(M), Want);
+  EXPECT_EQ(M.opCacheSlots(), Reference.opCacheSlots());
+  auto Pick = [](const void *A, const void *B) { return A < B ? B : A; };
+  for (size_t I = 0; I + 1 < Want.size(); I += 97)
+    EXPECT_EQ(M.apply2(Want[I], Want[I + 1], Pick, 1),
+              Reference.apply2(Want[I], Want[I + 1], Pick, 1));
 }
 
 TEST(Governor, StepBudgetReportsThroughFtRun) {

@@ -4,8 +4,9 @@
 // baseline, the Batfish baseline and the meta-protocol's assert check all
 // promise output identical to their serial runs for any pool size. Also
 // pins the two serial-kernel overhauls the shards run on: the
-// direct-mapped (lossy) MTBDD op cache stays correct under eviction, and
-// the simulator's flat receive table computes the same fixpoint as the
+// direct-mapped (lossy) MTBDD op cache stays correct under eviction and
+// grows with the node store without losing entries, and the simulator's
+// flat receive table computes the same fixpoint as the
 // synchronous-iteration oracle on a random topology.
 //
 //===----------------------------------------------------------------------===//
@@ -20,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <random>
 #include <tuple>
@@ -189,15 +191,147 @@ TEST(ParallelDeterminism, RunFaultToleranceThreadsOptionAgrees) {
 }
 
 //===----------------------------------------------------------------------===//
-// Direct-mapped op cache: eviction never changes results
+// Direct-mapped op cache: eviction and growth never change results
 //===----------------------------------------------------------------------===//
 
 TEST(OpCache, SlotsRoundUpToPowerOfTwo) {
   EXPECT_EQ(BddManager(1).opCacheSlots(), 16u);
   EXPECT_EQ(BddManager(16).opCacheSlots(), 16u);
   EXPECT_EQ(BddManager(17).opCacheSlots(), 32u);
-  EXPECT_EQ(BddManager(BddManager::DefaultOpCacheSlots).opCacheSlots(),
-            BddManager::DefaultOpCacheSlots);
+  // The argument is the cap; a fresh manager starts at min(cap, 2^11).
+  EXPECT_EQ(BddManager::InitialOpCacheSlots, size_t(1) << 11);
+  EXPECT_EQ(BddManager().opCacheSlots(),
+            std::min(BddManager::MaxOpCacheSlots,
+                     BddManager::InitialOpCacheSlots));
+}
+
+/// Random map over \p Bits key bits with \p Updates keyed updates.
+BddManager::Ref randomMap(BddManager &M, unsigned Bits, int Updates,
+                          const int *Payloads, unsigned NumPayloads,
+                          std::mt19937 &Rng) {
+  BddManager::Ref R = M.leaf(&Payloads[0]);
+  for (int S = 0; S < Updates; ++S) {
+    std::vector<bool> Key(Bits);
+    for (unsigned B = 0; B < Bits; ++B)
+      Key[B] = Rng() & 1;
+    R = M.set(R, Key, &Payloads[Rng() % NumPayloads]);
+  }
+  return R;
+}
+
+/// Builds random 12-bit maps until \p M holds at least \p Target nodes
+/// (overshooting by at most one map). set() never touches the op cache,
+/// so only growth can change it.
+void growNodeStore(BddManager &M, size_t Target, std::mt19937 &Rng) {
+  static int Payloads[97];
+  while (M.numNodes() < Target)
+    randomMap(M, 12, 16, Payloads, 97, Rng);
+}
+
+/// The slot count a manager that never collected must have at \p Nodes
+/// nodes: the smallest power of two >= 2 * Nodes, at least the initial
+/// size, at most the cap.
+size_t expectedOpCacheSlots(size_t Nodes, size_t Cap) {
+  size_t Slots = std::min(Cap, BddManager::InitialOpCacheSlots);
+  while (Slots < Cap && Slots < 2 * Nodes)
+    Slots <<= 1;
+  return Slots;
+}
+
+TEST(OpCache, GrowsToTwiceTheNodeCountUpToTheCap) {
+  std::mt19937 Rng(11);
+  for (size_t Cap : {size_t(1) << 11, size_t(1) << 13,
+                     BddManager::MaxOpCacheSlots}) {
+    BddManager M(Cap);
+    for (size_t Target = 1; Target < 9000; Target += 97) {
+      growNodeStore(M, Target, Rng);
+      const size_t Slots = M.opCacheSlots();
+      EXPECT_EQ(Slots, expectedOpCacheSlots(M.numNodes(), Cap))
+          << "cap " << Cap << ", " << M.numNodes() << " nodes";
+      EXPECT_LE(Slots, Cap);
+      EXPECT_GE(Slots, std::min(Cap, 2 * M.numNodes()));
+    }
+  }
+}
+
+TEST(OpCache, SixteenSlotCapNeverGrows) {
+  std::mt19937 Rng(12);
+  for (size_t Cap : {1u, 16u}) {
+    BddManager M(Cap);
+    for (size_t Target = 1; Target < 5000; Target += 499) {
+      growNodeStore(M, Target, Rng);
+      EXPECT_EQ(M.opCacheSlots(), 16u) << M.numNodes() << " nodes";
+    }
+  }
+}
+
+TEST(OpCache, EntriesSurviveGrowth) {
+  static int Payloads[16];
+  std::mt19937 Rng(5);
+  BddManager M;
+  std::vector<BddManager::Ref> Maps;
+  for (int I = 0; I < 8; ++I)
+    Maps.push_back(randomMap(M, 6, 6, Payloads, 16, Rng));
+  auto Max = [](const void *A, const void *B) { return A > B ? A : B; };
+  const uint64_t Tag = M.freshOpTag();
+  auto Round = [&]() {
+    std::vector<BddManager::Ref> Out;
+    for (size_t I = 0; I + 1 < Maps.size(); ++I)
+      Out.push_back(M.apply2(Maps[I], Maps[I + 1], Max, Tag));
+    return Out;
+  };
+  const std::vector<BddManager::Ref> First = Round();
+  // Precondition: every top-level entry is still cached, so a repeat is
+  // all hits and leaves the cache as it was.
+  uint64_t Misses = M.cacheMisses();
+  ASSERT_EQ(Round(), First);
+  ASSERT_EQ(M.cacheMisses(), Misses);
+
+  // Two doublings: about three quarters of the entries change slot.
+  const size_t Slots = M.opCacheSlots();
+  growNodeStore(M, Slots + 1, Rng);
+  ASSERT_EQ(M.opCacheSlots(), 4 * Slots);
+
+  EXPECT_EQ(Round(), First);
+  EXPECT_EQ(M.cacheMisses(), Misses);
+}
+
+TEST(OpCache, GrowthMidApplyAgreesWithTinyAndUncached) {
+  // Operands stay under the first growth threshold (1024 nodes); the
+  // apply2 that combines them creates enough nodes to grow the cache
+  // while its recursion still has entries in flight.
+  static int Payloads[64];
+  const unsigned Bits = 12;
+  auto Run = [&](BddManager &M) {
+    std::mt19937 Rng(9);
+    BddManager::Ref X = randomMap(M, Bits, 40, Payloads, 64, Rng);
+    BddManager::Ref Y = randomMap(M, Bits, 40, Payloads, 64, Rng);
+    auto Mix = [](const void *A, const void *B) {
+      auto IA = static_cast<const int *>(A) - Payloads;
+      auto IB = static_cast<const int *>(B) - Payloads;
+      return static_cast<const void *>(&Payloads[(IA * 7 + IB) % 64]);
+    };
+    const size_t NodesBefore = M.numNodes(), SlotsBefore = M.opCacheSlots();
+    BddManager::Ref Z = M.apply2(X, Y, Mix, M.freshOpTag());
+    std::vector<const void *> Keys;
+    M.forEachKey(Z, Bits, [&](const std::vector<bool> &, const void *L) {
+      Keys.push_back(L);
+    });
+    return std::make_tuple(Keys, NodesBefore, SlotsBefore, M.numNodes(),
+                           M.opCacheSlots());
+  };
+
+  BddManager Growing, Tiny(16), Uncached;
+  Uncached.setCachingEnabled(false);
+  auto [Keys, NodesBefore, SlotsBefore, NodesAfter, SlotsAfter] =
+      Run(Growing);
+  ASSERT_LT(NodesBefore, 1024u);
+  ASSERT_GT(NodesAfter, 1024u);
+  ASSERT_EQ(SlotsBefore, BddManager::InitialOpCacheSlots);
+  ASSERT_GT(SlotsAfter, SlotsBefore);
+  EXPECT_EQ(Keys, std::get<0>(Run(Tiny)));
+  EXPECT_EQ(Keys, std::get<0>(Run(Uncached)));
+  EXPECT_GT(Growing.cacheHits(), 0u);
 }
 
 TEST(OpCache, EvictionUnderTinyCacheStaysCorrect) {
