@@ -6,6 +6,7 @@
 #include "core/Printer.h"
 #include "core/TypeChecker.h"
 #include "eval/Compile.h"
+#include "support/Journal.h"
 #include "support/Timer.h"
 #include "transform/Transforms.h"
 
@@ -13,6 +14,7 @@
 #include <bit>
 #include <cassert>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <ranges>
 #include <unordered_map>
@@ -71,6 +73,13 @@ std::string keyBinders(const FtOptions &Opts, std::string &NodeName,
 
 } // namespace
 
+std::string nv::ftOptionsError(const FtOptions &Opts) {
+  if (Opts.LinkFailures == 0 && !Opts.NodeFailure)
+    return "fault-tolerance analysis needs at least one failure per "
+           "scenario (links >= 1, or a node failure)";
+  return "";
+}
+
 std::optional<Program> nv::makeFaultTolerantProgram(const Program &P,
                                                     const FtOptions &Opts,
                                                     DiagnosticEngine &Diags) {
@@ -79,8 +88,8 @@ std::optional<Program> nv::makeFaultTolerantProgram(const Program &P,
                     "program (missing attribute type)");
     return std::nullopt;
   }
-  if (Opts.LinkFailures == 0 && !Opts.NodeFailure) {
-    Diags.error({}, "fault-tolerance transform needs at least one failure");
+  if (std::string E = ftOptionsError(Opts); !E.empty()) {
+    Diags.error({}, E);
     return std::nullopt;
   }
 
@@ -171,6 +180,14 @@ void nv::addViolationField(UnitRecord &R, size_t ScenarioIdx,
       C = ' ';
   R.add("v", std::to_string(ScenarioIdx) + " " + std::to_string(V.Node) + " " +
                  Text);
+}
+
+std::string nv::ftViolationsHash(const std::vector<FtViolation> &Vs) {
+  std::string Blob;
+  for (const FtViolation &V : Vs)
+    Blob += V.Scenario.str() + "@" + std::to_string(V.Node) + "=" +
+            V.routeStr() + "\n";
+  return fnv1a64Hex(Blob);
 }
 
 bool nv::parseViolationFields(const UnitRecord &R,
@@ -397,8 +414,8 @@ struct FailingPart {
 } // namespace
 
 struct FtChecker::ImplTy {
-  FtOptions Opts;
   std::vector<FtScenario> Scenarios;
+  FtChunks Chunks;
   /// Roots the meta labels' diagrams for the checker's lifetime: the
   /// assert pre-pass interns fresh values, and if a collection fires the
   /// label roots must survive it.
@@ -415,10 +432,8 @@ struct FtChecker::ImplTy {
   ImplTy(NvContext &Ctx, const Program &BaseProgram,
          ProtocolEvaluator &BaseEval, const SimResult &Meta,
          const FtOptions &Opts, ThreadPool *Pool)
-      : Opts(Opts), Scenarios(enumerateScenarios(BaseProgram, Opts)),
-        MetaRoots(Ctx.Mgr) {
-    if (this->Opts.CheckChunkSize == 0)
-      this->Opts.CheckChunkSize = 512;
+      : Scenarios(enumerateScenarios(BaseProgram, Opts)),
+        Chunks(Scenarios.size(), Opts.CheckChunkSize), MetaRoots(Ctx.Mgr) {
     uint32_t N = BaseProgram.numNodes();
     Offsets.assign(Scenarios.size() + 1, 0);
     if (Scenarios.empty() || N == 0)
@@ -442,12 +457,12 @@ struct FtChecker::ImplTy {
     // Scenario keys, encoded straight from node ids (no interning) and
     // sorted so that keys sharing a prefix are contiguous.
     unsigned NodeBits = Ctx.Layout.nodeBits();
-    size_t W = (scenarioKeyWidth(this->Opts, NodeBits) + 63) / 64;
-    assert(scenarioKeyWidth(this->Opts, NodeBits) == Meta.Labels[0]->KeyBits &&
+    size_t W = (scenarioKeyWidth(Opts, NodeBits) + 63) / 64;
+    assert(scenarioKeyWidth(Opts, NodeBits) == Meta.Labels[0]->KeyBits &&
            "scenario key width mismatch");
     std::vector<uint64_t> Packed(Scenarios.size() * W);
     for (size_t I = 0; I < Scenarios.size(); ++I)
-      packScenarioKey(Scenarios[I], this->Opts, NodeBits, &Packed[I * W]);
+      packScenarioKey(Scenarios[I], Opts, NodeBits, &Packed[I * W]);
     // (first key word, scenario): sorting these stays in one contiguous
     // array, and only keys wider than 64 bits compare further words.
     std::vector<std::pair<uint64_t, uint32_t>> Order(Scenarios.size());
@@ -515,16 +530,7 @@ const std::vector<FtScenario> &FtChecker::scenarios() const {
   return Impl->Scenarios;
 }
 
-size_t FtChecker::numChunks() const {
-  return (Impl->Scenarios.size() + Impl->Opts.CheckChunkSize - 1) /
-         Impl->Opts.CheckChunkSize;
-}
-
-std::string FtChecker::chunkKey(size_t C) {
-  std::string K = "c";
-  K += std::to_string(C);
-  return K;
-}
+const FtChunks &FtChecker::chunks() const { return Impl->Chunks; }
 
 void FtChecker::checkScenario(size_t I, std::vector<FtViolation> &Out) const {
   for (size_t H = Impl->Offsets[I]; H < Impl->Offsets[I + 1]; ++H)
@@ -532,54 +538,62 @@ void FtChecker::checkScenario(size_t I, std::vector<FtViolation> &Out) const {
         {Impl->Scenarios[I], Impl->Hits[H].Node, Impl->Hits[H].Route, {}});
 }
 
-UnitRecord FtChecker::checkChunk(size_t C, ThreadPool *,
-                                 std::vector<FtViolation> *LiveOut) {
-  size_t Begin = C * Impl->Opts.CheckChunkSize;
-  size_t End = std::min(Begin + Impl->Opts.CheckChunkSize,
-                        Impl->Scenarios.size());
+UnitRecord FtChecker::checkChunk(size_t C) const {
   UnitRecord Rec;
-  Rec.Key = chunkKey(C);
+  Rec.Key = FtChunks::key(C);
   Rec.add("status", "ok");
-  for (size_t I = Begin; I < End; ++I)
-    for (size_t H = Impl->Offsets[I]; H < Impl->Offsets[I + 1]; ++H) {
-      FtViolation V{Impl->Scenarios[I], Impl->Hits[H].Node,
-                    Impl->Hits[H].Route, {}};
-      addViolationField(Rec, I, V);
-      if (LiveOut)
-        LiveOut->push_back(std::move(V));
-    }
+  for (size_t I = Impl->Chunks.begin(C); I < Impl->Chunks.end(C); ++I)
+    for (size_t H = Impl->Offsets[I]; H < Impl->Offsets[I + 1]; ++H)
+      addViolationField(
+          Rec, I,
+          {Impl->Scenarios[I], Impl->Hits[H].Node, Impl->Hits[H].Route, {}});
   return Rec;
 }
 
-bool nv::aggregateFtChunkRecords(
-    const std::vector<FtScenario> &Scenarios, unsigned ChunkSize,
-    const std::function<bool(const std::string &, UnitRecord &)> &Lookup,
-    FtCheckResult &Out) {
-  if (ChunkSize == 0)
-    ChunkSize = 512;
-  size_t NumChunks = (Scenarios.size() + ChunkSize - 1) / ChunkSize;
-  for (size_t C = 0; C < NumChunks; ++C) {
-    size_t Begin = C * ChunkSize;
-    size_t End = std::min(Begin + size_t(ChunkSize), Scenarios.size());
+FtChunks::FtChunks(size_t NumScenarios, unsigned ChunkSize)
+    : NumScenarios(NumScenarios),
+      Size(ChunkSize ? ChunkSize : FtOptions{}.CheckChunkSize) {}
+
+std::string FtChunks::key(size_t C) {
+  std::string K = "c";
+  K += std::to_string(C);
+  return K;
+}
+
+std::vector<size_t> FtChunks::missing(const ResumeLog *Log,
+                                      uint64_t &Replayed) const {
+  std::vector<size_t> Out;
+  Replayed = 0;
+  for (size_t C = 0; C < count(); ++C) {
+    if (Log && Log->isDone(key(C)))
+      Replayed += end(C) - begin(C);
+    else
+      Out.push_back(C);
+  }
+  return Out;
+}
+
+bool nv::aggregateFtChunkRecords(const std::vector<FtScenario> &Scenarios,
+                                 unsigned ChunkSize,
+                                 const RecordLookup &Lookup,
+                                 FtCheckResult &Out) {
+  FtChunks Chunks(Scenarios.size(), ChunkSize);
+  for (size_t C = 0; C < Chunks.count(); ++C) {
     UnitRecord Rec;
-    if (!Lookup(FtChecker::chunkKey(C), Rec))
-      return false;
     RunOutcome O;
     unsigned Attempts = 1;
-    if (!parseOutcome(Rec, O, Attempts))
+    std::vector<std::pair<size_t, FtViolation>> Vs;
+    if (!Lookup(FtChunks::key(C), Rec) || !parseOutcome(Rec, O, Attempts) ||
+        (O.ok() && !parseViolationFields(Rec, Scenarios, Vs)))
       return false;
-    Out.ScenariosChecked += End - Begin;
+    Out.ScenariosChecked += Chunks.end(C) - Chunks.begin(C);
     if (!O.ok()) {
       // A quarantined (or otherwise skipped) chunk contributes no
       // violations — exactly like a skipped scenario in the naive paths.
-      Out.ScenariosSkipped += End - Begin;
+      Out.ScenariosSkipped += Chunks.end(C) - Chunks.begin(C);
       if (Out.Outcome.ok())
         Out.Outcome = O;
-      continue;
     }
-    std::vector<std::pair<size_t, FtViolation>> Vs;
-    if (!parseViolationFields(Rec, Scenarios, Vs))
-      return false;
     for (auto &IV : Vs)
       Out.Violations.push_back(std::move(IV.second));
   }
@@ -595,91 +609,80 @@ FtCheckResult nv::checkFaultTolerance(NvContext &Ctx,
   FtCheckResult R;
   FtChecker Checker(Ctx, BaseProgram, BaseEval, MetaResult, Opts, Pool);
   const auto &Scenarios = Checker.scenarios();
-  R.ScenariosChecked = Scenarios.size();
-  if (Scenarios.empty() || BaseProgram.numNodes() == 0)
-    return R;
-
-  if (Opts.Resume) {
-    // Checkpointed mode: scenarios are journaled in fixed chunks (one
-    // entry per chunk keeps journal traffic sane at fig13 scales). Chunks
-    // are processed in order; a replayed chunk's violations come from the
-    // journal, a fresh chunk is sliced from the checker's result and then
-    // durably recorded. Cancellation drains between chunks — the partial
-    // chunk is simply not recorded and re-runs on resume.
-    size_t ChunkSize = Opts.CheckChunkSize ? Opts.CheckChunkSize : 512;
-    R.ScenariosChecked = 0;
-    CancelToken *Cancel = Opts.Budget.Cancel;
-    for (size_t C = 0; C < Checker.numChunks(); ++C) {
-      size_t Begin = C * ChunkSize;
-      size_t End = std::min(Begin + ChunkSize, Scenarios.size());
-      UnitRecord Rec;
-      if (Opts.Resume->replay(FtChecker::chunkKey(C), Rec)) {
-        std::vector<std::pair<size_t, FtViolation>> Replayed;
-        if (parseViolationFields(Rec, Scenarios, Replayed))
-          for (auto &[I, V] : Replayed)
-            R.Violations.push_back(std::move(V));
-        R.ScenariosChecked += End - Begin;
-        R.ScenariosReplayed += End - Begin;
-        continue;
-      }
-      if (Cancel && Cancel->isCanceled()) {
-        R.Outcome = {RunStatus::Canceled, "fault-tolerance check canceled",
-                     ""};
-        break;
-      }
-      Rec = Checker.checkChunk(C, Pool, &R.Violations);
-      R.ScenariosChecked += End - Begin;
-      Opts.Resume->recordDone(Rec);
-    }
-  } else {
+  if (!Opts.Resume) {
+    R.ScenariosChecked = Scenarios.size();
     for (size_t I = 0; I < Scenarios.size(); ++I)
       Checker.checkScenario(I, R.Violations);
+    return R;
   }
+
+  // Checkpointed mode: the check is journaled in fixed chunks (one entry
+  // per chunk keeps journal traffic sane at fig13 scales). The chunks the
+  // journal lacks are sliced from the checker's result and recorded in
+  // order, then journal and fresh records fold as a fleet run's do.
+  // Cancellation stops between chunks; the fold ends at the first
+  // unrecorded one, which re-runs on resume.
+  ResumeLog &Log = *Opts.Resume;
+  std::map<std::string, UnitRecord> Fresh;
+  for (size_t C : Checker.chunks().missing(&Log, R.ScenariosReplayed)) {
+    if (Opts.Budget.Cancel && Opts.Budget.Cancel->isCanceled())
+      break;
+    UnitRecord Rec = Checker.checkChunk(C);
+    Log.recordDone(Rec);
+    Fresh.emplace(Rec.Key, std::move(Rec));
+  }
+  bool Missing = false;
+  auto Lookup = [&](const std::string &Key, UnitRecord &Rec) {
+    if (auto It = Fresh.find(Key); It != Fresh.end()) {
+      Rec = std::move(It->second);
+      return true;
+    }
+    Missing = !Log.replay(Key, Rec);
+    return !Missing;
+  };
+  if (!aggregateFtChunkRecords(Scenarios, Opts.CheckChunkSize, Lookup, R))
+    R.Outcome = {Missing ? RunStatus::Canceled : RunStatus::EvalError,
+                 Missing ? "fault-tolerance check canceled"
+                         : "malformed chunk record in " + Log.path(),
+                 ""};
   return R;
 }
 
-FtRunResult nv::runFaultTolerance(const Program &P, const FtOptions &Opts,
-                                  bool UseCompiledEvaluator,
-                                  DiagnosticEngine &Diags, bool CheckAsserts,
-                                  NvContext *ReuseCtx) {
-  FtRunResult Out;
-  Stopwatch W;
-  // One governor spans the whole analysis: the step budget counts the
-  // meta-simulation's pops, and a deadline/cancellation also covers the
-  // transform and the assert-check phases. The simulator is handed an
-  // unlimited budget of its own so the run is governed exactly once.
-  Governor::Scope Guard(Opts.Budget);
-  try {
-  auto Meta = makeFaultTolerantProgram(P, Opts, Diags);
-  Out.TransformMs = W.elapsedMs();
-  if (!Meta) {
-    Out.Outcome = {RunStatus::EvalError, "fault-tolerance transform failed",
-                   ""};
-    return Out;
-  }
+//===----------------------------------------------------------------------===//
+// PreparedFt
+//===----------------------------------------------------------------------===//
 
-  // Reuse mode collects the PREVIOUS run's garbage down to the caller's
-  // pinned baseline now, at the start — so the previous FtRunResult's
-  // route pointers stay valid until the next call on the same context.
-  std::shared_ptr<NvContext> OwnCtx;
-  if (ReuseCtx)
-    ReuseCtx->resetBetweenRuns();
-  else
-    OwnCtx = std::make_shared<NvContext>(P.numNodes());
-  NvContext &Ctx = ReuseCtx ? *ReuseCtx : *OwnCtx;
+std::unique_ptr<PreparedFt>
+PreparedFt::create(NvContext &Ctx, const Program &Base, const FtOptions &Opts,
+                   bool UseCompiledEvaluator, DiagnosticEngine &Diags) {
+  auto Meta = makeFaultTolerantProgram(Base, Opts, Diags);
+  return std::unique_ptr<PreparedFt>(
+      Meta ? new PreparedFt(Ctx, Base, std::move(*Meta), UseCompiledEvaluator)
+           : nullptr);
+}
+
+PreparedFt::PreparedFt(NvContext &Ctx, const Program &Base,
+                       Program MetaProgram, bool UseCompiledEvaluator)
+    : Ctx(Ctx), Base(Base), Meta(std::move(MetaProgram)),
+      MetaEval(UseCompiledEvaluator
+                   ? std::unique_ptr<ProtocolEvaluator>(
+                         std::make_unique<CompiledProgramEvaluator>(Ctx, Meta))
+                   : std::make_unique<InterpProgramEvaluator>(Ctx, Meta)),
+      BaseEval(Ctx, Base) {}
+
+SimResult PreparedFt::simulate() {
+  SimOptions SO;
+  SO.Budget = RunBudget{}; // governed by the caller's scope instead
+  return nv::simulate(Meta, *MetaEval, SO);
+}
+
+FtRunResult PreparedFt::run(const FtOptions &Opts, bool CheckAsserts) {
+  FtRunResult Out;
   // Deltas, not totals: a reused manager's counters span earlier runs.
   uint64_t Hits0 = Ctx.Mgr.cacheHits(), Misses0 = Ctx.Mgr.cacheMisses();
-
-  {
-    std::unique_ptr<ProtocolEvaluator> Eval;
-    W.restart();
-    if (UseCompiledEvaluator)
-      Eval = std::make_unique<CompiledProgramEvaluator>(Ctx, *Meta);
-    else
-      Eval = std::make_unique<InterpProgramEvaluator>(Ctx, *Meta);
-    SimOptions SO;
-    SO.Budget = RunBudget{}; // governed by this run's outer scope instead
-    SimResult R = simulate(*Meta, *Eval, SO);
+  try {
+    Stopwatch W;
+    SimResult R = simulate();
     Out.SimulateMs = W.elapsedMs();
     Out.Converged = R.Converged;
     Out.Outcome = R.Outcome;
@@ -688,26 +691,59 @@ FtRunResult nv::runFaultTolerance(const Program &P, const FtOptions &Opts,
     Out.CacheMisses = Ctx.Mgr.cacheMisses() - Misses0;
     if (R.Converged && CheckAsserts) {
       W.restart();
-      InterpProgramEvaluator BaseEval(Ctx, P);
-      std::optional<ThreadPool> Pool;
-      if (Opts.Threads != 1)
-        Pool.emplace(Opts.Threads);
-      Out.Check = checkFaultTolerance(Ctx, P, BaseEval, R, Opts,
-                                      Pool ? &*Pool : nullptr);
+      ThreadPool Pool(Opts.Threads); // one thread spawns no worker
+      Out.Check = checkFaultTolerance(Ctx, Base, BaseEval, R, Opts, &Pool);
       Out.CheckMs = W.elapsedMs();
     }
+  } catch (const EngineError &E) {
+    // A trip outside the simulator's own catch (e.g. the assert check).
+    Out.Outcome = E.outcome();
   }
+  return Out;
+}
+
+FtRunResult nv::runFaultTolerance(const Program &P, const FtOptions &Opts,
+                                  bool UseCompiledEvaluator,
+                                  DiagnosticEngine &Diags, bool CheckAsserts,
+                                  NvContext *ReuseCtx) {
+  FtRunResult Out;
+  // One governor spans the whole analysis: the step budget counts the
+  // meta-simulation's pops, and a deadline/cancellation also covers the
+  // transform and the assert-check phases.
+  Governor::Scope Guard(Opts.Budget);
+  // Reuse mode collects the PREVIOUS run's garbage down to the caller's
+  // pinned baseline now, at the start — so the previous FtRunResult's
+  // route pointers stay valid until the next call on the same context.
+  std::shared_ptr<NvContext> OwnCtx;
+  bool Stopped = false; // tripped outside the simulator's own catch
+  try {
+    if (ReuseCtx)
+      ReuseCtx->resetBetweenRuns();
+    else
+      OwnCtx = std::make_shared<NvContext>(P.numNodes());
+    Stopwatch W;
+    auto Prep = PreparedFt::create(ReuseCtx ? *ReuseCtx : *OwnCtx, P, Opts,
+                                   UseCompiledEvaluator, Diags);
+    double TransformMs = W.elapsedMs();
+    if (Prep) {
+      Out = Prep->run(Opts, CheckAsserts);
+      // Converged yet stopped: the assert check tripped.
+      Stopped = Out.Converged && !Out.Outcome.ok();
+    } else {
+      Out.Outcome = {RunStatus::EvalError, "fault-tolerance transform failed",
+                     ""};
+    }
+    Out.TransformMs = TransformMs;
+  } catch (const EngineError &E) {
+    // A trip while preparing: context setup or evaluator construction.
+    Out.Outcome = E.outcome();
+    Stopped = true;
+  }
+  if (Stopped)
+    Diags.error({}, "fault-tolerance analysis stopped: " + Out.Outcome.str());
   // Keep an owned context alive so Violation::Route pointers in the
   // returned result do not dangle.
   if (OwnCtx)
     Out.Check.RetainedContexts.push_back(std::move(OwnCtx));
   return Out;
-  } catch (const EngineError &E) {
-    // A trip outside the simulator's own catch (transform, evaluator
-    // construction, or the assert-check phase). The phases that completed
-    // keep their timings/stats; Converged reflects how far we got.
-    Out.Outcome = E.outcome();
-    Diags.error({}, "fault-tolerance analysis stopped: " + Out.Outcome.str());
-    return Out;
-  }
 }

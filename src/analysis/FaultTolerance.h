@@ -24,6 +24,12 @@
 /// the key space covers "at most k failures". Keys naming non-topology
 /// links behave like the failure-free scenario and share leaves.
 ///
+/// One pipeline runs it: PreparedFt holds the meta-program and its
+/// evaluators, built once per context and options, and simulates then
+/// checks (FtChecker) per run. runFaultTolerance, `nv serve` sessions and
+/// fleet workers all use it. The journaled and fleet-sharded check works
+/// in FtChunks, whose records aggregateFtChunkRecords folds.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef NV_ANALYSIS_FAULTTOLERANCE_H
@@ -36,6 +42,7 @@
 #include "support/Resume.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -78,6 +85,11 @@ struct FtOptions {
   /// open rejects mismatched journals).
   ResumeLog *Resume = nullptr;
 };
+
+/// The transform's one precondition on \p Opts: every scenario fails
+/// something (LinkFailures >= 1, or NodeFailure). Returns the user-facing
+/// error, empty when \p Opts satisfies it.
+std::string ftOptionsError(const FtOptions &Opts);
 
 /// Builds the fault-tolerant meta-program: the input's init/trans/merge
 /// (and assert) are renamed to __base_* and wrapped per Fig. 5. The result
@@ -166,6 +178,33 @@ struct FtCheckResult {
   bool holds() const { return Violations.empty(); }
 };
 
+/// The chunk layout of the checkpointed and fleet-sharded assert check:
+/// chunk C covers scenarios [begin(C), end(C)), keyed "c<C>" in journals
+/// and fleet jobs. A ChunkSize of 0 means the FtOptions default.
+class FtChunks {
+public:
+  FtChunks(size_t NumScenarios, unsigned ChunkSize);
+
+  size_t count() const { return (NumScenarios + Size - 1) / Size; }
+  size_t begin(size_t C) const { return C * Size; }
+  size_t end(size_t C) const {
+    return std::min(begin(C) + Size, NumScenarios);
+  }
+  static std::string key(size_t C);
+
+  /// The chunks \p Log (may be null) holds no record of, in order;
+  /// \p Replayed receives the number of scenarios in the others.
+  std::vector<size_t> missing(const ResumeLog *Log, uint64_t &Replayed) const;
+
+private:
+  size_t NumScenarios, Size;
+};
+
+/// FNV-1a 64 hex fingerprint of violations in result order: identical for
+/// live and replayed violations (routeStr), so `nv ft/naive --json` and
+/// `nv serve` results diff directly.
+std::string ftViolationsHash(const std::vector<FtViolation> &Vs);
+
 /// Checks the base program's assert under every scenario against the
 /// converged dict labels of the meta-program. The failed node (if any) is
 /// exempt from its own assertion. Violations come out in (scenario, node)
@@ -198,10 +237,10 @@ FtCheckResult checkFaultTolerance(NvContext &Ctx, const Program &BaseProgram,
 ///
 /// checkScenario and checkChunk then read slices of that result.
 /// checkChunk returns the chunk's canonical UnitRecord ("c<C>", status,
-/// one "v" field per violation). In-process chunked checking journals
-/// these records; fleet workers send the *same* records over the result
-/// pipe, which is what makes `--workers N` aggregates bit-identical to
-/// `--workers 0`.
+/// one "v" field per violation). The checkpointed in-process check
+/// journals these records; fleet workers send the *same* records over the
+/// result pipe, and both fold them through aggregateFtChunkRecords, which
+/// is what makes `--workers N` aggregates bit-identical to `--workers 0`.
 class FtChecker {
 public:
   /// \p MetaResult must be converged with dict labels; both it and
@@ -212,16 +251,10 @@ public:
   ~FtChecker();
 
   const std::vector<FtScenario> &scenarios() const;
-  size_t numChunks() const;
-  /// The journal/fleet key of chunk \p C: "c<C>".
-  static std::string chunkKey(size_t C);
+  const FtChunks &chunks() const;
 
-  /// The record of scenarios [C*CheckChunkSize, ...). Live violations
-  /// (Route interned in Ctx) are additionally appended to \p LiveOut when
-  /// given, in scenario order. The pool is unused: the checking happened
-  /// at construction.
-  UnitRecord checkChunk(size_t C, ThreadPool *Pool = nullptr,
-                        std::vector<FtViolation> *LiveOut = nullptr);
+  /// The record of chunk \p C's scenarios.
+  UnitRecord checkChunk(size_t C) const;
 
   /// Appends scenario \p I's violations in node order (thread-safe;
   /// read-only).
@@ -232,27 +265,18 @@ private:
   std::unique_ptr<ImplTy> Impl;
 };
 
-/// Folds one record per chunk — from a fleet run, a resume journal, or a
-/// mix — into \p Out with the replay path's semantics: violations in
-/// scenario order (Route null, RouteText filled), a non-ok chunk (e.g. a
-/// quarantined poison chunk) contributing its scenario count to
-/// ScenariosSkipped and the first non-ok outcome in chunk order kept.
-/// Returns false when some chunk's record is missing or malformed.
-bool aggregateFtChunkRecords(
-    const std::vector<FtScenario> &Scenarios, unsigned ChunkSize,
-    const std::function<bool(const std::string &, UnitRecord &)> &Lookup,
-    FtCheckResult &Out);
+/// Folds one record per chunk, in chunk order — from a fleet run, a resume
+/// journal, or a mix — into \p Out: violations in scenario order (Route
+/// null, RouteText filled), a non-ok chunk (e.g. a quarantined poison
+/// chunk) contributing its scenario count to ScenariosSkipped and the
+/// first non-ok outcome in chunk order kept. Returns false at the first
+/// chunk whose record is missing or malformed; \p Out then holds the
+/// chunks before it.
+bool aggregateFtChunkRecords(const std::vector<FtScenario> &Scenarios,
+                             unsigned ChunkSize, const RecordLookup &Lookup,
+                             FtCheckResult &Out);
 
-/// Convenience driver: transform, simulate (interpreted or compiled), and
-/// check. Null base assert means only convergence is checked.
-///
-/// \p ReuseCtx (optional) runs the analysis in a caller-owned context
-/// instead of a fresh one — e.g. one context per network reused across
-/// failure budgets. The context is garbage-collected down to its pinned
-/// baseline at the START of each run, so one run's result (violation
-/// routes, cache stats) stays valid until the next call with the same
-/// context. Cache hit/miss counts are reported as per-run deltas either
-/// way.
+/// The result of one fault-tolerance run.
 struct FtRunResult {
   bool Converged = false;
   FtCheckResult Check;
@@ -264,6 +288,59 @@ struct FtRunResult {
   /// false, phases completed so far are reported), or an evaluation error.
   RunOutcome Outcome;
 };
+
+/// The Fig. 5 pipeline, prepared once and run any number of times: the
+/// meta-program, its evaluator (interpreted or compiled) and the
+/// interpreted base evaluator, in a caller-owned context. The evaluators
+/// pin what they hold, so it survives NvContext::resetBetweenRuns() —
+/// `nv serve` caches one per analysis variant. runFaultTolerance, serve
+/// and the fleet worker all run the analysis through it.
+class PreparedFt {
+public:
+  /// Transforms \p Base and builds the evaluators in \p Ctx (both must
+  /// outlive the result). Null, diagnostics filed, if the transform fails.
+  static std::unique_ptr<PreparedFt> create(NvContext &Ctx,
+                                            const Program &Base,
+                                            const FtOptions &Opts,
+                                            bool UseCompiledEvaluator,
+                                            DiagnosticEngine &Diags);
+  // The meta evaluator holds the address of Meta.
+  PreparedFt(const PreparedFt &) = delete;
+  PreparedFt &operator=(const PreparedFt &) = delete;
+
+  /// The meta-simulation, governed by the caller's scope only.
+  SimResult simulate();
+  /// Simulates, then (when converged and \p CheckAsserts) runs
+  /// checkFaultTolerance with a pool of Opts.Threads. \p Opts names the
+  /// scenario space it was created for; budget, threads, chunking and
+  /// journal are per run. Fills all but TransformMs; a trip becomes the
+  /// Outcome, completed phases keeping their timings and stats.
+  FtRunResult run(const FtOptions &Opts, bool CheckAsserts = true);
+  /// The interpreted base evaluator, for an FtChecker over simulate().
+  ProtocolEvaluator &baseEval() { return BaseEval; }
+
+private:
+  PreparedFt(NvContext &Ctx, const Program &Base, Program MetaProgram,
+             bool UseCompiledEvaluator);
+
+  NvContext &Ctx;
+  const Program &Base;
+  Program Meta;
+  std::unique_ptr<ProtocolEvaluator> MetaEval;
+  InterpProgramEvaluator BaseEval;
+};
+
+/// Convenience driver: transform, simulate (interpreted or compiled), and
+/// check, through a PreparedFt. Null base assert means only convergence
+/// is checked. One governor (Opts.Budget) spans all three phases.
+///
+/// \p ReuseCtx (optional) runs the analysis in a caller-owned context
+/// instead of a fresh one — e.g. one context per network reused across
+/// failure budgets. The context is garbage-collected down to its pinned
+/// baseline at the START of each run, so one run's result (violation
+/// routes, cache stats) stays valid until the next call with the same
+/// context. Cache hit/miss counts are reported as per-run deltas either
+/// way.
 FtRunResult runFaultTolerance(const Program &P, const FtOptions &Opts,
                               bool UseCompiledEvaluator,
                               DiagnosticEngine &Diags,

@@ -136,10 +136,9 @@ UnitRecord nv::runNaiveScenarioRecord(const Program &P,
   return Rec;
 }
 
-bool nv::aggregateNaiveScenarioRecords(
-    const std::vector<FtScenario> &Scenarios,
-    const std::function<bool(const std::string &, UnitRecord &)> &Lookup,
-    FtCheckResult &Out) {
+bool nv::aggregateNaiveScenarioRecords(const std::vector<FtScenario> &Scenarios,
+                                       const RecordLookup &Lookup,
+                                       FtCheckResult &Out) {
   Out.ScenariosChecked = Scenarios.size();
   for (size_t I = 0; I < Scenarios.size(); ++I) {
     UnitRecord Rec;

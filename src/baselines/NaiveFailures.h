@@ -97,10 +97,9 @@ UnitRecord runNaiveScenarioRecord(const Program &P, ProtocolEvaluator &BaseEval,
 /// records counted as skipped, first non-ok outcome in scenario order
 /// kept. Returns false when some scenario's record is missing. The caller
 /// sets ScenariosReplayed (the split is its to know).
-bool aggregateNaiveScenarioRecords(
-    const std::vector<FtScenario> &Scenarios,
-    const std::function<bool(const std::string &, UnitRecord &)> &Lookup,
-    FtCheckResult &Out);
+bool aggregateNaiveScenarioRecords(const std::vector<FtScenario> &Scenarios,
+                                   const RecordLookup &Lookup,
+                                   FtCheckResult &Out);
 
 /// Thread-sharded naive analysis: one persistent worker per pool thread.
 /// Each worker re-parses the program once into its own NvContext/

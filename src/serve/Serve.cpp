@@ -33,16 +33,11 @@ struct ServeSession {
   Program Prog;
   std::unique_ptr<NvContext> Ctx;
 
-  /// Cached Fig. 5 artifacts per analysis variant. The evaluators pin
-  /// their globals and partial applications, so they stay valid across
+  /// The prepared Fig. 5 pipeline per analysis variant. Its evaluators
+  /// pin their globals and partial applications, so it stays valid across
   /// resetBetweenRuns() — this is what makes repeat ft queries warm.
   using FtKey = std::tuple<unsigned, bool, bool, std::string>;
-  struct FtPrepared {
-    Program Meta;
-    std::unique_ptr<ProtocolEvaluator> MetaEval;
-    std::unique_ptr<InterpProgramEvaluator> BaseEval;
-  };
-  std::map<FtKey, std::unique_ptr<FtPrepared>> Ft;
+  std::map<FtKey, std::unique_ptr<PreparedFt>> Ft;
 
   /// Cached sim evaluators, [0] interpreted / [1] compiled.
   std::unique_ptr<ProtocolEvaluator> SimEval[2];
@@ -817,19 +812,16 @@ Json ServeCore::doFt(ServeSession &S, const Json &Req, const std::string &Id,
   Opts.Threads = 1; // parallelism comes from concurrent requests
   applyBudget(Req, Opts.Budget, Cancel);
   bool Native = Req.getBool("native", false);
-  if (Opts.LinkFailures < 1)
-    return errResp(Id, 2, "\"links\" must be >= 1");
+  if (std::string E = ftOptionsError(Opts); !E.empty())
+    return errResp(Id, 2, E);
 
-  // Mirrors runFaultTolerance: one governor spans transform, simulation
-  // and check; the simulator gets an unlimited budget of its own so the
-  // run is governed exactly once.
+  // One governor spans preparation, simulation and check, as in
+  // runFaultTolerance.
   Governor::Scope Guard(Opts.Budget);
   try {
     // Collect the PREVIOUS request's garbage down to the pinned baseline
-    // (cached evaluators pin what they need, so they survive this).
+    // (a cached PreparedFt pins what it needs, so it survives this).
     S.Ctx->resetBetweenRuns();
-    uint64_t Hits0 = S.Ctx->Mgr.cacheHits();
-    uint64_t Misses0 = S.Ctx->Mgr.cacheMisses();
 
     ServeSession::FtKey Key{Opts.LinkFailures, Opts.NodeFailure, Native,
                             Opts.DropValueSource};
@@ -839,32 +831,16 @@ Json ServeCore::doFt(ServeSession &S, const Json &Req, const std::string &Id,
     if (!Warm) {
       DiagnosticEngine Diags;
       Stopwatch W;
-      std::optional<Program> Meta =
-          makeFaultTolerantProgram(S.Prog, Opts, Diags);
+      auto Prep = PreparedFt::create(*S.Ctx, S.Prog, Opts, Native, Diags);
       TransformMs = W.elapsedMs();
-      if (!Meta)
+      if (!Prep)
         return errResp(Id, 2, "fault-tolerance transform failed: " +
                                   Diags.str());
-      auto Prep = std::make_unique<ServeSession::FtPrepared>();
-      Prep->Meta = std::move(*Meta);
-      if (Native)
-        Prep->MetaEval =
-            std::make_unique<CompiledProgramEvaluator>(*S.Ctx, Prep->Meta);
-      else
-        Prep->MetaEval =
-            std::make_unique<InterpProgramEvaluator>(*S.Ctx, Prep->Meta);
-      Prep->BaseEval =
-          std::make_unique<InterpProgramEvaluator>(*S.Ctx, S.Prog);
       It = S.Ft.emplace(Key, std::move(Prep)).first;
     }
     (Warm ? FtWarmHits : FtWarmMisses).fetch_add(1, std::memory_order_relaxed);
-    ServeSession::FtPrepared &Prep = *It->second;
 
-    SimOptions SO;
-    SO.Budget = RunBudget{}; // governed by this request's outer scope
-    Stopwatch W;
-    SimResult R = simulate(Prep.Meta, *Prep.MetaEval, SO);
-    double SimulateMs = W.elapsedMs();
+    FtRunResult R = It->second->run(Opts);
     if (!R.Outcome.ok())
       return outcomeResp(Id, R.Outcome);
 
@@ -872,33 +848,24 @@ Json ServeCore::doFt(ServeSession &S, const Json &Req, const std::string &Id,
     Resp.set("warm", Warm);
     Resp.set("converged", R.Converged);
     Resp.set("transform_ms", TransformMs);
-    Resp.set("simulate_ms", SimulateMs);
+    Resp.set("simulate_ms", R.SimulateMs);
     if (!R.Converged) {
       Resp.set("ok", false);
       Resp.set("code", 1);
       Resp.set("error", "meta-simulation did not converge");
       return Resp;
     }
-
-    W.restart();
-    FtCheckResult C =
-        checkFaultTolerance(*S.Ctx, S.Prog, *Prep.BaseEval, R, Opts, nullptr);
-    Resp.set("check_ms", W.elapsedMs());
+    Resp.set("check_ms", R.CheckMs);
+    const FtCheckResult &C = R.Check;
     if (!C.Outcome.ok())
       return outcomeResp(Id, C.Outcome);
 
-    // The violations hash is byte-identical to the CLI's naive-baseline
-    // fingerprint, so warm/cold and serve/CLI results diff directly.
-    std::string VioBlob;
-    for (const FtViolation &V : C.Violations)
-      VioBlob += V.Scenario.str() + "@" + std::to_string(V.Node) + "=" +
-                 V.routeStr() + "\n";
     Resp.set("scenarios", C.ScenariosChecked);
     Resp.set("skipped", C.ScenariosSkipped);
     Resp.set("violations", static_cast<uint64_t>(C.Violations.size()));
-    Resp.set("violations_hash", fnv1a64Hex(VioBlob));
-    Resp.set("cache_hits", S.Ctx->Mgr.cacheHits() - Hits0);
-    Resp.set("cache_misses", S.Ctx->Mgr.cacheMisses() - Misses0);
+    Resp.set("violations_hash", ftViolationsHash(C.Violations));
+    Resp.set("cache_hits", R.CacheHits);
+    Resp.set("cache_misses", R.CacheMisses);
     Json Sample = Json::array();
     for (size_t I = 0; I < std::min<size_t>(5, C.Violations.size()); ++I) {
       const FtViolation &V = C.Violations[I];

@@ -47,6 +47,7 @@
 
 #include <atomic>
 #include <csignal>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -112,6 +113,11 @@ struct UnitRecord {
   std::string render() const;
   static bool parse(const std::string &Payload, UnitRecord &Out);
 };
+
+/// Finds the record of unit \p Key (from a fleet run, a journal, ...);
+/// false when there is none.
+using RecordLookup =
+    std::function<bool(const std::string &Key, UnitRecord &Out)>;
 
 /// Serializes a RunOutcome (+ attempt count) into \p R under the keys
 /// "status"/"site"/"detail"/"attempts".

@@ -13,11 +13,14 @@
 #include "core/Printer.h"
 #include "core/TypeChecker.h"
 #include "eval/Compile.h"
+#include "support/Journal.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <random>
+#include <set>
 
 using namespace nv;
 
@@ -160,21 +163,18 @@ void expectMatchesReference(const std::string &Src, FtOptions Opts) {
   ASSERT_NE(NumScenarios % Opts.CheckChunkSize, 0u)
       << "the chunk size must leave a partial last chunk";
   FtChecker Checker(Ctx, P, BaseEval, MetaR, Opts);
-  ASSERT_EQ(Checker.numChunks(),
+  ASSERT_EQ(Checker.chunks().count(),
             (NumScenarios + Opts.CheckChunkSize - 1) / Opts.CheckChunkSize);
-  std::vector<FtViolation> Live;
-  for (size_t C = 0; C < Checker.numChunks(); ++C) {
+  for (size_t C = 0; C < Checker.chunks().count(); ++C) {
     UnitRecord Expected;
-    Expected.Key = FtChecker::chunkKey(C);
+    Expected.Key = FtChunks::key(C);
     Expected.add("status", "ok");
     for (const auto &[I, V] : Want)
       if (I / Opts.CheckChunkSize == C)
         addViolationField(Expected, I, V);
-    EXPECT_EQ(Checker.checkChunk(C, nullptr, &Live).render(),
-              Expected.render())
+    EXPECT_EQ(Checker.checkChunk(C).render(), Expected.render())
         << "chunk " << C;
   }
-  expectSameViolations(Live, Want, "chunked");
 }
 
 /// Seven links listed out of key-bit order (neither the pairs nor the list
@@ -207,6 +207,129 @@ TEST(FaultTolerance, DescentMatchesPerScenarioLookupOnWideKeys) {
                  {128, 257}},
                 "d <= 1"),
       Opts);
+}
+
+/// (scenario, node, route) of each violation, in result order.
+std::vector<std::string> violationStrs(const FtCheckResult &R) {
+  std::vector<std::string> Out;
+  for (const FtViolation &V : R.Violations)
+    Out.push_back(V.Scenario.str() + "@" + std::to_string(V.Node) + "=" +
+                  V.routeStr());
+  return Out;
+}
+
+/// A converged meta-simulation whose chunk size leaves a partial last
+/// chunk, and a scratch journal for the checkpointed check.
+class FtCheckpoint : public ::testing::Test {
+protected:
+  static FtOptions options() {
+    FtOptions Opts;
+    Opts.LinkFailures = 2;
+    Opts.CheckChunkSize = 5;
+    return Opts;
+  }
+
+  void SetUp() override {
+    ASSERT_TRUE(Meta.has_value()) << Diags.str();
+    ASSERT_TRUE(MetaR.Converged);
+    Binding.set("tool", "fault-tolerance-tests");
+    std::remove(Path.c_str());
+  }
+  void TearDown() override { std::remove(Path.c_str()); }
+
+  /// Runs the checkpointed check against the journal at Path.
+  FtCheckResult resume(FtOptions Resumed = options()) {
+    auto L = ResumeLog::open(Path, Binding);
+    EXPECT_TRUE(L.Log) << L.Error;
+    Resumed.Resume = L.Log.get();
+    return checkFaultTolerance(Ctx, P, BaseEval, MetaR, Resumed);
+  }
+
+  Program P = parseAndCheck(spProgram(6, Shuffled, "d <= 2"));
+  FtOptions Opts = options();
+  DiagnosticEngine Diags;
+  std::optional<Program> Meta = makeFaultTolerantProgram(P, Opts, Diags);
+  NvContext Ctx{P.numNodes()};
+  InterpProgramEvaluator MetaEval{Ctx, *Meta};
+  SimResult MetaR = simulate(*Meta, MetaEval);
+  InterpProgramEvaluator BaseEval{Ctx, P};
+  std::string Path = ::testing::TempDir() + "nv_ft_checkpoint_journal";
+  RunBinding Binding;
+};
+
+TEST_F(FtCheckpoint, ResumesFromChunkRecords) {
+  // Some chunks' records are journaled up front, as a fleet worker would
+  // send them; the checkpointed check must replay those, check the rest,
+  // and agree with a run without a journal.
+  FtCheckResult Ref = checkFaultTolerance(Ctx, P, BaseEval, MetaR, Opts);
+  ASSERT_FALSE(Ref.Violations.empty());
+  size_t NumScenarios = Ref.ScenariosChecked;
+  ASSERT_NE(NumScenarios % Opts.CheckChunkSize, 0u)
+      << "the chunk size must leave a partial last chunk";
+  size_t NumChunks =
+      (NumScenarios + Opts.CheckChunkSize - 1) / Opts.CheckChunkSize;
+  ASSERT_GE(NumChunks, 4u);
+
+  // The first, a middle and the (partial) last chunk are prefilled.
+  std::vector<size_t> Prefilled = {0, 2, NumChunks - 1};
+  uint64_t PrefilledScenarios = 0;
+  {
+    auto L = ResumeLog::open(Path, Binding);
+    ASSERT_TRUE(L.Log) << L.Error;
+    FtChecker Checker(Ctx, P, BaseEval, MetaR, Opts);
+    for (size_t C : Prefilled) {
+      L.Log->recordDone(Checker.checkChunk(C));
+      PrefilledScenarios +=
+          std::min(NumScenarios, (C + 1) * Opts.CheckChunkSize) -
+          C * Opts.CheckChunkSize;
+    }
+  }
+
+  FtCheckResult R = resume();
+  EXPECT_TRUE(R.Outcome.ok()) << R.Outcome.str();
+  EXPECT_EQ(R.ScenariosChecked, Ref.ScenariosChecked);
+  EXPECT_EQ(R.ScenariosReplayed, PrefilledScenarios);
+  EXPECT_EQ(violationStrs(R), violationStrs(Ref));
+
+  // The journal now holds every chunk exactly once.
+  JournalRead JR = readJournal(Path);
+  ASSERT_EQ(JR.St, JournalRead::State::Ok) << JR.Error;
+  std::set<std::string> Keys;
+  for (const std::string &E : JR.Entries) {
+    UnitRecord Rec;
+    ASSERT_TRUE(UnitRecord::parse(E, Rec));
+    Keys.insert(Rec.Key);
+  }
+  EXPECT_EQ(JR.Entries.size(), NumChunks);
+  std::set<std::string> Want;
+  for (size_t C = 0; C < NumChunks; ++C)
+    Want.insert(FtChunks::key(C));
+  EXPECT_EQ(Keys, Want);
+}
+
+TEST_F(FtCheckpoint, CancelStopsBetweenChunksAndRecordsNothing) {
+  CancelToken Tok;
+  Tok.requestCancel();
+  FtOptions Canceled = Opts;
+  Canceled.Budget.Cancel = &Tok;
+  FtCheckResult R = resume(Canceled);
+  EXPECT_EQ(R.Outcome.Status, RunStatus::Canceled) << R.Outcome.str();
+  EXPECT_EQ(R.ScenariosChecked, 0u);
+  EXPECT_TRUE(readJournal(Path).Entries.empty());
+}
+
+TEST_F(FtCheckpoint, MalformedReplayedRecordIsReported) {
+  {
+    auto L = ResumeLog::open(Path, Binding);
+    ASSERT_TRUE(L.Log) << L.Error;
+    UnitRecord Bad;
+    Bad.Key = "c1";
+    Bad.add("status", "ok");
+    Bad.add("v", "not-a-violation");
+    L.Log->recordDone(Bad);
+  }
+  FtCheckResult R = resume();
+  EXPECT_EQ(R.Outcome.Status, RunStatus::EvalError) << R.Outcome.str();
 }
 
 TEST(FaultTolerance, PackedKeyEqualsEncodedValue) {

@@ -85,6 +85,16 @@ expect_code 3 "node budget on ft" \
 expect_code 0 "ungoverned sim" "$NV" sim "$EXAMPLE"
 expect_code 1 "ungoverned ft (violations)" "$NV" ft "$EXAMPLE"
 
+# Bad failure counts are usage errors (2), never a silently different
+# sweep; --links 0 --node is a valid node-failure sweep (violations: 1).
+for CMD in ft naive; do
+  expect_code 2 "$CMD: non-numeric --links" "$NV" $CMD "$EXAMPLE" --links abc
+  expect_code 2 "$CMD: negative --links" "$NV" $CMD "$EXAMPLE" --links -1
+  expect_code 2 "$CMD: no failure at all" "$NV" $CMD "$EXAMPLE" --links 0
+  expect_code 1 "$CMD: --links 0 --node" "$NV" $CMD "$EXAMPLE" --links 0 --node
+done
+expect_code 2 "ft: --chunk 0" "$NV" ft "$EXAMPLE" --chunk 0
+
 # The committed budget corpus seed: its non-monotone FT meta-simulation
 # hits the oracle's step budget and must reduce to the canonical skip
 # verdict — a structured outcome, not a divergence or a hang.

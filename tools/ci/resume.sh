@@ -6,8 +6,8 @@
 # the resumed aggregate must be identical modulo the *_ms timing fields.
 # Also proves the journal failure modes (torn tail tolerated, interior
 # corruption and binding mismatch hard exit 2), retry semantics under
-# NV_FAULT_INJECT, and that replaying tests/corpus twice under --resume
-# shows no fingerprint drift.
+# NV_FAULT_INJECT, that a fleet ft journal resumes in process, and that
+# replaying tests/corpus twice under --resume shows no fingerprint drift.
 #
 # Usage: tools/ci/resume.sh [BUILD_DIR]
 set -euo pipefail
@@ -134,6 +134,27 @@ echo "ok: transient fault retried, verdict preserved"
 # to the structured resource-exhausted exit, never an abort.
 expect_code 3 "exhausted retries degrade structurally" \
   "$NV" naive "$NET" --links 2 --retry 2 --max-steps 1
+
+echo "== fleet ft journal resumes in process =="
+# A fleet run journals the chunk records the in-process checkpointed check
+# does, so its journal replays in process; both match a journal-free run.
+ft_json() { # NAME FLAGS...: two-failure ft on NET, JSON to NAME.json
+  local name=$1 got=0
+  shift
+  "$NV" ft "$NET" --links 2 "$@" --json "$WORK/$name.json" \
+    > "$WORK/$name.out" || got=$?
+  [ "$got" -le 1 ] || fail "ft $name died (exit $got)"
+}
+ft_json ftref --threads 4
+ft_json ftfleet --workers 2 --chunk 64 --resume "$WORK/ft.journal"
+ft_json ftinproc --chunk 64 --resume "$WORK/ft.journal"
+grep -q "completed unit(s) replayed" "$WORK/ftinproc.out" \
+  || fail "in-process ft resume replayed nothing"
+for RUN in ftfleet ftinproc; do
+  diff <(strip_ms "$WORK/ftref.json") <(strip_ms "$WORK/$RUN.json") \
+    || fail "$RUN JSON differs from the journal-free reference"
+done
+echo "ok: fleet ft journal replayed in process, aggregates identical"
 
 echo "== corpus replay under --resume: no fingerprint drift =="
 JC="$WORK/corpus.journal"

@@ -84,6 +84,7 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -132,7 +133,7 @@ struct CliOptions {
   unsigned TimeoutSec = 0;
   unsigned Retry = 1;
   unsigned Workers = 0;  ///< ft/naive: fleet size (0 = in-process).
-  unsigned Chunk = 512;  ///< ft: scenarios per check chunk.
+  unsigned Chunk = FtOptions{}.CheckChunkSize; ///< ft: scenarios per chunk.
   std::string WorkerCmd; ///< hidden worker verb: which analysis to serve.
   double DeadlineMs = 0;
   uint64_t MaxSteps = 0;
@@ -141,6 +142,7 @@ struct CliOptions {
   std::string JsonPath;
   CancelToken *Cancel = nullptr; ///< Set by main for the engine commands.
   std::vector<std::pair<std::string, std::string>> Syms;
+  std::vector<std::string> Flags; ///< The option arguments, as given.
 
   /// Folds the governance flags into \p B (leaves unset knobs alone, so
   /// engine defaults like the simulator's step budget survive).
@@ -183,12 +185,21 @@ struct CliOptions {
   }
 };
 
+/// Parses a whole decimal non-negative integer: "abc", "-1", "3x" and
+/// out-of-range values are rejected, never read as 0 or wrapped.
+bool parseUnsigned(const char *S, unsigned &Out) {
+  const char *End = S + std::strlen(S);
+  auto [Ptr, Ec] = std::from_chars(S, End, Out);
+  return Ec == std::errc() && Ptr == End;
+}
+
 std::optional<CliOptions> parseCli(int argc, char **argv) {
   if (argc < 3)
     return std::nullopt;
   CliOptions O;
   O.Command = argv[1];
   O.File = argv[2];
+  O.Flags.assign(argv + 3, argv + argc);
   for (int I = 3; I < argc; ++I) {
     if (!std::strcmp(argv[I], "--native")) {
       O.Native = true;
@@ -197,7 +208,8 @@ std::optional<CliOptions> parseCli(int argc, char **argv) {
     } else if (!std::strcmp(argv[I], "--node")) {
       O.NodeFailure = true;
     } else if (!std::strcmp(argv[I], "--links") && I + 1 < argc) {
-      O.Links = static_cast<unsigned>(atoi(argv[++I]));
+      if (!parseUnsigned(argv[++I], O.Links))
+        return std::nullopt;
     } else if (!std::strcmp(argv[I], "--threads") && I + 1 < argc) {
       O.Threads = static_cast<unsigned>(atoi(argv[++I]));
     } else if (!std::strcmp(argv[I], "--retry") && I + 1 < argc) {
@@ -205,7 +217,8 @@ std::optional<CliOptions> parseCli(int argc, char **argv) {
     } else if (!std::strcmp(argv[I], "--workers") && I + 1 < argc) {
       O.Workers = static_cast<unsigned>(atoi(argv[++I]));
     } else if (!std::strcmp(argv[I], "--chunk") && I + 1 < argc) {
-      O.Chunk = static_cast<unsigned>(atoi(argv[++I]));
+      if (!parseUnsigned(argv[++I], O.Chunk) || O.Chunk == 0)
+        return std::nullopt;
     } else if (!std::strcmp(argv[I], "--cmd") && I + 1 < argc) {
       O.WorkerCmd = argv[++I];
     } else if (!std::strcmp(argv[I], "--resume") && I + 1 < argc) {
@@ -351,20 +364,23 @@ int cmdVerify(const Program &P, const CliOptions &O) {
   return 4;
 }
 
-/// Opens the --resume journal when one was requested. Returns false with
+/// Opens the --resume journal, when one was requested, into \p Log and
+/// \p Opts.Resume (bound to \p P's printed text). Returns false with
 /// \p ExitCode set on failure: corruption or a binding mismatch is a user
 /// error (2) per the exit-code table — never silently reused.
-bool openResume(const CliOptions &O, const std::string &ProgramText,
+bool openResume(const CliOptions &O, const Program &P, FtOptions &Opts,
                 std::unique_ptr<ResumeLog> &Log, int &ExitCode) {
   if (O.ResumePath.empty())
     return true;
-  ResumeLog::OpenResult R = ResumeLog::open(O.ResumePath, O.binding(ProgramText));
+  ResumeLog::OpenResult R =
+      ResumeLog::open(O.ResumePath, O.binding(printProgram(P)));
   if (!R.Log) {
     std::fprintf(stderr, "nv: %s\n", R.Error.c_str());
     ExitCode = 2;
     return false;
   }
   Log = std::move(R.Log);
+  Opts.Resume = Log.get();
   if (Log->tornTailDropped())
     std::fprintf(stderr,
                  "nv: note: %s ended mid-entry (interrupted write); the "
@@ -376,30 +392,42 @@ bool openResume(const CliOptions &O, const std::string &ProgramText,
   return true;
 }
 
-/// Minimal JSON string escaping for outcome/detail text.
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    if (C == '\n') {
-      Out += "\\n";
-      continue;
-    }
-    Out += C;
+/// The ft/naive report tail: the first few violations, then the --json
+/// record, then the exit code. Timing fields end in _ms so CI diffs can
+/// strip exactly them; replayed/retry counts are excluded (provenance, not
+/// payload).
+int reportSweep(const CliOptions &O, const FtCheckResult &R,
+                 const std::vector<std::pair<const char *, double>> &Ms) {
+  for (size_t I = 0; I < std::min<size_t>(5, R.Violations.size()); ++I) {
+    const FtViolation &V = R.Violations[I];
+    std::printf("  %s: node %u selects %s\n", V.Scenario.str().c_str(),
+                V.Node, V.routeStr().c_str());
   }
-  return Out;
-}
-
-/// Fingerprint of the violation set in scenario order — the run's semantic
-/// payload. Identical for live and replayed violations (routeStr), which
-/// is what makes "bit-identical aggregate" checkable from the JSON alone.
-std::string violationsHash(const std::vector<FtViolation> &Vs) {
-  std::string Blob;
-  for (const FtViolation &V : Vs)
-    Blob += V.Scenario.str() + "@" + std::to_string(V.Node) + "=" +
-            V.routeStr() + "\n";
-  return fnv1a64Hex(Blob);
+  if (!O.JsonPath.empty()) {
+    std::ofstream Out(O.JsonPath);
+    Out << "[\n  {\n"
+        << "    \"bench\": \"" << O.Command << "\",\n"
+        << "    \"network\": " << Json(O.File).dump() << ",\n"
+        << "    \"links\": " << O.Links << ",\n"
+        << "    \"node_failure\": " << (O.NodeFailure ? 1 : 0) << ",\n"
+        << "    \"scenarios\": " << R.ScenariosChecked << ",\n"
+        << "    \"skipped\": " << R.ScenariosSkipped << ",\n"
+        << "    \"violations\": " << R.Violations.size() << ",\n"
+        << "    \"violations_hash\": \"" << ftViolationsHash(R.Violations)
+        << "\",\n"
+        << "    \"outcome\": " << Json(R.Outcome.str()).dump();
+    for (const auto &[Name, V] : Ms)
+      Out << ",\n    \"" << Name << "\": " << V;
+    Out << "\n  }\n]\n";
+  }
+  if (!R.Outcome.ok()) {
+    // Skipped scenarios (budget trip, quarantined chunk, canceled check)
+    // mean the sweep is incomplete: exit structurally, not with a verdict.
+    std::printf("first non-ok outcome: %s\n", R.Outcome.str().c_str());
+    if (int Code = exitCodeForOutcome(R.Outcome))
+      return Code;
+  }
+  return R.holds() ? 0 : 1;
 }
 
 //===----------------------------------------------------------------------===//
@@ -416,42 +444,19 @@ FtOptions ftOptionsFromCli(const CliOptions &O) {
   O.applyBudget(Opts.Budget);
   Opts.Retry.MaxAttempts = O.Retry;
   Opts.CheckChunkSize = O.Chunk;
+  Opts.Threads = O.Threads;
   return Opts;
 }
 
 /// The argv a fleet re-execs to obtain a worker: the hidden `worker` verb
-/// plus exactly the flags that influence unit semantics. Thread count and
-/// journal path stay coordinator-side; budgets travel so a worker governs
-/// each unit the way the in-process path would.
+/// plus the coordinator's own flags, so the worker parses exactly the
+/// options its unit records depend on. It ignores the coordinator-side
+/// ones (threads, journal, report, fleet size).
 std::vector<std::string> fleetWorkerArgv(const CliOptions &O,
                                          const char *Cmd) {
-  std::vector<std::string> A{getExecutablePath(), "worker", O.File,
-                             "--cmd",             Cmd,      "--links",
-                             std::to_string(O.Links)};
-  if (O.NodeFailure)
-    A.push_back("--node");
-  if (O.Native)
-    A.push_back("--native");
-  if (O.Retry != 1) {
-    A.push_back("--retry");
-    A.push_back(std::to_string(O.Retry));
-  }
-  if (O.DeadlineMs > 0) {
-    A.push_back("--deadline-ms");
-    A.push_back(std::to_string(O.DeadlineMs));
-  }
-  if (O.MaxSteps) {
-    A.push_back("--max-steps");
-    A.push_back(std::to_string(O.MaxSteps));
-  }
-  if (O.NodeBudget) {
-    A.push_back("--node-budget");
-    A.push_back(std::to_string(O.NodeBudget));
-  }
-  if (!std::strcmp(Cmd, "ft")) {
-    A.push_back("--chunk");
-    A.push_back(std::to_string(O.Chunk));
-  }
+  std::vector<std::string> A{getExecutablePath(), "worker", O.File, "--cmd",
+                             Cmd};
+  A.insert(A.end(), O.Flags.begin(), O.Flags.end());
   return A;
 }
 
@@ -488,54 +493,37 @@ int cmdWorker(const Program &P, const CliOptions &O) {
     // only pays the cost when it actually has work. The coordinator ran
     // the same (deterministic) transform + simulation before spawning the
     // fleet, so a converged run is guaranteed here.
-    struct FtWorkerState {
-      NvContext Ctx;
-      std::optional<Program> Meta;
-      std::unique_ptr<ProtocolEvaluator> MetaEval;
-      std::unique_ptr<InterpProgramEvaluator> BaseEval;
-      SimResult Sim;
-      std::unique_ptr<FtChecker> Checker;
-      explicit FtWorkerState(uint32_t N) : Ctx(N) {}
-    };
-    std::unique_ptr<FtWorkerState> S;
+    std::optional<NvContext> Ctx;
+    std::unique_ptr<PreparedFt> Prep;
+    SimResult Sim;
+    std::unique_ptr<FtChecker> Checker;
     auto Ensure = [&] {
-      if (S)
+      if (Checker)
         return;
+      Governor::Scope Guard(Opts.Budget);
       DiagnosticEngine Diags;
-      auto Meta = makeFaultTolerantProgram(P, Opts, Diags);
-      if (!Meta)
+      Ctx.emplace(P.numNodes());
+      Prep = PreparedFt::create(*Ctx, P, Opts, O.Native, Diags);
+      if (!Prep)
         throw std::runtime_error("ft worker: transform failed:\n" +
                                  Diags.str());
-      auto St = std::make_unique<FtWorkerState>(P.numNodes());
-      St->Meta = std::move(Meta);
-      Governor::Scope Guard(Opts.Budget);
-      if (O.Native)
-        St->MetaEval =
-            std::make_unique<CompiledProgramEvaluator>(St->Ctx, *St->Meta);
-      else
-        St->MetaEval =
-            std::make_unique<InterpProgramEvaluator>(St->Ctx, *St->Meta);
-      SimOptions SO;
-      SO.Budget = RunBudget{}; // governed by the scope above
-      St->Sim = simulate(*St->Meta, *St->MetaEval, SO);
-      if (!St->Sim.Converged)
+      Sim = Prep->simulate();
+      if (!Sim.Converged)
         throw std::runtime_error("ft worker: meta-simulation did not "
                                  "converge: " +
-                                 St->Sim.Outcome.str());
-      St->BaseEval = std::make_unique<InterpProgramEvaluator>(St->Ctx, P);
-      St->Checker = std::make_unique<FtChecker>(St->Ctx, P, *St->BaseEval,
-                                                St->Sim, Opts);
-      S = std::move(St);
+                                 Sim.Outcome.str());
+      Checker = std::make_unique<FtChecker>(*Ctx, P, Prep->baseEval(), Sim,
+                                            Opts);
     };
     return runFleetWorker([&](const FleetJob &J) -> UnitRecord {
       if (J.Key.size() < 2 || J.Key[0] != 'c')
         throw std::runtime_error("ft worker: bad job key '" + J.Key + "'");
       Ensure();
       size_t C = std::strtoull(J.Key.c_str() + 1, nullptr, 10);
-      if (C >= S->Checker->numChunks())
+      if (C >= Checker->chunks().count())
         throw std::runtime_error("ft worker: chunk " + J.Key +
                                  " out of range");
-      return S->Checker->checkChunk(C);
+      return Checker->checkChunk(C);
     });
   }
 
@@ -546,10 +534,12 @@ int cmdWorker(const Program &P, const CliOptions &O) {
 
 /// Shared fleet-coordinator plumbing for ft/naive: spawns the fleet over
 /// \p Jobs (units already journaled are the caller's to exclude), journals
-/// each result as it lands, and surfaces quarantines. Returns 0 to proceed
-/// with aggregation, or the exit code of a failed fleet run.
+/// each result as it lands, surfaces quarantines, then hands \p Fold a
+/// record lookup over the fleet's results and, after them, the journal.
+/// Returns 0, or the exit code of a failed fleet run or fold.
 int runUnitFleet(const CliOptions &O, const char *Cmd, ResumeLog *Log,
-                 std::vector<FleetJob> Jobs, FleetResult &FR) {
+                 std::vector<FleetJob> Jobs,
+                 const std::function<bool(const RecordLookup &)> &Fold) {
   FleetOptions FO;
   FO.Workers = O.Workers;
   FO.WorkerArgv = fleetWorkerArgv(O, Cmd);
@@ -562,7 +552,7 @@ int runUnitFleet(const CliOptions &O, const char *Cmd, ResumeLog *Log,
     if (Log)
       Log->recordDone(Rec);
   };
-  FR = runFleet(FO, Jobs, CB);
+  FleetResult FR = runFleet(FO, Jobs, CB);
   if (!FR.Outcome.ok()) {
     std::fprintf(stderr, "nv: fleet run failed: %s\n",
                  FR.Outcome.str().c_str());
@@ -581,32 +571,25 @@ int runUnitFleet(const CliOptions &O, const char *Cmd, ResumeLog *Log,
                 Repro ? Repro->c_str() : "(none)");
   }
   std::printf("fleet: %s\n", FR.Stats.str().c_str());
-  return 0;
-}
-
-/// A record lookup over a finished fleet run: fleet results first, then
-/// units replayed from the journal before the fleet launched.
-std::function<bool(const std::string &, UnitRecord &)>
-fleetLookup(const FleetResult &FR, ResumeLog *Log) {
-  return [&FR, Log](const std::string &Key, UnitRecord &Rec) {
-    auto It = FR.Results.find(Key);
-    if (It != FR.Results.end()) {
-      Rec = It->second;
-      return true;
-    }
-    return Log && Log->replay(Key, Rec);
-  };
+  if (Fold([&](const std::string &Key, UnitRecord &Rec) {
+        auto It = FR.Results.find(Key);
+        if (It == FR.Results.end())
+          return Log && Log->replay(Key, Rec);
+        Rec = It->second;
+        return true;
+      }))
+    return 0;
+  std::fprintf(stderr, "nv: fleet aggregate is missing %s unit records\n",
+               Cmd);
+  return 4;
 }
 
 int cmdNaive(const Program &P, const CliOptions &O) {
   FtOptions Opts = ftOptionsFromCli(O);
-
-  std::string Text = printProgram(P);
   std::unique_ptr<ResumeLog> Log;
   int Ec = 0;
-  if (!openResume(O, Text, Log, Ec))
+  if (!openResume(O, P, Opts, Log, Ec))
     return Ec;
-  Opts.Resume = Log.get();
 
   Stopwatch W;
   FtCheckResult R;
@@ -616,30 +599,25 @@ int cmdNaive(const Program &P, const CliOptions &O) {
     // the aggregate below is bit-identical to --workers 0.
     auto Scenarios = enumerateScenarios(P, Opts);
     std::vector<FleetJob> Jobs;
-    size_t Replayed = 0;
     for (size_t I = 0; I < Scenarios.size(); ++I) {
       std::string Key = naiveScenarioKey(I);
       if (Log && Log->isDone(Key))
-        ++Replayed;
+        ++R.ScenariosReplayed;
       else
         Jobs.push_back({Key, ""});
     }
-    FleetResult FR;
-    if (int FleetEc = runUnitFleet(O, "naive", Log.get(), std::move(Jobs), FR))
+    if (int FleetEc =
+            runUnitFleet(O, "naive", Log.get(), std::move(Jobs),
+                         [&](const auto &Lookup) {
+                           return aggregateNaiveScenarioRecords(Scenarios,
+                                                                Lookup, R);
+                         }))
       return FleetEc;
-    if (!aggregateNaiveScenarioRecords(Scenarios, fleetLookup(FR, Log.get()),
-                                       R)) {
-      std::fprintf(stderr, "nv: fleet aggregate is missing scenario "
-                           "records\n");
-      return 4;
-    }
-    R.ScenariosReplayed = Replayed;
   } else {
     ThreadPool Pool(O.Threads);
     R = naiveFaultToleranceParallel(P, Opts, Pool);
   }
   double Ms = W.elapsedMs();
-  std::string VioHash = violationsHash(R.Violations);
 
   std::printf("%llu scenarios checked (%llu replayed, %llu skipped, %llu "
               "retries), %zu violation(s) in %.1fms\n",
@@ -647,37 +625,7 @@ int cmdNaive(const Program &P, const CliOptions &O) {
               (unsigned long long)R.ScenariosReplayed,
               (unsigned long long)R.ScenariosSkipped,
               (unsigned long long)R.RetriesPerformed, R.Violations.size(), Ms);
-  for (size_t I = 0; I < std::min<size_t>(5, R.Violations.size()); ++I) {
-    const FtViolation &V = R.Violations[I];
-    std::printf("  %s: node %u selects %s\n", V.Scenario.str().c_str(),
-                V.Node, V.routeStr().c_str());
-  }
-
-  if (!O.JsonPath.empty()) {
-    std::ofstream Out(O.JsonPath);
-    // Timing fields end in _ms so resume.sh's diff can strip exactly them;
-    // replayed/retry counts are deliberately excluded — they describe how
-    // the run was produced, not what it computed.
-    Out << "[\n  {\n"
-        << "    \"bench\": \"naive\",\n"
-        << "    \"network\": \"" << jsonEscape(O.File) << "\",\n"
-        << "    \"links\": " << O.Links << ",\n"
-        << "    \"node_failure\": " << (O.NodeFailure ? 1 : 0) << ",\n"
-        << "    \"scenarios\": " << R.ScenariosChecked << ",\n"
-        << "    \"skipped\": " << R.ScenariosSkipped << ",\n"
-        << "    \"violations\": " << R.Violations.size() << ",\n"
-        << "    \"violations_hash\": \"" << VioHash << "\",\n"
-        << "    \"outcome\": \"" << jsonEscape(R.Outcome.str()) << "\",\n"
-        << "    \"elapsed_ms\": " << Ms << "\n"
-        << "  }\n]\n";
-  }
-
-  if (!R.Outcome.ok()) {
-    std::printf("first non-ok scenario outcome: %s\n", R.Outcome.str().c_str());
-    if (int Code = exitCodeForOutcome(R.Outcome))
-      return Code;
-  }
-  return R.Violations.empty() ? 0 : 1;
+  return reportSweep(O, R, {{"elapsed_ms", Ms}});
 }
 
 int cmdJournal(const std::string &Path) {
@@ -871,53 +819,33 @@ int cmdReq(int argc, char **argv) {
 int cmdFt(const Program &P, const CliOptions &O) {
   DiagnosticEngine Diags;
   FtOptions Opts = ftOptionsFromCli(O);
-  Opts.Threads = O.Threads;
   std::unique_ptr<ResumeLog> Log;
   int Ec = 0;
-  if (!openResume(O, printProgram(P), Log, Ec))
+  if (!openResume(O, P, Opts, Log, Ec))
     return Ec;
-  Opts.Resume = Log.get();
 
-  FtRunResult R;
-  if (O.Workers > 0) {
-    // Fleet mode: transform + meta-simulation stay in-process (one
-    // deterministic fixpoint — there is nothing to shard), then the
-    // chunked assert check runs on the worker fleet. Workers return the
-    // same chunk records the checkpointed in-process path journals, so
-    // the aggregate is bit-identical to --workers 0.
-    FtOptions CoordOpts = Opts;
-    CoordOpts.Resume = nullptr; // check phase skipped; nothing to journal
-    R = runFaultTolerance(P, CoordOpts, O.Native, Diags,
-                          /*CheckAsserts=*/false);
-    if (R.Outcome.ok() && R.Converged) {
-      Stopwatch CW;
-      auto Scenarios = enumerateScenarios(P, Opts);
-      size_t ChunkSize = Opts.CheckChunkSize ? Opts.CheckChunkSize : 512;
-      size_t NumChunks = (Scenarios.size() + ChunkSize - 1) / ChunkSize;
-      std::vector<FleetJob> Jobs;
-      size_t Replayed = 0;
-      for (size_t C = 0; C < NumChunks; ++C) {
-        size_t Begin = C * ChunkSize;
-        size_t End = std::min(Begin + ChunkSize, Scenarios.size());
-        if (Log && Log->isDone(FtChecker::chunkKey(C)))
-          Replayed += End - Begin;
-        else
-          Jobs.push_back({FtChecker::chunkKey(C), ""});
-      }
-      FleetResult FR;
-      if (int FleetEc = runUnitFleet(O, "ft", Log.get(), std::move(Jobs), FR))
-        return FleetEc;
-      if (!aggregateFtChunkRecords(Scenarios, ChunkSize,
-                                   fleetLookup(FR, Log.get()), R.Check)) {
-        std::fprintf(stderr,
-                     "nv: fleet aggregate is missing chunk records\n");
-        return 4;
-      }
-      R.Check.ScenariosReplayed = Replayed;
-      R.CheckMs = CW.elapsedMs();
-    }
-  } else {
-    R = runFaultTolerance(P, Opts, O.Native, Diags);
+  // Fleet mode: transform + meta-simulation stay in-process (one
+  // deterministic fixpoint — there is nothing to shard), then the chunks
+  // the journal lacks are checked on the worker fleet. Workers return the
+  // same chunk records the checkpointed in-process check journals, and
+  // both fold them through aggregateFtChunkRecords, so the aggregate is
+  // bit-identical to --workers 0.
+  FtRunResult R = runFaultTolerance(P, Opts, O.Native, Diags,
+                                    /*CheckAsserts=*/O.Workers == 0);
+  if (O.Workers > 0 && R.Outcome.ok() && R.Converged) {
+    Stopwatch CW;
+    auto Scenarios = enumerateScenarios(P, Opts);
+    std::vector<FleetJob> Jobs;
+    for (size_t C : FtChunks(Scenarios.size(), Opts.CheckChunkSize)
+                        .missing(Log.get(), R.Check.ScenariosReplayed))
+      Jobs.push_back({FtChunks::key(C), ""});
+    if (int FleetEc = runUnitFleet(
+            O, "ft", Log.get(), std::move(Jobs), [&](const auto &Lookup) {
+              return aggregateFtChunkRecords(Scenarios, Opts.CheckChunkSize,
+                                             Lookup, R.Check);
+            }))
+      return FleetEc;
+    R.CheckMs = CW.elapsedMs();
   }
   Diags.printToStderr();
   if (!R.Outcome.ok()) {
@@ -932,52 +860,14 @@ int cmdFt(const Program &P, const CliOptions &O) {
               R.TransformMs, R.SimulateMs, R.CheckMs);
   std::printf("%llu scenarios checked: ",
               static_cast<unsigned long long>(R.Check.ScenariosChecked));
-  int Verdict = 1;
-  if (R.Check.holds()) {
+  if (R.Check.holds())
     std::printf("property holds under every failure scenario\n");
-    Verdict = 0;
-  } else {
+  else
     std::printf("%zu violations; first few:\n", R.Check.Violations.size());
-    for (size_t I = 0; I < std::min<size_t>(5, R.Check.Violations.size());
-         ++I) {
-      const FtViolation &V = R.Check.Violations[I];
-      std::printf("  %s: node %u selects %s\n", V.Scenario.str().c_str(),
-                  V.Node, V.routeStr().c_str());
-    }
-  }
-
-  if (!O.JsonPath.empty()) {
-    std::ofstream Out(O.JsonPath);
-    // Same shape and exclusions as naive's JSON: timing fields end in _ms
-    // so CI diffs can strip exactly them, and replayed/retry counts are
-    // excluded (provenance, not payload).
-    Out << "[\n  {\n"
-        << "    \"bench\": \"ft\",\n"
-        << "    \"network\": \"" << jsonEscape(O.File) << "\",\n"
-        << "    \"links\": " << O.Links << ",\n"
-        << "    \"node_failure\": " << (O.NodeFailure ? 1 : 0) << ",\n"
-        << "    \"scenarios\": " << R.Check.ScenariosChecked << ",\n"
-        << "    \"skipped\": " << R.Check.ScenariosSkipped << ",\n"
-        << "    \"violations\": " << R.Check.Violations.size() << ",\n"
-        << "    \"violations_hash\": \"" << violationsHash(R.Check.Violations)
-        << "\",\n"
-        << "    \"outcome\": \"" << jsonEscape(R.Check.Outcome.str())
-        << "\",\n"
-        << "    \"transform_ms\": " << R.TransformMs << ",\n"
-        << "    \"simulate_ms\": " << R.SimulateMs << ",\n"
-        << "    \"check_ms\": " << R.CheckMs << "\n"
-        << "  }\n]\n";
-  }
-
-  if (!R.Check.Outcome.ok()) {
-    // Skipped scenarios (quarantined chunk, canceled check) mean the sweep
-    // is incomplete: exit structurally, not with a holds/fails verdict.
-    std::printf("first non-ok check outcome: %s\n",
-                R.Check.Outcome.str().c_str());
-    if (int Code = exitCodeForOutcome(R.Check.Outcome))
-      return Code;
-  }
-  return Verdict;
+  return reportSweep(O, R.Check,
+                     {{"transform_ms", R.TransformMs},
+                      {"simulate_ms", R.SimulateMs},
+                      {"check_ms", R.CheckMs}});
 }
 
 } // namespace
@@ -994,6 +884,11 @@ int main(int argc, char **argv) {
 
   if (O->Command == "journal")
     return cmdJournal(O->File);
+  if (O->Command == "ft" || O->Command == "naive" || O->Command == "worker")
+    if (std::string E = ftOptionsError(ftOptionsFromCli(*O)); !E.empty()) {
+      std::fprintf(stderr, "nv: %s\n", E.c_str());
+      return 2;
+    }
 
   auto Src = readFile(O->File);
   if (!Src) {
