@@ -4,7 +4,7 @@
 // single-link fault-tolerance analysis over every announced prefix, either
 // one prefix at a time (re-instantiating a `symbolic dest` program per
 // prefix) or all prefixes simultaneously (the attribute is lifted to
-// dict[edge, dict[prefix, route]]), with the interpreted and the
+// dict[link index, dict[prefix, route]]), with the interpreted and the
 // closure-compiled ("native") evaluators. The Single modes shard the
 // prefix list over --threads workers (per-prefix runs are independent).
 //

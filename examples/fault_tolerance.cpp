@@ -33,7 +33,7 @@ int main(int argc, char **argv) {
   printf("Network: %u nodes, %zu links => %zu single-link scenarios\n",
          P->numNodes(), NumLinks, NumLinks);
 
-  // --- The meta-protocol: dict[edge, route] ------------------------------
+  // --- The meta-protocol: dict[link index, route] ------------------------
   FtOptions Opts; // one link failure
   FtRunResult R = runFaultTolerance(*P, Opts, /*Compiled=*/true, Diags);
   if (!R.Converged) {

@@ -23,11 +23,11 @@ using namespace nv;
 
 namespace {
 
-/// NV source of the scenario key type.
-std::string keyTypeSource(const FtOptions &Opts) {
+/// NV source of the scenario key type, with \p LinkTy per link field.
+std::string keyTypeSource(const FtOptions &Opts, const std::string &LinkTy) {
   unsigned Components = Opts.LinkFailures + (Opts.NodeFailure ? 1 : 0);
   if (Components == 1 && !Opts.NodeFailure)
-    return "edge";
+    return LinkTy;
   std::string S = "(";
   bool First = true;
   if (Opts.NodeFailure) {
@@ -37,10 +37,52 @@ std::string keyTypeSource(const FtOptions &Opts) {
   for (unsigned I = 0; I < Opts.LinkFailures; ++I) {
     if (!First)
       S += ", ";
-    S += "edge";
+    S += LinkTy;
     First = false;
   }
   return S + ")";
+}
+
+/// \p Base for rank 0, then Base1, Base2, ...
+std::string ranked(const std::string &Base, size_t R) {
+  return R ? Base + std::to_string(R) : Base;
+}
+
+/// NV source of the edge-to-link-index table: one `__ft_link<R>` function
+/// per duplicate rank R (a link declared m times has m indices; rank R
+/// names its R-th, or its last when it has fewer). Each matches the
+/// edge's first endpoint, then its second, covering both orientations of
+/// every link. \p Ranks receives the number of functions.
+std::string linkTableSource(const Program &P, unsigned Bits, size_t &Ranks) {
+  auto Links = P.links();
+  std::map<uint32_t, std::map<uint32_t, std::vector<uint32_t>>> ByEnd;
+  for (uint32_t I = 0; I < Links.size(); ++I) {
+    auto [U, V] = Links[I];
+    ByEnd[U][V].push_back(I);
+    if (U != V)
+      ByEnd[V][U].push_back(I);
+  }
+  Ranks = 1;
+  for (const auto &[A, Ends] : ByEnd)
+    for (const auto &[B, Is] : Ends)
+      Ranks = std::max(Ranks, Is.size());
+  std::string Int = std::to_string(Bits);
+  // Trans only sees topology edges, so the fallback is never taken.
+  std::string Fallback = "| _ -> 0u" + Int;
+  std::string Src;
+  for (size_t R = 0; R < Ranks; ++R) {
+    Src += "\nlet " + ranked("__ft_link", R) + " (e : edge) : int" + Int +
+           " =\n  let (ea, eb) = e in\n  match ea with\n";
+    for (const auto &[A, Ends] : ByEnd) {
+      Src += "  | " + std::to_string(A) + "n -> (match eb with";
+      for (const auto &[B, Is] : Ends)
+        Src += " | " + std::to_string(B) + "n -> " +
+               std::to_string(Is[std::min(R, Is.size() - 1)]) + "u" + Int;
+      Src += " " + Fallback + ")\n";
+    }
+    Src += "  " + Fallback + "\n";
+  }
+  return Src;
 }
 
 /// Destructures `key` into named components; returns the binder prelude
@@ -93,10 +135,19 @@ std::optional<Program> nv::makeFaultTolerantProgram(const Program &P,
     return std::nullopt;
   }
 
+  size_t NumLinks = P.links().size();
+  if (NumLinks > MaxFtLinks) {
+    Diags.error({}, "fault-tolerance analysis supports at most " +
+                        std::to_string(MaxFtLinks) + " links");
+    return std::nullopt;
+  }
+
   Program Base = renameSemanticDecls(P);
   std::string Src = printProgram(Base);
 
-  std::string K = keyTypeSource(Opts);
+  unsigned Bits = linkIndexBits(NumLinks);
+  std::string LinkTy = "int" + std::to_string(Bits);
+  std::string K = keyTypeSource(Opts, LinkTy);
   std::string A = typeToString(P.AttrType);
   std::string Drop = Opts.DropValueSource;
 
@@ -104,22 +155,31 @@ std::optional<Program> nv::makeFaultTolerantProgram(const Program &P,
   std::vector<std::string> LinkNames;
   std::string Binders = keyBinders(Opts, NodeName, LinkNames);
 
-  // Does scenario `key` fail the (undirected) link of directed edge e?
-  Src += "\nlet __ft_match (f : edge) (e : edge) =\n"
-         "  let (fa, fb) = f in\n"
-         "  let (ea, eb) = e in\n"
-         "  (fa = ea && fb = eb) || (fa = eb && fb = ea)\n";
+  // Which link index (or indices, for a link declared more than once)
+  // does directed edge e belong to? Bound once per trans call as __i<R>.
+  size_t Ranks = 0;
+  if (Opts.LinkFailures > 0)
+    Src += linkTableSource(P, Bits, Ranks);
+  std::string IdxParams, IdxArgs, IdxLets;
+  for (size_t R = 0; R < Ranks; ++R) {
+    std::string I = ranked("__i", R);
+    IdxParams += " (" + I + " : " + LinkTy + ")";
+    IdxArgs += " " + I;
+    IdxLets += "  let " + I + " = " + ranked("__ft_link", R) + " e in\n";
+  }
 
-  // Predicate over keys: scenario affects edge e (failed link, or failed
-  // node adjacent to e).
-  Src += "\nlet __ft_affects (key : " + K + ") (e : edge) =\n  " + Binders;
+  // Predicate over keys: scenario affects edge e, whose link indices are
+  // the __i parameters (failed link, or failed node adjacent to e).
+  Src += "\nlet __ft_affects (key : " + K + ") (e : edge)" + IdxParams +
+         " =\n  " + Binders;
   {
     std::string Cond;
-    for (const std::string &L : LinkNames) {
-      if (!Cond.empty())
-        Cond += " || ";
-      Cond += "__ft_match " + L + " e";
-    }
+    for (const std::string &L : LinkNames)
+      for (size_t R = 0; R < Ranks; ++R) {
+        if (!Cond.empty())
+          Cond += " || ";
+        Cond += L + " = " + ranked("__i", R);
+      }
     if (!NodeName.empty()) {
       if (!Cond.empty())
         Cond += " || ";
@@ -144,8 +204,9 @@ std::optional<Program> nv::makeFaultTolerantProgram(const Program &P,
   }
 
   // trans: Fig. 5's transFail, generalized to multi-failure keys.
-  Src += "\nlet trans (e : edge) (x : dict[" + K + ", " + A + "]) =\n"
-         "  mapIte (fun (key : " + K + ") -> __ft_affects key e)\n"
+  Src += "\nlet trans (e : edge) (x : dict[" + K + ", " + A + "]) =\n" +
+         IdxLets + "  mapIte (fun (key : " + K + ") -> __ft_affects key e" +
+         IdxArgs + ")\n"
          "         (fun (v : " + A + ") -> " + Drop + ")\n"
          "         (fun (v : " + A + ") -> __base_trans e v)\n"
          "         x\n";
@@ -222,8 +283,8 @@ std::string FtScenario::str() const {
   for (size_t I = 0; I < Links.size(); ++I) {
     if (I)
       S += "; ";
-    S += "link " + std::to_string(Links[I].first) + "-" +
-         std::to_string(Links[I].second);
+    S += "link " + std::to_string(Links[I].U) + "-" +
+         std::to_string(Links[I].V);
   }
   return S + "}";
 }
@@ -231,7 +292,8 @@ std::string FtScenario::str() const {
 std::vector<FtScenario> nv::enumerateScenarios(const Program &P,
                                                const FtOptions &Opts) {
   auto Links = P.links();
-  unsigned K = Opts.LinkFailures;
+  assert(Links.size() <= MaxFtLinks && "link index overflows FtLink");
+  unsigned K = Opts.LinkFailures, Bits = linkIndexBits(Links.size());
 
   // Combinations of links with repetition (repetition = fewer failures):
   // the non-decreasing index sequences Cur, in lexicographic order.
@@ -242,7 +304,8 @@ std::vector<FtScenario> nv::enumerateScenarios(const Program &P,
       FtScenario S;
       S.Links.reserve(K);
       for (size_t I : Cur)
-        S.Links.push_back(Links[I]);
+        S.Links.push_back(
+            {Links[I].first, Links[I].second, uint32_t(I), Bits});
       Combos.push_back(std::move(S));
       unsigned Pos = K;
       while (Pos > 0 && Cur[Pos - 1] + 1 == Links.size())
@@ -270,36 +333,42 @@ const Value *nv::scenarioKey(NvContext &Ctx, const FtScenario &S,
   std::vector<const Value *> Parts;
   if (Opts.NodeFailure)
     Parts.push_back(Ctx.nodeV(S.Node.value_or(0)));
-  for (const auto &[U, V] : S.Links)
-    Parts.push_back(Ctx.edgeV(U, V));
+  for (const FtLink &L : S.Links)
+    Parts.push_back(Ctx.intV(L.Index, L.IndexBits));
   if (Parts.size() == 1)
     return Parts[0];
   return Ctx.tupleV(std::move(Parts));
 }
 
-unsigned nv::scenarioKeyWidth(const FtOptions &Opts, unsigned NodeBits) {
-  return (Opts.NodeFailure ? NodeBits : 0) + 2 * NodeBits * Opts.LinkFailures;
+unsigned nv::linkIndexBits(size_t NumLinks) {
+  return std::max(1u, unsigned(std::bit_width(NumLinks - (NumLinks > 0))));
+}
+
+unsigned nv::scenarioKeyWidth(const FtOptions &Opts, unsigned NodeBits,
+                              size_t NumLinks) {
+  return (Opts.NodeFailure ? NodeBits : 0) +
+         linkIndexBits(NumLinks) * Opts.LinkFailures;
 }
 
 void nv::packScenarioKey(const FtScenario &S, const FtOptions &Opts,
                          unsigned NodeBits, uint64_t *Words) {
-  std::fill(Words, Words + (scenarioKeyWidth(Opts, NodeBits) + 63) / 64, 0);
-  // Each field is NodeBits wide (at most 32), so it spans at most two
-  // words.
+  unsigned Width = Opts.NodeFailure ? NodeBits : 0;
+  for (const FtLink &L : S.Links)
+    Width += L.IndexBits;
+  std::fill(Words, Words + (Width + 63) / 64, 0);
+  // Each field is at most 32 bits wide, so it spans at most two words.
   unsigned Pos = 0;
-  auto Put = [&](uint64_t X) {
-    unsigned Off = Pos % 64, Fit = std::min(NodeBits, 64 - Off);
-    Words[Pos / 64] |= (X >> (NodeBits - Fit)) << (64 - Off - Fit);
-    if (Fit < NodeBits)
-      Words[Pos / 64 + 1] |= X << (64 - (NodeBits - Fit));
-    Pos += NodeBits;
+  auto Put = [&](uint64_t X, unsigned Bits) {
+    unsigned Off = Pos % 64, Fit = std::min(Bits, 64 - Off);
+    Words[Pos / 64] |= (X >> (Bits - Fit)) << (64 - Off - Fit);
+    if (Fit < Bits)
+      Words[Pos / 64 + 1] |= X << (64 - (Bits - Fit));
+    Pos += Bits;
   };
   if (Opts.NodeFailure)
-    Put(S.Node.value_or(0));
-  for (const auto &[U, V] : S.Links) {
-    Put(U);
-    Put(V);
-  }
+    Put(S.Node.value_or(0), NodeBits);
+  for (const FtLink &L : S.Links)
+    Put(L.Index, L.IndexBits);
 }
 
 //===----------------------------------------------------------------------===//
@@ -310,18 +379,18 @@ namespace {
 
 using Ref = BddManager::Ref;
 
-/// The scenario keys of a check, sorted so that keys sharing a prefix are
-/// contiguous: Words holds key I of the sorted order at [I*W, (I+1)*W).
-struct SortedKeys {
+/// The scenario keys of a check, in enumeration order, which is key
+/// order, so keys sharing a prefix are contiguous: Words holds scenario
+/// I's key at [I*W, (I+1)*W).
+struct PackedKeys {
   size_t W = 0;
   std::vector<uint64_t> Words;
-  std::vector<uint32_t> Scenario; ///< Sorted position -> scenario index.
 
   bool bit(size_t I, unsigned B) const {
     return (Words[I * W + B / 64] >> (63 - B % 64)) & 1;
   }
 
-  /// The first bit at which sorted keys I <= J differ (~0u if none).
+  /// The first bit at which keys I <= J differ (~0u if none).
   /// Every key between them shares the bits before it.
   unsigned firstDiff(size_t I, size_t J) const {
     for (size_t K = 0; K < W; ++K)
@@ -375,9 +444,9 @@ struct FailingPart {
     Root = Walk(Label);
   }
 
-  /// Maps the sorted keys [Lo, Hi) through node \p Id and appends a
+  /// Maps the keys [Lo, Hi) through node \p Id and appends a
   /// (scenario, route) hit for every key that lands on a failing leaf.
-  void descend(const SortedKeys &Keys, uint32_t Id, size_t Lo, size_t Hi,
+  void descend(const PackedKeys &Keys, uint32_t Id, size_t Lo, size_t Hi,
                std::vector<std::pair<uint32_t, const Value *>> &Out) const {
     // Follow the diagram down through the bits the whole range agrees on.
     unsigned D = Keys.firstDiff(Lo, Hi - 1);
@@ -390,7 +459,7 @@ struct FailingPart {
     const Node &Nd = Nodes[Id];
     if (Nd.Var == BddManager::LeafVar) {
       for (size_t I = Lo; I < Hi; ++I)
-        Out.emplace_back(Keys.Scenario[I], Nd.Route);
+        Out.emplace_back(uint32_t(I), Nd.Route);
       return;
     }
     // Split the range at bit D; a node testing a later bit serves both
@@ -454,37 +523,26 @@ struct FtChecker::ImplTy {
     for (uint32_t U = 0; U < N; ++U)
       Parts.emplace_back(Ctx.Mgr, BaseEval, U, Meta.Labels[U]->MapRoot);
 
-    // Scenario keys, encoded straight from node ids (no interning) and
-    // sorted so that keys sharing a prefix are contiguous.
+    // Scenario keys, encoded straight from node ids and link indices (no
+    // interning), already in key order.
     unsigned NodeBits = Ctx.Layout.nodeBits();
-    size_t W = (scenarioKeyWidth(Opts, NodeBits) + 63) / 64;
-    assert(scenarioKeyWidth(Opts, NodeBits) == Meta.Labels[0]->KeyBits &&
-           "scenario key width mismatch");
-    std::vector<uint64_t> Packed(Scenarios.size() * W);
+    unsigned Width =
+        scenarioKeyWidth(Opts, NodeBits, BaseProgram.links().size());
+    assert(Width == Meta.Labels[0]->KeyBits && "scenario key width mismatch");
+    PackedKeys Keys;
+    Keys.W = (Width + 63) / 64;
+    Keys.Words.resize(Scenarios.size() * Keys.W);
     for (size_t I = 0; I < Scenarios.size(); ++I)
-      packScenarioKey(Scenarios[I], Opts, NodeBits, &Packed[I * W]);
-    // (first key word, scenario): sorting these stays in one contiguous
-    // array, and only keys wider than 64 bits compare further words.
-    std::vector<std::pair<uint64_t, uint32_t>> Order(Scenarios.size());
-    for (size_t I = 0; I < Scenarios.size(); ++I)
-      Order[I] = {Packed[I * W], uint32_t(I)};
-    std::sort(Order.begin(), Order.end(), [&](const auto &A, const auto &B) {
-      if (A.first != B.first)
-        return A.first < B.first;
-      const uint64_t *KA = &Packed[A.second * W], *KB = &Packed[B.second * W];
-      return std::lexicographical_compare(KA + 1, KA + W, KB + 1, KB + W);
-    });
-    SortedKeys Keys;
-    Keys.W = W;
-    Keys.Words.resize(Packed.size());
-    Keys.Scenario.resize(Scenarios.size());
-    for (size_t I = 0; I < Scenarios.size(); ++I) {
-      Keys.Scenario[I] = Order[I].second;
-      std::copy_n(&Packed[Order[I].second * W], W, &Keys.Words[I * W]);
+      packScenarioKey(Scenarios[I], Opts, NodeBits, &Keys.Words[I * Keys.W]);
+    for (size_t I = 1; I < Scenarios.size(); ++I) {
+      // At the first bit where neighbours differ, the earlier key has a 0.
+      [[maybe_unused]] unsigned D = Keys.firstDiff(I - 1, I);
+      assert((D == ~0u || !Keys.bit(I - 1, D)) &&
+             "scenarios must come out in key order");
     }
 
     // One descent per label diagram, each reading only its own failing
-    // part and the sorted keys, so the nodes shard over the pool.
+    // part and the keys, so the nodes shard over the pool.
     std::vector<std::vector<std::pair<uint32_t, const Value *>>> PerNode(N);
     auto Descend = [&](size_t U) {
       if (Parts[U].Root != FailingPart::None)

@@ -15,14 +15,20 @@
 /// scenario at once, with MTBDD sharing collapsing scenarios that behave
 /// alike (Fig. 4's pod locality).
 ///
-/// Scenario keys:
-///   LinkFailures = 1, no node:  K = edge
-///   LinkFailures = k:           K = (edge, ..., edge)   (k components)
-///   NodeFailure  = true:        K = (node, edge, ...)
+/// Scenario keys name each failed link by its index in Program::links(),
+/// an int field W = ceil(log2 |links|) bits wide (at least 1):
+///   LinkFailures = 1, no node:  K = intW
+///   LinkFailures = k:           K = (intW, ..., intW)   (k components)
+///   NodeFailure  = true:        K = (node, intW, ...)
+/// The meta-program carries its own edge-to-index table (__ft_link, a
+/// match over both orientations of every link), so trans compares each
+/// key field with one concrete index.
 ///
 /// A key containing the same link twice models a smaller failure set, so
-/// the key space covers "at most k failures". Keys naming non-topology
-/// links behave like the failure-free scenario and share leaves.
+/// the key space covers "at most k failures". Indices past the last link
+/// behave like the failure-free scenario and share leaves. Scenarios come
+/// out of enumerateScenarios in key order: the node field first, then
+/// non-decreasing link indices, each MSB first.
 ///
 /// One pipeline runs it: PreparedFt holds the meta-program and its
 /// evaluators, built once per context and options, and simulates then
@@ -99,16 +105,32 @@ std::optional<Program> makeFaultTolerantProgram(const Program &P,
                                                 const FtOptions &Opts,
                                                 DiagnosticEngine &Diags);
 
+/// Upper bound on the links of a fault-tolerance analysis: an index must
+/// fit FtLink::Index.
+constexpr size_t MaxFtLinks = size_t(1) << 26;
+
+/// One failed link: its endpoints as declared, and its position in
+/// Program::links(), which the scenario key encodes in an IndexBits-wide
+/// int field. Twelve bytes, so a two-link scenario's array stays in the
+/// same heap size class as a pair of node ids per link.
+struct FtLink {
+  uint32_t U, V;
+  uint32_t Index : 26;
+  uint32_t IndexBits : 6;
+};
+static_assert(sizeof(FtLink) == 12);
+
 /// One concrete failure scenario.
 struct FtScenario {
-  std::vector<std::pair<uint32_t, uint32_t>> Links; ///< LinkFailures entries.
+  std::vector<FtLink> Links; ///< LinkFailures entries.
   std::optional<uint32_t> Node;
 
   std::string str() const;
 };
 
 /// Enumerates all scenarios of the key space that name real topology
-/// links (combinations with repetition, covering "at most k" failures).
+/// links (combinations with repetition, covering "at most k" failures),
+/// in key order.
 std::vector<FtScenario> enumerateScenarios(const Program &P,
                                            const FtOptions &Opts);
 
@@ -116,16 +138,21 @@ std::vector<FtScenario> enumerateScenarios(const Program &P,
 const Value *scenarioKey(NvContext &Ctx, const FtScenario &S,
                          const FtOptions &Opts);
 
-/// Bit width of a scenario key: the failed node's NodeBits when
-/// NodeFailure is set, then two node fields per link.
-unsigned scenarioKeyWidth(const FtOptions &Opts, unsigned NodeBits);
+/// Bits of one link field of a scenario key: ceil(log2 NumLinks), at
+/// least 1.
+unsigned linkIndexBits(size_t NumLinks);
 
-/// Writes the bits of \p S's key straight from its node ids, without
-/// interning anything: bit for bit what encodeValue(scenarioKey(...))
-/// produces (node first, then each link's u and v, each MSB first).
-/// \p Words receives ceil(scenarioKeyWidth / 64) words, packed MSB first:
-/// key bit 0 is bit 63 of Words[0], so comparing the words as unsigned
-/// integers orders keys lexicographically by bit.
+/// Bit width of a scenario key: the failed node's NodeBits when
+/// NodeFailure is set, then one linkIndexBits(NumLinks) field per link.
+unsigned scenarioKeyWidth(const FtOptions &Opts, unsigned NodeBits,
+                          size_t NumLinks);
+
+/// Writes the bits of \p S's key straight from its node id and link
+/// indices, without interning anything: bit for bit what
+/// encodeValue(scenarioKey(...)) produces (node first, then each link
+/// index, each MSB first). \p Words receives ceil(scenarioKeyWidth / 64)
+/// words, packed MSB first: key bit 0 is bit 63 of Words[0], so comparing
+/// the words as unsigned integers orders keys lexicographically by bit.
 void packScenarioKey(const FtScenario &S, const FtOptions &Opts,
                      unsigned NodeBits, uint64_t *Words);
 
@@ -222,16 +249,16 @@ FtCheckResult checkFaultTolerance(NvContext &Ctx, const Program &BaseProgram,
 ///  1. evaluate the assert once per (node, distinct leaf), by a
 ///     visited-set walk over each label diagram's reachable nodes that
 ///     also marks which nodes lead to a failing leaf;
-///  2. encode every scenario key straight from its node ids
-///     (packScenarioKey) and sort the keys, so keys sharing a prefix are
-///     contiguous;
+///  2. encode every scenario key straight from its node id and link
+///     indices (packScenarioKey); enumeration order is key order, so keys
+///     sharing a prefix are already contiguous;
 ///  3. for each node whose label has a failing leaf, descend that part
-///     of its diagram once over the sorted keys: a key range is split
+///     of its diagram once over the keys: a key range is split
 ///     where its keys first differ, bits they all share are followed
 ///     without splitting, a leaf answers the whole range, and
 ///     subdiagrams without failing leaves are never entered;
 ///  4. order the hits by (scenario, node).
-/// Step 3 only reads step 1's copies and the sorted keys, so it shards
+/// Step 3 only reads step 1's copies and the keys, so it shards
 /// over \p Pool with per-node outputs merged in node order. It relies on
 /// the MTBDD variable index being the key bit position.
 ///

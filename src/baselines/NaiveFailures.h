@@ -53,8 +53,8 @@ private:
   bool affects(uint32_t U, uint32_t V) const {
     if (S.Node && (*S.Node == U || *S.Node == V))
       return true;
-    for (const auto &[A, B] : S.Links)
-      if ((A == U && B == V) || (A == V && B == U))
+    for (const FtLink &L : S.Links)
+      if ((L.U == U && L.V == V) || (L.U == V && L.V == U))
         return true;
     return false;
   }

@@ -386,11 +386,18 @@ private:
   uint64_t UniqueHits = 0;
   uint64_t UniqueProbes = 0;
 
-  static size_t hashTriple(uint32_t Var, Ref Lo, Ref Hi) {
-    uint64_t H = Var;
-    H = H * 0x9E3779B97F4A7C15ull + Lo;
-    H = H * 0x9E3779B97F4A7C15ull + Hi;
+  /// The unique table's and the op cache's hash. The final multiply mixes
+  /// the last operand too: without it, triples that differ only there
+  /// (e.g. consecutive Hi) land in consecutive linear-probe slots.
+  static size_t mix3(uint64_t A, uint64_t B, uint64_t C) {
+    uint64_t H = A;
+    H = H * 0x9E3779B97F4A7C15ull + B;
+    H = H * 0x9E3779B97F4A7C15ull + C;
+    H *= 0x9E3779B97F4A7C15ull;
     return static_cast<size_t>(H ^ (H >> 32));
+  }
+  static size_t hashTriple(uint32_t Var, Ref Lo, Ref Hi) {
+    return mix3(Var, Lo, Hi);
   }
   static size_t hashPayload(const void *P) {
     uint64_t H = reinterpret_cast<uint64_t>(P) * 0x9E3779B97F4A7C15ull;
@@ -410,12 +417,7 @@ private:
   /// Rebuilds both tables from the node store (after a sweep).
   void rebuildTables();
 
-  static size_t opHash(uint64_t Tag, Ref A, Ref B) {
-    uint64_t H = Tag;
-    H = H * 0x9E3779B97F4A7C15ull + A;
-    H = H * 0x9E3779B97F4A7C15ull + B;
-    return static_cast<size_t>(H ^ (H >> 32));
-  }
+  static size_t opHash(uint64_t Tag, Ref A, Ref B) { return mix3(Tag, A, B); }
 
   bool cacheLookup(uint64_t Tag, Ref A, Ref B, Ref &Out) {
     if (!CachingEnabled) {

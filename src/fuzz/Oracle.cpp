@@ -260,6 +260,43 @@ OracleVerdict nv::runOracle(const FuzzInstance &Inst,
       V.Mismatch = FtRefEngine + " vs naive: " + FtFP + " != " + FP;
   }
 
+  // -- Multi-failure keys: two links and a node -----------------------------
+  // The legs above fail one link. This native leg covers the f=2 and node
+  // fields of the scenario key, against the naive enumerator at the same
+  // options; the cap keeps the enumerator's scenarios x nodes small.
+  constexpr uint32_t F2MaxNodes = 6, F2MaxLinks = 8;
+  if (Opts.EnableFt && Opts.EnableNaive && Inst.FtComparable && HasAssert &&
+      Nodes <= F2MaxNodes && Links <= F2MaxLinks) {
+    FtOptions FO;
+    FO.LinkFailures = 2;
+    FO.NodeFailure = true;
+    FO.Budget.Cancel = Opts.Cancel;
+    std::string FP;
+    try {
+      FtOptions Governed = FO;
+      Governed.Budget.MaxSteps = Opts.FtMaxSteps;
+      FtRunResult R = runFaultTolerance(*P, Governed, /*Compiled=*/true, Diags);
+      FP = ftFingerprint(R.Check, R.Outcome);
+    } catch (const EngineError &E) {
+      FP = outcomeFingerprint(E.outcome());
+    }
+    V.Runs.push_back({"ft-f2-node", FP});
+    if (!isSkipFingerprint(FP)) {
+      std::string NaiveFP;
+      try {
+        NvContext Ctx(P->numNodes());
+        InterpProgramEvaluator Eval(Ctx, *P);
+        FtCheckResult NR = naiveFaultTolerance(*P, Eval, FO, Ctx.noneV());
+        NaiveFP = ftFingerprint(NR, NR.Outcome);
+      } catch (const EngineError &E) {
+        NaiveFP = outcomeFingerprint(E.outcome());
+      }
+      V.Runs.push_back({"naive-f2-node", NaiveFP});
+      if (!isSkipFingerprint(NaiveFP) && NaiveFP != FP && V.Mismatch.empty())
+        V.Mismatch = "ft-f2-node vs naive-f2-node: " + FP + " != " + NaiveFP;
+    }
+  }
+
   // -- SMT stable-state verifier --------------------------------------------
   if (Opts.EnableSmt && Inst.SmtComparable && HasAssert &&
       Nodes <= Opts.SmtMaxNodes && Links <= Opts.SmtMaxLinks) {

@@ -339,6 +339,35 @@ TEST(Mtbdd, UniqueTableCountersTrackLoad) {
   EXPECT_EQ(M.uniqueHits(), Hits1 + 3); // two leaves + one internal node
 }
 
+TEST(Mtbdd, ConsecutiveHiChildrenDoNotCluster) {
+  // Nodes that share (Var, Lo) and differ only in a consecutive Hi child,
+  // the shape a dict over a key field builds. A hash that adds Hi last
+  // without mixing it sends them to consecutive slots, where the runs of
+  // different Lo children pile into each other.
+  BddManager M;
+  std::vector<BddManager::Ref> Leaves;
+  for (int I = 0; I < 4096; ++I)
+    Leaves.push_back(M.leaf(payload(I)));
+  uint64_t Lookups0 = M.uniqueLookups(), Probes0 = M.uniqueProbes();
+  // Build the nodes, then find each again, as an apply does.
+  std::vector<BddManager::Ref> Built;
+  for (int Pass = 0; Pass < 2; ++Pass) {
+    size_t I = 0;
+    for (uint32_t Var = 0; Var < 2; ++Var)
+      for (int Lo = 0; Lo < 8; ++Lo)
+        for (int Hi = 8; Hi < 4096; ++Hi, ++I) {
+          BddManager::Ref R = M.mkNode(Var, Leaves[Lo], Leaves[Hi]);
+          if (Pass == 0)
+            Built.push_back(R);
+          else
+            ASSERT_EQ(R, Built[I]);
+        }
+  }
+  uint64_t Lookups = M.uniqueLookups() - Lookups0;
+  ASSERT_GT(Lookups, 0u);
+  EXPECT_LT(double(M.uniqueProbes() - Probes0) / double(Lookups), 2.0);
+}
+
 TEST(Mtbdd, SharingKeepsDiagramsSmall) {
   // The fault-tolerance insight (Sec. 2.7): many keys, few distinct
   // values => node count stays near the number of distinct values times

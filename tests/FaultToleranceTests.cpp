@@ -177,8 +177,8 @@ void expectMatchesReference(const std::string &Src, FtOptions Opts) {
   }
 }
 
-/// Seven links listed out of key-bit order (neither the pairs nor the list
-/// are sorted), so the checker's key sort has work to do.
+/// Seven links listed out of node-id order (neither the pairs nor the list
+/// are sorted), so key order (link index) differs from node-id order.
 const std::vector<std::pair<int, int>> Shuffled = {
     {4, 5}, {3, 0}, {2, 1}, {5, 0}, {1, 4}, {3, 2}, {0, 1}};
 
@@ -195,9 +195,8 @@ TEST(FaultTolerance, DescentMatchesPerScenarioLookup) {
     }
 }
 
-TEST(FaultTolerance, DescentMatchesPerScenarioLookupOnWideKeys) {
-  // 300 nodes take 9 bits each: four links give a 72-bit key, so keys span
-  // two words. The isolated nodes never have a route.
+TEST(FaultTolerance, DescentMatchesPerScenarioLookupOnSparseTopology) {
+  // 300 nodes, most of them isolated, which never have a route.
   FtOptions Opts;
   Opts.LinkFailures = 4;
   Opts.CheckChunkSize = 64;
@@ -207,6 +206,16 @@ TEST(FaultTolerance, DescentMatchesPerScenarioLookupOnWideKeys) {
                  {128, 257}},
                 "d <= 1"),
       Opts);
+}
+
+TEST(FaultTolerance, DescentMatchesPerScenarioLookupOnWideKeys) {
+  // The diamond's four links take 2 bits each: 33 of them give a 66-bit
+  // key, so keys span two words. On the diamond the last field still
+  // changes routes (0-1 alone reroutes node 1; with 2-3 it cuts it off).
+  FtOptions Opts;
+  Opts.LinkFailures = 33;
+  Opts.CheckChunkSize = 64;
+  expectMatchesReference(spProgram(4, Diamond, "d <= 2"), Opts);
 }
 
 /// (scenario, node, route) of each violation, in result order.
@@ -333,47 +342,112 @@ TEST_F(FtCheckpoint, MalformedReplayedRecordIsReported) {
 }
 
 TEST(FaultTolerance, PackedKeyEqualsEncodedValue) {
-  // 1500 nodes take 11 bits, so a node plus three links is 77 bits and
-  // some fields straddle the word boundary.
+  // 1500 nodes take 11 bits. Link counts: 1 (a 1-bit field), 2^12 (every
+  // 12-bit code is a link) and 5000 (13 bits, codes to spare). Six
+  // 13-bit links after a node are 89 bits, so fields straddle words.
   const uint32_t Nodes = 1500;
   NvContext Ctx(Nodes);
   unsigned NodeBits = Ctx.Layout.nodeBits();
   ASSERT_EQ(NodeBits, 11u);
   std::mt19937 Rng(7);
   std::uniform_int_distribution<uint32_t> Id(0, Nodes - 1);
-  for (unsigned Links : {1u, 2u, 3u})
-    for (bool Node : {false, true}) {
-      FtOptions Opts;
-      Opts.LinkFailures = Links;
-      Opts.NodeFailure = Node;
-      std::vector<TypePtr> Parts;
-      if (Node)
-        Parts.push_back(Type::nodeTy());
-      for (unsigned L = 0; L < Links; ++L)
-        Parts.push_back(Type::edgeTy());
-      TypePtr KeyTy = Parts.size() == 1 ? Parts[0] : Type::tupleTy(Parts);
-      unsigned Width = scenarioKeyWidth(Opts, NodeBits);
-      ASSERT_EQ(Width, Ctx.Layout.widthOf(KeyTy));
-      for (int Trial = 0; Trial < 200; ++Trial) {
-        FtScenario S;
+  for (uint32_t NumLinks : {1u, 4096u, 5000u}) {
+    unsigned Bits = linkIndexBits(NumLinks);
+    std::uniform_int_distribution<uint32_t> Link(0, NumLinks - 1);
+    for (unsigned Links : {1u, 2u, 3u, 6u})
+      for (bool Node : {false, true}) {
+        FtOptions Opts;
+        Opts.LinkFailures = Links;
+        Opts.NodeFailure = Node;
+        std::vector<TypePtr> Parts;
         if (Node)
-          S.Node = Id(Rng);
+          Parts.push_back(Type::nodeTy());
         for (unsigned L = 0; L < Links; ++L)
-          S.Links.push_back({Id(Rng), Id(Rng)});
-        std::vector<bool> Want;
-        Ctx.encodeValue(scenarioKey(Ctx, S, Opts), KeyTy, Want);
-        ASSERT_EQ(Want.size(), Width);
-        std::vector<uint64_t> Words((Width + 63) / 64, ~uint64_t(0));
-        packScenarioKey(S, Opts, NodeBits, Words.data());
-        for (unsigned B = 0; B < Width; ++B)
-          ASSERT_EQ(bool((Words[B / 64] >> (63 - B % 64)) & 1), Want[B])
-              << S.str() << " bit " << B;
-        // Padding past the key stays zero, so packed keys compare as keys.
-        if (Width % 64) {
-          EXPECT_EQ(Words.back() << (Width % 64), 0u) << S.str();
+          Parts.push_back(Type::intTy(Bits));
+        TypePtr KeyTy = Parts.size() == 1 ? Parts[0] : Type::tupleTy(Parts);
+        unsigned Width = scenarioKeyWidth(Opts, NodeBits, NumLinks);
+        ASSERT_EQ(Width, Ctx.Layout.widthOf(KeyTy));
+        for (int Trial = 0; Trial < 200; ++Trial) {
+          FtScenario S;
+          if (Node)
+            S.Node = Id(Rng);
+          for (unsigned L = 0; L < Links; ++L)
+            S.Links.push_back({Id(Rng), Id(Rng), Link(Rng), Bits});
+          std::vector<bool> Want;
+          Ctx.encodeValue(scenarioKey(Ctx, S, Opts), KeyTy, Want);
+          ASSERT_EQ(Want.size(), Width);
+          std::vector<uint64_t> Words((Width + 63) / 64, ~uint64_t(0));
+          packScenarioKey(S, Opts, NodeBits, Words.data());
+          for (unsigned B = 0; B < Width; ++B)
+            ASSERT_EQ(bool((Words[B / 64] >> (63 - B % 64)) & 1), Want[B])
+                << NumLinks << " links " << S.str() << " bit " << B;
+          // Padding past the key stays zero, so packed keys compare as keys.
+          if (Width % 64) {
+            EXPECT_EQ(Words.back() << (Width % 64), 0u) << S.str();
+          }
         }
       }
-    }
+  }
+}
+
+TEST(FaultTolerance, KeyWidthIsLinkFieldsPlusNode) {
+  // f fields of ceil(log2 |links|) bits (at least 1), plus NodeBits for a
+  // node failure; the meta-program's key type agrees.
+  for (auto [NumLinks, Bits] : std::vector<std::pair<int, unsigned>>{
+           {1, 1}, {2, 1}, {6, 3}, {8, 3}, {9, 4}}) {
+    std::vector<std::pair<int, int>> Ring;
+    for (int I = 0; I < NumLinks; ++I)
+      Ring.push_back({I, (I + 1) % 10});
+    Program P = parseAndCheck(spProgram(10, Ring));
+    EXPECT_EQ(linkIndexBits(NumLinks), Bits) << NumLinks;
+    for (unsigned F : {0u, 1u, 2u, 3u})
+      for (bool Node : {false, true}) {
+        if (!F && !Node)
+          continue;
+        SCOPED_TRACE(std::to_string(NumLinks) + " links, f=" +
+                     std::to_string(F) + (Node ? " + node" : ""));
+        FtOptions Opts;
+        Opts.LinkFailures = F;
+        Opts.NodeFailure = Node;
+        unsigned Want = F * Bits + (Node ? 4 : 0); // 10 nodes: 4 bits
+        EXPECT_EQ(scenarioKeyWidth(Opts, 4, NumLinks), Want);
+        DiagnosticEngine Diags;
+        auto Meta = makeFaultTolerantProgram(P, Opts, Diags);
+        ASSERT_TRUE(Meta.has_value()) << Diags.str();
+        NvContext Ctx(P.numNodes());
+        InterpProgramEvaluator Eval(Ctx, *Meta);
+        SimResult R = simulate(*Meta, Eval);
+        ASSERT_TRUE(R.Converged);
+        EXPECT_EQ(R.Labels[0]->KeyBits, Want);
+      }
+  }
+}
+
+/// Eight links on six nodes: every 3-bit link code names a link.
+const std::vector<std::pair<int, int>> EightLinks = {
+    {0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}, {4, 5}, {2, 5}, {1, 4}};
+
+TEST(FaultTolerance, TwoLinksMatchesNaiveWithNoSpareCodes) {
+  for (bool Node : {false, true}) {
+    SCOPED_TRACE(Node ? "node" : "links only");
+    FtOptions Opts;
+    Opts.LinkFailures = 2;
+    Opts.NodeFailure = Node;
+    expectMatchesNaive(spProgram(6, EightLinks), Opts);
+  }
+}
+
+TEST(FaultTolerance, LinkDeclaredTwiceMatchesNaive) {
+  // 0-1 is declared in both orientations and 2-3 twice: each declaration
+  // is its own scenario link, and failing either fails the link.
+  for (bool Node : {false, true}) {
+    SCOPED_TRACE(Node ? "node" : "links only");
+    FtOptions Opts;
+    Opts.LinkFailures = 2;
+    Opts.NodeFailure = Node;
+    expectMatchesNaive(
+        spProgram(4, {{0, 1}, {1, 0}, {0, 2}, {2, 3}, {1, 3}, {2, 3}}), Opts);
+  }
 }
 
 TEST(FaultTolerance, SingleLinkMatchesNaiveOnDiamond) {

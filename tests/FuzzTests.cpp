@@ -153,6 +153,31 @@ TEST(FuzzOracle, VerdictListsEngines) {
   EXPECT_TRUE(Names.count("native-wm1"));
 }
 
+TEST(FuzzOracle, SmallInstancesRunTheTwoLinkNodeLegs) {
+  // Up to 6 nodes and 8 links, the oracle also compares the native
+  // meta-simulation at two link failures plus a node with the naive
+  // enumerator at the same options.
+  OracleOptions Opts = testOracleOptions();
+  int Checked = 0;
+  for (uint64_t I = 0; I < 200 && Checked < 3; ++I) {
+    DiagnosticEngine Diags;
+    FuzzInstance Inst = instanceFromSeed(mixSeed(3, I), Diags);
+    if (!Inst.FtComparable || Inst.Spec.NumNodes > 6 ||
+        Inst.Spec.Edges.size() > 8 ||
+        Inst.NvSource.find("let assert") == std::string::npos)
+      continue;
+    OracleVerdict V = runOracle(Inst, Opts, Diags);
+    EXPECT_TRUE(V.Ok) << Inst.Name << ": " << V.Mismatch;
+    std::set<std::string> Names;
+    for (const EngineRun &R : V.Runs)
+      Names.insert(R.Engine);
+    EXPECT_TRUE(Names.count("ft-f2-node")) << Inst.Name;
+    EXPECT_TRUE(Names.count("naive-f2-node")) << Inst.Name;
+    ++Checked;
+  }
+  EXPECT_EQ(Checked, 3);
+}
+
 /// Finds an sp-option instance with more than the planted 6-edge floor,
 /// so minimization has real work to do.
 static FuzzInstance findShrinkableSpOption(uint64_t &SeedOut) {

@@ -6,8 +6,9 @@
 # the resumed aggregate must be identical modulo the *_ms timing fields.
 # Also proves the journal failure modes (torn tail tolerated, interior
 # corruption and binding mismatch hard exit 2), retry semantics under
-# NV_FAULT_INJECT, that a fleet ft journal resumes in process, and that
-# replaying tests/corpus twice under --resume shows no fingerprint drift.
+# NV_FAULT_INJECT, that `nv ft` agrees with the naive reference, that a
+# fleet ft journal resumes in process, and that replaying tests/corpus
+# twice under --resume shows no fingerprint drift.
 #
 # Usage: tools/ci/resume.sh [BUILD_DIR]
 set -euo pipefail
@@ -52,6 +53,19 @@ REF_CODE=0
   > /dev/null || REF_CODE=$?
 [ "$REF_CODE" -le 1 ] || fail "reference run died (exit $REF_CODE)"
 echo "ok: reference (exit $REF_CODE)"
+
+echo "== ft agrees with the naive reference =="
+# The meta-simulation's answer at two failures must equal the naive
+# per-scenario sweep's: same scenario count, violations and hash.
+json_fields() { grep -E '"(scenarios|violations|violations_hash)"' "$1"; }
+FT_CODE=0
+"$NV" ft "$NET" --links 2 --json "$WORK/ftcheck.json" > /dev/null || FT_CODE=$?
+[ "$FT_CODE" -eq "$REF_CODE" ] || fail "ft exit $FT_CODE != naive $REF_CODE"
+[ "$(json_fields "$WORK/ftcheck.json" | wc -l)" -eq 3 ] \
+  || fail "ft JSON lacks scenarios/violations/violations_hash"
+diff <(json_fields "$WORK/ref.json") <(json_fields "$WORK/ftcheck.json") \
+  || fail "ft scenarios/violations/hash differ from the naive reference"
+echo "ok: ft matches naive (scenarios, violations, violations_hash)"
 
 echo "== SIGTERM mid-flight =="
 J="$WORK/naive.journal"
