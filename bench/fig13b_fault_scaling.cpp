@@ -64,6 +64,7 @@ int main(int argc, char **argv) {
       }
       FtOptions Opts;
       Opts.LinkFailures = F;
+      uint64_t Created0 = Ctx.closuresCreated(), Closures0 = Ctx.closures();
       FtRunResult R = runFaultTolerance(*P, Opts, /*Compiled=*/true, Diags,
                                         /*CheckAsserts=*/false, &Ctx);
       Cells.push_back(R.Converged ? sec(R.SimulateMs) : "diverged");
@@ -83,7 +84,9 @@ int main(int argc, char **argv) {
           .field("memory_bytes", static_cast<uint64_t>(Ctx.Mgr.memoryBytes()))
           .field("peak_nodes", static_cast<uint64_t>(Gc.PeakNodes))
           .field("gc_collections", Gc.Collections)
-          .field("gc_nodes_reclaimed", Gc.NodesReclaimed);
+          .field("gc_nodes_reclaimed", Gc.NodesReclaimed)
+          .field("closures_created", Ctx.closuresCreated() - Created0)
+          .field("closures", Ctx.closures() - Closures0);
     }
     T.row(Cells);
   }

@@ -111,7 +111,9 @@ int main(int argc, char **argv) {
         .field("pops", BF.TotalPops)
         .field("cache_hit_rate",
                Lookups ? static_cast<double>(CtxC.Mgr.cacheHits()) / Lookups
-                       : 0.0);
+                       : 0.0)
+        .field("closures_created", CtxC.closuresCreated())
+        .field("closures", CtxC.closures());
   }
   T.print();
   if (Pool)

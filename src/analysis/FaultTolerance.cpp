@@ -122,6 +122,39 @@ std::string nv::ftOptionsError(const FtOptions &Opts) {
   return "";
 }
 
+namespace {
+
+std::string dropSource(const TypePtr &RawTy) {
+  TypePtr Ty = resolve(RawTy);
+  if (Ty->Kind == TypeKind::Option)
+    return "None";
+  if (Ty->Kind != TypeKind::Dict)
+    return "";
+  std::string Inner = dropSource(Ty->Elems[1]);
+  return Inner.empty() ? "" : "createDict (" + Inner + ")";
+}
+
+} // namespace
+
+std::string nv::defaultDropSource(const TypePtr &AttrTy, std::string &Error) {
+  std::string S = dropSource(AttrTy);
+  if (S.empty())
+    Error = "no drop value for attribute type " + typeToString(AttrTy) +
+            ": one is derived only for option[..] attributes and dicts "
+            "whose values have one";
+  return S;
+}
+
+const Value *nv::defaultDropValue(NvContext &Ctx, const TypePtr &AttrTy) {
+  std::string Error;
+  if (defaultDropSource(AttrTy, Error).empty())
+    evalError(Error);
+  TypePtr Ty = resolve(AttrTy);
+  if (Ty->Kind == TypeKind::Option)
+    return Ctx.noneV();
+  return Ctx.mapCreate(Ty->Elems[0], defaultDropValue(Ctx, Ty->Elems[1]));
+}
+
 std::optional<Program> nv::makeFaultTolerantProgram(const Program &P,
                                                     const FtOptions &Opts,
                                                     DiagnosticEngine &Diags) {
@@ -150,6 +183,14 @@ std::optional<Program> nv::makeFaultTolerantProgram(const Program &P,
   std::string K = keyTypeSource(Opts, LinkTy);
   std::string A = typeToString(P.AttrType);
   std::string Drop = Opts.DropValueSource;
+  if (Drop.empty()) {
+    std::string Error;
+    Drop = defaultDropSource(P.AttrType, Error);
+    if (Drop.empty()) {
+      Diags.error({}, Error);
+      return std::nullopt;
+    }
+  }
 
   std::string NodeName;
   std::vector<std::string> LinkNames;

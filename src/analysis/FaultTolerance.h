@@ -58,9 +58,9 @@ namespace nv {
 struct FtOptions {
   unsigned LinkFailures = 1; ///< Link components in the scenario key.
   bool NodeFailure = false;  ///< Also fail one node per scenario.
-  /// NV source of the "dropped route" value (Fig. 5 uses None; override
-  /// for protocols whose attribute is not an option).
-  std::string DropValueSource = "None";
+  /// NV source of the "dropped route" value. Empty: derived from the
+  /// attribute type (defaultDropSource), None for Fig. 5's option routes.
+  std::string DropValueSource;
   /// Worker threads for the assert check's per-node descents (1 =
   /// serial; 0 = NV_THREADS / hardware concurrency). The meta-simulation
   /// itself is one fixpoint and stays single-threaded.
@@ -96,6 +96,16 @@ struct FtOptions {
 /// something (LinkFailures >= 1, or NodeFailure). Returns the user-facing
 /// error, empty when \p Opts satisfies it.
 std::string ftOptionsError(const FtOptions &Opts);
+
+/// The route a failed link or node carries when the caller names none:
+/// `None` for an option[..] attribute, `createDict (<drop of V>)` for
+/// dict[K, V]. Returns its NV source, or "" with \p Error naming the type
+/// when the attribute is neither.
+std::string defaultDropSource(const TypePtr &AttrTy, std::string &Error);
+
+/// The value of defaultDropSource(\p AttrTy) in \p Ctx; an eval error for
+/// an attribute type without one.
+const Value *defaultDropValue(NvContext &Ctx, const TypePtr &AttrTy);
 
 /// Builds the fault-tolerant meta-program: the input's init/trans/merge
 /// (and assert) are renamed to __base_* and wrapped per Fig. 5. The result

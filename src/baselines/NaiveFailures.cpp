@@ -165,8 +165,9 @@ FtCheckResult nv::naiveFaultTolerance(const Program &P,
   FtCheckResult R;
   auto Scenarios = enumerateScenarios(P, Opts);
   NvContext &Ctx = BaseEval.ctx();
-  if (DropValue)
-    Ctx.pinValue(DropValue);
+  if (!DropValue)
+    DropValue = defaultDropValue(Ctx, P.AttrType);
+  Ctx.pinValue(DropValue);
   for (size_t I = 0; I < Scenarios.size(); ++I) {
     const FtScenario &S = Scenarios[I];
     ++R.ScenariosChecked;
@@ -210,8 +211,7 @@ FtCheckResult nv::naiveFaultTolerance(const Program &P,
     // baseline (evaluator globals + partials, drop value, violations).
     Ctx.resetBetweenRuns();
   }
-  if (DropValue)
-    Ctx.unpinValue(DropValue);
+  Ctx.unpinValue(DropValue);
   return R;
 }
 
@@ -271,7 +271,8 @@ FtCheckResult nv::naiveFaultToleranceParallel(
                    Diags.str());
       auto Ctx = std::make_shared<NvContext>(Local->numNodes());
       InterpProgramEvaluator BaseEval(*Ctx, *Local);
-      const Value *Drop = MakeDrop ? MakeDrop(*Ctx) : Ctx->noneV();
+      const Value *Drop = MakeDrop ? MakeDrop(*Ctx)
+                                   : defaultDropValue(*Ctx, Local->AttrType);
       Ctx->pinValue(Drop);
       for (size_t PI = NextPending.fetch_add(1); PI < Pending.size();
            PI = NextPending.fetch_add(1)) {

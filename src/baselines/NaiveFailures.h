@@ -72,6 +72,8 @@ SimResult simulateScenario(const Program &P, ProtocolEvaluator &BaseEval,
 /// each scenario (violation routes are pinned first, so the result stays
 /// valid). Unpinned values the caller holds across this call do not
 /// survive those collections — re-derive them afterwards if needed.
+/// A null \p DropValue is derived from the attribute type
+/// (defaultDropValue).
 FtCheckResult naiveFaultTolerance(const Program &P,
                                   ProtocolEvaluator &BaseEval,
                                   const FtOptions &Opts,
@@ -113,7 +115,8 @@ bool aggregateNaiveScenarioRecords(const std::vector<FtScenario> &Scenarios,
 /// retained by the result).
 ///
 /// \p MakeDrop builds the injected "dropped route" value in a worker's
-/// context (defaults to None); it must be a pure function of the context.
+/// context (defaults to defaultDropValue of the attribute type); it must
+/// be a pure function of the context.
 FtCheckResult naiveFaultToleranceParallel(
     const Program &P, const FtOptions &Opts, ThreadPool &Pool,
     const std::function<const Value *(NvContext &)> &MakeDrop = {});

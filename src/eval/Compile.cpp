@@ -11,48 +11,39 @@ using namespace nv;
 
 namespace {
 
-/// A compiled closure: pre-compiled body plus a snapshot of the captured
-/// free-variable values. Calling copies the capture into a fresh frame and
-/// pushes the argument — no environment search at runtime.
+/// A compiled closure: pre-compiled body plus its closure-table entry,
+/// which holds the captured free-variable values. Calling copies the
+/// capture into a fresh frame and pushes the argument — no environment
+/// search at runtime. The entry is the context's, so it outlives the
+/// closure value.
 class CompiledClosure : public ClosureData {
 public:
-  CompiledClosure(NvContext &Ctx, const Expr *Src,
-                  std::shared_ptr<const std::vector<std::string>> FreeNames,
-                  std::shared_ptr<const CExpr> Body,
-                  std::vector<const Value *> Captured)
-      : Ctx(Ctx), Src(Src), FreeNames(std::move(FreeNames)),
-        Body(std::move(Body)), Captured(std::move(Captured)) {}
+  CompiledClosure(const NvContext::ClosureEntry &E,
+                  std::shared_ptr<const CExpr> Body)
+      : E(E), Body(std::move(Body)) {}
 
   const Value *call(const Value *Arg) const override {
     Frame F;
-    F.reserve(Captured.size() + 8);
-    F = Captured;
+    F.reserve(E.Captured.size() + 8);
+    F = E.Captured;
     F.push_back(Arg);
     return (*Body)(F);
   }
 
-  uint64_t cacheKey() const override {
-    if (!Key)
-      Key = Ctx.closureId(Src, Captured);
-    return Key;
-  }
+  uint64_t cacheKey() const override { return E.Id; }
 
-  const Expr *sourceExpr() const override { return Src; }
+  const Expr *sourceExpr() const override { return E.Src; }
 
   const Value *lookupFree(const std::string &Name) const override {
-    for (size_t I = 0; I < FreeNames->size(); ++I)
-      if ((*FreeNames)[I] == Name)
-        return Captured[I];
+    for (size_t I = 0; I < E.FreeVars->size(); ++I)
+      if ((*E.FreeVars)[I] == Name)
+        return E.Captured[I];
     return nullptr;
   }
 
 private:
-  NvContext &Ctx;
-  const Expr *Src;
-  std::shared_ptr<const std::vector<std::string>> FreeNames;
+  const NvContext::ClosureEntry &E;
   std::shared_ptr<const CExpr> Body;
-  std::vector<const Value *> Captured;
-  mutable uint64_t Key = 0;
 };
 
 } // namespace
@@ -154,32 +145,40 @@ CExpr Compiler::compile(const ExprPtr &E) {
     };
   }
   case ExprKind::Fun: {
-    // Compile the body once against [free vars..., param]; each runtime
-    // closure creation snapshots the free values from the current frame.
-    auto FreeNames = std::make_shared<const std::vector<std::string>>(
-        freeVarsOf(E.get()));
+    // Compile the body once against [free vars..., param]. Each runtime
+    // evaluation looks its captured free values up in the closure table
+    // and builds a closure only for a new combination.
+    const std::vector<std::string> &FreeNames = freeVarsOf(E.get());
     std::vector<int> FreeSlots;
-    for (const std::string &Name : *FreeNames) {
+    for (const std::string &Name : FreeNames) {
       int Slot = slotOf(Name);
       if (Slot < 0)
         evalError("compile: unbound free variable " + Name);
       FreeSlots.push_back(Slot);
     }
     std::vector<std::string> Saved = std::move(Scope);
-    Scope = *FreeNames;
+    Scope = FreeNames;
     Scope.push_back(E->Name);
     auto Body = std::make_shared<const CExpr>(compile(E->Args[0]));
     Scope = std::move(Saved);
 
     NvContext *C = &Ctx;
     const Expr *Src = E.get();
-    return [C, Src, FreeNames, FreeSlots, Body](Frame &F) {
-      std::vector<const Value *> Captured;
-      Captured.reserve(FreeSlots.size());
-      for (int Slot : FreeSlots)
-        Captured.push_back(F[Slot]);
-      return C->closureV(std::make_shared<CompiledClosure>(
-          *C, Src, FreeNames, Body, std::move(Captured)));
+    return [C, Src, FreeSlots, Body](Frame &F) {
+      // The captured values are gathered on top of the frame, which saves
+      // an allocation when the table already has the closure.
+      size_t Mark = F.size();
+      for (int Slot : FreeSlots) {
+        const Value *V = F[Slot];
+        F.push_back(V);
+      }
+      const Value *Clo = C->canonicalClosure(
+          Src, F.data() + Mark, FreeSlots.size(),
+          [&](const NvContext::ClosureEntry &Entry) {
+            return std::make_shared<CompiledClosure>(Entry, Body);
+          });
+      F.resize(Mark);
+      return Clo;
     };
   }
   case ExprKind::App: {

@@ -40,7 +40,7 @@ uint64_t InterpClosure::cacheKey() const {
     const Value *V = envLookup(Env.get(), Name);
     Captured.push_back(V); // null for globals resolved elsewhere is fine
   }
-  Key = I.ctx().closureId(Fn, Captured);
+  Key = I.ctx().closureEntry(Fn, Captured.data(), Captured.size()).Id;
   return Key;
 }
 

@@ -169,7 +169,8 @@ const Value *NvContext::closureV(std::shared_ptr<ClosureData> C) {
   Value V;
   V.K = Value::Kind::Closure;
   V.Closure = std::move(C);
-  return Arena.intern(std::move(V));
+  ++Closures;
+  return Arena.store(std::move(V));
 }
 
 const Value *NvContext::valueOfLiteral(const Literal &L) {
@@ -456,15 +457,28 @@ std::string NvContext::printValue(const Value *V) {
 // Closure identity and operation tags
 //===----------------------------------------------------------------------===//
 
-uint64_t NvContext::closureId(const Expr *Src,
-                              const std::vector<const Value *> &Captured) {
-  ClosureKey Key{Src, Captured};
-  auto It = ClosureIds.find(Key);
-  if (It != ClosureIds.end())
-    return It->second;
-  uint64_t Id = NextClosureId++;
-  ClosureIds.emplace(std::move(Key), Id);
-  return Id;
+NvContext::ClosureEntry &
+NvContext::closureEntry(const Expr *Src, const Value *const *Captured,
+                        size_t N) {
+  const std::vector<std::string> *FreeVars = &freeVarsOf(Src);
+  uint64_t H = reinterpret_cast<uint64_t>(Src) * 0x9E3779B97F4A7C15ull;
+  for (size_t I = 0; I < N; ++I)
+    H = (H ^ reinterpret_cast<uint64_t>(Captured[I])) * 0x9E3779B97F4A7C15ull;
+  H ^= H >> 32;
+  ClosureEntry *E = ClosureTable.find(H, [&](const ClosureEntry &O) {
+    return O.Src == Src && O.FreeVars.get() == FreeVars &&
+           std::equal(Captured, Captured + N, O.Captured.begin(),
+                      O.Captured.end());
+  });
+  if (E)
+    return *E;
+  E = &ClosureEntries.emplace_back();
+  E->Src = Src;
+  E->FreeVars = Src->CachedFreeVars;
+  E->Captured.assign(Captured, Captured + N);
+  E->Id = ClosureEntries.size();
+  ClosureTable.insert(H, E);
+  return *E;
 }
 
 uint64_t NvContext::opTag(uint64_t Kind, uint64_t K1, uint64_t K2) {

@@ -8,9 +8,9 @@
 /// \file
 /// The shared state of one analysis run: the MTBDD manager, the value
 /// interning arena, the bit layout for the concrete topology, the closure
-/// identity registry used to memoize MTBDD operations across simulator
-/// iterations, and the map runtime implementing Fig. 7's operations over
-/// MTBDDs (Sec. 5.1).
+/// table that makes closures canonical and gives them the ids used to
+/// memoize MTBDD operations across simulator iterations, and the map
+/// runtime implementing Fig. 7's operations over MTBDDs (Sec. 5.1).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +21,9 @@
 #include "bdd/Mtbdd.h"
 #include "core/Ast.h"
 #include "eval/Value.h"
+#include "support/PtrTable.h"
 
+#include <deque>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -64,6 +66,7 @@ public:
   const Value *someV(const Value *Inner);
   const Value *noneV() { return NoneV; }
   const Value *mapV(BddManager::Ref Root, TypePtr KeyType);
+  /// Stores a new closure value (closures are not interned).
   const Value *closureV(std::shared_ptr<ClosureData> C);
   const Value *valueOfLiteral(const Literal &L);
 
@@ -107,11 +110,46 @@ public:
   // Closure identity and operation tags
   //===--------------------------------------------------------------------===//
 
-  /// Canonical id for a closure built from \p Src with the given captured
-  /// values: identical (Src, Captured) pairs get identical ids, which makes
-  /// MTBDD operation caching effective across simulator iterations.
-  uint64_t closureId(const Expr *Src,
-                     const std::vector<const Value *> &Captured);
+  /// One closure identity: the Fun expression a closure was built from and
+  /// the values it captured, in freeVarsOf(Src) order.
+  struct ClosureEntry {
+    const Expr *Src = nullptr;
+    /// Src's free-variable list, held so that it outlives Src: a Fun
+    /// allocated later at a freed Src's address has a different list, so
+    /// it never matches this entry (nor reuses its id).
+    std::shared_ptr<const std::vector<std::string>> FreeVars;
+    std::vector<const Value *> Captured;
+    /// Canonical id: equal (Src, Captured) get equal ids, which makes
+    /// MTBDD operation caching effective across simulator iterations.
+    uint64_t Id = 0;
+    /// The canonical compiled closure, once one is built (interpreted
+    /// closures only take the id).
+    const Value *Closure = nullptr;
+  };
+
+  /// The entry of (\p Src, \p Captured[0..N)), created with a fresh id on
+  /// first use. Entries live as long as the context.
+  ClosureEntry &closureEntry(const Expr *Src, const Value *const *Captured,
+                             size_t N);
+
+  /// The canonical closure of \p Src over \p Captured[0..N): the existing
+  /// one, or \p Make(entry)'s, stored and recorded in the entry.
+  template <class MakeFn>
+  const Value *canonicalClosure(const Expr *Src, const Value *const *Captured,
+                                size_t N, MakeFn &&Make) {
+    ClosureEntry &E = closureEntry(Src, Captured, N);
+    if (E.Closure) {
+      ++ClosureHits;
+      return E.Closure;
+    }
+    return E.Closure = closureV(Make(static_cast<const ClosureEntry &>(E)));
+  }
+
+  /// Closure values evaluation asked for: every Fun evaluation, including
+  /// those the closure table answered with an existing closure.
+  uint64_t closuresCreated() const { return Closures + ClosureHits; }
+  /// Closure values stored in the arena (distinct closures).
+  uint64_t closures() const { return Closures; }
 
   /// A stable MTBDD operation tag for the semantic operation identified by
   /// (Kind, K1, K2): same inputs, same tag.
@@ -139,7 +177,7 @@ public:
 
   /// Safe point between scenarios: garbage-collects the diagram store back
   /// to the pinned baseline (predicate cache, pinned values). The program,
-  /// layout, interned scalars, closure ids and op tags all persist, so the
+  /// layout, interned scalars, closure table and op tags all persist, so the
   /// next scenario skips parsing/typechecking/compilation entirely.
   void resetBetweenRuns();
 
@@ -149,21 +187,6 @@ public:
   void notifyRemap(const std::vector<BddManager::Ref> &Remap) override;
 
 private:
-  struct ClosureKey {
-    const Expr *Src;
-    std::vector<const Value *> Captured;
-    bool operator==(const ClosureKey &O) const {
-      return Src == O.Src && Captured == O.Captured;
-    }
-  };
-  struct ClosureKeyHash {
-    size_t operator()(const ClosureKey &K) const {
-      uint64_t H = reinterpret_cast<uint64_t>(K.Src);
-      for (const Value *V : K.Captured)
-        H = (H ^ reinterpret_cast<uint64_t>(V)) * 0x9E3779B97F4A7C15ull;
-      return static_cast<size_t>(H ^ (H >> 32));
-    }
-  };
   struct OpTagKey {
     uint64_t Kind, K1, K2;
     bool operator==(const OpTagKey &O) const {
@@ -179,10 +202,11 @@ private:
     }
   };
 
-  std::unordered_map<ClosureKey, uint64_t, ClosureKeyHash> ClosureIds;
+  std::deque<ClosureEntry> ClosureEntries;
+  PtrTable<ClosureEntry> ClosureTable;
+  uint64_t Closures = 0, ClosureHits = 0;
   std::unordered_map<OpTagKey, uint64_t, OpTagKeyHash> OpTags;
   std::unordered_map<uint64_t, BddManager::Ref> PredCache;
-  uint64_t NextClosureId = 1;
 
   std::unordered_map<const Value *, uint32_t> PinnedValues;
   /// Values already walked during the current collection (root gathering

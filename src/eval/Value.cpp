@@ -19,25 +19,32 @@ uint64_t Value::hash() const {
   uint64_t H = hashCombine(0x243F6A8885A308D3ull, static_cast<uint64_t>(K));
   switch (K) {
   case Kind::Bool:
-    return hashCombine(H, B ? 1 : 0);
+    H = hashCombine(H, B ? 1 : 0);
+    break;
   case Kind::Int:
-    return hashCombine(hashCombine(H, I), Width);
+    H = hashCombine(hashCombine(H, I), Width);
+    break;
   case Kind::Node:
-    return hashCombine(H, N);
+    H = hashCombine(H, N);
+    break;
   case Kind::Edge:
-    return hashCombine(hashCombine(H, N), N2);
+    H = hashCombine(hashCombine(H, N), N2);
+    break;
   case Kind::Tuple:
     for (const Value *E : Elems)
       H = hashCombine(H, reinterpret_cast<uint64_t>(E));
-    return H;
+    break;
   case Kind::Option:
-    return hashCombine(H, reinterpret_cast<uint64_t>(Inner));
+    H = hashCombine(H, reinterpret_cast<uint64_t>(Inner));
+    break;
   case Kind::Map:
-    return hashCombine(hashCombine(H, MapRoot), KeyBits);
+    H = hashCombine(hashCombine(H, MapRoot), KeyBits);
+    break;
   case Kind::Closure:
-    return hashCombine(H, reinterpret_cast<uint64_t>(Closure.get()));
+    nv_unreachable("closures are not interned");
   }
-  nv_unreachable("covered switch");
+  // The intern table indexes by the low bits; fold the high ones in.
+  return H ^ (H >> 32);
 }
 
 bool Value::equals(const Value &O) const {
@@ -60,7 +67,7 @@ bool Value::equals(const Value &O) const {
   case Kind::Map:
     return MapRoot == O.MapRoot && KeyBits == O.KeyBits;
   case Kind::Closure:
-    return Closure.get() == O.Closure.get();
+    nv_unreachable("closures are not interned");
   }
   nv_unreachable("covered switch");
 }
@@ -97,36 +104,36 @@ std::string Value::str() const {
 }
 
 void ValueArena::remapMapRoots(const std::vector<BddManager::Ref> &Remap) {
-  // Map values hash by (MapRoot, KeyBits), so every affected entry must
-  // leave the table before any mutation and re-enter afterwards — doing it
-  // entry-by-entry could transiently alias a survivor with a dead value
-  // whose stale root happens to equal the survivor's new one.
-  std::vector<Value *> Maps;
-  for (Value &V : Storage) {
-    if (V.K != Value::Kind::Map || V.MapRoot == BddManager::InvalidRef)
-      continue;
-    Table.erase(&V);
-    Maps.push_back(&V);
-  }
-  for (Value *V : Maps) {
-    assert(V->MapRoot < Remap.size() && "map root past the remap table");
-    V->MapRoot = Remap[V->MapRoot];
-    if (V->MapRoot != BddManager::InvalidRef)
-      Table.insert(V);
-  }
+  // Map values hash by (MapRoot, KeyBits), so the table is rebuilt with
+  // every root already rewritten: re-inserting entry by entry could
+  // transiently alias a survivor with a dead value whose stale root happens
+  // to equal the survivor's new one. Every live map is in the table.
+  Table.rebuild([&](Value &V, uint64_t &H) {
+    if (V.K != Value::Kind::Map)
+      return true;
+    assert(V.MapRoot < Remap.size() && "map root past the remap table");
+    V.MapRoot = Remap[V.MapRoot];
+    H = V.hash();
+    return V.MapRoot != BddManager::InvalidRef;
+  });
 }
 
-const Value *ValueArena::intern(Value &&V) {
-  // Probe with a stack copy first to avoid growing storage on hits.
-  auto It = Table.find(&V);
-  if (It != Table.end())
-    return *It;
+Value *ValueArena::append(Value &&V) {
   // Safe point before the arena grows: hits stay free, and a throw here
   // leaves the arena and table untouched.
   if (Governor::active())
     Governor::pollSafePoint(GovSite::EvalAlloc);
   Storage.push_back(std::move(V));
-  const Value *P = &Storage.back();
-  Table.insert(P);
+  return &Storage.back();
+}
+
+const Value *ValueArena::intern(Value &&V) {
+  uint64_t H = V.hash();
+  if (Value *Hit = Table.find(H, [&](const Value &O) { return O.equals(V); }))
+    return Hit;
+  Value *P = append(std::move(V));
+  Table.insert(H, P);
   return P;
 }
+
+const Value *ValueArena::store(Value &&V) { return append(std::move(V)); }

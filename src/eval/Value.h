@@ -12,6 +12,12 @@
 /// values carry an abstract callable plus enough source information to
 /// evaluate them symbolically over key bits (the mapIte predicate path).
 ///
+/// Every value lives in its context's ValueArena until the context dies.
+/// Non-closure values are hash-consed through the arena's open-addressed
+/// intern table. Closures never enter it: NvContext's closure table makes
+/// compiled closures canonical per (Fun, captured values) before they are
+/// built, and the arena only stores them.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef NV_EVAL_VALUE_H
@@ -19,11 +25,11 @@
 
 #include "bdd/Mtbdd.h"
 #include "core/Type.h"
+#include "support/PtrTable.h"
 
 #include <deque>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 namespace nv {
@@ -90,9 +96,10 @@ public:
   bool isNone() const { return K == Kind::Option && !Inner; }
   bool isSome() const { return K == Kind::Option && Inner; }
 
-  /// Structural hash; maps hash by canonical root, closures by identity.
+  /// Structural hash; maps hash by canonical root. Closures have none:
+  /// they are canonical by construction and never interned.
   uint64_t hash() const;
-  /// Structural equality consistent with hash().
+  /// Structural equality consistent with hash() (not for closures).
   bool equals(const Value &O) const;
 
   /// Renders the value (maps print as "<map:N leaves>" without a context;
@@ -104,31 +111,30 @@ public:
 /// canonical: equal values get equal pointers.
 class ValueArena {
 public:
+  /// The canonical copy of \p V (not a closure).
   const Value *intern(Value &&V);
+  /// Stores \p V without interning: closures are canonical by construction
+  /// (NvContext's closure table).
+  const Value *store(Value &&V);
   size_t size() const { return Storage.size(); }
+  /// Values in the intern table (everything stored but closures and
+  /// collected maps).
+  size_t interned() const { return Table.size(); }
 
   /// GC support: rewrites every map value's MapRoot through \p Remap
-  /// (Remap[old] == BddManager::InvalidRef marks a collected root). Live
-  /// map values are re-hashed under their new root; dead ones are evicted
-  /// from the intern table and marked with an InvalidRef root. Evicted
-  /// values keep their storage (outstanding pointers stay valid) but are
-  /// never returned by intern() again, so a later map that reuses the same
-  /// Ref index gets a fresh canonical value instead of aliasing a corpse.
+  /// (Remap[old] == BddManager::InvalidRef marks a collected root) and
+  /// rebuilds the intern table, live maps under their new root. Dead maps
+  /// get an InvalidRef root and do not re-enter the table. They keep their
+  /// storage (outstanding pointers stay valid) but intern() never returns
+  /// them again, so a later map that reuses the same Ref index gets a fresh
+  /// canonical value instead of aliasing a corpse.
   void remapMapRoots(const std::vector<BddManager::Ref> &Remap);
 
 private:
-  struct PtrHash {
-    size_t operator()(const Value *V) const {
-      return static_cast<size_t>(V->hash());
-    }
-  };
-  struct PtrEq {
-    bool operator()(const Value *A, const Value *B) const {
-      return A->equals(*B);
-    }
-  };
   std::deque<Value> Storage;
-  std::unordered_set<const Value *, PtrHash, PtrEq> Table;
+  PtrTable<Value> Table;
+
+  Value *append(Value &&V);
 };
 
 } // namespace nv

@@ -517,7 +517,8 @@ FuzzInstance nv::renderSpec(const FuzzSpec &Spec, DiagnosticEngine &Diags) {
   I.SmtComparable = Spec.Policy == PolicyKind::SpOption ||
                     Spec.Policy == PolicyKind::SpWeights ||
                     Spec.Policy == PolicyKind::TupleLex;
-  // Fig. 5's transform needs an option attribute for the None drop value.
+  // The FT legs cover the option-attribute families. The dict families
+  // (drop value createDict (None)) are not wired into them yet.
   I.FtComparable = Spec.Policy == PolicyKind::SpOption ||
                    Spec.Policy == PolicyKind::SpWeights ||
                    Spec.Policy == PolicyKind::TupleLex ||

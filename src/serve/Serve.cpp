@@ -808,7 +808,7 @@ Json ServeCore::doFt(ServeSession &S, const Json &Req, const std::string &Id,
   FtOptions Opts;
   Opts.LinkFailures = static_cast<unsigned>(Req.getNumber("links", 1));
   Opts.NodeFailure = Req.getBool("node", false);
-  Opts.DropValueSource = Req.getString("drop_value", "None");
+  Opts.DropValueSource = Req.getString("drop_value", "");
   Opts.Threads = 1; // parallelism comes from concurrent requests
   applyBudget(Req, Opts.Budget, Cancel);
   bool Native = Req.getBool("native", false);

@@ -2,6 +2,7 @@
 
 #include "core/Parser.h"
 #include "core/TypeChecker.h"
+#include "eval/Compile.h"
 #include "eval/Interp.h"
 #include "eval/NvContext.h"
 #include "eval/ProgramEvaluator.h"
@@ -128,6 +129,47 @@ TEST(Interp, MapEqualityIsCanonical) {
   EXPECT_EQ(evalStrS(Ctx, "let a : set[int8] = {1u8} in "
                           "let b : set[int8] = {2u8} in a = b"),
             "false");
+}
+
+//===----------------------------------------------------------------------===//
+// Closure table
+//===----------------------------------------------------------------------===//
+
+TEST(ClosureTable, OneCompiledClosurePerCapturedValues) {
+  NvContext Ctx(4);
+  DiagnosticEngine Diags;
+  ExprPtr E = parseExprString("fun (y : int) -> fun (x : int) -> x + y", Diags);
+  ASSERT_TRUE(E && typeCheckExpr(E, Diags)) << Diags.str();
+  Frame F;
+  const Value *Outer = Compiler(Ctx).compile(E)(F);
+  auto Inner = [&](const Value *Fn, uint64_t Y) {
+    return Ctx.applyClosure(Fn, Ctx.intV(Y));
+  };
+
+  // Equal captured values: the same closure, so the same op-cache id.
+  const Value *A = Inner(Outer, 1), *B = Inner(Outer, 1);
+  EXPECT_EQ(A, B);
+  EXPECT_EQ(A->Closure->cacheKey(), B->Closure->cacheKey());
+  // Different captured values: a different closure and id, each calling
+  // with its own capture.
+  const Value *D = Inner(Outer, 2);
+  EXPECT_NE(A, D);
+  EXPECT_NE(A->Closure->cacheKey(), D->Closure->cacheKey());
+  EXPECT_EQ(Ctx.applyClosure(A, Ctx.intV(5))->I, 6u);
+  EXPECT_EQ(Ctx.applyClosure(D, Ctx.intV(5))->I, 7u);
+  EXPECT_EQ(Ctx.closures(), 3u); // Outer, y = 1, y = 2
+  EXPECT_EQ(Ctx.closuresCreated(), 4u);
+
+  // A second compilation of the same Fun (another evaluator on the same
+  // context) shares the closures, and an interpreted closure over equal
+  // captured values shares the id: ids keep one meaning per context.
+  EXPECT_EQ(Inner(Compiler(Ctx).compile(E)(F), 1), A);
+  Interp I(Ctx);
+  const Value *IA = Inner(I.eval(E.get(), nullptr), 1);
+  EXPECT_NE(IA, A);
+  EXPECT_EQ(IA->Closure->cacheKey(), A->Closure->cacheKey());
+  EXPECT_NE(Inner(I.eval(E.get(), nullptr), 2)->Closure->cacheKey(),
+            A->Closure->cacheKey());
 }
 
 //===----------------------------------------------------------------------===//

@@ -86,7 +86,8 @@ void expectMatchesNaive(const std::string &Src, const FtOptions &Opts) {
 
   InterpProgramEvaluator BaseEval(Ctx, P);
   for (const FtScenario &S : enumerateScenarios(P, Opts)) {
-    SimResult NaiveR = simulateScenario(P, BaseEval, S, Ctx.noneV());
+    SimResult NaiveR =
+        simulateScenario(P, BaseEval, S, defaultDropValue(Ctx, P.AttrType));
     ASSERT_TRUE(NaiveR.Converged) << S.str();
     const Value *Key = scenarioKey(Ctx, S, Opts);
     for (uint32_t U = 0; U < P.numNodes(); ++U) {
@@ -477,6 +478,52 @@ TEST(FaultTolerance, NodeOnlyMatchesNaive) {
   Opts.LinkFailures = 0;
   expectMatchesNaive(spProgram(5, {{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}}),
                      Opts);
+}
+
+TEST(FaultTolerance, DropValueIsDerivedFromTheAttributeType) {
+  // Shortest paths per prefix, a dict of option routes: the shape the
+  // route-map frontend emits.
+  const char *DictSrc = R"nv(
+type attribute = dict[int2, option[int]]
+let nodes = 4
+let edges = {0n=1n;0n=2n;1n=3n;2n=3n}
+let init (u : node) : attribute =
+  let m : attribute = createDict None in
+  match u with | 0n -> m[1u2 := Some 0] | 3n -> m[2u2 := Some 0] | _ -> m
+let trans (e : edge) (x : attribute) =
+  map (fun (v : option[int]) ->
+         match v with | None -> None | Some d -> Some (d + 1)) x
+let merge (u : node) (x : attribute) (y : attribute) =
+  combine (fun (a : option[int]) (b : option[int]) ->
+             match a, b with
+             | _, None -> a
+             | None, _ -> b
+             | Some p, Some q -> if p <= q then a else b) x y
+let assert (u : node) (x : attribute) =
+  match x[1u2] with | None -> false | Some d -> d < 2
+)nv";
+  std::string Error;
+  EXPECT_EQ(defaultDropSource(parseAndCheck(spProgram(4, Line)).AttrType,
+                              Error),
+            "None");
+  Program Dict = parseAndCheck(DictSrc);
+  EXPECT_EQ(defaultDropSource(Dict.AttrType, Error), "createDict (None)");
+  for (bool Node : {false, true}) {
+    SCOPED_TRACE(Node ? "node" : "links only");
+    FtOptions Opts;
+    Opts.NodeFailure = Node;
+    expectMatchesNaive(DictSrc, Opts);
+  }
+
+  Program Int = parseAndCheck("let nodes = 2\nlet edges = {0n=1n}\n"
+                              "let init (u : node) = 0\n"
+                              "let trans (e : edge) (x : int) = x + 1\n"
+                              "let merge (u : node) (x : int) (y : int) = x\n");
+  EXPECT_EQ(defaultDropSource(Int.AttrType, Error), "");
+  EXPECT_NE(Error.find("attribute type int"), std::string::npos) << Error;
+  DiagnosticEngine Diags;
+  EXPECT_FALSE(makeFaultTolerantProgram(Int, FtOptions{}, Diags));
+  EXPECT_NE(Diags.str().find("attribute type int"), std::string::npos);
 }
 
 TEST(FaultTolerance, BgpPolicyMatchesNaive) {

@@ -1,10 +1,12 @@
 //===- GcTests.cpp - MTBDD garbage-collection tests --------------------------===//
 //
 // Stress tests of the mark-and-sweep collector: pinned state survives a
-// sweep + remap with identical observable behaviour, a stress watermark
+// sweep + remap with identical observable behaviour, the value arena's
+// intern table is rebuilt under the remapped roots, a stress watermark
 // (collect at every safe point) leaves every analysis bit-identical to a
-// GC-off run at any pool size, and the cross-scenario reuse loops return
-// the node count to the pinned baseline after every scenario.
+// GC-off run at any pool size, the cross-scenario reuse loops return the
+// node count to the pinned baseline after every scenario, and a context
+// reused across analyses answers exactly as fresh ones do.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,10 +16,12 @@
 #include "core/Parser.h"
 #include "core/TypeChecker.h"
 #include "eval/ProgramEvaluator.h"
+#include "net/Generators.h"
 #include "sim/Simulator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <tuple>
 
@@ -136,6 +140,63 @@ TEST(Gc, PinnedLabelsSurviveSweepAndRemap) {
     Ctx.unpinValue(L);
 }
 
+TEST(Gc, InternTableRebuildFindsSurvivorsAndDropsDeadMaps) {
+  using Ref = BddManager::Ref;
+  auto MapAt = [](Ref Root) {
+    Value V;
+    V.K = Value::Kind::Map;
+    V.MapRoot = Root;
+    V.KeyBits = 8;
+    return V;
+  };
+  auto IntOf = [](uint64_t I) {
+    Value V;
+    V.K = Value::Kind::Int;
+    V.I = I;
+    return V;
+  };
+  // Enough values to grow the table from its initial size several times.
+  constexpr Ref N = 1000;
+  ValueArena A;
+  std::vector<const Value *> Maps, Ints;
+  for (Ref R = 0; R < N; ++R) {
+    Maps.push_back(A.intern(MapAt(R)));
+    Ints.push_back(A.intern(IntOf(R)));
+  }
+  ASSERT_EQ(A.interned(), 2 * size_t(N));
+
+  // Even roots die; odd root R moves to R / 2, a root an even map used to
+  // hold, so a stale entry would alias a survivor.
+  std::vector<Ref> Remap(N, BddManager::InvalidRef);
+  for (Ref R = 1; R < N; R += 2)
+    Remap[R] = R / 2;
+  A.remapMapRoots(Remap);
+  EXPECT_EQ(A.interned(), N + size_t(N) / 2);
+
+  auto IsDead = [&](const Value *V) {
+    for (Ref R = 0; R < N; R += 2)
+      if (Maps[R] == V)
+        return true;
+    return false;
+  };
+  for (Ref R = 0; R < N; ++R) {
+    EXPECT_EQ(A.intern(IntOf(R)), Ints[R]);
+    if (R % 2) {
+      EXPECT_EQ(Maps[R]->MapRoot, R / 2);
+      EXPECT_EQ(A.intern(MapAt(R / 2)), Maps[R]) << "survivor " << R;
+    } else {
+      EXPECT_EQ(Maps[R]->MapRoot, BddManager::InvalidRef);
+    }
+  }
+  // Roots only dead maps held, and the dead maps' own InvalidRef root,
+  // get fresh values.
+  for (Ref R : {Ref(N / 2), Ref(N - 2), BddManager::InvalidRef}) {
+    const Value *Fresh = A.intern(MapAt(R));
+    EXPECT_FALSE(IsDead(Fresh)) << R;
+    EXPECT_EQ(Fresh->MapRoot, R);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Stress watermark: bit-identical results at any pool size
 //===----------------------------------------------------------------------===//
@@ -219,6 +280,36 @@ TEST(Gc, NodeCountReturnsToPinnedBaselineBetweenScenarios) {
       EXPECT_EQ(Ctx.Mgr.numNodes(), Baseline) << "run " << Run;
   }
   EXPECT_EQ(Ctx.Mgr.gcStats().FloorAfterLastGc, Baseline);
+}
+
+// One context reused across analyses (nv serve, fig13b, NaiveFailures):
+// each run transforms a new meta-program, so Fun nodes of a freed program
+// can be reallocated at the same addresses. The closure table must never
+// hand a new run a closure or op-cache id of an old one.
+TEST(Gc, ReusedContextMatchesFreshContexts) {
+  DiagnosticEngine Diags;
+  auto P = loadGenerated(generateFatSingle(4), Diags);
+  ASSERT_TRUE(P.has_value()) << Diags.str();
+  NvContext Ctx(P->numNodes());
+  size_t Violations = 0;
+  for (int Round = 0; Round < 3; ++Round)
+    for (unsigned Links : {1u, 2u, 3u})
+      for (bool Node : {false, true}) {
+        FtOptions Opts;
+        Opts.LinkFailures = Links;
+        Opts.NodeFailure = Node;
+        FtRunResult Fresh =
+            runFaultTolerance(*P, Opts, /*Compiled=*/true, Diags);
+        FtRunResult Reused = runFaultTolerance(*P, Opts, /*Compiled=*/true,
+                                               Diags, true, &Ctx);
+        ASSERT_TRUE(Fresh.Converged && Reused.Converged) << Diags.str();
+        EXPECT_EQ(Reused.Stats.Pops, Fresh.Stats.Pops);
+        EXPECT_EQ(violationKeys(Reused.Check), violationKeys(Fresh.Check))
+            << "round " << Round << ", " << Links << " links"
+            << (Node ? " + node" : "");
+        Violations += Fresh.Check.Violations.size();
+      }
+  EXPECT_GT(Violations, 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -31,8 +31,10 @@ ART=fleet-chaos-artifacts
 mkdir -p "$ART"
 
 NET="$ART/net.nv"
-# Seed-derived fat tree (deterministic): 528 two-failure scenarios —
-# enough sharded runway for a dozen SIGKILLs to land mid-job.
+# Seed-derived fat tree (deterministic): 528 two-failure scenarios for
+# the stages below, and 5,984 three-failure scenarios (about 0.6 s of
+# fleet work) for the killer loop, enough runway for a dozen SIGKILLs to
+# land mid-job.
 "$NV_FUZZ" --emit 12 > "$NET"
 
 strip_ms() { grep -v '_ms' "$1"; }
@@ -52,6 +54,10 @@ REF_NAIVE=0
 "$NV" naive "$NET" --links 2 --threads 4 --json "$ART/ref-naive.json" \
   > /dev/null || REF_NAIVE=$?
 [ "$REF_NAIVE" -le 1 ] || fail "naive reference died (exit $REF_NAIVE)"
+REF_KILL=0
+"$NV" naive "$NET" --links 3 --threads 4 --json "$ART/ref-kill.json" \
+  > /dev/null || REF_KILL=$?
+[ "$REF_KILL" -le 1 ] || fail "3-link naive reference died (exit $REF_KILL)"
 REF_FT=0
 "$NV" ft "$NET" --links 2 --threads 4 --json "$ART/ref-ft.json" \
   > /dev/null || REF_FT=$?
@@ -69,7 +75,7 @@ echo "ok: references (naive exit $REF_NAIVE, ft exit $REF_FT)"
 echo "== killer loop: SIGKILL up to $KILLS workers mid-run"
 env NV_FLEET_POISON_THRESHOLD=1000 \
   NV_FLEET_BACKOFF_BASE_MS=10 NV_FLEET_BACKOFF_CAP_MS=80 \
-  "$NV" naive "$NET" --links 2 --workers 3 --json "$ART/kill.json" \
+  "$NV" naive "$NET" --links 3 --workers 3 --json "$ART/kill.json" \
   > "$ART/kill.out" 2> "$ART/kill.err" &
 PID=$!
 KILLED=0
@@ -94,14 +100,14 @@ GOT=0
 wait "$PID" || GOT=$?
 echo "killed $KILLED workers"
 [ "$KILLED" -ge 2 ] || fail "killer loop landed only $KILLED kills"
-[ "$GOT" -eq "$REF_NAIVE" ] || {
+[ "$GOT" -eq "$REF_KILL" ] || {
   cat "$ART/kill.err" >&2
-  fail "chaos run exit $GOT != reference $REF_NAIVE"
+  fail "chaos run exit $GOT != reference $REF_KILL"
 }
 DEATHS=$(sed -n 's/^fleet: .* \([0-9]*\) deaths.*/\1/p' "$ART/kill.out")
 [ -n "$DEATHS" ] && [ "$DEATHS" -ge 1 ] \
   || fail "fleet stats report no worker deaths after $KILLED SIGKILLs"
-diff <(strip_ms "$ART/ref-naive.json") <(strip_ms "$ART/kill.json") \
+diff <(strip_ms "$ART/ref-kill.json") <(strip_ms "$ART/kill.json") \
   || fail "post-chaos aggregate differs from in-process reference"
 echo "ok: $KILLED SIGKILLs, $DEATHS deaths survived, aggregate identical"
 

@@ -6,9 +6,10 @@
 # the resumed aggregate must be identical modulo the *_ms timing fields.
 # Also proves the journal failure modes (torn tail tolerated, interior
 # corruption and binding mismatch hard exit 2), retry semantics under
-# NV_FAULT_INJECT, that `nv ft` agrees with the naive reference, that a
-# fleet ft journal resumes in process, and that replaying tests/corpus
-# twice under --resume shows no fingerprint drift.
+# NV_FAULT_INJECT, that `nv ft` agrees with the naive reference (also on
+# a dict-attribute route-map instance), that a fleet ft journal resumes in
+# process, and that replaying tests/corpus twice under --resume shows no
+# fingerprint drift.
 #
 # Usage: tools/ci/resume.sh [BUILD_DIR]
 set -euo pipefail
@@ -66,6 +67,27 @@ FT_CODE=0
 diff <(json_fields "$WORK/ref.json") <(json_fields "$WORK/ftcheck.json") \
   || fail "ft scenarios/violations/hash differ from the naive reference"
 echo "ok: ft matches naive (scenarios, violations, violations_hash)"
+
+echo "== ft agrees with naive on a dict attribute (route-map-cfg) =="
+# Seed 7 is a route-map-cfg instance: its attribute is a dict of option
+# routes, so both engines derive the drop value createDict (None).
+RMAP="$WORK/rmap.nv"
+"$NV_FUZZ" --emit 7 > "$RMAP"
+RM_FT=0
+RM_NAIVE=0
+"$NV" ft "$RMAP" --links 1 --json "$WORK/rmft.json" > /dev/null || RM_FT=$?
+"$NV" naive "$RMAP" --links 1 --json "$WORK/rmnaive.json" > /dev/null \
+  || RM_NAIVE=$?
+[ "$RM_FT" -le 1 ] || fail "route-map ft died (exit $RM_FT)"
+[ "$RM_FT" -eq "$RM_NAIVE" ] \
+  || fail "route-map ft exit $RM_FT != naive $RM_NAIVE"
+grep -q '"skipped": 0,' "$WORK/rmnaive.json" \
+  || fail "route-map naive skipped scenarios"
+[ "$(json_fields "$WORK/rmft.json" | wc -l)" -eq 3 ] \
+  || fail "route-map ft JSON lacks scenarios/violations/violations_hash"
+diff <(json_fields "$WORK/rmnaive.json") <(json_fields "$WORK/rmft.json") \
+  || fail "route-map ft scenarios/violations/hash differ from naive"
+echo "ok: route-map ft matches naive, no scenario skipped"
 
 echo "== SIGTERM mid-flight =="
 J="$WORK/naive.journal"

@@ -474,7 +474,7 @@ int cmdWorker(const Program &P, const CliOptions &O) {
     auto Scenarios = enumerateScenarios(P, Opts);
     NvContext Ctx(P.numNodes());
     InterpProgramEvaluator Eval(Ctx, P);
-    const Value *Drop = Ctx.noneV();
+    const Value *Drop = defaultDropValue(Ctx, P.AttrType);
     Ctx.pinValue(Drop);
     return runFleetWorker([&](const FleetJob &J) -> UnitRecord {
       if (J.Key.size() < 2 || J.Key[0] != 's')
@@ -585,6 +585,12 @@ int runUnitFleet(const CliOptions &O, const char *Cmd, ResumeLog *Log,
 }
 
 int cmdNaive(const Program &P, const CliOptions &O) {
+  // Checked here so a fleet run fails once, not in every worker.
+  std::string DropError;
+  if (defaultDropSource(P.AttrType, DropError).empty()) {
+    std::fprintf(stderr, "nv: %s\n", DropError.c_str());
+    return 2;
+  }
   FtOptions Opts = ftOptionsFromCli(O);
   std::unique_ptr<ResumeLog> Log;
   int Ec = 0;
