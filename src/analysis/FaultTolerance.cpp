@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <charconv>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -113,6 +114,47 @@ std::string keyBinders(const FtOptions &Opts, std::string &NodeName,
   return Binder + ") = key in ";
 }
 
+/// C(NumLinks + K - 1, K) link combinations with repetition (K =
+/// LinkFailures), times NumNodes with a node failure; empty past
+/// MaxFtScenarios. \p Combos receives the combinations.
+std::optional<uint32_t> countScenarios(size_t NumLinks, uint32_t NumNodes,
+                                       const FtOptions &Opts,
+                                       uint64_t &Combos) {
+  unsigned K = Opts.LinkFailures;
+  Combos = K > 0 && NumLinks == 0 ? 0 : 1;
+  // C(M + I, I) = C(M + I - 1, I - 1) * (M + I) / I, exactly, and it
+  // never decreases with I, so the first value past the limit ends it.
+  if (K > 0 && NumLinks > 1)
+    for (uint64_t I = 1, M = NumLinks - 1; I <= K; ++I) {
+      Combos = uint64_t((unsigned __int128)Combos * (M + I) / I);
+      if (Combos > MaxFtScenarios)
+        return std::nullopt;
+    }
+  uint64_t Count = Combos * (Opts.NodeFailure ? NumNodes : 1);
+  if (Count > MaxFtScenarios)
+    return std::nullopt;
+  return uint32_t(Count);
+}
+
+/// Why \p NumLinks links and \p NumNodes nodes under \p Opts are past
+/// what an analysis indexes; empty when they are not.
+std::string scenarioSpaceError(size_t NumLinks, uint32_t NumNodes,
+                               const FtOptions &Opts) {
+  uint64_t Combos;
+  if (NumLinks > MaxFtLinks)
+    return "fault-tolerance analysis supports at most " +
+           std::to_string(MaxFtLinks) + " links";
+  if (!countScenarios(NumLinks, NumNodes, Opts, Combos))
+    return "fault-tolerance analysis supports at most " +
+           std::to_string(MaxFtScenarios) + " scenarios; " +
+           std::to_string(NumLinks) + " links at " +
+           std::to_string(Opts.LinkFailures) + " failures" +
+           (Opts.NodeFailure ? " and " + std::to_string(NumNodes) + " nodes"
+                             : std::string()) +
+           " give more";
+  return "";
+}
+
 } // namespace
 
 std::string nv::ftOptionsError(const FtOptions &Opts) {
@@ -169,9 +211,9 @@ std::optional<Program> nv::makeFaultTolerantProgram(const Program &P,
   }
 
   size_t NumLinks = P.links().size();
-  if (NumLinks > MaxFtLinks) {
-    Diags.error({}, "fault-tolerance analysis supports at most " +
-                        std::to_string(MaxFtLinks) + " links");
+  if (std::string E = scenarioSpaceError(NumLinks, P.numNodes(), Opts);
+      !E.empty()) {
+    Diags.error({}, E);
     return std::nullopt;
   }
 
@@ -272,16 +314,15 @@ std::string FtViolation::routeStr() const {
   return Route ? Route->str() : RouteText;
 }
 
-void nv::addViolationField(UnitRecord &R, size_t ScenarioIdx,
-                           const FtViolation &V) {
+void nv::addViolationField(UnitRecord &R, const FtViolation &V) {
   std::string Text = V.routeStr();
   // Journal records are line-based; route renderings are single-line today,
   // and this keeps the record well-formed if one ever is not.
   for (char &C : Text)
     if (C == '\n')
       C = ' ';
-  R.add("v", std::to_string(ScenarioIdx) + " " + std::to_string(V.Node) + " " +
-                 Text);
+  R.add("v", std::to_string(V.Scenario.Index) + " " + std::to_string(V.Node) +
+                 " " + Text);
 }
 
 std::string nv::ftViolationsHash(const std::vector<FtViolation> &Vs) {
@@ -292,63 +333,88 @@ std::string nv::ftViolationsHash(const std::vector<FtViolation> &Vs) {
   return fnv1a64Hex(Blob);
 }
 
-bool nv::parseViolationFields(const UnitRecord &R,
-                              const std::vector<FtScenario> &Scenarios,
-                              std::vector<std::pair<size_t, FtViolation>> &Out) {
+namespace {
+
+/// The decimal number V[Begin, End): digits only, no sign or space.
+bool parseDecimal(const std::string &V, size_t Begin, size_t End,
+                  uint64_t &Out) {
+  const char *First = V.data() + Begin, *Last = V.data() + End;
+  auto [Ptr, Ec] = std::from_chars(First, Last, Out);
+  return First != Last && Ec == std::errc() && Ptr == Last;
+}
+
+} // namespace
+
+bool nv::parseViolationFields(const UnitRecord &R, const FtScenarioSet &Set,
+                              size_t Begin, size_t End,
+                              std::vector<FtViolation> &Out) {
+  size_t From = Out.size();
   for (const std::string &V : R.all("v")) {
     size_t Sp1 = V.find(' ');
-    if (Sp1 == std::string::npos)
+    size_t Sp2 = Sp1 == std::string::npos ? Sp1 : V.find(' ', Sp1 + 1);
+    uint64_t Idx = 0, Node = 0;
+    if (Sp2 == std::string::npos || !parseDecimal(V, 0, Sp1, Idx) ||
+        !parseDecimal(V, Sp1 + 1, Sp2, Node) || Idx < Begin || Idx >= End ||
+        Idx >= Set.size() || Node >= Set.numNodes()) {
+      Out.resize(From);
       return false;
-    size_t Sp2 = V.find(' ', Sp1 + 1);
-    if (Sp2 == std::string::npos)
-      return false;
-    char *End = nullptr;
-    unsigned long long Idx = std::strtoull(V.c_str(), &End, 10);
-    unsigned long long Node = std::strtoull(V.c_str() + Sp1 + 1, &End, 10);
-    if (Idx >= Scenarios.size())
-      return false;
-    FtViolation Viol;
-    Viol.Scenario = Scenarios[Idx];
-    Viol.Node = uint32_t(Node);
-    Viol.Route = nullptr;
-    Viol.RouteText = V.substr(Sp2 + 1);
-    Out.emplace_back(size_t(Idx), std::move(Viol));
+    }
+    Out.push_back({{&Set, uint32_t(Idx)}, uint32_t(Node), nullptr,
+                   V.substr(Sp2 + 1)});
   }
   return true;
 }
 
-std::string FtScenario::str() const {
+namespace {
+
+/// "{node N; link U-V; ...}" over \p NumLinks links, \p At(F) giving link
+/// F's endpoints.
+template <typename LinkAtFn>
+std::string scenarioStr(std::optional<uint32_t> Node, size_t NumLinks,
+                        LinkAtFn At) {
   std::string S = "{";
   if (Node)
-    S += "node " + std::to_string(*Node) + (Links.empty() ? "" : "; ");
-  for (size_t I = 0; I < Links.size(); ++I) {
-    if (I)
+    S += "node " + std::to_string(*Node) + (NumLinks ? "; " : "");
+  for (size_t F = 0; F < NumLinks; ++F) {
+    auto [U, V] = At(F);
+    if (F)
       S += "; ";
-    S += "link " + std::to_string(Links[I].U) + "-" +
-         std::to_string(Links[I].V);
+    S += "link " + std::to_string(U) + "-" + std::to_string(V);
   }
   return S + "}";
 }
 
-std::vector<FtScenario> nv::enumerateScenarios(const Program &P,
-                                               const FtOptions &Opts) {
-  auto Links = P.links();
-  assert(Links.size() <= MaxFtLinks && "link index overflows FtLink");
-  unsigned K = Opts.LinkFailures, Bits = linkIndexBits(Links.size());
+} // namespace
 
-  // Combinations of links with repetition (repetition = fewer failures):
-  // the non-decreasing index sequences Cur, in lexicographic order.
-  std::vector<FtScenario> Combos;
-  std::vector<size_t> Cur(K, 0);
-  if (K == 0 || !Links.empty())
-    for (;;) {
-      FtScenario S;
-      S.Links.reserve(K);
-      for (size_t I : Cur)
-        S.Links.push_back(
-            {Links[I].first, Links[I].second, uint32_t(I), Bits});
-      Combos.push_back(std::move(S));
-      unsigned Pos = K;
+std::string FtScenario::str() const {
+  return scenarioStr(Node, Links.size(), [&](size_t F) {
+    return std::pair{Links[F].U, Links[F].V};
+  });
+}
+
+FtScenarioSet::FtScenarioSet(const Program &P, const FtOptions &Opts)
+    : Links(P.links()), NumNodes(P.numNodes()),
+      NodeFailure(Opts.NodeFailure), LinkFields(Opts.LinkFailures),
+      NodeBits(BitLayout(NumNodes).nodeBits()),
+      LinkBits(linkIndexBits(Links.size())) {
+  if (std::string E = scenarioSpaceError(Links.size(), NumNodes, Opts);
+      !E.empty())
+    evalError(E);
+  Count = *countScenarios(Links.size(), NumNodes, Opts, Combos);
+  Words = (scenarioKeyWidth(Opts, NodeBits, Links.size()) + 63) / 64;
+  Keys = std::make_unique_for_overwrite<uint64_t[]>(Count * Words);
+
+  // Per node (when one fails), the combinations of link indices with
+  // repetition: the non-decreasing sequences Cur, in lexicographic order.
+  uint64_t *Out = Keys.get();
+  std::vector<uint32_t> Cur(LinkFields);
+  for (uint32_t U = 0; U < (NodeFailure ? NumNodes : 1); ++U) {
+    std::fill(Cur.begin(), Cur.end(), 0);
+    for (uint64_t C = 0; C < Combos; ++C) {
+      packScenarioKey(NodeFailure ? std::optional(U) : std::nullopt, NodeBits,
+                      Cur, LinkBits, Out);
+      Out += Words;
+      unsigned Pos = LinkFields;
       while (Pos > 0 && Cur[Pos - 1] + 1 == Links.size())
         --Pos;
       if (Pos == 0)
@@ -356,16 +422,51 @@ std::vector<FtScenario> nv::enumerateScenarios(const Program &P,
       ++Cur[Pos - 1];
       std::fill(Cur.begin() + Pos, Cur.end(), Cur[Pos - 1]);
     }
+  }
+  assert(Out == Keys.get() + Count * Words && "scenario count mismatch");
+}
 
-  if (!Opts.NodeFailure)
-    return Combos;
+unsigned FtScenarioSet::firstDiff(size_t I, size_t J) const {
+  for (size_t K = 0; K < Words; ++K)
+    if (uint64_t X = Keys[I * Words + K] ^ Keys[J * Words + K])
+      return unsigned(K * 64 + std::countl_zero(X));
+  return ~0u;
+}
+
+uint32_t FtScenarioSet::linkIndex(size_t I, unsigned F) const {
+  unsigned Pos = (NodeFailure ? NodeBits : 0) + F * LinkBits;
+  size_t W = I * Words + Pos / 64;
+  // A field is at most 26 bits wide, so it spans at most two words.
+  unsigned __int128 Window = (unsigned __int128)Keys[W] << 64;
+  if (Pos / 64 + 1 < Words)
+    Window |= Keys[W + 1];
+  return uint32_t(Window >> (128 - Pos % 64 - LinkBits)) &
+         ((uint32_t(1) << LinkBits) - 1);
+}
+
+FtScenario FtScenarioSet::operator[](size_t I) const {
+  FtScenario S;
+  S.Node = node(I);
+  S.Links.reserve(LinkFields);
+  for (unsigned F = 0; F < LinkFields; ++F) {
+    uint32_t X = linkIndex(I, F);
+    S.Links.push_back({Links[X].first, Links[X].second, X, LinkBits});
+  }
+  return S;
+}
+
+std::string FtScenarioSet::str(size_t I) const {
+  return scenarioStr(node(I), LinkFields,
+                     [&](size_t F) { return Links[linkIndex(I, F)]; });
+}
+
+std::vector<FtScenario> nv::enumerateScenarios(const Program &P,
+                                               const FtOptions &Opts) {
+  FtScenarioSet Set(P, Opts);
   std::vector<FtScenario> Out;
-  Out.reserve(size_t(P.numNodes()) * Combos.size());
-  for (uint32_t U = 0; U < P.numNodes(); ++U)
-    for (const FtScenario &Combo : Combos) {
-      Out.push_back(Combo);
-      Out.back().Node = U;
-    }
+  Out.reserve(Set.size());
+  for (size_t I = 0; I < Set.size(); ++I)
+    Out.push_back(Set[I]);
   return Out;
 }
 
@@ -391,25 +492,30 @@ unsigned nv::scenarioKeyWidth(const FtOptions &Opts, unsigned NodeBits,
          linkIndexBits(NumLinks) * Opts.LinkFailures;
 }
 
-void nv::packScenarioKey(const FtScenario &S, const FtOptions &Opts,
-                         unsigned NodeBits, uint64_t *Words) {
-  unsigned Width = Opts.NodeFailure ? NodeBits : 0;
-  for (const FtLink &L : S.Links)
-    Width += L.IndexBits;
-  std::fill(Words, Words + (Width + 63) / 64, 0);
-  // Each field is at most 32 bits wide, so it spans at most two words.
-  unsigned Pos = 0;
+void nv::packScenarioKey(std::optional<uint32_t> Node, unsigned NodeBits,
+                         std::span<const uint32_t> LinkIndices,
+                         unsigned LinkBits, uint64_t *Words) {
+  // Acc holds the Fill < 64 bits not yet written. A field is at most 32
+  // bits wide, so it completes at most one word.
+  uint64_t Acc = 0;
+  unsigned Fill = 0;
   auto Put = [&](uint64_t X, unsigned Bits) {
-    unsigned Off = Pos % 64, Fit = std::min(Bits, 64 - Off);
-    Words[Pos / 64] |= (X >> (Bits - Fit)) << (64 - Off - Fit);
-    if (Fit < Bits)
-      Words[Pos / 64 + 1] |= X << (64 - (Bits - Fit));
-    Pos += Bits;
+    if (Fill + Bits < 64) {
+      Acc = Acc << Bits | X;
+      Fill += Bits;
+      return;
+    }
+    unsigned Rest = Fill + Bits - 64; // X's bits for the next word
+    *Words++ = Acc << (64 - Fill) | X >> Rest;
+    Acc = X & ((uint64_t(1) << Rest) - 1);
+    Fill = Rest;
   };
-  if (Opts.NodeFailure)
-    Put(S.Node.value_or(0), NodeBits);
-  for (const FtLink &L : S.Links)
-    Put(L.Index, L.IndexBits);
+  if (Node)
+    Put(*Node, NodeBits);
+  for (uint32_t L : LinkIndices)
+    Put(L, LinkBits);
+  if (Fill)
+    *Words = Acc << (64 - Fill);
 }
 
 //===----------------------------------------------------------------------===//
@@ -419,27 +525,6 @@ void nv::packScenarioKey(const FtScenario &S, const FtOptions &Opts,
 namespace {
 
 using Ref = BddManager::Ref;
-
-/// The scenario keys of a check, in enumeration order, which is key
-/// order, so keys sharing a prefix are contiguous: Words holds scenario
-/// I's key at [I*W, (I+1)*W).
-struct PackedKeys {
-  size_t W = 0;
-  std::vector<uint64_t> Words;
-
-  bool bit(size_t I, unsigned B) const {
-    return (Words[I * W + B / 64] >> (63 - B % 64)) & 1;
-  }
-
-  /// The first bit at which keys I <= J differ (~0u if none).
-  /// Every key between them shares the bits before it.
-  unsigned firstDiff(size_t I, size_t J) const {
-    for (size_t K = 0; K < W; ++K)
-      if (uint64_t X = Words[I * W + K] ^ Words[J * W + K])
-        return unsigned(K * 64 + std::countl_zero(X));
-    return ~0u;
-  }
-};
 
 /// The part of one node's label diagram that leads to a failing leaf,
 /// copied into a flat array: subdiagrams without a failing leaf are cut
@@ -487,7 +572,7 @@ struct FailingPart {
 
   /// Maps the keys [Lo, Hi) through node \p Id and appends a
   /// (scenario, route) hit for every key that lands on a failing leaf.
-  void descend(const PackedKeys &Keys, uint32_t Id, size_t Lo, size_t Hi,
+  void descend(const FtScenarioSet &Keys, uint32_t Id, size_t Lo, size_t Hi,
                std::vector<std::pair<uint32_t, const Value *>> &Out) const {
     // Follow the diagram down through the bits the whole range agrees on.
     unsigned D = Keys.firstDiff(Lo, Hi - 1);
@@ -524,7 +609,7 @@ struct FailingPart {
 } // namespace
 
 struct FtChecker::ImplTy {
-  std::vector<FtScenario> Scenarios;
+  std::shared_ptr<const FtScenarioSet> Scenarios;
   FtChunks Chunks;
   /// Roots the meta labels' diagrams for the checker's lifetime: the
   /// assert pre-pass interns fresh values, and if a collection fires the
@@ -542,11 +627,12 @@ struct FtChecker::ImplTy {
   ImplTy(NvContext &Ctx, const Program &BaseProgram,
          ProtocolEvaluator &BaseEval, const SimResult &Meta,
          const FtOptions &Opts, ThreadPool *Pool)
-      : Scenarios(enumerateScenarios(BaseProgram, Opts)),
-        Chunks(Scenarios.size(), Opts.CheckChunkSize), MetaRoots(Ctx.Mgr) {
+      : Scenarios(std::make_shared<const FtScenarioSet>(BaseProgram, Opts)),
+        Chunks(Scenarios->size(), Opts.CheckChunkSize), MetaRoots(Ctx.Mgr) {
+    const FtScenarioSet &Keys = *Scenarios;
     uint32_t N = BaseProgram.numNodes();
-    Offsets.assign(Scenarios.size() + 1, 0);
-    if (Scenarios.empty() || N == 0)
+    Offsets.assign(Keys.size() + 1, 0);
+    if (Keys.size() == 0 || N == 0)
       return;
     for (uint32_t U = 0; U < N; ++U) {
       assert(Meta.Labels[U]->K == Value::Kind::Map &&
@@ -564,18 +650,13 @@ struct FtChecker::ImplTy {
     for (uint32_t U = 0; U < N; ++U)
       Parts.emplace_back(Ctx.Mgr, BaseEval, U, Meta.Labels[U]->MapRoot);
 
-    // Scenario keys, encoded straight from node ids and link indices (no
-    // interning), already in key order.
-    unsigned NodeBits = Ctx.Layout.nodeBits();
-    unsigned Width =
-        scenarioKeyWidth(Opts, NodeBits, BaseProgram.links().size());
-    assert(Width == Meta.Labels[0]->KeyBits && "scenario key width mismatch");
-    PackedKeys Keys;
-    Keys.W = (Width + 63) / 64;
-    Keys.Words.resize(Scenarios.size() * Keys.W);
-    for (size_t I = 0; I < Scenarios.size(); ++I)
-      packScenarioKey(Scenarios[I], Opts, NodeBits, &Keys.Words[I * Keys.W]);
-    for (size_t I = 1; I < Scenarios.size(); ++I) {
+    // The set's keys were packed straight from node ids and link indices
+    // (no interning), already in key order.
+    assert(scenarioKeyWidth(Opts, Ctx.Layout.nodeBits(),
+                            BaseProgram.links().size()) ==
+               Meta.Labels[0]->KeyBits &&
+           "scenario key width mismatch");
+    for (size_t I = 1; I < Keys.size(); ++I) {
       // At the first bit where neighbours differ, the earlier key has a 0.
       [[maybe_unused]] unsigned D = Keys.firstDiff(I - 1, I);
       assert((D == ~0u || !Keys.bit(I - 1, D)) &&
@@ -587,8 +668,7 @@ struct FtChecker::ImplTy {
     std::vector<std::vector<std::pair<uint32_t, const Value *>>> PerNode(N);
     auto Descend = [&](size_t U) {
       if (Parts[U].Root != FailingPart::None)
-        Parts[U].descend(Keys, Parts[U].Root, 0, Scenarios.size(),
-                         PerNode[U]);
+        Parts[U].descend(Keys, Parts[U].Root, 0, Keys.size(), PerNode[U]);
     };
     if (Pool && Pool->numThreads() > 1)
       Pool->parallelFor(N, Descend);
@@ -596,24 +676,27 @@ struct FtChecker::ImplTy {
       for (uint32_t U = 0; U < N; ++U)
         Descend(U);
 
-    // Counting sort by scenario, visiting nodes in order, so each
-    // scenario's hits come out sorted by node. A failed node asserts
-    // nothing.
-    auto Exempt = [&](uint32_t S, uint32_t U) {
-      return Scenarios[S].Node && *Scenarios[S].Node == U;
-    };
+    // Counting sort by scenario, in place: Offsets[S] counts scenario S's
+    // hits, then (prefix sums) marks their end. Each node holds at most
+    // one hit per scenario, so filling the slots back to front with the
+    // nodes in reverse leaves them in node order and Offsets[S] at their
+    // start. A failed node asserts nothing.
+    auto Exempt = [&](uint32_t S, uint32_t U) { return Keys.node(S) == U; };
     for (uint32_t U = 0; U < N; ++U)
       for (const auto &[S, Route] : PerNode[U])
         if (!Exempt(S, U))
-          ++Offsets[S + 1];
-    for (size_t I = 0; I < Scenarios.size(); ++I)
-      Offsets[I + 1] += Offsets[I];
+          ++Offsets[S];
+    for (size_t I = 1; I <= Keys.size(); ++I)
+      Offsets[I] += Offsets[I - 1];
     Hits.resize(Offsets.back());
-    std::vector<size_t> Next(Offsets.begin(), Offsets.end() - 1);
-    for (uint32_t U = 0; U < N; ++U)
+    for (uint32_t U = N; U-- > 0;)
       for (const auto &[S, Route] : PerNode[U])
         if (!Exempt(S, U))
-          Hits[Next[S]++] = {U, Route};
+          Hits[--Offsets[S]] = {U, Route};
+  }
+
+  FtViolation violation(size_t I, size_t H) const {
+    return {{Scenarios.get(), uint32_t(I)}, Hits[H].Node, Hits[H].Route, {}};
   }
 };
 
@@ -625,16 +708,17 @@ FtChecker::FtChecker(NvContext &Ctx, const Program &BaseProgram,
 
 FtChecker::~FtChecker() = default;
 
-const std::vector<FtScenario> &FtChecker::scenarios() const {
+const std::shared_ptr<const FtScenarioSet> &FtChecker::scenarios() const {
   return Impl->Scenarios;
 }
 
 const FtChunks &FtChecker::chunks() const { return Impl->Chunks; }
 
+size_t FtChecker::numViolations() const { return Impl->Hits.size(); }
+
 void FtChecker::checkScenario(size_t I, std::vector<FtViolation> &Out) const {
   for (size_t H = Impl->Offsets[I]; H < Impl->Offsets[I + 1]; ++H)
-    Out.push_back(
-        {Impl->Scenarios[I], Impl->Hits[H].Node, Impl->Hits[H].Route, {}});
+    Out.push_back(Impl->violation(I, H));
 }
 
 UnitRecord FtChecker::checkChunk(size_t C) const {
@@ -643,9 +727,7 @@ UnitRecord FtChecker::checkChunk(size_t C) const {
   Rec.add("status", "ok");
   for (size_t I = Impl->Chunks.begin(C); I < Impl->Chunks.end(C); ++I)
     for (size_t H = Impl->Offsets[I]; H < Impl->Offsets[I + 1]; ++H)
-      addViolationField(
-          Rec, I,
-          {Impl->Scenarios[I], Impl->Hits[H].Node, Impl->Hits[H].Route, {}});
+      addViolationField(Rec, Impl->violation(I, H));
   return Rec;
 }
 
@@ -672,18 +754,18 @@ std::vector<size_t> FtChunks::missing(const ResumeLog *Log,
   return Out;
 }
 
-bool nv::aggregateFtChunkRecords(const std::vector<FtScenario> &Scenarios,
-                                 unsigned ChunkSize,
-                                 const RecordLookup &Lookup,
-                                 FtCheckResult &Out) {
-  FtChunks Chunks(Scenarios.size(), ChunkSize);
+bool nv::aggregateFtChunkRecords(
+    const std::shared_ptr<const FtScenarioSet> &Scenarios, unsigned ChunkSize,
+    const RecordLookup &Lookup, FtCheckResult &Out) {
+  Out.Scenarios = Scenarios;
+  FtChunks Chunks(Scenarios->size(), ChunkSize);
   for (size_t C = 0; C < Chunks.count(); ++C) {
     UnitRecord Rec;
     RunOutcome O;
     unsigned Attempts = 1;
-    std::vector<std::pair<size_t, FtViolation>> Vs;
     if (!Lookup(FtChunks::key(C), Rec) || !parseOutcome(Rec, O, Attempts) ||
-        (O.ok() && !parseViolationFields(Rec, Scenarios, Vs)))
+        (O.ok() && !parseViolationFields(Rec, *Scenarios, Chunks.begin(C),
+                                         Chunks.end(C), Out.Violations)))
       return false;
     Out.ScenariosChecked += Chunks.end(C) - Chunks.begin(C);
     if (!O.ok()) {
@@ -693,8 +775,6 @@ bool nv::aggregateFtChunkRecords(const std::vector<FtScenario> &Scenarios,
       if (Out.Outcome.ok())
         Out.Outcome = O;
     }
-    for (auto &IV : Vs)
-      Out.Violations.push_back(std::move(IV.second));
   }
   return true;
 }
@@ -708,9 +788,11 @@ FtCheckResult nv::checkFaultTolerance(NvContext &Ctx,
   FtCheckResult R;
   FtChecker Checker(Ctx, BaseProgram, BaseEval, MetaResult, Opts, Pool);
   const auto &Scenarios = Checker.scenarios();
+  R.Scenarios = Scenarios;
   if (!Opts.Resume) {
-    R.ScenariosChecked = Scenarios.size();
-    for (size_t I = 0; I < Scenarios.size(); ++I)
+    R.ScenariosChecked = Scenarios->size();
+    R.Violations.reserve(Checker.numViolations());
+    for (size_t I = 0; I < Scenarios->size(); ++I)
       Checker.checkScenario(I, R.Violations);
     return R;
   }

@@ -26,9 +26,14 @@
 ///
 /// A key containing the same link twice models a smaller failure set, so
 /// the key space covers "at most k failures". Indices past the last link
-/// behave like the failure-free scenario and share leaves. Scenarios come
-/// out of enumerateScenarios in key order: the node field first, then
-/// non-decreasing link indices, each MSB first.
+/// behave like the failure-free scenario and share leaves.
+///
+/// A scenario is its index in an FtScenarioSet: one packed key per
+/// scenario, in key order (the node field first, then non-decreasing link
+/// indices, each MSB first), decoded only when a scenario is printed or
+/// simulated on its own. A violation names its scenario by reference (set
+/// and index), and FtCheckResult keeps the set alive. Journal and fleet
+/// records name scenarios by index too.
 ///
 /// One pipeline runs it: PreparedFt holds the meta-program and its
 /// evaluators, built once per context and options, and simulates then
@@ -52,6 +57,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 
 namespace nv {
 
@@ -119,10 +125,14 @@ std::optional<Program> makeFaultTolerantProgram(const Program &P,
 /// fit FtLink::Index.
 constexpr size_t MaxFtLinks = size_t(1) << 26;
 
+/// Upper bound on the scenarios of one analysis. A scenario's index is
+/// its identity (FtScenarioRef, journal and fleet keys, the check's hit
+/// arrays), and it is a uint32_t.
+constexpr uint64_t MaxFtScenarios = UINT32_MAX;
+
 /// One failed link: its endpoints as declared, and its position in
 /// Program::links(), which the scenario key encodes in an IndexBits-wide
-/// int field. Twelve bytes, so a two-link scenario's array stays in the
-/// same heap size class as a pair of node ids per link.
+/// int field.
 struct FtLink {
   uint32_t U, V;
   uint32_t Index : 26;
@@ -130,23 +140,14 @@ struct FtLink {
 };
 static_assert(sizeof(FtLink) == 12);
 
-/// One concrete failure scenario.
+/// One concrete failure scenario, decoded: what the per-scenario naive
+/// baselines inject.
 struct FtScenario {
   std::vector<FtLink> Links; ///< LinkFailures entries.
   std::optional<uint32_t> Node;
 
   std::string str() const;
 };
-
-/// Enumerates all scenarios of the key space that name real topology
-/// links (combinations with repetition, covering "at most k" failures),
-/// in key order.
-std::vector<FtScenario> enumerateScenarios(const Program &P,
-                                           const FtOptions &Opts);
-
-/// The dict key value of a scenario.
-const Value *scenarioKey(NvContext &Ctx, const FtScenario &S,
-                         const FtOptions &Opts);
 
 /// Bits of one link field of a scenario key: ceil(log2 NumLinks), at
 /// least 1.
@@ -157,17 +158,90 @@ unsigned linkIndexBits(size_t NumLinks);
 unsigned scenarioKeyWidth(const FtOptions &Opts, unsigned NodeBits,
                           size_t NumLinks);
 
-/// Writes the bits of \p S's key straight from its node id and link
-/// indices, without interning anything: bit for bit what
-/// encodeValue(scenarioKey(...)) produces (node first, then each link
-/// index, each MSB first). \p Words receives ceil(scenarioKeyWidth / 64)
+/// Writes the bits of a scenario key straight from its failed node (when
+/// \p Node is set) and its link indices, without interning anything: bit
+/// for bit what encodeValue(scenarioKey(...)) produces (node first, then
+/// each link index, each MSB first). \p Words receives ceil(width / 64)
 /// words, packed MSB first: key bit 0 is bit 63 of Words[0], so comparing
 /// the words as unsigned integers orders keys lexicographically by bit.
-void packScenarioKey(const FtScenario &S, const FtOptions &Opts,
-                     unsigned NodeBits, uint64_t *Words);
+void packScenarioKey(std::optional<uint32_t> Node, unsigned NodeBits,
+                     std::span<const uint32_t> LinkIndices, unsigned LinkBits,
+                     uint64_t *Words);
+
+/// Every scenario of an analysis, by index. Built once from (program,
+/// options): the links table and one packed key per scenario
+/// (packScenarioKey), in one exactly-sized array in key order, which is
+/// the enumeration order: the node field first, then non-decreasing link
+/// indices (combinations with repetition, covering "at most k" failures),
+/// each MSB first. That is C(|links| + k - 1, k) scenarios (k =
+/// LinkFailures; none when k > 0 and there are no links), times the node
+/// count with NodeFailure. A scenario is its index; operator[] and str()
+/// decode its key on demand.
+class FtScenarioSet {
+public:
+  /// An EngineError (evalError) when \p P has more scenarios than
+  /// MaxFtScenarios or more links than MaxFtLinks.
+  FtScenarioSet(const Program &P, const FtOptions &Opts);
+
+  size_t size() const { return Count; }
+  uint32_t numNodes() const { return NumNodes; }
+
+  /// Scenario \p I's packed key.
+  std::span<const uint64_t> key(size_t I) const {
+    return {Keys.get() + I * Words, Words};
+  }
+  /// Bit \p B of scenario \p I's key.
+  bool bit(size_t I, unsigned B) const {
+    return (Keys[I * Words + B / 64] >> (63 - B % 64)) & 1;
+  }
+  /// The first bit at which the keys of scenarios \p I <= \p J differ
+  /// (~0u if none). Every key between them shares the bits before it.
+  unsigned firstDiff(size_t I, size_t J) const;
+
+  /// Scenario \p I's failed node (NodeFailure only).
+  std::optional<uint32_t> node(size_t I) const {
+    if (!NodeFailure)
+      return std::nullopt;
+    return uint32_t(I / Combos);
+  }
+  /// Scenario \p I, decoded.
+  FtScenario operator[](size_t I) const;
+  /// Scenario \p I's rendering: (*this)[I].str(), without building it.
+  std::string str(size_t I) const;
+
+private:
+  /// Link field \p F of scenario \p I's key.
+  uint32_t linkIndex(size_t I, unsigned F) const;
+
+  std::vector<std::pair<uint32_t, uint32_t>> Links;
+  uint32_t NumNodes;
+  bool NodeFailure;
+  unsigned LinkFields, NodeBits, LinkBits;
+  size_t Combos = 0, Count = 0, Words = 0;
+  std::unique_ptr<uint64_t[]> Keys;
+};
+
+/// Materializes every scenario of \p P under \p Opts, in key order:
+/// FtScenarioSet's scenarios, decoded.
+std::vector<FtScenario> enumerateScenarios(const Program &P,
+                                           const FtOptions &Opts);
+
+/// The dict key value of a scenario.
+const Value *scenarioKey(NvContext &Ctx, const FtScenario &S,
+                         const FtOptions &Opts);
+
+/// A scenario by reference: its index in a set that the holder keeps
+/// alive (FtCheckResult::Scenarios).
+struct FtScenarioRef {
+  const FtScenarioSet *Set = nullptr;
+  uint32_t Index = 0;
+
+  std::string str() const { return Set->str(Index); }
+};
+static_assert(sizeof(FtScenarioRef) == 16);
 
 struct FtViolation {
-  FtScenario Scenario;
+  FtScenarioRef Scenario;
   uint32_t Node;
   const Value *Route; ///< The route selected under the scenario; null when
                       ///< the violation was replayed from a journal.
@@ -182,14 +256,16 @@ struct FtViolation {
 
 /// Serializes one violation into \p R as a "v" field
 /// ("<scenarioIdx> <node> <routeText>").
-void addViolationField(UnitRecord &R, size_t ScenarioIdx,
-                       const FtViolation &V);
-/// Parses every "v" field of \p R back into (scenarioIdx, violation) pairs
-/// (Route null, RouteText filled, Scenario resolved from \p Scenarios).
-/// Returns false on malformed fields or out-of-range scenario indices.
-bool parseViolationFields(const UnitRecord &R,
-                          const std::vector<FtScenario> &Scenarios,
-                          std::vector<std::pair<size_t, FtViolation>> &Out);
+void addViolationField(UnitRecord &R, const FtViolation &V);
+/// Parses every "v" field of \p R, the record of scenarios [\p Begin,
+/// \p End) of \p Set, and appends the violations to \p Out (Route null,
+/// RouteText filled, Scenario pointing into \p Set). Returns false, \p Out
+/// unchanged, at a malformed field: an index or node that is not a
+/// decimal number followed by one space, an index outside the record's
+/// scenarios, or a node id past the set's node count.
+bool parseViolationFields(const UnitRecord &R, const FtScenarioSet &Set,
+                          size_t Begin, size_t End,
+                          std::vector<FtViolation> &Out);
 
 struct FtCheckResult {
   uint64_t ScenariosChecked = 0;
@@ -207,6 +283,10 @@ struct FtCheckResult {
   uint64_t RetriesPerformed = 0;
   RunOutcome Outcome;
   std::vector<FtViolation> Violations;
+  /// The scenarios Violations point into (FtScenarioRef): held here so a
+  /// violation's scenario outlives the checker, and the result can be
+  /// moved, as RetainedContexts does for Route.
+  std::shared_ptr<const FtScenarioSet> Scenarios;
   /// Keeps evaluation contexts alive so Violation::Route pointers interned
   /// in them stay valid: per-worker arenas for the parallel naive baseline,
   /// and the internally-owned context for runFaultTolerance (empty when a
@@ -245,9 +325,10 @@ std::string ftViolationsHash(const std::vector<FtViolation> &Vs);
 /// Checks the base program's assert under every scenario against the
 /// converged dict labels of the meta-program. The failed node (if any) is
 /// exempt from its own assertion. Violations come out in (scenario, node)
-/// order. The work is FtChecker's; see there for the algorithm. \p Pool
-/// shards its per-node descents. Output is identical for any pool size,
-/// including the violation order.
+/// order, each pointing into the result's Scenarios. The work is
+/// FtChecker's; see there for the algorithm. \p Pool shards its per-node
+/// descents. Output is identical for any pool size, including the
+/// violation order.
 FtCheckResult checkFaultTolerance(NvContext &Ctx, const Program &BaseProgram,
                                   ProtocolEvaluator &BaseEval,
                                   const SimResult &MetaResult,
@@ -259,9 +340,8 @@ FtCheckResult checkFaultTolerance(NvContext &Ctx, const Program &BaseProgram,
 ///  1. evaluate the assert once per (node, distinct leaf), by a
 ///     visited-set walk over each label diagram's reachable nodes that
 ///     also marks which nodes lead to a failing leaf;
-///  2. encode every scenario key straight from its node id and link
-///     indices (packScenarioKey); enumeration order is key order, so keys
-///     sharing a prefix are already contiguous;
+///  2. enumerate the scenarios into an FtScenarioSet, whose packed keys
+///     are in key order, so keys sharing a prefix are already contiguous;
 ///  3. for each node whose label has a failing leaf, descend that part
 ///     of its diagram once over the keys: a key range is split
 ///     where its keys first differ, bits they all share are followed
@@ -287,8 +367,11 @@ public:
             const FtOptions &Opts, ThreadPool *Pool = nullptr);
   ~FtChecker();
 
-  const std::vector<FtScenario> &scenarios() const;
+  /// The checked scenarios, which every violation points into.
+  const std::shared_ptr<const FtScenarioSet> &scenarios() const;
   const FtChunks &chunks() const;
+  /// The number of violations over all scenarios.
+  size_t numViolations() const;
 
   /// The record of chunk \p C's scenarios.
   UnitRecord checkChunk(size_t C) const;
@@ -306,12 +389,13 @@ private:
 /// journal, or a mix — into \p Out: violations in scenario order (Route
 /// null, RouteText filled), a non-ok chunk (e.g. a quarantined poison
 /// chunk) contributing its scenario count to ScenariosSkipped and the
-/// first non-ok outcome in chunk order kept. Returns false at the first
-/// chunk whose record is missing or malformed; \p Out then holds the
-/// chunks before it.
-bool aggregateFtChunkRecords(const std::vector<FtScenario> &Scenarios,
-                             unsigned ChunkSize, const RecordLookup &Lookup,
-                             FtCheckResult &Out);
+/// first non-ok outcome in chunk order kept. \p Out keeps \p Scenarios,
+/// which the violations point into. Returns false at the first chunk
+/// whose record is missing or malformed; \p Out then holds the chunks
+/// before it.
+bool aggregateFtChunkRecords(
+    const std::shared_ptr<const FtScenarioSet> &Scenarios, unsigned ChunkSize,
+    const RecordLookup &Lookup, FtCheckResult &Out);
 
 /// The result of one fault-tolerance run.
 struct FtRunResult {

@@ -25,8 +25,10 @@ namespace {
 /// assert evaluation may throw EngineError, handled by the callers'
 /// per-scenario catch).
 RunOutcome checkOneScenario(const Program &P, ProtocolEvaluator &BaseEval,
-                            const FtScenario &S, const Value *DropValue,
+                            const FtScenarioSet &Scenarios, size_t I,
+                            const Value *DropValue,
                             std::vector<FtViolation> &Out) {
+  FtScenario S = Scenarios[I];
   SimResult Sim = simulateScenario(P, BaseEval, S, DropValue);
   if (!Sim.Converged)
     return Sim.Outcome;
@@ -34,7 +36,7 @@ RunOutcome checkOneScenario(const Program &P, ProtocolEvaluator &BaseEval,
     if (S.Node && *S.Node == U)
       continue;
     if (!BaseEval.assertAt(U, Sim.Labels[U]))
-      Out.push_back({S, U, Sim.Labels[U], {}});
+      Out.push_back({{&Scenarios, uint32_t(I)}, U, Sim.Labels[U], {}});
   }
   return {};
 }
@@ -46,14 +48,15 @@ RunOutcome checkOneScenario(const Program &P, ProtocolEvaluator &BaseEval,
 /// contribute nothing, keeping results deterministic.
 RunOutcome runOneScenarioGoverned(const Program &P,
                                   ProtocolEvaluator &BaseEval,
-                                  const FtScenario &S, const Value *DropValue,
+                                  const FtScenarioSet &Scenarios, size_t I,
+                                  const Value *DropValue,
                                   const RunBudget &Budget,
                                   std::vector<FtViolation> &Out) {
   size_t From = Out.size();
   Governor::Scope Guard(Budget);
   RunOutcome O;
   try {
-    O = checkOneScenario(P, BaseEval, S, DropValue, Out);
+    O = checkOneScenario(P, BaseEval, Scenarios, I, DropValue, Out);
   } catch (const EngineError &E) {
     O = E.outcome();
   }
@@ -83,7 +86,7 @@ UnitRecord makeScenarioRecord(size_t I, const RunOutcome &O, unsigned Attempts,
   Rec.Key = naiveScenarioKey(I);
   addOutcome(Rec, O, Attempts);
   for (const FtViolation *V = From; V != To; ++V)
-    addViolationField(Rec, I, *V);
+    addViolationField(Rec, *V);
   return Rec;
 }
 
@@ -94,18 +97,30 @@ void recordScenarioDone(ResumeLog &Log, size_t I, const RunOutcome &O,
   Log.recordDone(makeScenarioRecord(I, O, Attempts, From, To));
 }
 
-/// Restores a journaled scenario: outcome into \p OutcomeOut, violations
-/// (Route null, RouteText filled) appended to \p ViolationsOut.
-void replayScenarioRecord(const UnitRecord &Rec,
-                          const std::vector<FtScenario> &Scenarios,
-                          RunOutcome &OutcomeOut,
+/// Restores the record of scenario \p I: outcome into \p OutcomeOut and
+/// \p Attempts, violations (Route null, RouteText filled) appended to
+/// \p ViolationsOut. False, nothing appended, for a malformed record.
+bool replayScenarioRecord(const UnitRecord &Rec, const FtScenarioSet &Scenarios,
+                          size_t I, RunOutcome &OutcomeOut, unsigned &Attempts,
                           std::vector<FtViolation> &ViolationsOut) {
+  return parseOutcome(Rec, OutcomeOut, Attempts) &&
+         parseViolationFields(Rec, Scenarios, I, I + 1, ViolationsOut);
+}
+
+/// Replays scenario \p I from \p Log when it holds a record; a malformed
+/// record leaves the scenario skipped with an evaluation error.
+bool replayFromLog(ResumeLog &Log, const FtScenarioSet &Scenarios, size_t I,
+                   RunOutcome &OutcomeOut,
+                   std::vector<FtViolation> &ViolationsOut) {
+  UnitRecord Rec;
+  if (!Log.replay(naiveScenarioKey(I), Rec))
+    return false;
   unsigned Attempts = 1;
-  parseOutcome(Rec, OutcomeOut, Attempts);
-  std::vector<std::pair<size_t, FtViolation>> Vs;
-  if (parseViolationFields(Rec, Scenarios, Vs))
-    for (auto &[Idx, V] : Vs)
-      ViolationsOut.push_back(std::move(V));
+  if (!replayScenarioRecord(Rec, Scenarios, I, OutcomeOut, Attempts,
+                            ViolationsOut))
+    OutcomeOut = {RunStatus::EvalError,
+                  "malformed scenario record in " + Log.path(), ""};
+  return true;
 }
 
 } // namespace
@@ -118,14 +133,14 @@ std::string nv::naiveScenarioKey(size_t I) {
 
 UnitRecord nv::runNaiveScenarioRecord(const Program &P,
                                       ProtocolEvaluator &BaseEval,
-                                      const std::vector<FtScenario> &Scenarios,
-                                      size_t I, const Value *DropValue,
+                                      const FtScenarioSet &Scenarios, size_t I,
+                                      const Value *DropValue,
                                       const FtOptions &Opts) {
   std::vector<FtViolation> Vs;
   unsigned Attempts = 1;
   RunOutcome O = runUnitWithRetry(
       Opts.Budget, Opts.Retry, Attempts, [&](const RunBudget &B) {
-        return runOneScenarioGoverned(P, BaseEval, Scenarios[I], DropValue, B,
+        return runOneScenarioGoverned(P, BaseEval, Scenarios, I, DropValue, B,
                                       Vs);
       });
   // Render the record (routeStr reads the live routes) BEFORE collecting
@@ -136,19 +151,20 @@ UnitRecord nv::runNaiveScenarioRecord(const Program &P,
   return Rec;
 }
 
-bool nv::aggregateNaiveScenarioRecords(const std::vector<FtScenario> &Scenarios,
-                                       const RecordLookup &Lookup,
-                                       FtCheckResult &Out) {
-  Out.ScenariosChecked = Scenarios.size();
-  for (size_t I = 0; I < Scenarios.size(); ++I) {
+bool nv::aggregateNaiveScenarioRecords(
+    const std::shared_ptr<const FtScenarioSet> &Scenarios,
+    const RecordLookup &Lookup, FtCheckResult &Out) {
+  Out.Scenarios = Scenarios;
+  Out.ScenariosChecked = Scenarios->size();
+  for (size_t I = 0; I < Scenarios->size(); ++I) {
     UnitRecord Rec;
-    if (!Lookup(naiveScenarioKey(I), Rec))
-      return false;
     RunOutcome O;
     unsigned Attempts = 1;
-    parseOutcome(Rec, O, Attempts);
+    if (!Lookup(naiveScenarioKey(I), Rec) ||
+        !replayScenarioRecord(Rec, *Scenarios, I, O, Attempts,
+                              Out.Violations))
+      return false;
     Out.RetriesPerformed += Attempts - 1;
-    replayScenarioRecord(Rec, Scenarios, O, Out.Violations);
     if (!O.ok()) {
       ++Out.ScenariosSkipped;
       if (Out.Outcome.ok())
@@ -163,19 +179,17 @@ FtCheckResult nv::naiveFaultTolerance(const Program &P,
                                       const FtOptions &Opts,
                                       const Value *DropValue) {
   FtCheckResult R;
-  auto Scenarios = enumerateScenarios(P, Opts);
+  R.Scenarios = std::make_shared<const FtScenarioSet>(P, Opts);
+  const FtScenarioSet &Scenarios = *R.Scenarios;
   NvContext &Ctx = BaseEval.ctx();
   if (!DropValue)
     DropValue = defaultDropValue(Ctx, P.AttrType);
   Ctx.pinValue(DropValue);
   for (size_t I = 0; I < Scenarios.size(); ++I) {
-    const FtScenario &S = Scenarios[I];
     ++R.ScenariosChecked;
     if (Opts.Resume) {
-      UnitRecord Rec;
-      if (Opts.Resume->replay(naiveScenarioKey(I), Rec)) {
-        RunOutcome O;
-        replayScenarioRecord(Rec, Scenarios, O, R.Violations);
+      RunOutcome O;
+      if (replayFromLog(*Opts.Resume, Scenarios, I, O, R.Violations)) {
         if (!O.ok()) {
           ++R.ScenariosSkipped;
           if (R.Outcome.ok())
@@ -189,8 +203,8 @@ FtCheckResult nv::naiveFaultTolerance(const Program &P,
     unsigned Attempts = 1;
     RunOutcome O = runUnitWithRetry(
         Opts.Budget, Opts.Retry, Attempts, [&](const RunBudget &B) {
-          return runOneScenarioGoverned(P, BaseEval, S, DropValue, B,
-                                        R.Violations);
+          return runOneScenarioGoverned(P, BaseEval, Scenarios, I, DropValue,
+                                        B, R.Violations);
         });
     R.RetriesPerformed += Attempts - 1;
     if (!O.ok()) {
@@ -219,8 +233,9 @@ FtCheckResult nv::naiveFaultToleranceParallel(
     const Program &P, const FtOptions &Opts, ThreadPool &Pool,
     const std::function<const Value *(NvContext &)> &MakeDrop) {
   FtCheckResult R;
-  auto Scenarios = enumerateScenarios(P, Opts);
-  if (Scenarios.empty())
+  R.Scenarios = std::make_shared<const FtScenarioSet>(P, Opts);
+  const FtScenarioSet &Scenarios = *R.Scenarios;
+  if (Scenarios.size() == 0)
     return R;
 
   // One persistent worker per pool thread. Each worker re-parses the
@@ -245,13 +260,11 @@ FtCheckResult nv::naiveFaultToleranceParallel(
   std::vector<size_t> Pending;
   Pending.reserve(Scenarios.size());
   for (size_t I = 0; I < Scenarios.size(); ++I) {
-    if (Opts.Resume) {
-      UnitRecord Rec;
-      if (Opts.Resume->replay(naiveScenarioKey(I), Rec)) {
-        replayScenarioRecord(Rec, Scenarios, PerOutcome[I], PerScenario[I]);
-        ++R.ScenariosReplayed;
-        continue;
-      }
+    if (Opts.Resume &&
+        replayFromLog(*Opts.Resume, Scenarios, I, PerOutcome[I],
+                      PerScenario[I])) {
+      ++R.ScenariosReplayed;
+      continue;
     }
     Pending.push_back(I);
   }
@@ -286,7 +299,7 @@ FtCheckResult nv::naiveFaultToleranceParallel(
         unsigned Attempts = 1;
         PerOutcome[I] = runUnitWithRetry(
             Opts.Budget, Opts.Retry, Attempts, [&](const RunBudget &B) {
-              return runOneScenarioGoverned(*Local, BaseEval, Scenarios[I],
+              return runOneScenarioGoverned(*Local, BaseEval, Scenarios, I,
                                             Drop, B, PerScenario[I]);
             });
         if (Attempts > 1)

@@ -73,7 +73,9 @@ SimResult simulateScenario(const Program &P, ProtocolEvaluator &BaseEval,
 /// valid). Unpinned values the caller holds across this call do not
 /// survive those collections — re-derive them afterwards if needed.
 /// A null \p DropValue is derived from the attribute type
-/// (defaultDropValue).
+/// (defaultDropValue). With Opts.Resume, a journaled scenario is replayed
+/// instead; a malformed record counts it as skipped with an evaluation
+/// error (both naive entry points).
 FtCheckResult naiveFaultTolerance(const Program &P,
                                   ProtocolEvaluator &BaseEval,
                                   const FtOptions &Opts,
@@ -89,19 +91,21 @@ std::string naiveScenarioKey(size_t I);
 /// worker's unit handler: BaseEval's arena is collected back to its
 /// pinned baseline before returning, so one evaluator serves many jobs.
 UnitRecord runNaiveScenarioRecord(const Program &P, ProtocolEvaluator &BaseEval,
-                                  const std::vector<FtScenario> &Scenarios,
-                                  size_t I, const Value *DropValue,
+                                  const FtScenarioSet &Scenarios, size_t I,
+                                  const Value *DropValue,
                                   const FtOptions &Opts);
 
 /// Folds one record per scenario — from a fleet run, a resume journal, or
 /// a mix of both — into \p Out with exactly the replay path's semantics:
 /// violations in scenario order (Route null, RouteText filled), non-ok
 /// records counted as skipped, first non-ok outcome in scenario order
-/// kept. Returns false when some scenario's record is missing. The caller
-/// sets ScenariosReplayed (the split is its to know).
-bool aggregateNaiveScenarioRecords(const std::vector<FtScenario> &Scenarios,
-                                   const RecordLookup &Lookup,
-                                   FtCheckResult &Out);
+/// kept. \p Out keeps \p Scenarios, which the violations point into.
+/// Returns false when some scenario's record is missing or malformed
+/// (parseViolationFields). The caller sets ScenariosReplayed (the split is
+/// its to know).
+bool aggregateNaiveScenarioRecords(
+    const std::shared_ptr<const FtScenarioSet> &Scenarios,
+    const RecordLookup &Lookup, FtCheckResult &Out);
 
 /// Thread-sharded naive analysis: one persistent worker per pool thread.
 /// Each worker re-parses the program once into its own NvContext/

@@ -250,7 +250,7 @@ OracleVerdict nv::runOracle(const FuzzInstance &Inst,
       FO.Budget.Cancel = Opts.Cancel;
       NvContext Ctx(P->numNodes());
       InterpProgramEvaluator Eval(Ctx, *P);
-      FtCheckResult NR = naiveFaultTolerance(*P, Eval, FO, Ctx.noneV());
+      FtCheckResult NR = naiveFaultTolerance(*P, Eval, FO, nullptr);
       FP = ftFingerprint(NR, NR.Outcome);
     } catch (const EngineError &E) {
       FP = outcomeFingerprint(E.outcome());
@@ -286,7 +286,7 @@ OracleVerdict nv::runOracle(const FuzzInstance &Inst,
       try {
         NvContext Ctx(P->numNodes());
         InterpProgramEvaluator Eval(Ctx, *P);
-        FtCheckResult NR = naiveFaultTolerance(*P, Eval, FO, Ctx.noneV());
+        FtCheckResult NR = naiveFaultTolerance(*P, Eval, FO, nullptr);
         NaiveFP = ftFingerprint(NR, NR.Outcome);
       } catch (const EngineError &E) {
         NaiveFP = outcomeFingerprint(E.outcome());

@@ -20,6 +20,7 @@
 
 #include <cstdio>
 #include <random>
+#include <map>
 #include <set>
 
 using namespace nv;
@@ -99,14 +100,58 @@ void expectMatchesNaive(const std::string &Src, const FtOptions &Opts) {
   }
 }
 
+/// The scenarios of \p P under \p Opts by an independent nested loop:
+/// combinations of link indices with repetition (non-decreasing
+/// sequences, lexicographic), inside a loop over the failed node.
+std::vector<FtScenario> referenceScenarios(const Program &P,
+                                           const FtOptions &Opts) {
+  auto Links = P.links();
+  unsigned K = Opts.LinkFailures, Bits = linkIndexBits(Links.size());
+  std::vector<FtScenario> Combos;
+  std::vector<size_t> Cur(K, 0);
+  if (K == 0 || !Links.empty())
+    for (;;) {
+      FtScenario S;
+      for (size_t I : Cur)
+        S.Links.push_back(
+            {Links[I].first, Links[I].second, uint32_t(I), Bits});
+      Combos.push_back(std::move(S));
+      unsigned Pos = K;
+      while (Pos > 0 && Cur[Pos - 1] + 1 == Links.size())
+        --Pos;
+      if (Pos == 0)
+        break;
+      ++Cur[Pos - 1];
+      std::fill(Cur.begin() + Pos, Cur.end(), Cur[Pos - 1]);
+    }
+  if (!Opts.NodeFailure)
+    return Combos;
+  std::vector<FtScenario> Out;
+  for (uint32_t U = 0; U < P.numNodes(); ++U)
+    for (const FtScenario &Combo : Combos) {
+      Out.push_back(Combo);
+      Out.back().Node = U;
+    }
+  return Out;
+}
+
+/// One expected violation: scenario index and rendering, node, route.
+struct RefViolation {
+  size_t Index;
+  std::string Scenario;
+  uint32_t Node;
+  const Value *Route;
+};
+
 /// The per-(scenario, node) lookup the checker's descent replaces: encode
 /// each interned scenario key, follow one MTBDD path per node, evaluate the
-/// assert on the route found. Returns (scenario index, violation) pairs.
-std::vector<std::pair<size_t, FtViolation>>
-referenceCheck(NvContext &Ctx, const Program &P, ProtocolEvaluator &BaseEval,
-               const SimResult &Meta, const FtOptions &Opts) {
-  std::vector<std::pair<size_t, FtViolation>> Out;
-  auto Scenarios = enumerateScenarios(P, Opts);
+/// assert on the route found.
+std::vector<RefViolation> referenceCheck(NvContext &Ctx, const Program &P,
+                                         ProtocolEvaluator &BaseEval,
+                                         const SimResult &Meta,
+                                         const FtOptions &Opts) {
+  std::vector<RefViolation> Out;
+  auto Scenarios = referenceScenarios(P, Opts);
   for (size_t I = 0; I < Scenarios.size(); ++I) {
     const FtScenario &S = Scenarios[I];
     std::vector<bool> Bits;
@@ -117,22 +162,27 @@ referenceCheck(NvContext &Ctx, const Program &P, ProtocolEvaluator &BaseEval,
       auto *Route = static_cast<const Value *>(
           Ctx.Mgr.get(Meta.Labels[U]->MapRoot, Bits));
       if (!BaseEval.assertAt(U, Route))
-        Out.push_back({I, {S, U, Route, {}}});
+        Out.push_back({I, S.str(), U, Route});
     }
   }
   return Out;
 }
 
-void expectSameViolations(
-    const std::vector<FtViolation> &Got,
-    const std::vector<std::pair<size_t, FtViolation>> &Want,
-    const std::string &What) {
+/// \p R's violations against \p Want; each must point into the set that
+/// \p R keeps.
+void expectSameViolations(const FtCheckResult &R,
+                          const std::vector<RefViolation> &Want,
+                          const std::string &What) {
+  const std::vector<FtViolation> &Got = R.Violations;
+  ASSERT_TRUE(R.Scenarios) << What;
+  for (const FtViolation &V : Got)
+    ASSERT_EQ(V.Scenario.Set, R.Scenarios.get()) << What;
   ASSERT_EQ(Got.size(), Want.size()) << What;
   for (size_t I = 0; I < Got.size(); ++I) {
-    EXPECT_EQ(Got[I].Scenario.str(), Want[I].second.Scenario.str())
-        << What << " #" << I;
-    EXPECT_EQ(Got[I].Node, Want[I].second.Node) << What << " #" << I;
-    EXPECT_EQ(Got[I].Route, Want[I].second.Route) << What << " #" << I;
+    EXPECT_EQ(Got[I].Scenario.Index, Want[I].Index) << What << " #" << I;
+    EXPECT_EQ(Got[I].Scenario.str(), Want[I].Scenario) << What << " #" << I;
+    EXPECT_EQ(Got[I].Node, Want[I].Node) << What << " #" << I;
+    EXPECT_EQ(Got[I].Route, Want[I].Route) << What << " #" << I;
   }
 }
 
@@ -152,15 +202,14 @@ void expectMatchesReference(const std::string &Src, FtOptions Opts) {
 
   auto Want = referenceCheck(Ctx, P, BaseEval, MetaR, Opts);
   EXPECT_FALSE(Want.empty());
-  expectSameViolations(
-      checkFaultTolerance(Ctx, P, BaseEval, MetaR, Opts).Violations, Want,
-      "serial");
+  expectSameViolations(checkFaultTolerance(Ctx, P, BaseEval, MetaR, Opts),
+                       Want, "serial");
   ThreadPool Pool(3);
   expectSameViolations(
-      checkFaultTolerance(Ctx, P, BaseEval, MetaR, Opts, &Pool).Violations,
-      Want, "3 threads");
+      checkFaultTolerance(Ctx, P, BaseEval, MetaR, Opts, &Pool), Want,
+      "3 threads");
 
-  size_t NumScenarios = enumerateScenarios(P, Opts).size();
+  size_t NumScenarios = referenceScenarios(P, Opts).size();
   ASSERT_NE(NumScenarios % Opts.CheckChunkSize, 0u)
       << "the chunk size must leave a partial last chunk";
   FtChecker Checker(Ctx, P, BaseEval, MetaR, Opts);
@@ -170,9 +219,12 @@ void expectMatchesReference(const std::string &Src, FtOptions Opts) {
     UnitRecord Expected;
     Expected.Key = FtChunks::key(C);
     Expected.add("status", "ok");
-    for (const auto &[I, V] : Want)
-      if (I / Opts.CheckChunkSize == C)
-        addViolationField(Expected, I, V);
+    for (const RefViolation &V : Want)
+      if (V.Index / Opts.CheckChunkSize == C)
+        addViolationField(Expected, {{nullptr, uint32_t(V.Index)},
+                                     V.Node,
+                                     V.Route,
+                                     {}});
     EXPECT_EQ(Checker.checkChunk(C).render(), Expected.render())
         << "chunk " << C;
   }
@@ -329,17 +381,241 @@ TEST_F(FtCheckpoint, CancelStopsBetweenChunksAndRecordsNothing) {
 }
 
 TEST_F(FtCheckpoint, MalformedReplayedRecordIsReported) {
+  // Doctored "v" fields in journaled chunk c1 (scenarios [5, 10) of 6
+  // nodes): no fields, a non-numeric or signed number, trailing garbage
+  // after the index or the node, a node past the topology, a scenario
+  // outside the chunk.
+  for (const char *Bad :
+       {"not-a-violation", "x 3 None", "5x 3 None", "5 3x None", "-5 3 None",
+        "5 +3 None", " 5 3 None", "5 6 None", "4 3 None", "10 3 None",
+        "99999999999999999999 3 None"}) {
+    SCOPED_TRACE(Bad);
+    std::remove(Path.c_str());
+    {
+      auto L = ResumeLog::open(Path, Binding);
+      ASSERT_TRUE(L.Log) << L.Error;
+      UnitRecord Rec;
+      Rec.Key = "c1";
+      Rec.add("status", "ok");
+      Rec.add("v", Bad);
+      L.Log->recordDone(Rec);
+    }
+    FtCheckResult R = resume();
+    EXPECT_EQ(R.Outcome.Status, RunStatus::EvalError) << R.Outcome.str();
+    EXPECT_NE(R.Outcome.Detail.find("malformed chunk record"),
+              std::string::npos)
+        << R.Outcome.str();
+  }
+}
+
+/// Runs the naive handler on every scenario and folds the records, with
+/// \p Doctor applied to them first, through aggregateNaiveScenarioRecords.
+bool foldNaiveRecords(
+    const Program &P, const FtOptions &Opts,
+    const std::function<void(std::map<std::string, UnitRecord> &)> &Doctor,
+    FtCheckResult &Out) {
+  std::map<std::string, UnitRecord> Records;
+  {
+    NvContext Ctx(P.numNodes());
+    InterpProgramEvaluator Eval(Ctx, P);
+    const Value *Drop = Ctx.noneV();
+    Ctx.pinValue(Drop);
+    FtScenarioSet Set(P, Opts);
+    for (size_t I = 0; I < Set.size(); ++I)
+      Records[naiveScenarioKey(I)] =
+          runNaiveScenarioRecord(P, Eval, Set, I, Drop, Opts);
+  }
+  Doctor(Records);
+  return aggregateNaiveScenarioRecords(
+      std::make_shared<const FtScenarioSet>(P, Opts),
+      [&](const std::string &Key, UnitRecord &Rec) {
+        auto It = Records.find(Key);
+        if (It == Records.end())
+          return false;
+        Rec = It->second;
+        return true;
+      },
+      Out);
+}
+
+/// Checks every chunk of \p P's meta-simulation with a checker that is
+/// gone before the records, with \p Doctor applied to them, are folded
+/// through aggregateFtChunkRecords, as a fleet coordinator does.
+bool foldChunkRecords(
+    const Program &P, const FtOptions &Opts,
+    const std::function<void(std::map<std::string, UnitRecord> &)> &Doctor,
+    FtCheckResult &Out) {
+  std::map<std::string, UnitRecord> Records;
+  std::shared_ptr<NvContext> Ctx = std::make_shared<NvContext>(P.numNodes());
+  {
+    DiagnosticEngine Diags;
+    auto Prep = PreparedFt::create(*Ctx, P, Opts, /*Compiled=*/false, Diags);
+    EXPECT_TRUE(Prep) << Diags.str();
+    if (!Prep)
+      return false;
+    SimResult Sim = Prep->simulate();
+    EXPECT_TRUE(Sim.Converged);
+    FtChecker Checker(*Ctx, P, Prep->baseEval(), Sim, Opts);
+    for (size_t C = 0; C < Checker.chunks().count(); ++C)
+      Records[FtChunks::key(C)] = Checker.checkChunk(C);
+  }
+  Doctor(Records);
+  return aggregateFtChunkRecords(
+      std::make_shared<const FtScenarioSet>(P, Opts), Opts.CheckChunkSize,
+      [&](const std::string &Key, UnitRecord &Rec) {
+        auto It = Records.find(Key);
+        if (It == Records.end())
+          return false;
+        Rec = It->second;
+        return true;
+      },
+      Out);
+}
+
+TEST(FaultTolerance, DoctoredViolationFieldsFailAggregation) {
+  // The line 0-1-2-3 at one link failure: scenarios 0..2, chunks of two.
+  Program P = parseAndCheck(spProgram(4, Line));
+  FtOptions Opts;
+  Opts.CheckChunkSize = 2;
+  auto Keep = [](std::map<std::string, UnitRecord> &) {};
+  FtCheckResult Clean, NaiveClean;
+  ASSERT_TRUE(foldChunkRecords(P, Opts, Keep, Clean));
+  ASSERT_TRUE(foldNaiveRecords(P, Opts, Keep, NaiveClean));
+  EXPECT_EQ(violationStrs(Clean), violationStrs(NaiveClean));
+  ASSERT_EQ(Clean.Violations.size(), 6u);
+
+  // Each field lands in chunk c0 (scenarios 0 and 1) and in scenario s1's
+  // record; "1 3 None" is well formed for both.
+  for (const char *Bad : {"x 3 None", "1x 3 None", "1 3x None", "1 4 None",
+                          "-1 3 None", "1 3", "2 3 None", "1 99999999999 a"}) {
+    SCOPED_TRACE(Bad);
+    auto Add = [&](const char *Key) {
+      return [&, Key](std::map<std::string, UnitRecord> &Rs) {
+        Rs[Key].add("v", Bad);
+      };
+    };
+    FtCheckResult Out;
+    EXPECT_FALSE(foldChunkRecords(P, Opts, Add("c0"), Out));
+    FtCheckResult NaiveOut;
+    EXPECT_FALSE(foldNaiveRecords(P, Opts, Add("s1"), NaiveOut));
+  }
+  // A naive record naming another scenario than its own.
+  FtCheckResult Out;
+  EXPECT_FALSE(foldNaiveRecords(
+      P, Opts,
+      [](std::map<std::string, UnitRecord> &Rs) {
+        Rs["s1"].add("v", "0 3 None");
+      },
+      Out));
+  FtCheckResult Good;
+  EXPECT_TRUE(foldChunkRecords(
+      P, Opts,
+      [](std::map<std::string, UnitRecord> &Rs) {
+        Rs["c0"].add("v", "1 3 None");
+      },
+      Good));
+  EXPECT_EQ(Good.Violations.size(), 7u);
+}
+
+TEST(FaultTolerance, ViolationTextSurvivesMoveReplayAndAggregation) {
+  // Each result below outlives the checker, set and journal it came from;
+  // its violations must still render as the reference's.
+  Program P = parseAndCheck(spProgram(6, Shuffled, "d <= 2"));
+  FtOptions Opts;
+  Opts.LinkFailures = 2;
+  Opts.NodeFailure = true;
+  Opts.CheckChunkSize = 7;
+  std::vector<std::string> Want;
+  {
+    DiagnosticEngine Diags;
+    auto Meta = makeFaultTolerantProgram(P, Opts, Diags);
+    ASSERT_TRUE(Meta.has_value()) << Diags.str();
+    NvContext Ctx(P.numNodes());
+    InterpProgramEvaluator MetaEval(Ctx, *Meta);
+    SimResult MetaR = simulate(*Meta, MetaEval);
+    ASSERT_TRUE(MetaR.Converged);
+    InterpProgramEvaluator BaseEval(Ctx, P);
+    for (const RefViolation &V :
+         referenceCheck(Ctx, P, BaseEval, MetaR, Opts))
+      Want.push_back(V.Scenario + "@" + std::to_string(V.Node) + "=" +
+                     V.Route->str());
+  }
+  ASSERT_FALSE(Want.empty());
+  auto Expect = [&](const FtCheckResult &R, const char *What) {
+    SCOPED_TRACE(What);
+    ASSERT_TRUE(R.Scenarios);
+    for (const FtViolation &V : R.Violations)
+      ASSERT_EQ(V.Scenario.Set, R.Scenarios.get());
+    EXPECT_EQ(violationStrs(R), Want);
+  };
+
+  FtCheckResult Moved;
+  {
+    DiagnosticEngine Diags;
+    FtRunResult R = runFaultTolerance(P, Opts, /*Compiled=*/true, Diags);
+    ASSERT_TRUE(R.Converged) << Diags.str();
+    Moved = std::move(R.Check);
+  }
+  Expect(Moved, "moved");
+
+  std::string Path = ::testing::TempDir() + "nv_ft_violation_refs_journal";
+  std::remove(Path.c_str());
+  RunBinding Binding;
+  Binding.set("tool", "fault-tolerance-tests");
+  FtCheckResult Replayed;
+  for (int Run = 0; Run < 2; ++Run) {
+    // The first run journals every chunk, the second replays them all.
+    auto L = ResumeLog::open(Path, Binding);
+    ASSERT_TRUE(L.Log) << L.Error;
+    FtOptions Journaled = Opts;
+    Journaled.Resume = L.Log.get();
+    DiagnosticEngine Diags;
+    FtRunResult R = runFaultTolerance(P, Journaled, false, Diags);
+    ASSERT_TRUE(R.Converged) << Diags.str();
+    EXPECT_EQ(R.Check.ScenariosReplayed, Run ? R.Check.ScenariosChecked : 0);
+    Replayed = std::move(R.Check);
+  }
+  std::remove(Path.c_str());
+  Expect(Replayed, "replayed");
+
+  auto Keep = [](std::map<std::string, UnitRecord> &) {};
+  FtCheckResult Folded;
+  ASSERT_TRUE(foldChunkRecords(P, Opts, Keep, Folded));
+  Expect(FtCheckResult(std::move(Folded)), "fleet aggregate");
+  FtCheckResult NaiveFolded;
+  ASSERT_TRUE(foldNaiveRecords(P, Opts, Keep, NaiveFolded));
+  Expect(FtCheckResult(std::move(NaiveFolded)), "naive fleet aggregate");
+}
+
+TEST(FaultTolerance, NaiveResumeReportsMalformedRecord) {
+  Program P = parseAndCheck(spProgram(4, Line));
+  std::string Path = ::testing::TempDir() + "nv_naive_malformed_journal";
+  std::remove(Path.c_str());
+  RunBinding Binding;
+  Binding.set("tool", "fault-tolerance-tests");
   {
     auto L = ResumeLog::open(Path, Binding);
     ASSERT_TRUE(L.Log) << L.Error;
-    UnitRecord Bad;
-    Bad.Key = "c1";
-    Bad.add("status", "ok");
-    Bad.add("v", "not-a-violation");
-    L.Log->recordDone(Bad);
+    UnitRecord Rec;
+    Rec.Key = naiveScenarioKey(1);
+    addOutcome(Rec, RunOutcome{}, 1);
+    Rec.add("v", "1 3x None");
+    L.Log->recordDone(Rec);
   }
-  FtCheckResult R = resume();
+  auto L = ResumeLog::open(Path, Binding);
+  ASSERT_TRUE(L.Log) << L.Error;
+  FtOptions Opts;
+  Opts.Resume = L.Log.get();
+  NvContext Ctx(P.numNodes());
+  InterpProgramEvaluator Eval(Ctx, P);
+  FtCheckResult R = naiveFaultTolerance(P, Eval, Opts, nullptr);
   EXPECT_EQ(R.Outcome.Status, RunStatus::EvalError) << R.Outcome.str();
+  EXPECT_NE(R.Outcome.Detail.find("malformed scenario record"),
+            std::string::npos);
+  EXPECT_EQ(R.ScenariosSkipped, 1u);
+  EXPECT_EQ(R.ScenariosReplayed, 1u);
+  L.Log.reset();
+  std::remove(Path.c_str());
 }
 
 TEST(FaultTolerance, PackedKeyEqualsEncodedValue) {
@@ -370,15 +646,18 @@ TEST(FaultTolerance, PackedKeyEqualsEncodedValue) {
         ASSERT_EQ(Width, Ctx.Layout.widthOf(KeyTy));
         for (int Trial = 0; Trial < 200; ++Trial) {
           FtScenario S;
+          std::vector<uint32_t> Indices;
           if (Node)
             S.Node = Id(Rng);
-          for (unsigned L = 0; L < Links; ++L)
+          for (unsigned L = 0; L < Links; ++L) {
             S.Links.push_back({Id(Rng), Id(Rng), Link(Rng), Bits});
+            Indices.push_back(S.Links.back().Index);
+          }
           std::vector<bool> Want;
           Ctx.encodeValue(scenarioKey(Ctx, S, Opts), KeyTy, Want);
           ASSERT_EQ(Want.size(), Width);
           std::vector<uint64_t> Words((Width + 63) / 64, ~uint64_t(0));
-          packScenarioKey(S, Opts, NodeBits, Words.data());
+          packScenarioKey(S.Node, NodeBits, Indices, Bits, Words.data());
           for (unsigned B = 0; B < Width; ++B)
             ASSERT_EQ(bool((Words[B / 64] >> (63 - B % 64)) & 1), Want[B])
                 << NumLinks << " links " << S.str() << " bit " << B;
@@ -389,6 +668,114 @@ TEST(FaultTolerance, PackedKeyEqualsEncodedValue) {
         }
       }
   }
+}
+
+/// The scenario key type under \p Opts with \p Bits-wide link fields.
+TypePtr scenarioKeyType(const FtOptions &Opts, unsigned Bits) {
+  std::vector<TypePtr> Parts;
+  if (Opts.NodeFailure)
+    Parts.push_back(Type::nodeTy());
+  for (unsigned L = 0; L < Opts.LinkFailures; ++L)
+    Parts.push_back(Type::intTy(Bits));
+  return Parts.size() == 1 ? Parts[0] : Type::tupleTy(Parts);
+}
+
+/// Every field of a decoded scenario, link indices included.
+std::string scenarioFields(const FtScenario &S) {
+  std::string Out = S.str();
+  for (const FtLink &L : S.Links)
+    Out += " #" + std::to_string(L.Index) + "/" + std::to_string(L.IndexBits);
+  return Out;
+}
+
+/// The set against referenceScenarios: count, order, decoded links and
+/// node, rendering, and each packed key against the encoded key value.
+void expectSetMatchesReference(const Program &P, const FtOptions &Opts) {
+  FtScenarioSet Set(P, Opts);
+  auto Want = referenceScenarios(P, Opts);
+  auto Materialized = enumerateScenarios(P, Opts);
+  ASSERT_EQ(Set.size(), Want.size());
+  ASSERT_EQ(Materialized.size(), Want.size());
+  EXPECT_EQ(Set.numNodes(), P.numNodes());
+  NvContext Ctx(P.numNodes());
+  TypePtr KeyTy = scenarioKeyType(Opts, linkIndexBits(P.links().size()));
+  unsigned Width = Ctx.Layout.widthOf(KeyTy);
+  for (size_t I = 0; I < Set.size(); ++I) {
+    FtScenario Got = Set[I];
+    ASSERT_EQ(scenarioFields(Got), scenarioFields(Want[I])) << "#" << I;
+    ASSERT_EQ(scenarioFields(Materialized[I]), scenarioFields(Want[I]))
+        << "#" << I;
+    EXPECT_EQ(Set.node(I), Want[I].Node) << "#" << I;
+    EXPECT_EQ(Set.str(I), Want[I].str()) << "#" << I;
+    std::vector<bool> Bits;
+    Ctx.encodeValue(scenarioKey(Ctx, Got, Opts), KeyTy, Bits);
+    std::span<const uint64_t> Key = Set.key(I);
+    ASSERT_EQ(Key.size(), (Width + 63) / 64);
+    for (unsigned B = 0; B < Width; ++B)
+      ASSERT_EQ(bool((Key[B / 64] >> (63 - B % 64)) & 1), Bits[B])
+          << Want[I].str() << " bit " << B;
+    if (Width % 64) {
+      EXPECT_EQ(Key.back() << (Width % 64), 0u) << Want[I].str();
+    }
+  }
+}
+
+TEST(FaultTolerance, ScenarioSetMatchesReferenceEnumeration) {
+  struct Topology {
+    const char *Name;
+    uint32_t Nodes;
+    std::vector<std::pair<int, int>> Links;
+  };
+  const std::vector<Topology> Topologies = {
+      {"no links", 3, {}},
+      {"one link", 2, {{0, 1}}},
+      {"a link declared twice", 4, {{0, 1}, {1, 0}, {0, 2}, {2, 3}, {1, 3}}},
+      {"shuffled", 6, Shuffled},
+  };
+  for (const Topology &T : Topologies) {
+    Program P = parseAndCheck(spProgram(T.Nodes, T.Links));
+    for (unsigned Links : {0u, 1u, 2u, 3u})
+      for (bool Node : {false, true}) {
+        if (!Links && !Node)
+          continue;
+        SCOPED_TRACE(std::string(T.Name) + ", f=" + std::to_string(Links) +
+                     (Node ? " + node" : ""));
+        FtOptions Opts;
+        Opts.LinkFailures = Links;
+        Opts.NodeFailure = Node;
+        expectSetMatchesReference(P, Opts);
+      }
+  }
+  // 33 two-bit fields: 66-bit keys, so fields straddle words.
+  SCOPED_TRACE("wide diamond");
+  FtOptions Wide;
+  Wide.LinkFailures = 33;
+  expectSetMatchesReference(parseAndCheck(spProgram(4, Diamond)), Wide);
+}
+
+TEST(FaultTolerance, ScenarioCountPastTheIndexIsAnError) {
+  // 300 links at five failures: C(304, 5) = 2.1e10 scenarios, past a
+  // 32-bit index. Neither the transform nor the set wraps the count.
+  std::vector<std::pair<int, int>> Ring;
+  for (int I = 0; I < 300; ++I)
+    Ring.push_back({I, (I + 1) % 300});
+  Program P = parseAndCheck(spProgram(300, Ring));
+  FtOptions Opts;
+  Opts.LinkFailures = 5;
+  EXPECT_THROW(FtScenarioSet(P, Opts), EngineError);
+  DiagnosticEngine Diags;
+  EXPECT_FALSE(makeFaultTolerantProgram(P, Opts, Diags));
+  EXPECT_NE(Diags.str().find("at most 4294967295 scenarios"),
+            std::string::npos)
+      << Diags.str();
+  // Three failures fit: C(302, 3) = 4.5M, and with a node 1.4e9.
+  Opts.LinkFailures = 3;
+  Opts.NodeFailure = true;
+  DiagnosticEngine Ok;
+  EXPECT_TRUE(makeFaultTolerantProgram(P, Opts, Ok)) << Ok.str();
+  // Four with a node: C(303, 4) * 300 = 1.0e11.
+  Opts.LinkFailures = 4;
+  EXPECT_THROW(FtScenarioSet(P, Opts), EngineError);
 }
 
 TEST(FaultTolerance, KeyWidthIsLinkFieldsPlusNode) {

@@ -615,12 +615,12 @@ TEST(NaiveFleetRecords, WorkerRecordsAggregateIdenticalToInProcess) {
   InterpProgramEvaluator Eval(Ctx, P);
   const Value *Drop = Ctx.noneV();
   Ctx.pinValue(Drop);
-  auto Scenarios = enumerateScenarios(P, Opts);
-  ASSERT_EQ(Scenarios.size(), RefScenarios);
+  auto Scenarios = std::make_shared<const FtScenarioSet>(P, Opts);
+  ASSERT_EQ(Scenarios->size(), RefScenarios);
   std::map<std::string, UnitRecord> Results;
-  for (size_t I = Scenarios.size(); I-- > 0;)
+  for (size_t I = Scenarios->size(); I-- > 0;)
     Results[naiveScenarioKey(I)] =
-        runNaiveScenarioRecord(P, Eval, Scenarios, I, Drop, Opts);
+        runNaiveScenarioRecord(P, Eval, *Scenarios, I, Drop, Opts);
 
   FtCheckResult Agg;
   ASSERT_TRUE(aggregateNaiveScenarioRecords(

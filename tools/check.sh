@@ -10,7 +10,10 @@
 #      table over-reads) that functional tests may survive by luck;
 #   4. differential smoke fuzz: replay the regression corpus, then a
 #      fixed-seed batch of fresh instances through the cross-engine
-#      oracle (interpreter vs native vs MTBDD analysis vs SMT).
+#      oracle (interpreter vs native vs MTBDD analysis vs SMT);
+#   5. golden fault-tolerance answers: `nv ft/naive --json` on the
+#      examples must match tests/golden/ft_answers.txt bit for bit, also
+#      at 4 threads and on a 2-worker fleet.
 #
 # Usage: tools/check.sh   (from the repository root)
 set -euo pipefail
@@ -30,6 +33,10 @@ tools/ci/asan.sh build-asan
 echo
 echo "== smoke fuzz: corpus replay + fresh instances =="
 tools/ci/smoke_fuzz.sh build 200 1
+
+echo
+echo "== golden fault-tolerance answers =="
+tools/ci/ft_golden.sh build
 
 echo
 echo "All checks passed."

@@ -471,7 +471,7 @@ int cmdWorker(const Program &P, const CliOptions &O) {
     // One parse + evaluator + arena for the process lifetime; the handler
     // collects back to the pinned baseline between scenarios, mirroring
     // one persistent thread of naiveFaultToleranceParallel.
-    auto Scenarios = enumerateScenarios(P, Opts);
+    FtScenarioSet Scenarios(P, Opts);
     NvContext Ctx(P.numNodes());
     InterpProgramEvaluator Eval(Ctx, P);
     const Value *Drop = defaultDropValue(Ctx, P.AttrType);
@@ -603,9 +603,9 @@ int cmdNaive(const Program &P, const CliOptions &O) {
     // Fleet mode: scenarios run in crash-isolated worker subprocesses.
     // Workers return the same UnitRecords the in-process path journals, so
     // the aggregate below is bit-identical to --workers 0.
-    auto Scenarios = enumerateScenarios(P, Opts);
+    auto Scenarios = std::make_shared<const FtScenarioSet>(P, Opts);
     std::vector<FleetJob> Jobs;
-    for (size_t I = 0; I < Scenarios.size(); ++I) {
+    for (size_t I = 0; I < Scenarios->size(); ++I) {
       std::string Key = naiveScenarioKey(I);
       if (Log && Log->isDone(Key))
         ++R.ScenariosReplayed;
@@ -840,9 +840,9 @@ int cmdFt(const Program &P, const CliOptions &O) {
                                     /*CheckAsserts=*/O.Workers == 0);
   if (O.Workers > 0 && R.Outcome.ok() && R.Converged) {
     Stopwatch CW;
-    auto Scenarios = enumerateScenarios(P, Opts);
+    auto Scenarios = std::make_shared<const FtScenarioSet>(P, Opts);
     std::vector<FleetJob> Jobs;
-    for (size_t C : FtChunks(Scenarios.size(), Opts.CheckChunkSize)
+    for (size_t C : FtChunks(Scenarios->size(), Opts.CheckChunkSize)
                         .missing(Log.get(), R.Check.ScenariosReplayed))
       Jobs.push_back({FtChunks::key(C), ""});
     if (int FleetEc = runUnitFleet(
