@@ -17,11 +17,9 @@
 #include "analysis/FaultTolerance.h"
 #include "bench/BenchUtil.h"
 #include "core/Parser.h"
-#include "core/Printer.h"
 #include "core/TypeChecker.h"
 #include "eval/Compile.h"
 #include "net/Generators.h"
-#include "support/Fatal.h"
 #include "support/Timer.h"
 
 #include <atomic>
@@ -51,9 +49,10 @@ bool runOneLeaf(const Program &Meta, NvContext &Ctx, uint32_t Dest,
 
 /// FT over each prefix separately: one meta-program with a symbolic dest,
 /// instantiated per leaf. With a pool, one persistent worker per thread
-/// re-parses the program once (AST free-variable caches fill lazily, so
-/// programs are not shared across threads), then claims leaves dynamically
-/// and reuses its context across them.
+/// takes its own typed copy of the program once (cloneProgram; AST
+/// free-variable caches fill lazily, so programs are not shared across
+/// threads), then claims leaves dynamically and reuses its context across
+/// them.
 double singleMode(const Program &Meta, const std::vector<uint32_t> &Leaves,
                   bool Native, ThreadPool *Pool) {
   Stopwatch W;
@@ -64,22 +63,16 @@ double singleMode(const Program &Meta, const std::vector<uint32_t> &Leaves,
         return -1;
     return W.elapsedMs();
   }
-  std::string Src = printProgram(Meta);
   size_t Workers =
       std::min(Leaves.size(), static_cast<size_t>(Pool->numThreads()));
   std::atomic<size_t> Next{0};
   std::atomic<bool> Ok{true};
   Pool->parallelFor(Workers, [&](size_t) {
-    DiagnosticEngine Diags;
-    auto Local = parseProgram(Src, Diags);
-    if (!Local || !typeCheck(*Local, Diags))
-      fatalError("internal: fig13c worker failed to re-parse the "
-                 "program:\n" +
-                 Diags.str());
-    NvContext Ctx(Local->numNodes());
+    Program Local = cloneProgram(Meta);
+    NvContext Ctx(Local.numNodes());
     for (size_t I = Next.fetch_add(1); I < Leaves.size();
          I = Next.fetch_add(1))
-      if (!runOneLeaf(*Local, Ctx, Leaves[I], Native))
+      if (!runOneLeaf(Local, Ctx, Leaves[I], Native))
         Ok.store(false);
   });
   return Ok.load() ? W.elapsedMs() : -1;

@@ -3,7 +3,6 @@
 #include "analysis/FaultTolerance.h"
 
 #include "core/Parser.h"
-#include "core/Printer.h"
 #include "core/TypeChecker.h"
 #include "eval/Compile.h"
 #include "support/Journal.h"
@@ -11,6 +10,7 @@
 #include "transform/Transforms.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <charconv>
@@ -24,95 +24,146 @@ using namespace nv;
 
 namespace {
 
-/// NV source of the scenario key type, with \p LinkTy per link field.
-std::string keyTypeSource(const FtOptions &Opts, const std::string &LinkTy) {
-  unsigned Components = Opts.LinkFailures + (Opts.NodeFailure ? 1 : 0);
-  if (Components == 1 && !Opts.NodeFailure)
-    return LinkTy;
-  std::string S = "(";
-  bool First = true;
-  if (Opts.NodeFailure) {
-    S += "node";
-    First = false;
-  }
-  for (unsigned I = 0; I < Opts.LinkFailures; ++I) {
-    if (!First)
-      S += ", ";
-    S += LinkTy;
-    First = false;
-  }
-  return S + ")";
-}
-
 /// \p Base for rank 0, then Base1, Base2, ...
 std::string ranked(const std::string &Base, size_t R) {
   return R ? Base + std::to_string(R) : Base;
 }
 
-/// NV source of the edge-to-link-index table: one `__ft_link<R>` function
-/// per duplicate rank R (a link declared m times has m indices; rank R
-/// names its R-th, or its last when it has fewer). Each matches the
-/// edge's first endpoint, then its second, covering both orientations of
-/// every link. \p Ranks receives the number of functions.
-std::string linkTableSource(const Program &P, unsigned Bits, size_t &Ranks) {
-  auto Links = P.links();
-  std::map<uint32_t, std::map<uint32_t, std::vector<uint32_t>>> ByEnd;
-  for (uint32_t I = 0; I < Links.size(); ++I) {
-    auto [U, V] = Links[I];
-    ByEnd[U][V].push_back(I);
-    if (U != V)
-      ByEnd[V][U].push_back(I);
-  }
-  Ranks = 1;
-  for (const auto &[A, Ends] : ByEnd)
-    for (const auto &[B, Is] : Ends)
-      Ranks = std::max(Ranks, Is.size());
-  std::string Int = std::to_string(Bits);
-  // Trans only sees topology edges, so the fallback is never taken.
-  std::string Fallback = "| _ -> 0u" + Int;
-  std::string Src;
-  for (size_t R = 0; R < Ranks; ++R) {
-    Src += "\nlet " + ranked("__ft_link", R) + " (e : edge) : int" + Int +
-           " =\n  let (ea, eb) = e in\n  match ea with\n";
-    for (const auto &[A, Ends] : ByEnd) {
-      Src += "  | " + std::to_string(A) + "n -> (match eb with";
-      for (const auto &[B, Is] : Ends)
-        Src += " | " + std::to_string(B) + "n -> " +
-               std::to_string(Is[std::min(R, Is.size() - 1)]) + "u" + Int;
-      Src += " " + Fallback + ")\n";
-    }
-    Src += "  " + Fallback + "\n";
-  }
-  return Src;
+/// `let Name (p1 : T1) ... (pn : Tn) [: Result] = Body`, as the parser
+/// builds it.
+DeclPtr funDecl(std::string Name,
+                const std::vector<std::pair<std::string, TypePtr>> &Params,
+                ExprPtr Body, TypePtr Result = nullptr) {
+  for (auto It = Params.rbegin(); It != Params.rend(); ++It)
+    Body = Expr::fun(It->first, std::move(Body), It->second);
+  DeclPtr D = Decl::letDecl(std::move(Name), std::move(Body));
+  D->Ty = std::move(Result);
+  D->ParamCount = unsigned(Params.size());
+  return D;
 }
 
-/// Destructures `key` into named components; returns the binder prelude
-/// ("let (n, k0, k1) = key in ") and the component names.
-std::string keyBinders(const FtOptions &Opts, std::string &NodeName,
-                       std::vector<std::string> &LinkNames) {
-  NodeName.clear();
-  LinkNames.clear();
-  for (unsigned I = 0; I < Opts.LinkFailures; ++I)
-    LinkNames.push_back("__k" + std::to_string(I));
-  if (!Opts.NodeFailure && Opts.LinkFailures == 1) {
-    LinkNames[0] = "key";
-    return "";
-  }
-  std::string Binder = "let (";
-  bool First = true;
-  if (Opts.NodeFailure) {
-    NodeName = "__fn";
-    Binder += NodeName;
-    First = false;
-  }
-  for (const std::string &L : LinkNames) {
-    if (!First)
-      Binder += ", ";
-    Binder += L;
-    First = false;
-  }
-  return Binder + ") = key in ";
+/// `let (p1, ..., pn) = Init in Body`: a one-case match.
+ExprPtr letTuple(ExprPtr Init, const std::vector<std::string> &Names,
+                 ExprPtr Body) {
+  std::vector<PatternPtr> Ps;
+  for (const std::string &N : Names)
+    Ps.push_back(Pattern::var(N));
+  PatternPtr Pat = Ps.size() == 1 ? Ps[0] : Pattern::tuple(std::move(Ps));
+  return Expr::match(std::move(Init), {{std::move(Pat), std::move(Body)}});
 }
+
+ExprPtr orElse(ExprPtr A, ExprPtr B) {
+  return A ? Expr::oper(Op::Or, {std::move(A), std::move(B)}) : B;
+}
+
+ExprPtr eq(const std::string &A, const std::string &B) {
+  return Expr::oper(Op::Eq, {Expr::var(A), Expr::var(B)});
+}
+
+/// The edge-to-link-index table over \p Links: one `__ft_link<R>`
+/// declaration per duplicate rank R (a link declared m times has m
+/// indices; rank R names its R-th, or its last when it has fewer). Each
+/// matches the edge's first endpoint, then its second, covering both
+/// orientations of every link. Every node's type is known (edge -> intW),
+/// so the table is built typed and needs no check.
+std::vector<DeclPtr> linkTableDecls(
+    const std::vector<std::pair<uint32_t, uint32_t>> &Links, unsigned Bits) {
+  // (first endpoint, second endpoint, link index) for both orientations,
+  // sorted: the runs of equal endpoints hold each edge's indices in order.
+  std::vector<std::array<uint32_t, 3>> Ends;
+  Ends.reserve(2 * Links.size());
+  for (uint32_t I = 0; I < Links.size(); ++I) {
+    auto [U, V] = Links[I];
+    Ends.push_back({U, V, I});
+    if (U != V)
+      Ends.push_back({V, U, I});
+  }
+  std::sort(Ends.begin(), Ends.end());
+  auto SameEdge = [&](size_t I, size_t J) {
+    return Ends[I][0] == Ends[J][0] && Ends[I][1] == Ends[J][1];
+  };
+  size_t Ranks = 1;
+  for (size_t I = 1, Run = 1; I < Ends.size(); ++I)
+    Ranks = std::max(Ranks, Run = SameEdge(I - 1, I) ? Run + 1 : 1);
+
+  TypePtr IntTy = Type::intTy(Bits);
+  auto Typed = [](ExprPtr E, TypePtr T) {
+    E->Ty = std::move(T);
+    return E;
+  };
+  auto Index = [&](uint32_t I) {
+    return Typed(Expr::intConst(I, Bits), IntTy);
+  };
+  // Patterns hold no state, so each node's is made once.
+  std::vector<PatternPtr> NodePats(Ends.empty() ? 0 : Ends.back()[0] + 1);
+  PatternPtr Wild = Pattern::wild();
+  auto Arm = [&](uint32_t Node, ExprPtr Body) {
+    PatternPtr &Pat = NodePats[Node];
+    if (!Pat)
+      Pat = Pattern::lit(Literal::nodeLit(Node));
+    return MatchCase{Pat, std::move(Body)};
+  };
+  auto Match = [&](const char *Node, std::vector<MatchCase> Arms) {
+    // Trans only sees topology edges, so the fallback is never taken.
+    Arms.push_back({Wild, Index(0)});
+    return Typed(Expr::match(Typed(Expr::var(Node), Type::nodeTy()),
+                             std::move(Arms)),
+                 IntTy);
+  };
+  std::vector<DeclPtr> Out;
+  for (size_t R = 0; R < Ranks; ++R) {
+    std::vector<MatchCase> ByFirst;
+    for (size_t I = 0; I < Ends.size();) {
+      uint32_t A = Ends[I][0];
+      std::vector<MatchCase> BySecond;
+      while (I < Ends.size() && Ends[I][0] == A) {
+        size_t J = I + 1;
+        while (J < Ends.size() && SameEdge(I, J))
+          ++J;
+        uint32_t Link = Ends[std::min(I + R, J - 1)][2];
+        BySecond.push_back(Arm(Ends[I][1], Index(Link)));
+        I = J;
+      }
+      ByFirst.push_back(Arm(A, Match("eb", std::move(BySecond))));
+    }
+    ExprPtr Body =
+        Typed(letTuple(Typed(Expr::var("e"), Type::edgeTy()), {"ea", "eb"},
+                       Match("ea", std::move(ByFirst))),
+              IntTy);
+    DeclPtr D = funDecl(ranked("__ft_link", R), {{"e", Type::edgeTy()}},
+                        std::move(Body), IntTy);
+    D->Body->Ty = Type::arrowTy(Type::edgeTy(), IntTy);
+    Out.push_back(std::move(D));
+  }
+  return Out;
+}
+
+/// The names the scenario key's components are bound to: the failed node
+/// (when one fails), then one per link.
+struct KeyBinders {
+  std::string Node;
+  std::vector<std::string> Links;
+
+  explicit KeyBinders(const FtOptions &Opts) {
+    if (Opts.NodeFailure)
+      Node = "__fn";
+    for (unsigned I = 0; I < Opts.LinkFailures; ++I)
+      Links.push_back("__k" + std::to_string(I));
+    if (!Opts.NodeFailure && Opts.LinkFailures == 1)
+      Links[0] = "key"; // the key is the link index itself
+  }
+
+  /// `let (<components>) = key in Body`; just Body for a bare link key.
+  ExprPtr bind(ExprPtr Body) const {
+    if (Node.empty() && Links.size() == 1)
+      return Body;
+    std::vector<std::string> Names;
+    if (!Node.empty())
+      Names.push_back(Node);
+    Names.insert(Names.end(), Links.begin(), Links.end());
+    return letTuple(Expr::var("key"), Names, std::move(Body));
+  }
+};
 
 /// C(NumLinks + K - 1, K) link combinations with repetition (K =
 /// LinkFailures), times NumNodes with a node failure; empty past
@@ -166,30 +217,30 @@ std::string nv::ftOptionsError(const FtOptions &Opts) {
 
 namespace {
 
-std::string dropSource(const TypePtr &RawTy) {
+ExprPtr dropExpr(const TypePtr &RawTy) {
   TypePtr Ty = resolve(RawTy);
   if (Ty->Kind == TypeKind::Option)
-    return "None";
+    return Expr::none();
   if (Ty->Kind != TypeKind::Dict)
-    return "";
-  std::string Inner = dropSource(Ty->Elems[1]);
-  return Inner.empty() ? "" : "createDict (" + Inner + ")";
+    return nullptr;
+  ExprPtr Inner = dropExpr(Ty->Elems[1]);
+  return Inner ? Expr::oper(Op::MCreate, {Inner}) : nullptr;
 }
 
 } // namespace
 
-std::string nv::defaultDropSource(const TypePtr &AttrTy, std::string &Error) {
-  std::string S = dropSource(AttrTy);
-  if (S.empty())
+ExprPtr nv::defaultDropExpr(const TypePtr &AttrTy, std::string &Error) {
+  ExprPtr E = dropExpr(AttrTy);
+  if (!E)
     Error = "no drop value for attribute type " + typeToString(AttrTy) +
             ": one is derived only for option[..] attributes and dicts "
             "whose values have one";
-  return S;
+  return E;
 }
 
 const Value *nv::defaultDropValue(NvContext &Ctx, const TypePtr &AttrTy) {
   std::string Error;
-  if (defaultDropSource(AttrTy, Error).empty())
+  if (!defaultDropExpr(AttrTy, Error))
     evalError(Error);
   TypePtr Ty = resolve(AttrTy);
   if (Ty->Kind == TypeKind::Option)
@@ -210,102 +261,119 @@ std::optional<Program> nv::makeFaultTolerantProgram(const Program &P,
     return std::nullopt;
   }
 
-  size_t NumLinks = P.links().size();
+  auto Links = P.links();
+  size_t NumLinks = Links.size();
   if (std::string E = scenarioSpaceError(NumLinks, P.numNodes(), Opts);
       !E.empty()) {
     Diags.error({}, E);
     return std::nullopt;
   }
 
-  Program Base = renameSemanticDecls(P);
-  std::string Src = printProgram(Base);
+  // The drop value; each use below takes its own copy.
+  ExprPtr Drop;
+  if (Opts.DropValueSource.empty()) {
+    std::string Error;
+    Drop = defaultDropExpr(P.AttrType, Error);
+    if (!Drop)
+      Diags.error({}, Error);
+  } else if (!(Drop = parseExprString(Opts.DropValueSource, Diags))) {
+    Diags.error({}, "cannot parse the drop value '" + Opts.DropValueSource +
+                        "'");
+  }
+  if (!Drop)
+    return std::nullopt;
+
+  // The base program, typed as it is, with init/trans/merge/assert renamed
+  // to __base_*, then the typed link table; only the declarations after
+  // those are checked.
+  Program Out = renameSemanticDecls(P);
 
   unsigned Bits = linkIndexBits(NumLinks);
-  std::string LinkTy = "int" + std::to_string(Bits);
-  std::string K = keyTypeSource(Opts, LinkTy);
-  std::string A = typeToString(P.AttrType);
-  std::string Drop = Opts.DropValueSource;
-  if (Drop.empty()) {
-    std::string Error;
-    Drop = defaultDropSource(P.AttrType, Error);
-    if (Drop.empty()) {
-      Diags.error({}, Error);
-      return std::nullopt;
-    }
+  TypePtr LinkTy = Type::intTy(Bits);
+  TypePtr K = LinkTy;
+  if (Opts.NodeFailure || Opts.LinkFailures != 1) {
+    std::vector<TypePtr> Parts;
+    if (Opts.NodeFailure)
+      Parts.push_back(Type::nodeTy());
+    Parts.insert(Parts.end(), Opts.LinkFailures, LinkTy);
+    K = Parts.size() == 1 ? Parts[0] : Type::tupleTy(std::move(Parts));
   }
-
-  std::string NodeName;
-  std::vector<std::string> LinkNames;
-  std::string Binders = keyBinders(Opts, NodeName, LinkNames);
+  TypePtr DictTy = Type::dictTy(K, P.AttrType);
+  KeyBinders Key(Opts);
 
   // Which link index (or indices, for a link declared more than once)
   // does directed edge e belong to? Bound once per trans call as __i<R>.
   size_t Ranks = 0;
-  if (Opts.LinkFailures > 0)
-    Src += linkTableSource(P, Bits, Ranks);
-  std::string IdxParams, IdxArgs, IdxLets;
-  for (size_t R = 0; R < Ranks; ++R) {
-    std::string I = ranked("__i", R);
-    IdxParams += " (" + I + " : " + LinkTy + ")";
-    IdxArgs += " " + I;
-    IdxLets += "  let " + I + " = " + ranked("__ft_link", R) + " e in\n";
+  if (Opts.LinkFailures > 0) {
+    std::vector<DeclPtr> Table = linkTableDecls(Links, Bits);
+    Ranks = Table.size();
+    Out.Decls.insert(Out.Decls.end(), Table.begin(), Table.end());
   }
+  size_t First = Out.Decls.size();
 
   // Predicate over keys: scenario affects edge e, whose link indices are
   // the __i parameters (failed link, or failed node adjacent to e).
-  Src += "\nlet __ft_affects (key : " + K + ") (e : edge)" + IdxParams +
-         " =\n  " + Binders;
   {
-    std::string Cond;
-    for (const std::string &L : LinkNames)
-      for (size_t R = 0; R < Ranks; ++R) {
-        if (!Cond.empty())
-          Cond += " || ";
-        Cond += L + " = " + ranked("__i", R);
-      }
-    if (!NodeName.empty()) {
-      if (!Cond.empty())
-        Cond += " || ";
-      Cond += "(let (eu, ev) = e in " + NodeName + " = eu || " + NodeName +
-              " = ev)";
-    }
-    Src += Cond + "\n";
+    std::vector<std::pair<std::string, TypePtr>> Params = {
+        {"key", K}, {"e", Type::edgeTy()}};
+    for (size_t R = 0; R < Ranks; ++R)
+      Params.emplace_back(ranked("__i", R), LinkTy);
+    ExprPtr Cond;
+    for (const std::string &L : Key.Links)
+      for (size_t R = 0; R < Ranks; ++R)
+        Cond = orElse(std::move(Cond), eq(L, ranked("__i", R)));
+    if (!Key.Node.empty())
+      Cond = orElse(std::move(Cond),
+                    letTuple(Expr::var("e"), {"eu", "ev"},
+                             orElse(eq(Key.Node, "eu"), eq(Key.Node, "ev"))));
+    Out.Decls.push_back(funDecl("__ft_affects", Params, Key.bind(Cond)));
   }
+
+  auto App = [](const std::string &Fn, std::vector<ExprPtr> Args) {
+    return Expr::apps(Expr::var(Fn), std::move(Args));
+  };
+  auto Lambda = [](const std::string &X, TypePtr T, ExprPtr Body) {
+    return Expr::fun(X, std::move(Body), std::move(T));
+  };
+  auto DropFn = [&] { return Lambda("v", P.AttrType, cloneExpr(Drop)); };
 
   // init: one copy of the base route per scenario; with node failures the
   // failed node originates nothing.
-  if (NodeName.empty()) {
-    Src += "\nlet init (u : node) : dict[" + K + ", " + A +
-           "] = createDict (__base_init u)\n";
-  } else {
-    Src += "\nlet init (u : node) : dict[" + K + ", " + A + "] =\n"
-           "  mapIte (fun (key : " + K + ") -> " + Binders + NodeName +
-           " = u)\n"
-           "         (fun (v : " + A + ") -> " + Drop + ")\n"
-           "         (fun (v : " + A + ") -> v)\n"
-           "         (createDict (__base_init u))\n";
-  }
+  ExprPtr Init = Expr::oper(
+      Op::MCreate, {App("__base_init", {Expr::var("u")})});
+  if (!Key.Node.empty())
+    Init = Expr::oper(Op::MMapIte,
+                      {Lambda("key", K, Key.bind(eq(Key.Node, "u"))),
+                       DropFn(), Lambda("v", P.AttrType, Expr::var("v")),
+                       std::move(Init)});
+  Out.Decls.push_back(
+      funDecl("init", {{"u", Type::nodeTy()}}, std::move(Init), DictTy));
 
   // trans: Fig. 5's transFail, generalized to multi-failure keys.
-  Src += "\nlet trans (e : edge) (x : dict[" + K + ", " + A + "]) =\n" +
-         IdxLets + "  mapIte (fun (key : " + K + ") -> __ft_affects key e" +
-         IdxArgs + ")\n"
-         "         (fun (v : " + A + ") -> " + Drop + ")\n"
-         "         (fun (v : " + A + ") -> __base_trans e v)\n"
-         "         x\n";
+  std::vector<ExprPtr> AffectsArgs = {Expr::var("key"), Expr::var("e")};
+  for (size_t R = 0; R < Ranks; ++R)
+    AffectsArgs.push_back(Expr::var(ranked("__i", R)));
+  ExprPtr Trans = Expr::oper(
+      Op::MMapIte,
+      {Lambda("key", K, App("__ft_affects", std::move(AffectsArgs))),
+       DropFn(),
+       Lambda("v", P.AttrType,
+              App("__base_trans", {Expr::var("e"), Expr::var("v")})),
+       Expr::var("x")});
+  for (size_t R = Ranks; R-- > 0;)
+    Trans = Expr::let(ranked("__i", R),
+                      App(ranked("__ft_link", R), {Expr::var("e")}),
+                      std::move(Trans));
+  Out.Decls.push_back(funDecl(
+      "trans", {{"e", Type::edgeTy()}, {"x", DictTy}}, std::move(Trans)));
 
   // merge: Fig. 5's mergeFail.
-  Src += "\nlet merge (u : node) (x : dict[" + K + ", " + A +
-         "]) (y : dict[" + K + ", " + A + "]) =\n"
-         "  combine (__base_merge u) x y\n";
+  Out.Decls.push_back(funDecl(
+      "merge", {{"u", Type::nodeTy()}, {"x", DictTy}, {"y", DictTy}},
+      Expr::oper(Op::MCombine, {App("__base_merge", {Expr::var("u")}),
+                                Expr::var("x"), Expr::var("y")})));
 
-  auto Out = parseProgram(Src, Diags);
-  if (!Out) {
-    Diags.error({}, "internal: generated fault-tolerance program failed to "
-                    "parse");
-    return std::nullopt;
-  }
-  if (!typeCheck(*Out, Diags))
+  if (!typeCheckAppended(Out, First, Diags))
     return std::nullopt;
   return Out;
 }

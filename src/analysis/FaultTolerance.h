@@ -64,8 +64,10 @@ namespace nv {
 struct FtOptions {
   unsigned LinkFailures = 1; ///< Link components in the scenario key.
   bool NodeFailure = false;  ///< Also fail one node per scenario.
-  /// NV source of the "dropped route" value. Empty: derived from the
-  /// attribute type (defaultDropSource), None for Fig. 5's option routes.
+  /// NV source of the "dropped route" value: one expression, which may use
+  /// the base program's lets and `v`, the route it replaces. Empty:
+  /// derived from the attribute type (defaultDropExpr), None for Fig. 5's
+  /// option routes.
   std::string DropValueSource;
   /// Worker threads for the assert check's per-node descents (1 =
   /// serial; 0 = NV_THREADS / hardware concurrency). The meta-simulation
@@ -104,19 +106,23 @@ struct FtOptions {
 std::string ftOptionsError(const FtOptions &Opts);
 
 /// The route a failed link or node carries when the caller names none:
-/// `None` for an option[..] attribute, `createDict (<drop of V>)` for
-/// dict[K, V]. Returns its NV source, or "" with \p Error naming the type
-/// when the attribute is neither.
-std::string defaultDropSource(const TypePtr &AttrTy, std::string &Error);
+/// `None` for an option[..] attribute, `createDict <drop of V>` for
+/// dict[K, V]. Returns it as an untyped expression, or null with \p Error
+/// naming the type when the attribute is neither.
+ExprPtr defaultDropExpr(const TypePtr &AttrTy, std::string &Error);
 
-/// The value of defaultDropSource(\p AttrTy) in \p Ctx; an eval error for
+/// The value of defaultDropExpr(\p AttrTy) in \p Ctx; an eval error for
 /// an attribute type without one.
 const Value *defaultDropValue(NvContext &Ctx, const TypePtr &AttrTy);
 
 /// Builds the fault-tolerant meta-program: the input's init/trans/merge
 /// (and assert) are renamed to __base_* and wrapped per Fig. 5. The result
-/// is parsed from generated NV source and type-checked; null on failure
-/// (diagnostics filed). \p P must already be type-checked (AttrType set).
+/// is a typed copy of \p P (renameSemanticDecls: it shares no Expr node
+/// with \p P, so the two can be evaluated on different threads) followed
+/// by the generated declarations, built as AST; only those are
+/// type-checked (typeCheckAppended). Null on failure (diagnostics filed),
+/// e.g. for a DropValueSource that does not parse or has the wrong type.
+/// \p P must already be type-checked (AttrType set).
 std::optional<Program> makeFaultTolerantProgram(const Program &P,
                                                 const FtOptions &Opts,
                                                 DiagnosticEngine &Diags);

@@ -2,12 +2,8 @@
 
 #include "baselines/BatfishSim.h"
 
-#include "core/Parser.h"
-#include "core/Printer.h"
-#include "core/TypeChecker.h"
 #include "eval/ProgramEvaluator.h"
 #include "sim/Simulator.h"
-#include "support/Fatal.h"
 
 #include <atomic>
 #include <cstdlib>
@@ -163,26 +159,21 @@ BatfishResult nv::batfishAllPrefixes(
     for (size_t I : Pending)
       RunOne(ParamProgram, I);
   } else {
-    // One persistent worker per pool thread: each re-parses the program
-    // ONCE (no AST node, whose free-variable cache is lazily filled, is
-    // shared across threads) and claims destinations dynamically off a
-    // shared counter. Per-prefix contexts stay as in the serial path,
-    // preserving Batfish's no-sharing cost model — and keeping per-prefix
-    // allocation counts independent of the pool size.
-    std::string Src = printProgram(ParamProgram);
+    // One persistent worker per pool thread: each takes its own typed copy
+    // of the program ONCE (cloneProgram: no AST node, whose free-variable
+    // cache is lazily filled, is shared across threads) and claims
+    // destinations dynamically off a shared counter. Per-prefix contexts
+    // stay as in the serial path, preserving Batfish's no-sharing cost
+    // model — and keeping per-prefix allocation counts independent of the
+    // pool size.
     size_t Workers =
         std::min(Pending.size(), static_cast<size_t>(Pool->numThreads()));
     std::atomic<size_t> NextPending{0};
     Pool->parallelFor(Workers, [&](size_t) {
-      DiagnosticEngine Diags;
-      auto Local = parseProgram(Src, Diags);
-      if (!Local || !typeCheck(*Local, Diags))
-        fatalError("internal: Batfish-baseline worker failed to re-parse "
-                   "the program:\n" +
-                   Diags.str());
+      Program Local = cloneProgram(ParamProgram);
       for (size_t PI = NextPending.fetch_add(1); PI < Pending.size();
            PI = NextPending.fetch_add(1))
-        RunOne(*Local, Pending[PI]);
+        RunOne(Local, Pending[PI]);
     });
   }
 

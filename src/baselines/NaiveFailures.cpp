@@ -2,11 +2,6 @@
 
 #include "baselines/NaiveFailures.h"
 
-#include "core/Parser.h"
-#include "core/Printer.h"
-#include "core/TypeChecker.h"
-#include "support/Fatal.h"
-
 #include <atomic>
 
 using namespace nv;
@@ -238,14 +233,12 @@ FtCheckResult nv::naiveFaultToleranceParallel(
   if (Scenarios.size() == 0)
     return R;
 
-  // One persistent worker per pool thread. Each worker re-parses the
-  // program ONCE (AST nodes carry a lazily-filled free-variable cache, so
-  // sharing them across threads would race), builds one evaluator over its
-  // own NvContext/BddManager arena, then claims scenarios dynamically off
-  // a shared counter and garbage-collects its arena back to the pinned
-  // baseline between scenarios — instead of the old scheme of building
-  // (and throwing away) a fresh parse + arena per contiguous chunk.
-  std::string Src = printProgram(P);
+  // One persistent worker per pool thread. Each worker takes its own typed
+  // copy of the program ONCE (cloneProgram: AST nodes carry a lazily-filled
+  // free-variable cache, so sharing them across threads would race), builds
+  // one evaluator over its own NvContext/BddManager arena, then claims
+  // scenarios dynamically off a shared counter and garbage-collects its
+  // arena back to the pinned baseline between scenarios.
 
   // Violations land in per-scenario slots and are concatenated in scenario
   // order below, so the logical result is identical for any pool size and
@@ -276,16 +269,11 @@ FtCheckResult nv::naiveFaultToleranceParallel(
 
   if (Workers > 0)
     Pool.parallelFor(Workers, [&](size_t W) {
-      DiagnosticEngine Diags;
-      auto Local = parseProgram(Src, Diags);
-      if (!Local || !typeCheck(*Local, Diags))
-        fatalError("internal: naive-baseline worker failed to re-parse the "
-                   "program:\n" +
-                   Diags.str());
-      auto Ctx = std::make_shared<NvContext>(Local->numNodes());
-      InterpProgramEvaluator BaseEval(*Ctx, *Local);
+      Program Local = cloneProgram(P);
+      auto Ctx = std::make_shared<NvContext>(Local.numNodes());
+      InterpProgramEvaluator BaseEval(*Ctx, Local);
       const Value *Drop = MakeDrop ? MakeDrop(*Ctx)
-                                   : defaultDropValue(*Ctx, Local->AttrType);
+                                   : defaultDropValue(*Ctx, Local.AttrType);
       Ctx->pinValue(Drop);
       for (size_t PI = NextPending.fetch_add(1); PI < Pending.size();
            PI = NextPending.fetch_add(1)) {
@@ -299,7 +287,7 @@ FtCheckResult nv::naiveFaultToleranceParallel(
         unsigned Attempts = 1;
         PerOutcome[I] = runUnitWithRetry(
             Opts.Budget, Opts.Retry, Attempts, [&](const RunBudget &B) {
-              return runOneScenarioGoverned(*Local, BaseEval, Scenarios, I,
+              return runOneScenarioGoverned(Local, BaseEval, Scenarios, I,
                                             Drop, B, PerScenario[I]);
             });
         if (Attempts > 1)

@@ -5,6 +5,7 @@
 #include "support/Fatal.h"
 
 #include <algorithm>
+#include <span>
 
 using namespace nv;
 
@@ -565,6 +566,100 @@ void nv::forEachExpr(const ExprPtr &E,
     forEachExpr(A, Fn);
   for (const MatchCase &C : E->Cases)
     forEachExpr(C.Body, Fn);
+}
+
+namespace {
+
+/// cloneExpr, renaming free references to the names in Renames.
+class Cloner {
+public:
+  explicit Cloner(const std::map<std::string, std::string> &Renames)
+      : Renames(Renames) {}
+
+  ExprPtr clone(const ExprPtr &E) {
+    if (!E)
+      return nullptr;
+    // Field by field: copying the node would also read CachedFreeVars,
+    // which another thread may be filling.
+    auto C = std::make_shared<Expr>();
+    C->Kind = E->Kind;
+    C->Loc = E->Loc;
+    C->Ty = E->Ty;
+    C->Lit = E->Lit;
+    C->Name = E->Name;
+    C->OpCode = E->OpCode;
+    C->Labels = E->Labels;
+    C->Index = E->Index;
+    C->Annot = E->Annot;
+    C->Args.reserve(E->Args.size());
+    switch (E->Kind) {
+    case ExprKind::Var:
+      if (auto It = Renames.find(E->Name);
+          It != Renames.end() && std::find(Shadowed.begin(), Shadowed.end(),
+                                           E->Name) == Shadowed.end())
+        C->Name = It->second;
+      break;
+    case ExprKind::Let:
+      C->Args.push_back(clone(E->Args[0]));
+      C->Args.push_back(cloneUnder({&E->Name, 1}, E->Args[1]));
+      break;
+    case ExprKind::Fun:
+      C->Args.push_back(cloneUnder({&E->Name, 1}, E->Args[0]));
+      break;
+    case ExprKind::Match: {
+      C->Args.push_back(clone(E->Args[0]));
+      C->Cases.reserve(E->Cases.size());
+      std::vector<std::string> Bound;
+      for (const MatchCase &MC : E->Cases) {
+        Bound.clear();
+        MC.Pat->boundVars(Bound);
+        C->Cases.push_back({MC.Pat, cloneUnder(Bound, MC.Body)});
+      }
+      break;
+    }
+    default:
+      for (const ExprPtr &A : E->Args)
+        C->Args.push_back(clone(A));
+    }
+    return C;
+  }
+
+private:
+  const std::map<std::string, std::string> &Renames;
+  /// The local binders in scope that shadow a renamed name.
+  std::vector<std::string> Shadowed;
+
+  ExprPtr cloneUnder(std::span<const std::string> Binders,
+                     const ExprPtr &Body) {
+    size_t Mark = Shadowed.size();
+    for (const std::string &B : Binders)
+      if (Renames.count(B))
+        Shadowed.push_back(B);
+    ExprPtr C = clone(Body);
+    Shadowed.resize(Mark);
+    return C;
+  }
+};
+
+} // namespace
+
+ExprPtr nv::cloneExpr(const ExprPtr &E) { return Cloner({}).clone(E); }
+
+Program nv::cloneProgram(const Program &P,
+                         const std::map<std::string, std::string> &Renames) {
+  Cloner C(Renames);
+  Program Out;
+  Out.AttrType = P.AttrType;
+  Out.Decls.reserve(P.Decls.size());
+  for (const DeclPtr &D : P.Decls) {
+    auto Copy = std::make_shared<Decl>(*D);
+    Copy->Body = C.clone(D->Body);
+    if (auto It = Renames.find(D->Name);
+        D->Kind == DeclKind::Let && It != Renames.end())
+      Copy->Name = It->second;
+    Out.Decls.push_back(std::move(Copy));
+  }
+  return Out;
 }
 
 static bool patternEquals(const PatternPtr &A, const PatternPtr &B) {

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -299,6 +300,19 @@ struct Program {
 
 /// Calls \p Fn on every sub-expression of \p E (including \p E), pre-order.
 void forEachExpr(const ExprPtr &E, const std::function<void(const ExprPtr &)> &Fn);
+
+/// A deep copy of \p E: every Expr node is fresh, so the copy can be
+/// evaluated on another thread than the original (freeVarsOf fills
+/// Expr::CachedFreeVars lazily, which makes shared nodes race). Types and
+/// patterns, immutable once checked, are shared; Ty is kept and
+/// CachedFreeVars starts empty.
+ExprPtr cloneExpr(const ExprPtr &E);
+
+/// A deep copy of \p P (cloneExpr on every body; fresh Decl objects) that
+/// keeps AttrType. A Let declaration named in \p Renames takes its new name,
+/// and so does every reference to it that no local binder shadows.
+Program cloneProgram(const Program &P,
+                     const std::map<std::string, std::string> &Renames = {});
 
 /// Structural equality of expressions (alpha-sensitive; literals, names and
 /// shapes must match). Used by tests and by partial evaluation.

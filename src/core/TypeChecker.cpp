@@ -4,6 +4,7 @@
 
 #include "support/Fatal.h"
 
+#include <cassert>
 #include <map>
 #include <set>
 
@@ -22,12 +23,16 @@ class CheckerImpl {
 public:
   CheckerImpl(DiagnosticEngine &Diags) : Diags(Diags) {}
 
-  bool checkProgram(Program &P) {
+  bool checkProgram(Program &P, size_t First) {
     NumNodes = P.numNodes();
     HasTopology = NumNodes > 0;
 
-    for (DeclPtr &D : P.Decls)
-      checkDecl(D);
+    for (size_t I = 0; I < P.Decls.size(); ++I) {
+      if (I < First)
+        seedDecl(*P.Decls[I]);
+      else
+        checkDecl(P.Decls[I]);
+    }
 
     // Tie the Fig. 8 signatures to the attribute type.
     TypePtr Attr = Type::varTy();
@@ -69,10 +74,10 @@ public:
     if (Diags.hasErrors())
       return false;
 
-    // Zonk all expression types in place for downstream consumers.
-    for (DeclPtr &D : P.Decls)
-      if (D->Body)
-        zonkExpr(D->Body);
+    // Zonk the new expression types in place for downstream consumers.
+    for (size_t I = First; I < P.Decls.size(); ++I)
+      if (P.Decls[I]->Body)
+        zonkExpr(P.Decls[I]->Body);
     return true;
   }
 
@@ -632,16 +637,52 @@ private:
     nv_unreachable("covered switch");
   }
 
+  /// Binds a declaration of the already-checked prefix without checking
+  /// it again: a let at its generalized type, a symbolic at its type.
+  void seedDecl(const Decl &D) {
+    if (D.Kind == DeclKind::Symbolic) {
+      bind(D.Name, D.Ty);
+    } else if (D.Kind == DeclKind::Let) {
+      assert(D.Body->Ty && "typeCheckAppended: prefix is not type-checked");
+      TypePtr T = zonk(D.Body->Ty);
+      std::set<int> Vars;
+      freeVars(T, Vars);
+      if (Vars.empty()) {
+        bindScheme(D.Name, Scheme{T, {}});
+        return;
+      }
+      // Fresh variables, so that uses in the new decls bind only those
+      // (the prefix's types stay as they are).
+      std::map<int, TypePtr> Fresh;
+      for (int V : Vars)
+        Fresh[V] = Type::varTy();
+      bindScheme(D.Name, generalize(substitute(T, Fresh)));
+    }
+  }
+
   //===--------------------------------------------------------------------===//
   // Zonking
   //===--------------------------------------------------------------------===//
 
+  /// zonk that rewrites compound types in place instead of copying them.
+  /// Only types this check made hold a bound variable (a prefix's types
+  /// are zonked, and seedDecl keeps their variables unbound), so nothing
+  /// else is written.
+  static TypePtr zonkInPlace(const TypePtr &RawT) {
+    TypePtr T = resolve(RawT);
+    if (T)
+      for (TypePtr &E : T->Elems)
+        if (TypePtr Z = zonkInPlace(E); Z.get() != E.get())
+          E = std::move(Z);
+    return T;
+  }
+
   void zonkExpr(const ExprPtr &E) {
     forEachExpr(E, [](const ExprPtr &Sub) {
       if (Sub->Ty)
-        Sub->Ty = zonk(Sub->Ty);
+        Sub->Ty = zonkInPlace(Sub->Ty);
       if (Sub->Annot)
-        Sub->Annot = zonk(Sub->Annot);
+        Sub->Annot = zonkInPlace(Sub->Annot);
     });
   }
 };
@@ -652,23 +693,25 @@ TypePtr nv::zonk(const TypePtr &RawT) {
   TypePtr T = resolve(RawT);
   if (!T || T->Elems.empty())
     return T;
-  bool Changed = false;
-  std::vector<TypePtr> NewElems;
-  NewElems.reserve(T->Elems.size());
-  for (const TypePtr &E : T->Elems) {
-    TypePtr Z = zonk(E);
-    Changed |= Z.get() != E.get();
-    NewElems.push_back(Z);
+  // Copied only once a component changes: a zonked type comes back as is.
+  TypePtr Copy;
+  for (size_t I = 0; I < T->Elems.size(); ++I) {
+    TypePtr Z = zonk(T->Elems[I]);
+    if (Z.get() == T->Elems[I].get())
+      continue;
+    if (!Copy)
+      Copy = std::make_shared<Type>(*T);
+    Copy->Elems[I] = std::move(Z);
   }
-  if (!Changed)
-    return T;
-  auto Copy = std::make_shared<Type>(*T);
-  Copy->Elems = std::move(NewElems);
-  return Copy;
+  return Copy ? Copy : T;
 }
 
 bool nv::typeCheck(Program &P, DiagnosticEngine &Diags) {
-  return CheckerImpl(Diags).checkProgram(P);
+  return typeCheckAppended(P, 0, Diags);
+}
+
+bool nv::typeCheckAppended(Program &P, size_t First, DiagnosticEngine &Diags) {
+  return CheckerImpl(Diags).checkProgram(P, First);
 }
 
 TypePtr nv::typeCheckExpr(const ExprPtr &E, DiagnosticEngine &Diags) {

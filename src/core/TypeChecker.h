@@ -13,6 +13,8 @@
 #include "core/Ast.h"
 #include "support/Diagnostics.h"
 
+#include <cstddef>
+
 namespace nv {
 
 /// Type-checks a whole program in place: fills Expr::Ty on every node,
@@ -22,6 +24,18 @@ namespace nv {
 ///
 /// \returns true on success; diagnostics are filed otherwise.
 bool typeCheck(Program &P, DiagnosticEngine &Diags);
+
+/// Type-checks the declarations P.Decls[\p First..] appended to an
+/// already type-checked prefix, which is not checked again: each prefix
+/// let enters the environment at the generalization of its zonked body
+/// type (with fresh type variables, so the prefix's own types are never
+/// bound), each prefix symbolic at its type. Then the new declarations are
+/// checked as typeCheck would, Program::AttrType is derived from init/
+/// trans/merge/assert wherever they are declared, and only the new
+/// declarations' types are zonked. typeCheck(P) is typeCheckAppended(P, 0).
+///
+/// \returns true on success; diagnostics are filed otherwise.
+bool typeCheckAppended(Program &P, size_t First, DiagnosticEngine &Diags);
 
 /// Type-checks a closed expression (testing convenience). Returns the
 /// zonked type, or null after filing diagnostics.

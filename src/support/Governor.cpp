@@ -238,8 +238,6 @@ const bool FaultInjectEnvArmed = (FaultInject::armFromEnv(), true);
 // Governor
 //===----------------------------------------------------------------------===//
 
-thread_local Governor *Governor::Head = nullptr;
-
 Governor::Governor(const RunBudget &Budget) : B(Budget) {
   if (B.DeadlineMs > 0) {
     HasDeadline = true;

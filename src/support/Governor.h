@@ -342,7 +342,11 @@ private:
   uint32_t DeadlineCountdown = 0;
   static constexpr uint32_t DeadlinePollEvery = 64;
 
-  static thread_local Governor *Head;
+  /// Defined here and constant-initialized, so every TU reads it with one
+  /// thread-pointer-relative load and no TLS wrapper. (UBSan null-checks
+  /// the address a wrapper computes, and once the linker relaxes that TLS
+  /// access the check reads stale flags: a false report.)
+  static inline constinit thread_local Governor *Head = nullptr;
 };
 
 } // namespace nv

@@ -663,34 +663,22 @@ Program nv::partialEvalProgram(const Program &P) {
 }
 
 Program nv::renameSemanticDecls(const Program &P) {
-  static const char *Names[] = {"init", "trans", "merge", "assert"};
-  std::map<std::string, ExprPtr> Renames;
-  for (const char *N : Names)
-    Renames[N] = Expr::var(std::string("__base_") + N);
-
-  Program Out;
-  Out.AttrType = P.AttrType;
-  for (const DeclPtr &D : P.Decls) {
-    auto Copy = std::make_shared<Decl>(*D);
-    if (Copy->Body)
-      Copy->Body = substituteAll(Copy->Body, Renames);
-    if (Copy->Kind == DeclKind::Let) {
-      for (const char *N : Names)
-        if (Copy->Name == N)
-          Copy->Name = std::string("__base_") + N;
-      // Pin the declaration to its inferred type (when the input was type
-      // checked and the type is concrete). Without this, re-parsing the
-      // printed program can re-generalize, leaving e.g. an empty set
-      // literal's key type polymorphic and unevaluable.
-      if (Copy->Body->Ty) {
-        TypePtr T = zonk(Copy->Body->Ty);
-        if (isClosedType(T)) {
-          Copy->Ty = T;
-          Copy->ParamCount = 0;
-        }
+  Program Out = cloneProgram(P, {{"init", "__base_init"},
+                                 {"trans", "__base_trans"},
+                                 {"merge", "__base_merge"},
+                                 {"assert", "__base_assert"}});
+  for (const DeclPtr &D : Out.Decls) {
+    // Pin the declaration to its inferred type (when the input was type
+    // checked and the type is concrete). Without this, re-parsing the
+    // printed program can re-generalize, leaving e.g. an empty set
+    // literal's key type polymorphic and unevaluable.
+    if (D->Kind == DeclKind::Let && D->Body->Ty) {
+      TypePtr T = zonk(D->Body->Ty);
+      if (isClosedType(T)) {
+        D->Ty = T;
+        D->ParamCount = 0;
       }
     }
-    Out.Decls.push_back(Copy);
   }
   return Out;
 }

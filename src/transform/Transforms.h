@@ -62,7 +62,9 @@ Program partialEvalProgram(const Program &P);
 /// Renames the init/trans/merge/assert declarations of \p P to
 /// `__base_<name>` (adjusting references in every declaration body), so a
 /// meta-protocol can wrap them. The returned program has no
-/// init/trans/merge/assert declarations of its own.
+/// init/trans/merge/assert declarations of its own. It is a cloneProgram
+/// copy, sharing no Expr node with \p P, and every Let whose inferred type
+/// is closed is pinned to it (Decl::Ty, ParamCount 0).
 Program renameSemanticDecls(const Program &P);
 
 /// Counts AST nodes (testing/bench metric for transformation size).

@@ -472,4 +472,184 @@ TEST(TypeCheck, EdgeDestructuring) {
             "edge -> node");
 }
 
+//===----------------------------------------------------------------------===//
+// cloneProgram
+//===----------------------------------------------------------------------===//
+
+TEST(CloneProgram, DeepCopyKeepsTypes) {
+  DiagnosticEngine Diags;
+  auto P = parseProgram(Fig2b, Diags);
+  ASSERT_TRUE(P && typeCheck(*P, Diags)) << Diags.str();
+  Program C = cloneProgram(*P);
+  EXPECT_EQ(printProgram(C), printProgram(*P));
+  EXPECT_EQ(C.AttrType, P->AttrType);
+  ASSERT_EQ(C.Decls.size(), P->Decls.size());
+  for (size_t I = 0; I < P->Decls.size(); ++I) {
+    EXPECT_NE(C.Decls[I], P->Decls[I]);
+    std::vector<Expr *> Orig, Copy;
+    forEachExpr(P->Decls[I]->Body,
+                [&](const ExprPtr &E) { Orig.push_back(E.get()); });
+    forEachExpr(C.Decls[I]->Body,
+                [&](const ExprPtr &E) { Copy.push_back(E.get()); });
+    ASSERT_EQ(Orig.size(), Copy.size());
+    for (size_t J = 0; J < Orig.size(); ++J) {
+      EXPECT_NE(Orig[J], Copy[J]);
+      EXPECT_EQ(Orig[J]->Ty, Copy[J]->Ty);
+      EXPECT_EQ(Orig[J]->Loc.Line, Copy[J]->Loc.Line);
+      EXPECT_FALSE(Copy[J]->CachedFreeVars);
+    }
+  }
+}
+
+TEST(CloneProgram, RenamesOnlyUnshadowedReferences) {
+  auto P = parseP("let init (u : node) = 1\n"
+                  "let f (init : int) = init\n"
+                  "let g = let init = init 0n in init\n"
+                  "let h = match 3 with | init -> init\n"
+                  "let k = (fun x -> init x) 0n\n");
+  ASSERT_TRUE(P);
+  Program C = cloneProgram(*P, {{"init", "base"}});
+  EXPECT_EQ(printProgram(C), "let base = fun (u : node) -> 1\n"
+                             "let f = fun (init : int) -> init\n"
+                             "let g = let init = base 0n in init\n"
+                             "let h = (match 3 with | init -> init)\n"
+                             "let k = (fun x -> base x) 0n\n");
+}
+
+//===----------------------------------------------------------------------===//
+// typeCheckAppended
+//===----------------------------------------------------------------------===//
+
+/// \p Base, type-checked, followed by the unchecked declarations of
+/// \p Extra; \p First receives the index of the first of those.
+Program withAppended(const std::string &Base, const std::string &Extra,
+                     size_t &First) {
+  DiagnosticEngine Diags;
+  auto P = parseProgram(Base, Diags);
+  EXPECT_TRUE(P && typeCheck(*P, Diags)) << Diags.str();
+  auto More = parseProgram(Extra, Diags);
+  EXPECT_TRUE(More) << Diags.str();
+  First = P->Decls.size();
+  P->Decls.insert(P->Decls.end(), More->Decls.begin(), More->Decls.end());
+  return std::move(*P);
+}
+
+TypePtr letType(const Program &P, const std::string &Name) {
+  const Decl *D = P.findLet(Name);
+  EXPECT_TRUE(D && D->Body->Ty) << Name;
+  return D ? D->Body->Ty : nullptr;
+}
+
+TEST(TypeCheckAppended, PolymorphicPrefixLetAtTwoTypes) {
+  size_t First;
+  Program P = withAppended("let id x = x\nlet twice f x = f (f x)",
+                           "let a = id 3u8\n"
+                           "let b = twice id true\n"
+                           "let c = twice (fun (n : int) -> n + 1) (id 1)",
+                           First);
+  DiagnosticEngine Diags;
+  ASSERT_TRUE(typeCheckAppended(P, First, Diags)) << Diags.str();
+  EXPECT_EQ(typeToString(letType(P, "a")), "int8");
+  EXPECT_EQ(typeToString(letType(P, "b")), "bool");
+  EXPECT_EQ(typeToString(letType(P, "c")), "int");
+}
+
+TEST(TypeCheckAppended, SymbolicInPrefix) {
+  size_t First;
+  Program P = withAppended("let nodes = 2\nsymbolic s : int5\n"
+                           "let f (x : int5) = x + s",
+                           "let g = f s + 1u5", First);
+  DiagnosticEngine Diags;
+  ASSERT_TRUE(typeCheckAppended(P, First, Diags)) << Diags.str();
+  EXPECT_EQ(typeToString(letType(P, "g")), "int5");
+
+  Program Bad = withAppended("symbolic s : int5", "let h = if s then 1 else 2",
+                             First);
+  EXPECT_FALSE(typeCheckAppended(Bad, First, Diags));
+}
+
+TEST(TypeCheckAppended, AppendedDropCallsPrefixLet) {
+  // As a fault-tolerance drop value may: `noRoute` is polymorphic and
+  // `empty`'s dict key stays a weak variable in the prefix.
+  size_t First;
+  Program P = withAppended(
+      "let nodes = 2\nlet edges = {0n=1n}\n"
+      "let noRoute = None\nlet empty = createDict noRoute\n"
+      "let __base_init (u : node) : dict[int2, option[int]] = empty",
+      "let init (u : node) = __base_init u\n"
+      "let trans (e : edge) (x : dict[int2, option[int]]) =\n"
+      "  map (fun (v : option[int]) -> noRoute) x\n"
+      "let merge (u : node) (x : dict[int2, option[int]]) y = x\n"
+      "let drop = (fun (v : option[bool]) -> noRoute) (Some true)",
+      First);
+  DiagnosticEngine Diags;
+  ASSERT_TRUE(typeCheckAppended(P, First, Diags)) << Diags.str();
+  ASSERT_TRUE(P.AttrType);
+  EXPECT_EQ(typeToString(P.AttrType), "dict[int2, option[int]]");
+  // The drop value is as polymorphic as `noRoute`.
+  TypePtr Drop = resolve(letType(P, "drop"));
+  ASSERT_EQ(Drop->Kind, TypeKind::Option);
+  EXPECT_EQ(resolve(Drop->Elems[0])->Kind, TypeKind::Var);
+}
+
+TEST(TypeCheckAppended, IllTypedAppendedDeclIsRejected) {
+  size_t First;
+  Program P = withAppended("let one = 1", "let bad = one + true", First);
+  DiagnosticEngine Diags;
+  EXPECT_FALSE(typeCheckAppended(P, First, Diags));
+  EXPECT_TRUE(Diags.hasErrors());
+  EXPECT_NE(Diags.str().find("type mismatch"), std::string::npos)
+      << Diags.str();
+}
+
+TEST(TypeCheckAppended, PrefixTypesAreLeftUntouched) {
+  size_t First;
+  Program P = withAppended("let id x = x\nlet empty = createDict false\n"
+                           "symbolic s : int",
+                           "let a = id s\nlet k = empty[3u4]", First);
+  // Every prefix node's type pointer, and what it prints as.
+  std::vector<std::pair<Expr *, std::pair<Type *, std::string>>> Before;
+  for (size_t I = 0; I < First; ++I)
+    forEachExpr(P.Decls[I]->Body, [&](const ExprPtr &E) {
+      Before.push_back({E.get(), {E->Ty.get(), typeToString(E->Ty)}});
+    });
+  ASSERT_FALSE(Before.empty());
+  DiagnosticEngine Diags;
+  ASSERT_TRUE(typeCheckAppended(P, First, Diags)) << Diags.str();
+  EXPECT_EQ(typeToString(letType(P, "k")), "bool");
+  size_t J = 0;
+  for (size_t I = 0; I < First; ++I)
+    forEachExpr(P.Decls[I]->Body, [&](const ExprPtr &E) {
+      ASSERT_LT(J, Before.size());
+      EXPECT_EQ(E.get(), Before[J].first);
+      EXPECT_EQ(E->Ty.get(), Before[J].second.first);
+      // `empty`'s weak key variable was bound by `k` only in a copy.
+      EXPECT_EQ(typeToString(E->Ty), Before[J].second.second);
+      ++J;
+    });
+  EXPECT_EQ(J, Before.size());
+}
+
+TEST(TypeCheckAppended, WholeProgramAsPrefix) {
+  // Seeded from its own checked declarations, a program gets the attribute
+  // type its full check gave it.
+  DiagnosticEngine Diags;
+  auto Ref = parseProgram(Fig2b, Diags);
+  ASSERT_TRUE(Ref && typeCheck(*Ref, Diags)) << Diags.str();
+  for (size_t First : {size_t(0), size_t(1)}) {
+    auto P = parseProgram(Fig2b, Diags);
+    ASSERT_TRUE(P) << Diags.str();
+    if (First) {
+      // Check everything, then again with the whole program as prefix.
+      ASSERT_TRUE(typeCheck(*P, Diags)) << Diags.str();
+      P->AttrType = nullptr;
+      First = P->Decls.size();
+    }
+    ASSERT_TRUE(typeCheckAppended(*P, First, Diags)) << Diags.str();
+    ASSERT_TRUE(P->AttrType);
+    EXPECT_TRUE(typeEquals(P->AttrType, Ref->AttrType))
+        << typeToString(P->AttrType);
+  }
+}
+
 } // namespace

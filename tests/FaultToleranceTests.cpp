@@ -19,6 +19,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <random>
 #include <map>
 #include <set>
@@ -890,11 +893,12 @@ let assert (u : node) (x : attribute) =
   match x[1u2] with | None -> false | Some d -> d < 2
 )nv";
   std::string Error;
-  EXPECT_EQ(defaultDropSource(parseAndCheck(spProgram(4, Line)).AttrType,
-                              Error),
+  EXPECT_EQ(printExpr(defaultDropExpr(
+                parseAndCheck(spProgram(4, Line)).AttrType, Error)),
             "None");
   Program Dict = parseAndCheck(DictSrc);
-  EXPECT_EQ(defaultDropSource(Dict.AttrType, Error), "createDict (None)");
+  EXPECT_EQ(printExpr(defaultDropExpr(Dict.AttrType, Error)),
+            "createDict None");
   for (bool Node : {false, true}) {
     SCOPED_TRACE(Node ? "node" : "links only");
     FtOptions Opts;
@@ -906,7 +910,7 @@ let assert (u : node) (x : attribute) =
                               "let init (u : node) = 0\n"
                               "let trans (e : edge) (x : int) = x + 1\n"
                               "let merge (u : node) (x : int) (y : int) = x\n");
-  EXPECT_EQ(defaultDropSource(Int.AttrType, Error), "");
+  EXPECT_EQ(defaultDropExpr(Int.AttrType, Error), nullptr);
   EXPECT_NE(Error.find("attribute type int"), std::string::npos) << Error;
   DiagnosticEngine Diags;
   EXPECT_FALSE(makeFaultTolerantProgram(Int, FtOptions{}, Diags));
@@ -1001,6 +1005,113 @@ TEST(FaultTolerance, GeneratedProgramPrintsAndReparses) {
   auto Again = parseProgram(Printed, D2);
   ASSERT_TRUE(Again.has_value()) << D2.str() << "\n" << Printed;
   EXPECT_TRUE(typeCheck(*Again, D2)) << D2.str();
+}
+
+/// Every Expr node under \p P's declarations.
+std::set<const Expr *> exprNodes(const Program &P) {
+  std::set<const Expr *> Out;
+  for (const DeclPtr &D : P.Decls)
+    forEachExpr(D->Body, [&](const ExprPtr &E) { Out.insert(E.get()); });
+  return Out;
+}
+
+TEST(FaultTolerance, MetaProgramSharesNoExprWithBase) {
+  // The meta-program and the base are evaluated side by side (and by
+  // different threads in serve and the naive baselines); freeVarsOf fills
+  // each node's cache lazily, so no node may be shared.
+  Program P = parseAndCheck(spProgram(4, Diamond));
+  std::set<const Expr *> Base = exprNodes(P);
+  for (auto [Links, Node] : {std::pair{1u, false}, {2u, false}, {1u, true},
+                             {2u, true}, {0u, true}}) {
+    FtOptions Opts;
+    Opts.LinkFailures = Links;
+    Opts.NodeFailure = Node;
+    DiagnosticEngine Diags;
+    auto Meta = makeFaultTolerantProgram(P, Opts, Diags);
+    ASSERT_TRUE(Meta) << Diags.str();
+    std::set<const Expr *> MetaNodes = exprNodes(*Meta);
+    ASSERT_GT(MetaNodes.size(), Base.size());
+    for (const Expr *E : MetaNodes) {
+      EXPECT_FALSE(Base.count(E)) << "shared node '" << E->Name << "'";
+      EXPECT_TRUE(E->Ty) << "untyped meta node";
+      EXPECT_FALSE(E->CachedFreeVars);
+    }
+  }
+}
+
+TEST(FaultTolerance, DropValueSourceIsParsedAndChecked) {
+  // A caller's drop value may use the base program's lets.
+  std::string Src = spProgram(4, Line) + "let noRoute = None\n";
+  FtOptions Opts;
+  Opts.DropValueSource = "noRoute";
+  expectMatchesNaive(Src, Opts);
+
+  Program P = parseAndCheck(Src);
+  for (const char *Bad : {"createDict (", "Some", "5", "Some true",
+                          "unknownName", "None None"}) {
+    SCOPED_TRACE(Bad);
+    Opts.DropValueSource = Bad;
+    DiagnosticEngine Diags;
+    EXPECT_FALSE(makeFaultTolerantProgram(P, Opts, Diags));
+    EXPECT_TRUE(Diags.hasErrors());
+  }
+}
+
+/// printProgram of the meta-program of every examples/nv/*.nv file, in
+/// name order, at --links 1, --links 2, --node and --links 2 --node, each
+/// headed "== <file> <flags>".
+std::string examplesMetaPrograms() {
+  std::vector<std::string> Files;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(NV_SOURCE_DIR "/examples/nv"))
+    if (Entry.path().extension() == ".nv")
+      Files.push_back("examples/nv/" + Entry.path().filename().string());
+  std::sort(Files.begin(), Files.end());
+  struct Config {
+    const char *Flags;
+    unsigned Links;
+    bool Node;
+  };
+  const Config Configs[] = {{"--links 1", 1, false},
+                            {"--links 2", 2, false},
+                            {"--node", 1, true},
+                            {"--links 2 --node", 2, true}};
+  std::string Out;
+  for (const std::string &F : Files) {
+    std::ifstream In(NV_SOURCE_DIR "/" + F);
+    std::stringstream Text;
+    Text << In.rdbuf();
+    Program P = parseAndCheck(Text.str());
+    for (const Config &C : Configs) {
+      FtOptions Opts;
+      Opts.LinkFailures = C.Links;
+      Opts.NodeFailure = C.Node;
+      DiagnosticEngine Diags;
+      auto Meta = makeFaultTolerantProgram(P, Opts, Diags);
+      Out += "== " + F + " " + C.Flags + "\n";
+      Out += Meta ? printProgram(*Meta) : "error: " + Diags.str() + "\n";
+    }
+  }
+  return Out;
+}
+
+TEST(FaultTolerance, MetaProgramsMatchGolden) {
+  // tests/golden/ft_meta.txt was printed by the text-based transform
+  // (print the renamed base, append generated NV, re-parse, re-check), so
+  // the typed transform must build the very same programs. A mismatch
+  // writes the new text to ft_meta.actual.txt in the working directory;
+  // replace the golden with it only for an intended change of the
+  // meta-program, and say why in CHANGES.md.
+  std::ifstream In(NV_SOURCE_DIR "/tests/golden/ft_meta.txt");
+  ASSERT_TRUE(In) << "missing tests/golden/ft_meta.txt";
+  std::stringstream Golden;
+  Golden << In.rdbuf();
+  std::string Actual = examplesMetaPrograms();
+  if (Actual != Golden.str()) {
+    std::ofstream("ft_meta.actual.txt") << Actual;
+    FAIL() << "meta-programs differ from tests/golden/ft_meta.txt; see "
+              "ft_meta.actual.txt";
+  }
 }
 
 } // namespace

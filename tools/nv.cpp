@@ -587,7 +587,7 @@ int runUnitFleet(const CliOptions &O, const char *Cmd, ResumeLog *Log,
 int cmdNaive(const Program &P, const CliOptions &O) {
   // Checked here so a fleet run fails once, not in every worker.
   std::string DropError;
-  if (defaultDropSource(P.AttrType, DropError).empty()) {
+  if (!defaultDropExpr(P.AttrType, DropError)) {
     std::fprintf(stderr, "nv: %s\n", DropError.c_str());
     return 2;
   }
