@@ -71,8 +71,8 @@ int main(int argc, char **argv) {
         Bdd.Converged ? ms(BddMs) + (Bdd.Check.holds() ? "" : " (cex!)")
                       : "diverged";
 
-    // Naive: one simulation per scenario; the scenario list is sharded
-    // over the pool with one re-parsed program + arena per chunk.
+    // Naive: one simulation per scenario; the scenarios are sharded over
+    // the pool, each worker with one cloneProgram copy + arena.
     W.restart();
     FtCheckResult Naive;
     if (Pool) {

@@ -62,11 +62,7 @@ int fleetWorker(unsigned K, unsigned Links) {
   NaiveSetup S;
   if (!S.init(generateSpSingle(K), Opts))
     return 2;
-  return runFleetWorker([&](const FleetJob &J) {
-    size_t I = std::strtoull(J.Key.c_str() + 1, nullptr, 10);
-    return runNaiveScenarioRecord(*S.P, *S.Eval, *S.Scenarios, I, S.Drop,
-                                  Opts);
-  });
+  return naiveFleetWorker(*S.P, Opts);
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <ranges>
+#include <stdexcept>
 #include <unordered_map>
 
 using namespace nv;
@@ -803,48 +804,93 @@ FtChunks::FtChunks(size_t NumScenarios, unsigned ChunkSize)
     : NumScenarios(NumScenarios),
       Size(ChunkSize ? ChunkSize : FtOptions{}.CheckChunkSize) {}
 
-std::string FtChunks::key(size_t C) {
-  std::string K = "c";
-  K += std::to_string(C);
-  return K;
+std::string FtChunks::key(size_t C) { return unitKey('c', C); }
+
+namespace {
+
+/// The chunked check's units: one per chunk, keyed "c<C>".
+UnitSweep chunkSweep(const FtChunks &Chunks, const FtOptions &Opts) {
+  return {.Count = Chunks.count(), .Prefix = 'c', .Budget = Opts.Budget,
+          .Retry = Opts.Retry, .Journal = Opts.Resume};
 }
 
-std::vector<size_t> FtChunks::missing(const ResumeLog *Log,
-                                      uint64_t &Replayed) const {
-  std::vector<size_t> Out;
-  Replayed = 0;
-  for (size_t C = 0; C < count(); ++C) {
-    if (Log && Log->isDone(key(C)))
-      Replayed += end(C) - begin(C);
-    else
-      Out.push_back(C);
-  }
-  return Out;
-}
+} // namespace
 
-bool nv::aggregateFtChunkRecords(
-    const std::shared_ptr<const FtScenarioSet> &Scenarios, unsigned ChunkSize,
-    const RecordLookup &Lookup, FtCheckResult &Out) {
-  Out.Scenarios = Scenarios;
-  FtChunks Chunks(Scenarios->size(), ChunkSize);
+FtCheckResult
+nv::checkFtChunks(const std::shared_ptr<const FtScenarioSet> &Scenarios,
+                  const FtOptions &Opts, const UnitExecutor &X,
+                  const FtChecker *Checker) {
+  FtChunks Chunks(Scenarios->size(), Opts.CheckChunkSize);
+  std::vector<std::vector<FtViolation>> Slots(Chunks.count());
+  UnitSweep S = chunkSweep(Chunks, Opts);
+  S.Restore = [&](size_t C, const UnitRecord &Rec) {
+    return parseViolationFields(Rec, *Scenarios, Chunks.begin(C),
+                                Chunks.end(C), Slots[C]);
+  };
+  UnitsResult U = runUnits(S, X, [&](const auto &Serve) {
+    UnitWorker W;
+    W.Run = [&](size_t C) {
+      Slots[C].clear();
+      for (size_t I = Chunks.begin(C); I < Chunks.end(C); ++I)
+        Checker->checkScenario(I, Slots[C]);
+      return RunOutcome();
+    };
+    W.Render = [&](size_t C, unsigned) { return Checker->checkChunk(C); };
+    Serve(W);
+  });
+
+  // Fold in chunk order. A skipped chunk (e.g. a quarantined poison
+  // chunk) contributes no violations, like a skipped naive scenario; a
+  // canceled chunk was never checked.
+  FtCheckResult R;
+  R.Scenarios = Scenarios;
+  R.RetriesPerformed = U.Retries;
+  R.Outcome = U.First;
   for (size_t C = 0; C < Chunks.count(); ++C) {
-    UnitRecord Rec;
-    RunOutcome O;
-    unsigned Attempts = 1;
-    if (!Lookup(FtChunks::key(C), Rec) || !parseOutcome(Rec, O, Attempts) ||
-        (O.ok() && !parseViolationFields(Rec, *Scenarios, Chunks.begin(C),
-                                         Chunks.end(C), Out.Violations)))
-      return false;
-    Out.ScenariosChecked += Chunks.end(C) - Chunks.begin(C);
-    if (!O.ok()) {
-      // A quarantined (or otherwise skipped) chunk contributes no
-      // violations — exactly like a skipped scenario in the naive paths.
-      Out.ScenariosSkipped += Chunks.end(C) - Chunks.begin(C);
-      if (Out.Outcome.ok())
-        Out.Outcome = O;
-    }
+    const UnitResult &Unit = U.Units[C];
+    size_t N = Chunks.end(C) - Chunks.begin(C);
+    if (Unit.Replayed)
+      R.ScenariosReplayed += N;
+    if (Unit.Outcome.Status == RunStatus::Canceled)
+      continue;
+    R.ScenariosChecked += N;
+    if (!Unit.Outcome.ok())
+      R.ScenariosSkipped += N;
+    R.Violations.insert(R.Violations.end(), Slots[C].begin(), Slots[C].end());
   }
-  return true;
+  return R;
+}
+
+int nv::ftFleetWorker(const Program &P, const FtOptions &Opts, bool Native) {
+  // The meta-simulation is rebuilt lazily on the first job — a spare
+  // worker that never gets one costs nothing, and a respawned worker only
+  // pays the cost when it actually has work. The coordinator ran the same
+  // (deterministic) transform + simulation before spawning the fleet, so
+  // a converged run is guaranteed here.
+  std::optional<NvContext> Ctx;
+  std::unique_ptr<PreparedFt> Prep;
+  SimResult Sim;
+  std::unique_ptr<FtChecker> Checker;
+  FtChunks Chunks(FtScenarioSet(P, Opts).size(), Opts.CheckChunkSize);
+  return serveFleetUnits(chunkSweep(Chunks, Opts), [&](size_t C) {
+    if (!Checker) {
+      Governor::Scope Guard(Opts.Budget);
+      DiagnosticEngine Diags;
+      Ctx.emplace(P.numNodes());
+      Prep = PreparedFt::create(*Ctx, P, Opts, Native, Diags);
+      if (!Prep)
+        throw std::runtime_error("ft worker: transform failed:\n" +
+                                 Diags.str());
+      Sim = Prep->simulate();
+      if (!Sim.Converged)
+        throw std::runtime_error("ft worker: meta-simulation did not "
+                                 "converge: " +
+                                 Sim.Outcome.str());
+      Checker = std::make_unique<FtChecker>(*Ctx, P, Prep->baseEval(), Sim,
+                                            Opts);
+    }
+    return Checker->checkChunk(C);
+  });
 }
 
 FtCheckResult nv::checkFaultTolerance(NvContext &Ctx,
@@ -853,47 +899,19 @@ FtCheckResult nv::checkFaultTolerance(NvContext &Ctx,
                                       const SimResult &MetaResult,
                                       const FtOptions &Opts,
                                       ThreadPool *Pool) {
-  FtCheckResult R;
   FtChecker Checker(Ctx, BaseProgram, BaseEval, MetaResult, Opts, Pool);
   const auto &Scenarios = Checker.scenarios();
-  R.Scenarios = Scenarios;
-  if (!Opts.Resume) {
-    R.ScenariosChecked = Scenarios->size();
-    R.Violations.reserve(Checker.numViolations());
-    for (size_t I = 0; I < Scenarios->size(); ++I)
-      Checker.checkScenario(I, R.Violations);
-    return R;
-  }
-
   // Checkpointed mode: the check is journaled in fixed chunks (one entry
-  // per chunk keeps journal traffic sane at fig13 scales). The chunks the
-  // journal lacks are sliced from the checker's result and recorded in
-  // order, then journal and fresh records fold as a fleet run's do.
-  // Cancellation stops between chunks; the fold ends at the first
-  // unrecorded one, which re-runs on resume.
-  ResumeLog &Log = *Opts.Resume;
-  std::map<std::string, UnitRecord> Fresh;
-  for (size_t C : Checker.chunks().missing(&Log, R.ScenariosReplayed)) {
-    if (Opts.Budget.Cancel && Opts.Budget.Cancel->isCanceled())
-      break;
-    UnitRecord Rec = Checker.checkChunk(C);
-    Log.recordDone(Rec);
-    Fresh.emplace(Rec.Key, std::move(Rec));
-  }
-  bool Missing = false;
-  auto Lookup = [&](const std::string &Key, UnitRecord &Rec) {
-    if (auto It = Fresh.find(Key); It != Fresh.end()) {
-      Rec = std::move(It->second);
-      return true;
-    }
-    Missing = !Log.replay(Key, Rec);
-    return !Missing;
-  };
-  if (!aggregateFtChunkRecords(Scenarios, Opts.CheckChunkSize, Lookup, R))
-    R.Outcome = {Missing ? RunStatus::Canceled : RunStatus::EvalError,
-                 Missing ? "fault-tolerance check canceled"
-                         : "malformed chunk record in " + Log.path(),
-                 ""};
+  // per chunk keeps journal traffic sane at fig13 scales), sliced from
+  // the checker's result on the calling thread.
+  if (Opts.Resume)
+    return checkFtChunks(Scenarios, Opts, UnitExecutor(), &Checker);
+  FtCheckResult R;
+  R.Scenarios = Scenarios;
+  R.ScenariosChecked = Scenarios->size();
+  R.Violations.reserve(Checker.numViolations());
+  for (size_t I = 0; I < Scenarios->size(); ++I)
+    Checker.checkScenario(I, R.Violations);
   return R;
 }
 

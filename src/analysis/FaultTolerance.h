@@ -39,7 +39,7 @@
 /// evaluators, built once per context and options, and simulates then
 /// checks (FtChecker) per run. runFaultTolerance, `nv serve` sessions and
 /// fleet workers all use it. The journaled and fleet-sharded check works
-/// in FtChunks, whose records aggregateFtChunkRecords folds.
+/// in FtChunks, run and folded by checkFtChunks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,6 +52,7 @@
 #include "support/Diagnostics.h"
 #include "support/Resume.h"
 #include "support/ThreadPool.h"
+#include "support/Units.h"
 
 #include <algorithm>
 #include <functional>
@@ -315,10 +316,6 @@ public:
   }
   static std::string key(size_t C);
 
-  /// The chunks \p Log (may be null) holds no record of, in order;
-  /// \p Replayed receives the number of scenarios in the others.
-  std::vector<size_t> missing(const ResumeLog *Log, uint64_t &Replayed) const;
-
 private:
   size_t NumScenarios, Size;
 };
@@ -361,9 +358,9 @@ FtCheckResult checkFaultTolerance(NvContext &Ctx, const Program &BaseProgram,
 /// checkScenario and checkChunk then read slices of that result.
 /// checkChunk returns the chunk's canonical UnitRecord ("c<C>", status,
 /// one "v" field per violation). The checkpointed in-process check
-/// journals these records; fleet workers send the *same* records over the
-/// result pipe, and both fold them through aggregateFtChunkRecords, which
-/// is what makes `--workers N` aggregates bit-identical to `--workers 0`.
+/// journals these records and fleet workers send the *same* records over
+/// the result pipe (checkFtChunks), which is what makes `--workers N`
+/// aggregates bit-identical to `--workers 0`.
 class FtChecker {
 public:
   /// \p MetaResult must be converged with dict labels; both it and
@@ -391,17 +388,23 @@ private:
   std::unique_ptr<ImplTy> Impl;
 };
 
-/// Folds one record per chunk, in chunk order — from a fleet run, a resume
-/// journal, or a mix — into \p Out: violations in scenario order (Route
-/// null, RouteText filled), a non-ok chunk (e.g. a quarantined poison
-/// chunk) contributing its scenario count to ScenariosSkipped and the
-/// first non-ok outcome in chunk order kept. \p Out keeps \p Scenarios,
-/// which the violations point into. Returns false at the first chunk
-/// whose record is missing or malformed; \p Out then holds the chunks
-/// before it.
-bool aggregateFtChunkRecords(
-    const std::shared_ptr<const FtScenarioSet> &Scenarios, unsigned ChunkSize,
-    const RecordLookup &Lookup, FtCheckResult &Out);
+/// The chunked assert check on the unit runner (support/Units.h): chunk
+/// C is unit "c<C>". Journaled chunks (Opts.Resume) are restored; the rest
+/// are sliced from \p Checker in process, or checked on \p X's fleet by
+/// ftFleetWorker, whose records carry the same violations
+/// (FtChecker::checkChunk). Folded in chunk order: violations in scenario
+/// order, a non-ok chunk (e.g. a quarantined poison chunk) counted as
+/// skipped scenarios, a canceled chunk as not checked, the first non-ok
+/// outcome kept. \p Checker may be null when \p X is a fleet.
+FtCheckResult
+checkFtChunks(const std::shared_ptr<const FtScenarioSet> &Scenarios,
+              const FtOptions &Opts, const UnitExecutor &X,
+              const FtChecker *Checker = nullptr);
+
+/// The fleet worker of the chunked check (`nv worker --cmd ft`): rebuilds
+/// the meta-simulation on its first job and serves chunk records until
+/// the coordinator shuts it down; returns the worker's exit code.
+int ftFleetWorker(const Program &P, const FtOptions &Opts, bool Native);
 
 /// The result of one fault-tolerance run.
 struct FtRunResult {

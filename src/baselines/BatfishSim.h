@@ -17,7 +17,6 @@
 #include "eval/Value.h"
 #include "support/Diagnostics.h"
 #include "support/Governor.h"
-#include "support/Resume.h"
 #include "support/ThreadPool.h"
 
 #include <cstdint>
@@ -29,16 +28,11 @@ namespace nv {
 struct BatfishResult {
   bool Converged = true;
   uint64_t PrefixesSimulated = 0;
-  /// Prefixes whose governed run ended early (budget trip, cancellation,
+  /// Prefixes whose run ended early (the simulator's step budget,
   /// injected fault, evaluation error); skipped prefixes contribute empty
   /// Labels rows and clear Converged. Outcome records the first non-ok
   /// per-prefix outcome in destination order.
   uint64_t PrefixesSkipped = 0;
-  /// Prefixes replayed from a resume journal (counted in
-  /// PrefixesSimulated, so aggregates match an uninterrupted run).
-  uint64_t PrefixesReplayed = 0;
-  /// Extra attempts spent by the retry policy across all prefixes.
-  uint64_t RetriesPerformed = 0;
   RunOutcome Outcome;
   uint64_t TotalPops = 0;
   /// Memory proxy: total interned values allocated across per-prefix runs
@@ -62,20 +56,12 @@ struct BatfishResult {
 /// \p Pool (optional) shards the destination list; per-prefix state stays
 /// isolated exactly as in the serial run, and the per-destination results
 /// are aggregated in destination order, so output is identical for any
-/// pool size.
-/// \p JobBudget (optional) governs each per-prefix run in its own scope
-/// (on the worker thread that runs it): one prefix exceeding the budget
-/// is skipped and reported, siblings are unaffected.
-/// \p Resume (optional) checkpoints each completed prefix to a journal and
-/// replays prefixes completed by a previous run (pops, allocation counts
-/// and extracted rows are recorded, so replayed aggregates are identical);
-/// canceled prefixes are never recorded and re-run on resume. \p Retry
-/// re-runs transiently tripped prefixes with an escalated budget.
+/// pool size. Each prefix's simulation keeps the simulator's default step
+/// budget.
 BatfishResult batfishAllPrefixes(
     const Program &ParamProgram, const std::vector<uint32_t> &Destinations,
     const std::function<int64_t(const Value *)> &Extract = nullptr,
-    ThreadPool *Pool = nullptr, const RunBudget &JobBudget = {},
-    ResumeLog *Resume = nullptr, const RetryPolicy &Retry = {});
+    ThreadPool *Pool = nullptr);
 
 } // namespace nv
 

@@ -14,6 +14,7 @@
 #include "analysis/FaultTolerance.h"
 #include "eval/ProgramEvaluator.h"
 #include "sim/Simulator.h"
+#include "support/Units.h"
 
 namespace nv {
 
@@ -64,66 +65,56 @@ private:
 SimResult simulateScenario(const Program &P, ProtocolEvaluator &BaseEval,
                            const FtScenario &S, const Value *DropValue);
 
-/// The naive exhaustive analysis: one simulation per scenario. Returns the
-/// violations found plus the number of scenarios simulated (for the
-/// Fig. 13a baseline timing).
+/// The naive exhaustive analysis: one simulation per scenario, run through
+/// the unit runner (support/Units.h) on the calling thread with the
+/// caller's evaluator. Returns the violations found plus the number of
+/// scenarios simulated (for the Fig. 13a baseline timing).
 ///
 /// Garbage-collects BaseEval's arena back to its pinned baseline after
 /// each scenario (violation routes are pinned first, so the result stays
 /// valid). Unpinned values the caller holds across this call do not
 /// survive those collections — re-derive them afterwards if needed.
 /// A null \p DropValue is derived from the attribute type
-/// (defaultDropValue). With Opts.Resume, a journaled scenario is replayed
-/// instead; a malformed record counts it as skipped with an evaluation
-/// error (both naive entry points).
+/// (defaultDropValue). With Opts.Resume, a journaled scenario is restored
+/// instead; a malformed record makes it skipped with an evaluation error
+/// (both naive entry points).
 FtCheckResult naiveFaultTolerance(const Program &P,
                                   ProtocolEvaluator &BaseEval,
                                   const FtOptions &Opts,
                                   const Value *DropValue);
 
-/// The stable journal/fleet key of scenario \p I ("s<I>"): enumeration
-/// order is deterministic, so the index is the scenario's identity.
+/// The stable journal/fleet key of scenario \p I ("s<I>").
 std::string naiveScenarioKey(size_t I);
 
 /// Runs scenario \p I end to end — own governed scope, transient-retry —
 /// and returns the same UnitRecord the in-process paths journal for it
 /// (outcome + attempts + one "v" field per violation). This is the fleet
-/// worker's unit handler: BaseEval's arena is collected back to its
-/// pinned baseline before returning, so one evaluator serves many jobs.
+/// worker's unit body: BaseEval's arena is collected back to its pinned
+/// baseline before returning, so one evaluator serves many jobs.
 UnitRecord runNaiveScenarioRecord(const Program &P, ProtocolEvaluator &BaseEval,
                                   const FtScenarioSet &Scenarios, size_t I,
                                   const Value *DropValue,
                                   const FtOptions &Opts);
 
-/// Folds one record per scenario — from a fleet run, a resume journal, or
-/// a mix of both — into \p Out with exactly the replay path's semantics:
-/// violations in scenario order (Route null, RouteText filled), non-ok
-/// records counted as skipped, first non-ok outcome in scenario order
-/// kept. \p Out keeps \p Scenarios, which the violations point into.
-/// Returns false when some scenario's record is missing or malformed
-/// (parseViolationFields). The caller sets ScenariosReplayed (the split is
-/// its to know).
-bool aggregateNaiveScenarioRecords(
-    const std::shared_ptr<const FtScenarioSet> &Scenarios,
-    const RecordLookup &Lookup, FtCheckResult &Out);
+/// The fleet worker of the naive sweep (`nv worker --cmd naive`): serves
+/// scenario jobs with runNaiveScenarioRecord over one evaluator until the
+/// coordinator shuts it down; returns the worker's exit code.
+int naiveFleetWorker(const Program &P, const FtOptions &Opts);
 
-/// Thread-sharded naive analysis: one persistent worker per pool thread.
-/// Each worker re-parses the program once into its own NvContext/
+/// The sharded naive analysis on \p X: one persistent worker per pool
+/// thread, or the fleet's worker subprocesses. Each in-process worker takes
+/// its own cloneProgram copy of the program once, into its own NvContext/
 /// BddManager arena (hash-consing stays lock-free and no AST node, whose
 /// free-variable cache is lazily filled, is shared across threads), claims
 /// scenarios dynamically off a shared counter, and garbage-collects its
-/// arena back to the pinned evaluator baseline between scenarios instead
-/// of rebuilding parse + arena per chunk. Violations land in per-scenario
-/// slots and are concatenated in scenario order, so the logical result is
-/// identical for any pool size (route pointers live in per-worker arenas
-/// retained by the result).
-///
-/// \p MakeDrop builds the injected "dropped route" value in a worker's
-/// context (defaults to defaultDropValue of the attribute type); it must
-/// be a pure function of the context.
-FtCheckResult naiveFaultToleranceParallel(
-    const Program &P, const FtOptions &Opts, ThreadPool &Pool,
-    const std::function<const Value *(NvContext &)> &MakeDrop = {});
+/// arena back to the pinned evaluator baseline between scenarios.
+/// Violations land in per-scenario slots and are concatenated in scenario
+/// order, so the logical result is identical for any pool or fleet size
+/// (in process, route pointers live in per-worker arenas retained by the
+/// result; fleet and journal violations carry their route text).
+FtCheckResult naiveFaultToleranceParallel(const Program &P,
+                                          const FtOptions &Opts,
+                                          const UnitExecutor &X);
 
 } // namespace nv
 

@@ -10,10 +10,13 @@
 #include "sim/Simulator.h"
 #include "smt/Verifier.h"
 #include "support/Journal.h"
+#include "support/ParseNumber.h"
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <tuple>
 
@@ -117,12 +120,21 @@ Json outcomeResp(const std::string &Id, const RunOutcome &O) {
   return R;
 }
 
-void applyBudget(const Json &Req, RunBudget &B, CancelToken *Cancel) {
-  B.DeadlineMs = Req.getNumber("deadline_ms", 0);
-  B.MaxSteps = static_cast<uint64_t>(Req.getNumber("max_steps", 0));
-  B.MaxLiveNodes = static_cast<size_t>(Req.getNumber("node_budget", 0));
-  B.MaxHeapBytes = static_cast<size_t>(Req.getNumber("heap_budget", 0));
-  B.Cancel = Cancel;
+/// Reads optional member \p Key of \p Req, a whole number that fits T,
+/// into \p Out; false, with \p Error naming the field, for anything else.
+template <class T>
+bool readCount(const Json &Req, const char *Key, T &Out, std::string &Error) {
+  const Json *V = Req.get(Key);
+  uint64_t N = 0;
+  if (V && !(V->isNumber() &&
+             wholeNumber(V->number(), std::numeric_limits<T>::max(), N))) {
+    Error = std::string("\"") + Key + "\" must be a whole number in [0, " +
+            std::to_string(std::numeric_limits<T>::max()) + "]";
+    return false;
+  }
+  if (V)
+    Out = static_cast<T>(N);
+  return true;
 }
 
 /// Canonical memo key for a query: every request member except the
@@ -617,6 +629,24 @@ bool ServeCore::relievePressure(const std::string &Exempt) {
 // load / unload
 //===----------------------------------------------------------------------===//
 
+bool nv::overlayRequestBudget(const Json &Req, RunBudget &B,
+                              std::string &Error) {
+  BudgetLimits L;
+  if (const Json *D = Req.get("deadline_ms")) {
+    L.DeadlineMs = D->isNumber() ? D->number() : -1;
+    if (!(L.DeadlineMs >= 0) || !std::isfinite(L.DeadlineMs)) {
+      Error = "\"deadline_ms\" must be a number >= 0";
+      return false;
+    }
+  }
+  if (!readCount(Req, "max_steps", L.MaxSteps, Error) ||
+      !readCount(Req, "node_budget", L.NodeBudget, Error) ||
+      !readCount(Req, "heap_budget", L.HeapBytes, Error))
+    return false;
+  L.overlay(B);
+  return true;
+}
+
 Json ServeCore::doLoad(const Json &Req, const std::string &Id) {
   std::string Source = Req.getString("program");
   std::string Path = Req.getString("path");
@@ -712,8 +742,11 @@ Json ServeCore::doSim(ServeSession &S, const Json &Req, const std::string &Id,
       else
         Eval = std::make_unique<InterpProgramEvaluator>(*S.Ctx, S.Prog);
     }
-    SimOptions SO;
-    applyBudget(Req, SO.Budget, Cancel); // simulate() governs itself
+    SimOptions SO; // simulate() governs itself
+    std::string Error;
+    if (!overlayRequestBudget(Req, SO.Budget, Error))
+      return errResp(Id, 2, Error);
+    SO.Budget.Cancel = Cancel;
     Stopwatch W;
     SimResult R = simulate(S.Prog, *Eval, SO);
     if (!R.Outcome.ok())
@@ -756,8 +789,11 @@ Json ServeCore::doSim(ServeSession &S, const Json &Req, const std::string &Id,
 Json ServeCore::doVerify(ServeSession &S, const Json &Req,
                          const std::string &Id, CancelToken *Cancel) {
   VerifyOptions VO;
-  VO.TimeoutMs = static_cast<unsigned>(Req.getNumber("timeout_ms", 0));
-  applyBudget(Req, VO.Budget, Cancel); // verifyProgram governs itself
+  std::string Error; // verifyProgram governs itself
+  if (!readCount(Req, "timeout_ms", VO.TimeoutMs, Error) ||
+      !overlayRequestBudget(Req, VO.Budget, Error))
+    return errResp(Id, 2, Error);
+  VO.Budget.Cancel = Cancel;
   DiagnosticEngine Diags;
   VerifyResult R = verifyProgram(S.Prog, VO, Diags);
   Json Resp = makeResp(Id);
@@ -806,11 +842,14 @@ Json ServeCore::doVerify(ServeSession &S, const Json &Req,
 Json ServeCore::doFt(ServeSession &S, const Json &Req, const std::string &Id,
                      CancelToken *Cancel) {
   FtOptions Opts;
-  Opts.LinkFailures = static_cast<unsigned>(Req.getNumber("links", 1));
+  std::string Error;
+  if (!readCount(Req, "links", Opts.LinkFailures, Error) ||
+      !overlayRequestBudget(Req, Opts.Budget, Error))
+    return errResp(Id, 2, Error);
+  Opts.Budget.Cancel = Cancel;
   Opts.NodeFailure = Req.getBool("node", false);
   Opts.DropValueSource = Req.getString("drop_value", "");
   Opts.Threads = 1; // parallelism comes from concurrent requests
-  applyBudget(Req, Opts.Budget, Cancel);
   bool Native = Req.getBool("native", false);
   if (std::string E = ftOptionsError(Opts); !E.empty())
     return errResp(Id, 2, E);

@@ -293,6 +293,13 @@ private:
   ThreadPool Pool;
 };
 
+/// Overlays a request's budget fields (deadline_ms, max_steps,
+/// node_budget, heap_budget) onto \p B, an engine's default budget: a
+/// field the request leaves out keeps the default, as on the command line.
+/// Each field must be a number >= 0, and all but deadline_ms whole; false,
+/// with \p Error naming the field, otherwise.
+bool overlayRequestBudget(const Json &Req, RunBudget &B, std::string &Error);
+
 } // namespace nv
 
 #endif // NV_SERVE_SERVE_H

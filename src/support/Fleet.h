@@ -20,8 +20,8 @@
 /// key), 'W' hello, 'Q' shutdown. A worker's result payload is the
 /// *same* UnitRecord the in-process resume path journals for that unit,
 /// which is what makes fleet aggregates bit-identical to `--workers 0`:
-/// the coordinator journals records as they land and the driver merges
-/// them in deterministic unit order through the existing replay path.
+/// the unit runner (support/Units.h) journals records as they land and
+/// restores them in deterministic unit order, as it replays a journal.
 ///
 /// Robustness policy:
 ///  - Liveness: workers heartbeat every HeartbeatMs; a worker silent for

@@ -87,6 +87,17 @@ std::string RunOutcome::str() const {
   return S;
 }
 
+void BudgetLimits::overlay(RunBudget &B) const {
+  if (DeadlineMs > 0)
+    B.DeadlineMs = DeadlineMs;
+  if (MaxSteps > 0)
+    B.MaxSteps = MaxSteps;
+  if (NodeBudget > 0)
+    B.MaxLiveNodes = static_cast<size_t>(NodeBudget);
+  if (HeapBytes > 0)
+    B.MaxHeapBytes = static_cast<size_t>(HeapBytes);
+}
+
 int nv::exitCodeForOutcome(const RunOutcome &O) {
   if (O.ok())
     return 0;

@@ -204,6 +204,22 @@ struct RunBudget {
   }
 };
 
+/// The budget limits a command line or request names (`--deadline-ms`,
+/// `--max-steps`, `--node-budget`; serve's "deadline_ms", "max_steps",
+/// "node_budget", "heap_budget"); 0 = not named.
+struct BudgetLimits {
+  double DeadlineMs = 0;
+  uint64_t MaxSteps = 0;
+  uint64_t NodeBudget = 0;
+  uint64_t HeapBytes = 0;
+
+  /// Overlays the named limits onto \p B, an engine's default budget. A
+  /// limit not named keeps the default, so the simulator's and the
+  /// fault-tolerance analysis' step budgets survive a run that names only
+  /// a deadline.
+  void overlay(RunBudget &B) const;
+};
+
 //===----------------------------------------------------------------------===//
 // Safe-point sites
 //===----------------------------------------------------------------------===//

@@ -238,10 +238,6 @@ bool ResumeLog::replay(const std::string &Key, UnitRecord &Out) const {
   return true;
 }
 
-bool ResumeLog::isDone(const std::string &Key) const {
-  return Replayed.count(Key) != 0;
-}
-
 void ResumeLog::recordDone(const UnitRecord &R) {
   std::string Payload = R.render();
   std::lock_guard<std::mutex> Lock(M);

@@ -20,12 +20,12 @@
 ///    whose binding differs — a stale or mismatched journal is rejected,
 ///    never silently reused.
 ///
-///  - ResumeLog: the engine-facing journal handle. Engines ask isDone /
-///    replay before running a unit, and recordDone (thread-safe) after
-///    completing one. Replayed results make the resumed run's aggregate
-///    output bit-identical to an uninterrupted run at any thread count:
-///    recorded payloads carry everything the aggregate needs, and the
-///    deterministic unit order of PR 1's sharding does the rest.
+///  - ResumeLog: the journal handle. The unit runner (support/Units.h)
+///    and nv-fuzz's campaign ask replay before running a unit, and
+///    recordDone (thread-safe) after completing one. Replayed results make the resumed run's
+///    aggregate output bit-identical to an uninterrupted run at any thread
+///    count: recorded payloads carry everything the aggregate needs, and
+///    the deterministic unit order does the rest.
 ///
 ///  - RetryPolicy / runUnitWithRetry: a unit that fails with a transient
 ///    resource-limit outcome (deadline, step/node budget, injected fault
@@ -114,11 +114,6 @@ struct UnitRecord {
   static bool parse(const std::string &Payload, UnitRecord &Out);
 };
 
-/// Finds the record of unit \p Key (from a fleet run, a journal, ...);
-/// false when there is none.
-using RecordLookup =
-    std::function<bool(const std::string &Key, UnitRecord &Out)>;
-
 /// Serializes a RunOutcome (+ attempt count) into \p R under the keys
 /// "status"/"site"/"detail"/"attempts".
 void addOutcome(UnitRecord &R, const RunOutcome &O, unsigned Attempts);
@@ -150,7 +145,6 @@ public:
 
   /// True when \p Key completed in a previous run; fills \p Out.
   bool replay(const std::string &Key, UnitRecord &Out) const;
-  bool isDone(const std::string &Key) const;
 
   /// Durably records a completed unit. Thread-safe; one frame + fdatasync
   /// per call. Journal I/O failure disables further writes (stderr warning

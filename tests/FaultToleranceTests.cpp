@@ -405,14 +405,39 @@ TEST_F(FtCheckpoint, MalformedReplayedRecordIsReported) {
     }
     FtCheckResult R = resume();
     EXPECT_EQ(R.Outcome.Status, RunStatus::EvalError) << R.Outcome.str();
-    EXPECT_NE(R.Outcome.Detail.find("malformed chunk record"),
+    EXPECT_NE(R.Outcome.Detail.find("malformed unit record c1"),
               std::string::npos)
         << R.Outcome.str();
   }
 }
 
-/// Runs the naive handler on every scenario and folds the records, with
-/// \p Doctor applied to them first, through aggregateNaiveScenarioRecords.
+/// Journals \p Records, with \p Doctor applied to them first, at a fresh
+/// scratch journal \p Name, and returns the journal opened for a resume.
+std::unique_ptr<ResumeLog> journalRecords(
+    std::map<std::string, UnitRecord> Records,
+    const std::function<void(std::map<std::string, UnitRecord> &)> &Doctor,
+    const std::string &Name) {
+  std::string Path = ::testing::TempDir() + Name;
+  std::remove(Path.c_str());
+  RunBinding Binding;
+  Binding.set("tool", "fault-tolerance-tests");
+  Doctor(Records);
+  {
+    auto L = ResumeLog::open(Path, Binding);
+    EXPECT_TRUE(L.Log) << L.Error;
+    for (const auto &[Key, Rec] : Records)
+      L.Log->recordDone(Rec);
+  }
+  auto L = ResumeLog::open(Path, Binding);
+  EXPECT_TRUE(L.Log) << L.Error;
+  std::remove(Path.c_str()); // the open log keeps its file
+  return std::move(L.Log);
+}
+
+/// Runs the naive fleet worker's unit body on every scenario, journals
+/// the records with \p Doctor applied, and resumes the naive sweep from
+/// them: every scenario is restored by the unit runner, as a fleet
+/// coordinator's are. False when some record was malformed.
 bool foldNaiveRecords(
     const Program &P, const FtOptions &Opts,
     const std::function<void(std::map<std::string, UnitRecord> &)> &Doctor,
@@ -428,22 +453,20 @@ bool foldNaiveRecords(
       Records[naiveScenarioKey(I)] =
           runNaiveScenarioRecord(P, Eval, Set, I, Drop, Opts);
   }
-  Doctor(Records);
-  return aggregateNaiveScenarioRecords(
-      std::make_shared<const FtScenarioSet>(P, Opts),
-      [&](const std::string &Key, UnitRecord &Rec) {
-        auto It = Records.find(Key);
-        if (It == Records.end())
-          return false;
-        Rec = It->second;
-        return true;
-      },
-      Out);
+  auto Log = journalRecords(std::move(Records), Doctor, "nv_ft_fold_naive");
+  FtOptions Resumed = Opts;
+  Resumed.Resume = Log.get();
+  NvContext Ctx(P.numNodes());
+  InterpProgramEvaluator Eval(Ctx, P);
+  Out = naiveFaultTolerance(P, Eval, Resumed, nullptr);
+  EXPECT_EQ(Out.ScenariosReplayed, Out.ScenariosChecked);
+  return Out.Outcome.ok();
 }
 
 /// Checks every chunk of \p P's meta-simulation with a checker that is
-/// gone before the records, with \p Doctor applied to them, are folded
-/// through aggregateFtChunkRecords, as a fleet coordinator does.
+/// gone before the records, with \p Doctor applied, are journaled and
+/// folded by checkFtChunks without any checker, as a fleet coordinator
+/// does. False when some record was malformed.
 bool foldChunkRecords(
     const Program &P, const FtOptions &Opts,
     const std::function<void(std::map<std::string, UnitRecord> &)> &Doctor,
@@ -462,17 +485,13 @@ bool foldChunkRecords(
     for (size_t C = 0; C < Checker.chunks().count(); ++C)
       Records[FtChunks::key(C)] = Checker.checkChunk(C);
   }
-  Doctor(Records);
-  return aggregateFtChunkRecords(
-      std::make_shared<const FtScenarioSet>(P, Opts), Opts.CheckChunkSize,
-      [&](const std::string &Key, UnitRecord &Rec) {
-        auto It = Records.find(Key);
-        if (It == Records.end())
-          return false;
-        Rec = It->second;
-        return true;
-      },
-      Out);
+  auto Log = journalRecords(std::move(Records), Doctor, "nv_ft_fold_chunks");
+  FtOptions Resumed = Opts;
+  Resumed.Resume = Log.get();
+  Out = checkFtChunks(std::make_shared<const FtScenarioSet>(P, Opts), Resumed,
+                      UnitExecutor());
+  EXPECT_EQ(Out.ScenariosReplayed, Out.ScenariosChecked);
+  return Out.Outcome.ok();
 }
 
 TEST(FaultTolerance, DoctoredViolationFieldsFailAggregation) {
@@ -613,7 +632,7 @@ TEST(FaultTolerance, NaiveResumeReportsMalformedRecord) {
   InterpProgramEvaluator Eval(Ctx, P);
   FtCheckResult R = naiveFaultTolerance(P, Eval, Opts, nullptr);
   EXPECT_EQ(R.Outcome.Status, RunStatus::EvalError) << R.Outcome.str();
-  EXPECT_NE(R.Outcome.Detail.find("malformed scenario record"),
+  EXPECT_NE(R.Outcome.Detail.find("malformed unit record s1"),
             std::string::npos);
   EXPECT_EQ(R.ScenariosSkipped, 1u);
   EXPECT_EQ(R.ScenariosReplayed, 1u);

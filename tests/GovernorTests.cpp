@@ -19,6 +19,7 @@
 #include "smt/Verifier.h"
 #include "support/Governor.h"
 #include "support/Journal.h"
+#include "support/ParseNumber.h"
 #include "support/Resume.h"
 #include "support/ThreadPool.h"
 
@@ -26,7 +27,9 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -227,6 +230,78 @@ TEST(CancelToken, HooksRunOnCancelAndOnLateRegistration) {
   Tok.requestCancel();
   EXPECT_EQ(Fired, 1); // removed hooks no longer run
   EXPECT_EQ(Late, 1);
+}
+
+//===----------------------------------------------------------------------===//
+// Budget limits and strict numbers
+//===----------------------------------------------------------------------===//
+
+TEST(BudgetLimits, UnnamedLimitsKeepTheEngineDefaults) {
+  RunBudget Sim = SimOptions{}.Budget;
+  ASSERT_GT(Sim.MaxSteps, 0u);
+  BudgetLimits OnlyDeadline;
+  OnlyDeadline.DeadlineMs = 250;
+  RunBudget B = Sim;
+  OnlyDeadline.overlay(B);
+  EXPECT_EQ(B.DeadlineMs, 250);
+  EXPECT_EQ(B.MaxSteps, Sim.MaxSteps);
+  EXPECT_EQ(B.MaxLiveNodes, Sim.MaxLiveNodes);
+
+  BudgetLimits All{1.5, 7, 8, 9};
+  RunBudget F = FtOptions{}.Budget;
+  All.overlay(F);
+  EXPECT_EQ(F.DeadlineMs, 1.5);
+  EXPECT_EQ(F.MaxSteps, 7u);
+  EXPECT_EQ(F.MaxLiveNodes, 8u);
+  EXPECT_EQ(F.MaxHeapBytes, 9u);
+}
+
+TEST(ParseNumber, IntegersParseWholeOrNotAtAll) {
+  unsigned U = 42;
+  EXPECT_TRUE(parseInteger("0", U));
+  EXPECT_EQ(U, 0u);
+  EXPECT_TRUE(parseInteger("4294967295", U));
+  EXPECT_EQ(U, 4294967295u);
+  for (const char *Bad : {"", "abc", "-1", "3x", " 3", "+3", "0x10",
+                          "4294967296", "99999999999999999999", "1.5"}) {
+    U = 42;
+    EXPECT_FALSE(parseInteger(Bad, U)) << Bad;
+    EXPECT_EQ(U, 42u) << Bad;
+  }
+  uint64_t W = 0;
+  EXPECT_TRUE(parseInteger("18446744073709551615", W));
+  EXPECT_FALSE(parseInteger("18446744073709551616", W));
+  EXPECT_FALSE(parseInteger("-1", W));
+  int Signed = 0;
+  EXPECT_TRUE(parseInteger("-1", Signed));
+  EXPECT_EQ(Signed, -1);
+  EXPECT_FALSE(parseInteger("2147483648", Signed));
+}
+
+TEST(ParseNumber, NonNegativeNumbers) {
+  double D = 7;
+  EXPECT_TRUE(parseNonNegative("0.0001", D));
+  EXPECT_EQ(D, 0.0001);
+  EXPECT_TRUE(parseNonNegative("250", D));
+  EXPECT_EQ(D, 250);
+  for (const char *Bad :
+       {"", "abc", "-1", "-0", "3x", "1e999", "inf", "nan", " 1", "+1"}) {
+    D = 7;
+    EXPECT_FALSE(parseNonNegative(Bad, D)) << Bad;
+    EXPECT_EQ(D, 7) << Bad;
+  }
+}
+
+TEST(ParseNumber, WholeJsonNumbers) {
+  uint64_t V = 0;
+  EXPECT_TRUE(wholeNumber(0, 10, V));
+  EXPECT_TRUE(wholeNumber(10, 10, V));
+  EXPECT_EQ(V, 10u);
+  EXPECT_TRUE(wholeNumber(9007199254740992.0, UINT64_MAX, V));
+  for (double Bad : {-1.0, 2.7, 11.0, 1e30, 18446744073709551616.0,
+                     std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()})
+    EXPECT_FALSE(wholeNumber(Bad, 10, V)) << Bad;
 }
 
 //===----------------------------------------------------------------------===//

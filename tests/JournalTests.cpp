@@ -428,9 +428,9 @@ TEST(ResumeLogTest, FreshJournalRecordsThenReplays) {
   auto R2 = ResumeLog::open(Path, testBinding());
   ASSERT_TRUE(R2.Log) << R2.Error;
   EXPECT_EQ(R2.Log->replayedCount(), 2u);
-  EXPECT_TRUE(R2.Log->isDone("s0"));
-  EXPECT_FALSE(R2.Log->isDone("s2"));
   UnitRecord Out;
+  EXPECT_TRUE(R2.Log->replay("s0", Out));
+  EXPECT_FALSE(R2.Log->replay("s2", Out));
   ASSERT_TRUE(R2.Log->replay("s1", Out));
   ASSERT_NE(Out.get("status"), nullptr);
   EXPECT_EQ(*Out.get("status"), "ok");
@@ -499,7 +499,8 @@ TEST(ResumeLogTest, TornTailToleratedAndUnitRerecorded) {
   ASSERT_TRUE(R.Log) << R.Error;
   EXPECT_TRUE(R.Log->tornTailDropped());
   EXPECT_EQ(R.Log->replayedCount(), 1u); // s1's frame was torn: it re-runs
-  EXPECT_FALSE(R.Log->isDone("s1"));
+  UnitRecord Back;
+  EXPECT_FALSE(R.Log->replay("s1", Back));
   UnitRecord U;
   U.Key = "s1";
   R.Log->recordDone(U);
@@ -591,11 +592,11 @@ TEST(NaiveResume, InterruptedRunResumesIdenticalAtAnyThreadCount) {
 }
 
 TEST(NaiveFleetRecords, WorkerRecordsAggregateIdenticalToInProcess) {
-  // The fleet contract at the unit level: records produced by the worker
-  // handler (runNaiveScenarioRecord, one fresh record per scenario) fold
-  // through aggregateNaiveScenarioRecords into exactly the aggregate the
-  // in-process path computes — which is why `--workers N` merges are
-  // bit-identical to `--workers 0` regardless of which worker ran what.
+  // The fleet contract at the unit level: records produced by the worker's
+  // unit body (runNaiveScenarioRecord, one fresh record per scenario) are
+  // restored by the unit runner into exactly the aggregate the in-process
+  // path computes — which is why `--workers N` merges are bit-identical to
+  // `--workers 0` regardless of which worker ran what.
   Program P = parseAndCheck(spProgram(4, Line));
   FtOptions Opts;
 
@@ -609,48 +610,37 @@ TEST(NaiveFleetRecords, WorkerRecordsAggregateIdenticalToInProcess) {
     RefScenarios = R.ScenariosChecked;
   }
 
-  // "Workers": one evaluator producing every record, out of order, into a
-  // key-indexed map — the shape a fleet run's Results arrive in.
-  NvContext Ctx(P.numNodes());
-  InterpProgramEvaluator Eval(Ctx, P);
-  const Value *Drop = Ctx.noneV();
-  Ctx.pinValue(Drop);
-  auto Scenarios = std::make_shared<const FtScenarioSet>(P, Opts);
-  ASSERT_EQ(Scenarios->size(), RefScenarios);
-  std::map<std::string, UnitRecord> Results;
-  for (size_t I = Scenarios->size(); I-- > 0;)
-    Results[naiveScenarioKey(I)] =
-        runNaiveScenarioRecord(P, Eval, *Scenarios, I, Drop, Opts);
+  // "Workers": one evaluator producing every record, out of order, as a
+  // fleet's results land; journaled as the coordinator journals them.
+  std::string Path = tmpPath("naive_fleet_records");
+  std::remove(Path.c_str());
+  {
+    NvContext Ctx(P.numNodes());
+    InterpProgramEvaluator Eval(Ctx, P);
+    const Value *Drop = Ctx.noneV();
+    Ctx.pinValue(Drop);
+    FtScenarioSet Scenarios(P, Opts);
+    ASSERT_EQ(Scenarios.size(), RefScenarios);
+    auto L = ResumeLog::open(Path, naiveBinding());
+    ASSERT_TRUE(L.Log) << L.Error;
+    // Scenario 0's record is lost: the runner must re-run exactly it.
+    for (size_t I = Scenarios.size(); I-- > 1;)
+      L.Log->recordDone(
+          runNaiveScenarioRecord(P, Eval, Scenarios, I, Drop, Opts));
+  }
 
-  FtCheckResult Agg;
-  ASSERT_TRUE(aggregateNaiveScenarioRecords(
-      Scenarios,
-      [&](const std::string &Key, UnitRecord &Rec) {
-        auto It = Results.find(Key);
-        if (It == Results.end())
-          return false;
-        Rec = It->second;
-        return true;
-      },
-      Agg));
+  auto L = ResumeLog::open(Path, naiveBinding());
+  ASSERT_TRUE(L.Log) << L.Error;
+  Opts.Resume = L.Log.get();
+  ThreadPool Pool(2);
+  FtCheckResult Agg = naiveFaultToleranceParallel(P, Opts, Pool);
   EXPECT_EQ(Agg.ScenariosChecked, RefScenarios);
+  EXPECT_EQ(Agg.ScenariosReplayed, RefScenarios - 1);
   EXPECT_EQ(Agg.ScenariosSkipped, 0u);
   EXPECT_TRUE(Agg.Outcome.ok()) << Agg.Outcome.str();
   EXPECT_EQ(violationKeys(Agg), Ref);
-
-  // A missing record is a hard aggregation failure, never silence.
-  Results.erase(naiveScenarioKey(0));
-  FtCheckResult Agg2;
-  EXPECT_FALSE(aggregateNaiveScenarioRecords(
-      Scenarios,
-      [&](const std::string &Key, UnitRecord &Rec) {
-        auto It = Results.find(Key);
-        if (It == Results.end())
-          return false;
-        Rec = It->second;
-        return true;
-      },
-      Agg2));
+  EXPECT_EQ(L.Log->entryCount(), RefScenarios);
+  std::remove(Path.c_str());
 }
 
 TEST(NaiveRetry, InjectedFaultRetriedThenSucceeds) {

@@ -366,6 +366,72 @@ TEST(ServeCore, BudgetTripIsolatedFromConcurrentRequests) {
   EXPECT_FALSE(Doomed2.getBool("cached"));
 }
 
+TEST(ServeCore, BudgetlessRequestKeepsTheEngineStepBudget) {
+  // A request that names no budget field runs under the engine's default
+  // budget, as the same CLI run does — not an unlimited one.
+  auto Budget = [](const char *Line, RunBudget B) {
+    Json Req;
+    std::string Error;
+    EXPECT_TRUE(Json::parse(Line, Req, Error)) << Error;
+    EXPECT_TRUE(overlayRequestBudget(Req, B, Error)) << Error;
+    return B;
+  };
+  const RunBudget Sim = SimOptions{}.Budget, Ft = FtOptions{}.Budget;
+  ASSERT_GT(Sim.MaxSteps, 0u);
+  EXPECT_EQ(Budget("{\"verb\":\"sim\",\"session\":\"d\"}", Sim).MaxSteps,
+            Sim.MaxSteps);
+  EXPECT_EQ(Budget("{\"verb\":\"ft\",\"session\":\"d\"}", Ft).MaxSteps,
+            Ft.MaxSteps);
+  RunBudget D = Budget("{\"deadline_ms\":2.5,\"node_budget\":64}", Sim);
+  EXPECT_EQ(D.MaxSteps, Sim.MaxSteps);
+  EXPECT_EQ(D.DeadlineMs, 2.5);
+  EXPECT_EQ(D.MaxLiveNodes, 64u);
+  RunBudget All = Budget(
+      "{\"max_steps\":10,\"heap_budget\":4096,\"deadline_ms\":7}", Sim);
+  EXPECT_EQ(All.MaxSteps, 10u);
+  EXPECT_EQ(All.MaxHeapBytes, 4096u);
+  EXPECT_EQ(All.DeadlineMs, 7);
+}
+
+TEST(ServeCore, MalformedNumbersAreRejectedWithCode2) {
+  ServeConfig Cfg;
+  Cfg.Threads = 1;
+  auto Res = ServeCore::create(Cfg);
+  ASSERT_TRUE(Res.Core) << Res.Error;
+  ServeCore &Core = *Res.Core;
+  ASSERT_EQ(Core.executeLine(loadLine("n", spProgram())).getNumber("code", -1),
+            0);
+  // Negative, fractional, non-numeric and out-of-range values of every
+  // numeric field, on the verb that reads it.
+  const std::vector<std::pair<std::string, std::string>> Cases = {
+      {"ft", "links"},          {"verify", "timeout_ms"},
+      {"sim", "max_steps"},     {"sim", "node_budget"},
+      {"sim", "heap_budget"},   {"ft", "max_steps"},
+      {"verify", "max_steps"},  {"sim", "deadline_ms"}};
+  for (const auto &[Verb, Field] : Cases)
+    for (const char *Bad : {"-1", "2.7", "\"2\"", "true", "null", "1e30"}) {
+      if (Field == "deadline_ms" && (!std::strcmp(Bad, "2.7") ||
+                                     !std::strcmp(Bad, "1e30")))
+        continue; // a deadline may be fractional, and is a double
+      std::string Line = "{\"verb\":\"" + Verb +
+                         "\",\"session\":\"n\",\"" + Field + "\":" + Bad +
+                         "}";
+      SCOPED_TRACE(Line);
+      Json R = Core.executeLine(Line);
+      EXPECT_EQ(R.getNumber("code", -1), 2) << R.dump();
+      EXPECT_NE(R.getString("error").find(Field), std::string::npos)
+          << R.dump();
+    }
+  // links one past the unsigned range; well-formed numbers still run.
+  Json Big = Core.executeLine(
+      "{\"verb\":\"ft\",\"session\":\"n\",\"links\":4294967296}");
+  EXPECT_EQ(Big.getNumber("code", -1), 2) << Big.dump();
+  Json Ok = Core.executeLine(
+      "{\"verb\":\"ft\",\"session\":\"n\",\"links\":1,\"max_steps\":"
+      "100000,\"deadline_ms\":60000.5}");
+  EXPECT_EQ(Ok.getNumber("code", -1), 1) << Ok.dump();
+}
+
 TEST(ServeCore, CancelTokenStopsInFlightRequest) {
   ServeConfig Cfg;
   Cfg.Threads = 2; // a pool of one would run submit() inline

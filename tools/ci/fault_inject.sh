@@ -3,7 +3,8 @@
 # safe-point site against the nv CLI on the example networks and asserts
 # that each run terminates with the documented resource-exhausted exit
 # code (3) — never an abort, never a crash — and that a clean budget-flag
-# run degrades the same way. Finally replays the committed budget corpus
+# run degrades the same way, and that malformed numeric flags are usage
+# errors (2). Finally replays the committed budget corpus
 # seed through nv-fuzz: its FT legs hit the step budget and must reduce to
 # the structured skip verdict (exit 0, no divergence).
 #
@@ -94,6 +95,43 @@ for CMD in ft naive; do
   expect_code 1 "$CMD: --links 0 --node" "$NV" $CMD "$EXAMPLE" --links 0 --node
 done
 expect_code 2 "ft: --chunk 0" "$NV" ft "$EXAMPLE" --chunk 0
+
+# Every numeric flag parses strictly: "abc" and "3x" are usage errors
+# (exit 2 with the usage text), never 0 or 3. Only values that would be
+# harmless if accepted are tried here; "-1" and overflow are covered by
+# the parser's unit test, since an accepted "-1" would ask for 2^32-1
+# threads or workers. A daemon that wrongly accepts a value is stopped by
+# the timeout and fails the check.
+SOCK_DIR=$(mktemp -d)
+expect_usage() { # DESC CMD...
+  local desc=$1 got=0
+  shift
+  timeout 20 "$@" > "$SOCK_DIR/usage.out" 2>&1 || got=$?
+  if [ "$got" -ne 2 ] || ! grep -q "usage:" "$SOCK_DIR/usage.out"; then
+    echo "FAIL: $desc: expected the usage error (exit 2), got $got: $*" >&2
+    exit 1
+  fi
+}
+for BAD in abc 3x; do
+  for FLAG in --threads --retry --workers --deadline-ms --max-steps \
+      --node-budget; do
+    expect_usage "naive $FLAG $BAD" "$NV" naive "$EXAMPLE" "$FLAG" "$BAD"
+  done
+  expect_usage "verify --timeout $BAD" "$NV" verify "$EXAMPLE" --timeout "$BAD"
+  for FLAG in --threads --max-sessions --max-inflight --queue-depth \
+      --heap-budget-mb --memo-cap --idle-timeout-ms --max-line-bytes \
+      --restart-backoff-ms --restart-cap-ms --max-restarts; do
+    expect_usage "serve $FLAG $BAD" "$NV" serve "$SOCK_DIR/s" "$FLAG" "$BAD"
+  done
+  for FLAG in --timeout-ms --retries; do
+    expect_usage "req $FLAG $BAD" "$NV" req "$SOCK_DIR/s" "$FLAG" "$BAD" '{}'
+  done
+  for FLAG in --threads --retry --workers --time-budget; do
+    expect_usage "nv-fuzz $FLAG $BAD" "$NV_FUZZ" --count 0 "$FLAG" "$BAD"
+  done
+done
+rm -rf "$SOCK_DIR"
+echo "ok: numeric flags of nv, nv serve/req and nv-fuzz reject abc and 3x"
 
 # The committed budget corpus seed: its non-monotone FT meta-simulation
 # hits the oracle's step budget and must reduce to the canonical skip

@@ -8,8 +8,8 @@
 # corruption and binding mismatch hard exit 2), retry semantics under
 # NV_FAULT_INJECT, that `nv ft` agrees with the naive reference (also on
 # a dict-attribute route-map instance), that a fleet ft journal resumes in
-# process, and that replaying tests/corpus twice under --resume shows no
-# fingerprint drift.
+# process and an in-process naive journal on a fleet, and that replaying
+# tests/corpus twice under --resume shows no fingerprint drift.
 #
 # Usage: tools/ci/resume.sh [BUILD_DIR]
 set -euo pipefail
@@ -191,6 +191,36 @@ for RUN in ftfleet ftinproc; do
     || fail "$RUN JSON differs from the journal-free reference"
 done
 echo "ok: fleet ft journal replayed in process, aggregates identical"
+
+echo "== in-process naive journal resumes on a fleet =="
+# The reverse direction: a --threads 4 run interrupted mid-flight resumes
+# with --workers 2. Worker count does not bind, and the fleet's records
+# are the ones the in-process run journals, so the aggregate is identical.
+JF="$WORK/naive-fleet.journal"
+"$NV" naive "$NET" --links 2 --threads 4 --resume "$JF" \
+  --json "$WORK/intf.json" > /dev/null 2> "$WORK/intf.err" &
+PID=$!
+for _ in $(seq 1 500); do
+  SZ=$(stat -c %s "$JF" 2>/dev/null || echo 0)
+  [ "$SZ" -ge 600 ] && break
+  sleep 0.01
+done
+kill -TERM "$PID" 2>/dev/null || true
+GOT=0
+wait "$PID" || GOT=$?
+[ "$GOT" -eq 3 ] || {
+  cat "$WORK/intf.err" >&2
+  fail "interrupted in-process run: expected exit 3, got $GOT"
+}
+RF=0
+"$NV" naive "$NET" --links 2 --workers 2 --resume "$JF" \
+  --json "$WORK/rf.json" > "$WORK/rf.out" || RF=$?
+[ "$RF" -eq "$REF_CODE" ] || fail "fleet resume exit $RF != reference $REF_CODE"
+grep -q "completed unit(s) replayed" "$WORK/rf.out" \
+  || fail "fleet resume replayed nothing"
+diff <(strip_ms "$WORK/ref.json") <(strip_ms "$WORK/rf.json") \
+  || fail "fleet-resumed JSON differs from uninterrupted reference"
+echo "ok: in-process journal resumed on a 2-worker fleet, aggregate identical"
 
 echo "== corpus replay under --resume: no fingerprint drift =="
 JC="$WORK/corpus.journal"

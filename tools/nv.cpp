@@ -79,12 +79,14 @@
 #include "smt/Verifier.h"
 #include "support/Fleet.h"
 #include "support/Journal.h"
+#include "support/ParseNumber.h"
 #include "support/Resume.h"
 #include "support/Subprocess.h"
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <charconv>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -135,24 +137,16 @@ struct CliOptions {
   unsigned Workers = 0;  ///< ft/naive: fleet size (0 = in-process).
   unsigned Chunk = FtOptions{}.CheckChunkSize; ///< ft: scenarios per chunk.
   std::string WorkerCmd; ///< hidden worker verb: which analysis to serve.
-  double DeadlineMs = 0;
-  uint64_t MaxSteps = 0;
-  uint64_t NodeBudget = 0;
+  BudgetLimits Limits; ///< --deadline-ms, --max-steps, --node-budget.
   std::string ResumePath;
   std::string JsonPath;
   CancelToken *Cancel = nullptr; ///< Set by main for the engine commands.
   std::vector<std::pair<std::string, std::string>> Syms;
   std::vector<std::string> Flags; ///< The option arguments, as given.
 
-  /// Folds the governance flags into \p B (leaves unset knobs alone, so
-  /// engine defaults like the simulator's step budget survive).
+  /// Folds the governance flags into \p B, an engine's default budget.
   void applyBudget(RunBudget &B) const {
-    if (DeadlineMs > 0)
-      B.DeadlineMs = DeadlineMs;
-    if (MaxSteps > 0)
-      B.MaxSteps = MaxSteps;
-    if (NodeBudget > 0)
-      B.MaxLiveNodes = static_cast<size_t>(NodeBudget);
+    Limits.overlay(B);
     if (Cancel)
       B.Cancel = Cancel;
   }
@@ -169,9 +163,9 @@ struct CliOptions {
     B.setInt("links", Links);
     B.setInt("node-failure", NodeFailure ? 1 : 0);
     B.setInt("native", Native ? 1 : 0);
-    B.set("deadline-ms", std::to_string(DeadlineMs));
-    B.setInt("max-steps", (long long)MaxSteps);
-    B.setInt("node-budget", (long long)NodeBudget);
+    B.set("deadline-ms", std::to_string(Limits.DeadlineMs));
+    B.setInt("max-steps", (long long)Limits.MaxSteps);
+    B.setInt("node-budget", (long long)Limits.NodeBudget);
     B.setInt("retry", Retry);
     if (Command == "ft")
       B.setInt("chunk", Chunk); // chunking changes ft's unit list
@@ -184,14 +178,6 @@ struct CliOptions {
     return B;
   }
 };
-
-/// Parses a whole decimal non-negative integer: "abc", "-1", "3x" and
-/// out-of-range values are rejected, never read as 0 or wrapped.
-bool parseUnsigned(const char *S, unsigned &Out) {
-  const char *End = S + std::strlen(S);
-  auto [Ptr, Ec] = std::from_chars(S, End, Out);
-  return Ec == std::errc() && Ptr == End;
-}
 
 std::optional<CliOptions> parseCli(int argc, char **argv) {
   if (argc < 3)
@@ -208,16 +194,19 @@ std::optional<CliOptions> parseCli(int argc, char **argv) {
     } else if (!std::strcmp(argv[I], "--node")) {
       O.NodeFailure = true;
     } else if (!std::strcmp(argv[I], "--links") && I + 1 < argc) {
-      if (!parseUnsigned(argv[++I], O.Links))
+      if (!parseInteger(argv[++I], O.Links))
         return std::nullopt;
     } else if (!std::strcmp(argv[I], "--threads") && I + 1 < argc) {
-      O.Threads = static_cast<unsigned>(atoi(argv[++I]));
+      if (!parseInteger(argv[++I], O.Threads))
+        return std::nullopt;
     } else if (!std::strcmp(argv[I], "--retry") && I + 1 < argc) {
-      O.Retry = static_cast<unsigned>(atoi(argv[++I]));
+      if (!parseInteger(argv[++I], O.Retry))
+        return std::nullopt;
     } else if (!std::strcmp(argv[I], "--workers") && I + 1 < argc) {
-      O.Workers = static_cast<unsigned>(atoi(argv[++I]));
+      if (!parseInteger(argv[++I], O.Workers))
+        return std::nullopt;
     } else if (!std::strcmp(argv[I], "--chunk") && I + 1 < argc) {
-      if (!parseUnsigned(argv[++I], O.Chunk) || O.Chunk == 0)
+      if (!parseInteger(argv[++I], O.Chunk) || O.Chunk == 0)
         return std::nullopt;
     } else if (!std::strcmp(argv[I], "--cmd") && I + 1 < argc) {
       O.WorkerCmd = argv[++I];
@@ -226,13 +215,17 @@ std::optional<CliOptions> parseCli(int argc, char **argv) {
     } else if (!std::strcmp(argv[I], "--json") && I + 1 < argc) {
       O.JsonPath = argv[++I];
     } else if (!std::strcmp(argv[I], "--timeout") && I + 1 < argc) {
-      O.TimeoutSec = static_cast<unsigned>(atoi(argv[++I]));
+      if (!parseInteger(argv[++I], O.TimeoutSec))
+        return std::nullopt;
     } else if (!std::strcmp(argv[I], "--deadline-ms") && I + 1 < argc) {
-      O.DeadlineMs = atof(argv[++I]);
+      if (!parseNonNegative(argv[++I], O.Limits.DeadlineMs))
+        return std::nullopt;
     } else if (!std::strcmp(argv[I], "--max-steps") && I + 1 < argc) {
-      O.MaxSteps = strtoull(argv[++I], nullptr, 10);
+      if (!parseInteger(argv[++I], O.Limits.MaxSteps))
+        return std::nullopt;
     } else if (!std::strcmp(argv[I], "--node-budget") && I + 1 < argc) {
-      O.NodeBudget = strtoull(argv[++I], nullptr, 10);
+      if (!parseInteger(argv[++I], O.Limits.NodeBudget))
+        return std::nullopt;
     } else if (!std::strcmp(argv[I], "--sym") && I + 1 < argc) {
       std::string Arg = argv[++I];
       size_t Eq = Arg.find('=');
@@ -461,127 +454,52 @@ std::vector<std::string> fleetWorkerArgv(const CliOptions &O,
 }
 
 /// The hidden `nv worker FILE --cmd <naive|ft>` verb: serves that
-/// analysis' job units over the fleet pipes (fd 3 jobs in, fd 4 results
-/// out — see support/Fleet.h). Job handler exceptions kill the process by
+/// analysis' units over the fleet pipes (fd 3 jobs in, fd 4 results out —
+/// see support/Fleet.h). Job handler exceptions kill the process by
 /// design; the coordinator's requeue/quarantine machinery owns recovery.
 int cmdWorker(const Program &P, const CliOptions &O) {
   FtOptions Opts = ftOptionsFromCli(O);
-
-  if (O.WorkerCmd == "naive") {
-    // One parse + evaluator + arena for the process lifetime; the handler
-    // collects back to the pinned baseline between scenarios, mirroring
-    // one persistent thread of naiveFaultToleranceParallel.
-    FtScenarioSet Scenarios(P, Opts);
-    NvContext Ctx(P.numNodes());
-    InterpProgramEvaluator Eval(Ctx, P);
-    const Value *Drop = defaultDropValue(Ctx, P.AttrType);
-    Ctx.pinValue(Drop);
-    return runFleetWorker([&](const FleetJob &J) -> UnitRecord {
-      if (J.Key.size() < 2 || J.Key[0] != 's')
-        throw std::runtime_error("naive worker: bad job key '" + J.Key + "'");
-      size_t I = std::strtoull(J.Key.c_str() + 1, nullptr, 10);
-      if (I >= Scenarios.size())
-        throw std::runtime_error("naive worker: scenario " + J.Key +
-                                 " out of range");
-      return runNaiveScenarioRecord(P, Eval, Scenarios, I, Drop, Opts);
-    });
-  }
-
-  if (O.WorkerCmd == "ft") {
-    // The meta-simulation is rebuilt lazily on the first job — a spare
-    // worker that never gets one costs nothing, and a respawned worker
-    // only pays the cost when it actually has work. The coordinator ran
-    // the same (deterministic) transform + simulation before spawning the
-    // fleet, so a converged run is guaranteed here.
-    std::optional<NvContext> Ctx;
-    std::unique_ptr<PreparedFt> Prep;
-    SimResult Sim;
-    std::unique_ptr<FtChecker> Checker;
-    auto Ensure = [&] {
-      if (Checker)
-        return;
-      Governor::Scope Guard(Opts.Budget);
-      DiagnosticEngine Diags;
-      Ctx.emplace(P.numNodes());
-      Prep = PreparedFt::create(*Ctx, P, Opts, O.Native, Diags);
-      if (!Prep)
-        throw std::runtime_error("ft worker: transform failed:\n" +
-                                 Diags.str());
-      Sim = Prep->simulate();
-      if (!Sim.Converged)
-        throw std::runtime_error("ft worker: meta-simulation did not "
-                                 "converge: " +
-                                 Sim.Outcome.str());
-      Checker = std::make_unique<FtChecker>(*Ctx, P, Prep->baseEval(), Sim,
-                                            Opts);
-    };
-    return runFleetWorker([&](const FleetJob &J) -> UnitRecord {
-      if (J.Key.size() < 2 || J.Key[0] != 'c')
-        throw std::runtime_error("ft worker: bad job key '" + J.Key + "'");
-      Ensure();
-      size_t C = std::strtoull(J.Key.c_str() + 1, nullptr, 10);
-      if (C >= Checker->chunks().count())
-        throw std::runtime_error("ft worker: chunk " + J.Key +
-                                 " out of range");
-      return Checker->checkChunk(C);
-    });
-  }
-
+  if (O.WorkerCmd == "naive")
+    return naiveFleetWorker(P, Opts);
+  if (O.WorkerCmd == "ft")
+    return ftFleetWorker(P, Opts, O.Native);
   std::fprintf(stderr, "nv: worker: unknown --cmd '%s'\n",
                O.WorkerCmd.c_str());
   return 2;
 }
 
-/// Shared fleet-coordinator plumbing for ft/naive: spawns the fleet over
-/// \p Jobs (units already journaled are the caller's to exclude), journals
-/// each result as it lands, surfaces quarantines, then hands \p Fold a
-/// record lookup over the fleet's results and, after them, the journal.
-/// Returns 0, or the exit code of a failed fleet run or fold.
-int runUnitFleet(const CliOptions &O, const char *Cmd, ResumeLog *Log,
-                 std::vector<FleetJob> Jobs,
-                 const std::function<bool(const RecordLookup &)> &Fold) {
+/// The executor `--workers` picks for an ft/naive sweep: \p Pool's threads
+/// (0 workers), or a fleet of `nv worker --cmd \p Cmd` subprocesses whose
+/// quarantined units and stats are reported when it ends.
+UnitExecutor executorFromCli(const CliOptions &O, const char *Cmd,
+                             ThreadPool *Pool) {
+  UnitExecutor X;
+  X.Pool = Pool;
+  if (O.Workers == 0)
+    return X;
   FleetOptions FO;
   FO.Workers = O.Workers;
   FO.WorkerArgv = fleetWorkerArgv(O, Cmd);
   FO.Cancel = O.Cancel;
   applyFleetEnvOverrides(FO);
-  FleetCallbacks CB;
-  CB.OnResult = [&](const UnitRecord &Rec) {
-    // Durable the moment it exists — a coordinator crash after this point
-    // costs nothing; the journal replays the unit on resume.
-    if (Log)
-      Log->recordDone(Rec);
+  X.Fleet = std::move(FO);
+  X.OnFleetDone = [](const FleetResult &FR) {
+    if (!FR.Outcome.ok()) {
+      std::fprintf(stderr, "nv: fleet run failed: %s\n",
+                   FR.Outcome.str().c_str());
+      return;
+    }
+    for (const std::string &K : FR.QuarantinedKeys) {
+      const UnitRecord &Rec = FR.Results.at(K);
+      const std::string *Detail = Rec.get("detail");
+      const std::string *Repro = Rec.get("repro");
+      std::printf("QUARANTINED unit %s (%s); repro: %s\n", K.c_str(),
+                  Detail ? Detail->c_str() : "?",
+                  Repro ? Repro->c_str() : "(none)");
+    }
+    std::printf("fleet: %s\n", FR.Stats.str().c_str());
   };
-  FleetResult FR = runFleet(FO, Jobs, CB);
-  if (!FR.Outcome.ok()) {
-    std::fprintf(stderr, "nv: fleet run failed: %s\n",
-                 FR.Outcome.str().c_str());
-    return exitCodeForOutcome(FR.Outcome);
-  }
-  for (const std::string &K : FR.QuarantinedKeys) {
-    auto It = FR.Results.find(K);
-    const std::string *Repro =
-        It == FR.Results.end() ? nullptr : It->second.get("repro");
-    std::printf("QUARANTINED unit %s (%s); repro: %s\n", K.c_str(),
-                It == FR.Results.end()
-                    ? "?"
-                    : It->second.get("detail")
-                          ? It->second.get("detail")->c_str()
-                          : "?",
-                Repro ? Repro->c_str() : "(none)");
-  }
-  std::printf("fleet: %s\n", FR.Stats.str().c_str());
-  if (Fold([&](const std::string &Key, UnitRecord &Rec) {
-        auto It = FR.Results.find(Key);
-        if (It == FR.Results.end())
-          return Log && Log->replay(Key, Rec);
-        Rec = It->second;
-        return true;
-      }))
-    return 0;
-  std::fprintf(stderr, "nv: fleet aggregate is missing %s unit records\n",
-               Cmd);
-  return 4;
+  return X;
 }
 
 int cmdNaive(const Program &P, const CliOptions &O) {
@@ -598,31 +516,11 @@ int cmdNaive(const Program &P, const CliOptions &O) {
     return Ec;
 
   Stopwatch W;
-  FtCheckResult R;
-  if (O.Workers > 0) {
-    // Fleet mode: scenarios run in crash-isolated worker subprocesses.
-    // Workers return the same UnitRecords the in-process path journals, so
-    // the aggregate below is bit-identical to --workers 0.
-    auto Scenarios = std::make_shared<const FtScenarioSet>(P, Opts);
-    std::vector<FleetJob> Jobs;
-    for (size_t I = 0; I < Scenarios->size(); ++I) {
-      std::string Key = naiveScenarioKey(I);
-      if (Log && Log->isDone(Key))
-        ++R.ScenariosReplayed;
-      else
-        Jobs.push_back({Key, ""});
-    }
-    if (int FleetEc =
-            runUnitFleet(O, "naive", Log.get(), std::move(Jobs),
-                         [&](const auto &Lookup) {
-                           return aggregateNaiveScenarioRecords(Scenarios,
-                                                                Lookup, R);
-                         }))
-      return FleetEc;
-  } else {
-    ThreadPool Pool(O.Threads);
-    R = naiveFaultToleranceParallel(P, Opts, Pool);
-  }
+  std::optional<ThreadPool> Pool;
+  if (O.Workers == 0)
+    Pool.emplace(O.Threads);
+  FtCheckResult R = naiveFaultToleranceParallel(
+      P, Opts, executorFromCli(O, "naive", Pool ? &*Pool : nullptr));
   double Ms = W.elapsedMs();
 
   std::printf("%llu scenarios checked (%llu replayed, %llu skipped, %llu "
@@ -727,37 +625,47 @@ int cmdServe(int argc, char **argv) {
   Opts.SocketPath = argv[2];
   bool Supervise = false;
   SupervisorOptions Sup;
+  size_t HeapMb = 0;
+  bool NumbersOk = true;
   for (int I = 3; I < argc; ++I) {
+    // Every numeric flag parses strictly: "abc", "-1" or "3x" is a usage
+    // error, never 0 or a wrapped-around count.
+    auto Num = [&](auto &Out) {
+      if (!parseInteger(argv[++I], Out))
+        NumbersOk = false;
+    };
     if (!std::strcmp(argv[I], "--threads") && I + 1 < argc)
-      Opts.Core.Threads = static_cast<unsigned>(atoi(argv[++I]));
+      Num(Opts.Core.Threads);
     else if (!std::strcmp(argv[I], "--journal") && I + 1 < argc)
       Opts.Core.JournalPath = argv[++I];
     else if (!std::strcmp(argv[I], "--max-sessions") && I + 1 < argc)
-      Opts.Core.MaxSessions = static_cast<size_t>(atoi(argv[++I]));
+      Num(Opts.Core.MaxSessions);
     else if (!std::strcmp(argv[I], "--max-inflight") && I + 1 < argc)
-      Opts.Core.MaxInflight = static_cast<size_t>(atoi(argv[++I]));
+      Num(Opts.Core.MaxInflight);
     else if (!std::strcmp(argv[I], "--queue-depth") && I + 1 < argc)
-      Opts.Core.QueueDepth = static_cast<size_t>(atoi(argv[++I]));
+      Num(Opts.Core.QueueDepth);
     else if (!std::strcmp(argv[I], "--heap-budget-mb") && I + 1 < argc)
-      Opts.Core.HeapBudgetBytes =
-          static_cast<size_t>(atoi(argv[++I])) * 1024 * 1024;
+      Num(HeapMb);
     else if (!std::strcmp(argv[I], "--memo-cap") && I + 1 < argc)
-      Opts.Core.MemoEntryCap = static_cast<size_t>(atoi(argv[++I]));
+      Num(Opts.Core.MemoEntryCap);
     else if (!std::strcmp(argv[I], "--idle-timeout-ms") && I + 1 < argc)
-      Opts.IdleTimeoutMs = static_cast<unsigned>(atoi(argv[++I]));
+      Num(Opts.IdleTimeoutMs);
     else if (!std::strcmp(argv[I], "--max-line-bytes") && I + 1 < argc)
-      Opts.MaxLineBytes = static_cast<size_t>(atoi(argv[++I]));
+      Num(Opts.MaxLineBytes);
     else if (!std::strcmp(argv[I], "--supervise"))
       Supervise = true;
     else if (!std::strcmp(argv[I], "--restart-backoff-ms") && I + 1 < argc)
-      Sup.BackoffBaseMs = static_cast<unsigned>(atoi(argv[++I]));
+      Num(Sup.BackoffBaseMs);
     else if (!std::strcmp(argv[I], "--restart-cap-ms") && I + 1 < argc)
-      Sup.BackoffCapMs = static_cast<unsigned>(atoi(argv[++I]));
+      Num(Sup.BackoffCapMs);
     else if (!std::strcmp(argv[I], "--max-restarts") && I + 1 < argc)
-      Sup.MaxRestarts = atoi(argv[++I]);
+      Num(Sup.MaxRestarts); // signed: -1 (the default) = unlimited
     else
       return usage();
   }
+  if (!NumbersOk || HeapMb > (SIZE_MAX >> 20))
+    return usage();
+  Opts.Core.HeapBudgetBytes = HeapMb << 20;
   if (Supervise)
     // Forks before any thread exists; each worker child builds its own
     // Server, replaying the journal, so kill -9 mid-request loses no
@@ -779,10 +687,14 @@ int cmdReq(int argc, char **argv) {
     if (!std::strcmp(argv[First], "--timeout-ms") && First + 1 < argc) {
       // One deadline for both phases: a script that says 2000 means "give
       // up after 2s", whether the time goes to connecting or waiting.
-      CO.ReadTimeoutMs = static_cast<unsigned>(atoi(argv[++First]));
+      if (!parseInteger(argv[++First], CO.ReadTimeoutMs))
+        return usage();
       CO.ConnectTimeoutMs = CO.ReadTimeoutMs;
     } else if (!std::strcmp(argv[First], "--retries") && First + 1 < argc) {
-      RO.MaxAttempts = static_cast<unsigned>(atoi(argv[++First])) + 1;
+      unsigned Retries = 0;
+      if (!parseInteger(argv[++First], Retries) || Retries == UINT_MAX)
+        return usage();
+      RO.MaxAttempts = Retries + 1;
     } else {
       break; // first JSON argument
     }
@@ -831,26 +743,16 @@ int cmdFt(const Program &P, const CliOptions &O) {
     return Ec;
 
   // Fleet mode: transform + meta-simulation stay in-process (one
-  // deterministic fixpoint — there is nothing to shard), then the chunks
-  // the journal lacks are checked on the worker fleet. Workers return the
-  // same chunk records the checkpointed in-process check journals, and
-  // both fold them through aggregateFtChunkRecords, so the aggregate is
-  // bit-identical to --workers 0.
+  // deterministic fixpoint — there is nothing to shard), then the check's
+  // chunks run on the worker fleet through the same checkFtChunks the
+  // journaled in-process check uses, so the aggregate is bit-identical to
+  // --workers 0.
   FtRunResult R = runFaultTolerance(P, Opts, O.Native, Diags,
                                     /*CheckAsserts=*/O.Workers == 0);
   if (O.Workers > 0 && R.Outcome.ok() && R.Converged) {
     Stopwatch CW;
-    auto Scenarios = std::make_shared<const FtScenarioSet>(P, Opts);
-    std::vector<FleetJob> Jobs;
-    for (size_t C : FtChunks(Scenarios->size(), Opts.CheckChunkSize)
-                        .missing(Log.get(), R.Check.ScenariosReplayed))
-      Jobs.push_back({FtChunks::key(C), ""});
-    if (int FleetEc = runUnitFleet(
-            O, "ft", Log.get(), std::move(Jobs), [&](const auto &Lookup) {
-              return aggregateFtChunkRecords(Scenarios, Opts.CheckChunkSize,
-                                             Lookup, R.Check);
-            }))
-      return FleetEc;
+    R.Check = checkFtChunks(std::make_shared<const FtScenarioSet>(P, Opts),
+                            Opts, executorFromCli(O, "ft", nullptr));
     R.CheckMs = CW.elapsedMs();
   }
   Diags.printToStderr();

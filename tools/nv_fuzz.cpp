@@ -59,6 +59,7 @@
 #include "fuzz/Rng.h"
 #include "support/Fleet.h"
 #include "support/Governor.h"
+#include "support/ParseNumber.h"
 #include "support/Resume.h"
 #include "support/Subprocess.h"
 #include "support/Timer.h"
@@ -130,14 +131,12 @@ std::optional<FuzzCli> parseCli(int argc, char **argv) {
       O.Start = std::strtoull(V, nullptr, 0);
     } else if (Arg("--time-budget")) {
       const char *V = Next();
-      if (!V)
+      if (!V || !parseInteger(V, O.TimeBudgetSec))
         return std::nullopt;
-      O.TimeBudgetSec = static_cast<unsigned>(std::atoi(V));
     } else if (Arg("--threads")) {
       const char *V = Next();
-      if (!V)
+      if (!V || !parseInteger(V, O.Oracle.Threads))
         return std::nullopt;
-      O.Oracle.Threads = static_cast<unsigned>(std::atoi(V));
     } else if (Arg("--minimize")) {
       O.Minimize = true;
     } else if (Arg("--corpus-dir") || Arg("--artifact-dir")) {
@@ -152,14 +151,12 @@ std::optional<FuzzCli> parseCli(int argc, char **argv) {
       O.ResumePath = V;
     } else if (Arg("--retry")) {
       const char *V = Next();
-      if (!V)
+      if (!V || !parseInteger(V, O.Retry))
         return std::nullopt;
-      O.Retry = static_cast<unsigned>(std::atoi(V));
     } else if (Arg("--workers")) {
       const char *V = Next();
-      if (!V)
+      if (!V || !parseInteger(V, O.Workers))
         return std::nullopt;
-      O.Workers = static_cast<unsigned>(std::atoi(V));
     } else if (Arg("--fleet-worker")) {
       // Undocumented: the fleet coordinator re-execs this binary with the
       // flag to obtain workers (job pipe fd 3, result pipe fd 4).
