@@ -2,7 +2,7 @@
 //
 // Part of nv-cpp. Table formatting and argument handling shared by the
 // figure-reproduction benchmark drivers. Every driver accepts:
-//   --paper      run the paper's exact network sizes (hours on one core)
+//   --paper      run the paper's exact network sizes
 //   --smoke      run the smallest configuration only (seconds; used by the
 //                CI bench-smoke regression gate)
 //   --timeout S  per-solve SMT timeout in seconds (default 60)

@@ -14,10 +14,10 @@
 #include <bit>
 #include <cassert>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <memory>
-#include <ranges>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -166,26 +166,43 @@ struct KeyBinders {
   }
 };
 
-/// C(NumLinks + K - 1, K) link combinations with repetition (K =
-/// LinkFailures), times NumNodes with a node failure; empty past
-/// MaxFtScenarios. \p Combos receives the combinations.
-std::optional<uint32_t> countScenarios(size_t NumLinks, uint32_t NumNodes,
+/// The non-decreasing sequences of \p M values below \p N, C(N + M - 1,
+/// M); empty past UINT64_MAX. Each partial product C(N - 1 + I, I) is exact
+/// and never exceeds the result, so 128 bits hold every step up to the
+/// check.
+std::optional<uint64_t> multisets(uint64_t N, uint64_t M) {
+  if (N <= 1)
+    return M ? N : 1;
+  unsigned __int128 C = 1;
+  for (uint64_t I = 1; I <= M; ++I)
+    if ((C = C * (N - 1 + I) / I) > UINT64_MAX)
+      return std::nullopt;
+  return uint64_t(C);
+}
+
+/// multisets(N, M) where the caller knows it fits: any count of sequences
+/// no longer than a set's link fields is at most its combos(). One or two
+/// fields, the common case, take closed forms.
+inline uint64_t multisetsIn(uint64_t N, uint64_t M) {
+  if (M <= 2)
+    return M == 0 ? 1 : M == 1 ? N : N * (N + 1) / 2;
+  return *multisets(N, M);
+}
+
+/// The scenarios of \p NumLinks links and \p NumNodes nodes under \p Opts,
+/// and in \p Combos the link combinations per failed node; empty past
+/// UINT64_MAX.
+std::optional<uint64_t> countScenarios(size_t NumLinks, uint32_t NumNodes,
                                        const FtOptions &Opts,
                                        uint64_t &Combos) {
-  unsigned K = Opts.LinkFailures;
-  Combos = K > 0 && NumLinks == 0 ? 0 : 1;
-  // C(M + I, I) = C(M + I - 1, I - 1) * (M + I) / I, exactly, and it
-  // never decreases with I, so the first value past the limit ends it.
-  if (K > 0 && NumLinks > 1)
-    for (uint64_t I = 1, M = NumLinks - 1; I <= K; ++I) {
-      Combos = uint64_t((unsigned __int128)Combos * (M + I) / I);
-      if (Combos > MaxFtScenarios)
-        return std::nullopt;
-    }
-  uint64_t Count = Combos * (Opts.NodeFailure ? NumNodes : 1);
-  if (Count > MaxFtScenarios)
+  std::optional<uint64_t> C = multisets(NumLinks, Opts.LinkFailures);
+  if (!C)
     return std::nullopt;
-  return uint32_t(Count);
+  Combos = *C;
+  uint64_t Count = Combos;
+  if (Opts.NodeFailure && __builtin_mul_overflow(Combos, NumNodes, &Count))
+    return std::nullopt;
+  return Count;
 }
 
 /// Why \p NumLinks links and \p NumNodes nodes under \p Opts are past
@@ -197,8 +214,7 @@ std::string scenarioSpaceError(size_t NumLinks, uint32_t NumNodes,
     return "fault-tolerance analysis supports at most " +
            std::to_string(MaxFtLinks) + " links";
   if (!countScenarios(NumLinks, NumNodes, Opts, Combos))
-    return "fault-tolerance analysis supports at most " +
-           std::to_string(MaxFtScenarios) + " scenarios; " +
+    return "fault-tolerance analysis counts scenarios in 64 bits; " +
            std::to_string(NumLinks) + " links at " +
            std::to_string(Opts.LinkFailures) + " failures" +
            (Opts.NodeFailure ? " and " + std::to_string(NumNodes) + " nodes"
@@ -415,7 +431,7 @@ bool parseDecimal(const std::string &V, size_t Begin, size_t End,
 } // namespace
 
 bool nv::parseViolationFields(const UnitRecord &R, const FtScenarioSet &Set,
-                              size_t Begin, size_t End,
+                              uint64_t Begin, uint64_t End,
                               std::vector<FtViolation> &Out) {
   size_t From = Out.size();
   for (const std::string &V : R.all("v")) {
@@ -428,7 +444,7 @@ bool nv::parseViolationFields(const UnitRecord &R, const FtScenarioSet &Set,
       Out.resize(From);
       return false;
     }
-    Out.push_back({{&Set, uint32_t(Idx)}, uint32_t(Node), nullptr,
+    Out.push_back({{&Set, Idx}, uint32_t(Node), nullptr,
                    V.substr(Sp2 + 1)});
   }
   return true;
@@ -464,69 +480,85 @@ std::string FtScenario::str() const {
 FtScenarioSet::FtScenarioSet(const Program &P, const FtOptions &Opts)
     : Links(P.links()), NumNodes(P.numNodes()),
       NodeFailure(Opts.NodeFailure), LinkFields(Opts.LinkFailures),
-      NodeBits(BitLayout(NumNodes).nodeBits()),
       LinkBits(linkIndexBits(Links.size())) {
   if (std::string E = scenarioSpaceError(Links.size(), NumNodes, Opts);
       !E.empty())
     evalError(E);
   Count = *countScenarios(Links.size(), NumNodes, Opts, Combos);
-  Words = (scenarioKeyWidth(Opts, NodeBits, Links.size()) + 63) / 64;
-  Keys = std::make_unique_for_overwrite<uint64_t[]>(Count * Words);
+}
 
-  // Per node (when one fails), the combinations of link indices with
-  // repetition: the non-decreasing sequences Cur, in lexicographic order.
-  uint64_t *Out = Keys.get();
-  std::vector<uint32_t> Cur(LinkFields);
-  for (uint32_t U = 0; U < (NodeFailure ? NumNodes : 1); ++U) {
-    std::fill(Cur.begin(), Cur.end(), 0);
-    for (uint64_t C = 0; C < Combos; ++C) {
-      packScenarioKey(NodeFailure ? std::optional(U) : std::nullopt, NodeBits,
-                      Cur, LinkBits, Out);
-      Out += Words;
-      unsigned Pos = LinkFields;
-      while (Pos > 0 && Cur[Pos - 1] + 1 == Links.size())
-        --Pos;
-      if (Pos == 0)
-        break;
-      ++Cur[Pos - 1];
-      std::fill(Cur.begin() + Pos, Cur.end(), Cur[Pos - 1]);
-    }
+// Field F's sequences with every value at least V number
+// multisets(L - V, k - F) (L links, k fields), so the combinations whose
+// field F lies in [A, B), given the fields before it, number
+// multisets(L - A, k - F) - multisets(L - B, k - F).
+
+uint64_t FtScenarioSet::rank(std::optional<uint32_t> Node,
+                             std::span<const uint32_t> LinkIndices) const {
+  assert(LinkIndices.size() == LinkFields && "one index per link field");
+  uint64_t L = Links.size(), R = NodeFailure ? uint64_t(*Node) * Combos : 0;
+  uint32_t Lo = 0;
+  for (unsigned F = 0; F < LinkFields; ++F) {
+    uint32_t K = LinkIndices[F];
+    assert(Lo <= K && K < L && "link indices must be canonical");
+    R += multisetsIn(L - Lo, LinkFields - F) -
+         multisetsIn(L - K, LinkFields - F);
+    Lo = K;
   }
-  assert(Out == Keys.get() + Count * Words && "scenario count mismatch");
+  return R;
 }
 
-unsigned FtScenarioSet::firstDiff(size_t I, size_t J) const {
-  for (size_t K = 0; K < Words; ++K)
-    if (uint64_t X = Keys[I * Words + K] ^ Keys[J * Words + K])
-      return unsigned(K * 64 + std::countl_zero(X));
-  return ~0u;
+void FtScenarioSet::linkIndices(uint64_t I, uint32_t *Out) const {
+  uint64_t L = Links.size(), C = NodeFailure ? I % Combos : I;
+  uint32_t Lo = 0;
+  for (unsigned F = 0; F < LinkFields; ++F) {
+    unsigned M = LinkFields - F;
+    if (M == 1) { // multisets(L - V, 1) = L - V
+      Out[F] = Lo + uint32_t(C);
+      return;
+    }
+    // The largest K in [Lo, L) with multisets(L - K, M) >= All - C: the
+    // combinations before field F = K, given Lo, number at most C.
+    uint64_t All = multisetsIn(L - Lo, M), Need = All - C;
+    uint32_t K = Lo, Hi = uint32_t(L - 1);
+    if (M == 2) { // the least N = L - K with N(N + 1) / 2 >= Need
+      uint64_t N = uint64_t((std::sqrt(8.0 * double(Need) + 1) - 1) / 2);
+      while (N * (N + 1) / 2 < Need)
+        ++N;
+      while (N > 1 && (N - 1) * N / 2 >= Need)
+        --N;
+      K = Hi = uint32_t(L - N);
+    }
+    while (K < Hi) {
+      uint32_t Mid = K + (Hi - K + 1) / 2;
+      if (multisetsIn(L - Mid, M) >= Need)
+        K = Mid;
+      else
+        Hi = Mid - 1;
+    }
+    C -= All - multisetsIn(L - K, M);
+    Out[F] = Lo = K;
+  }
 }
 
-uint32_t FtScenarioSet::linkIndex(size_t I, unsigned F) const {
-  unsigned Pos = (NodeFailure ? NodeBits : 0) + F * LinkBits;
-  size_t W = I * Words + Pos / 64;
-  // A field is at most 26 bits wide, so it spans at most two words.
-  unsigned __int128 Window = (unsigned __int128)Keys[W] << 64;
-  if (Pos / 64 + 1 < Words)
-    Window |= Keys[W + 1];
-  return uint32_t(Window >> (128 - Pos % 64 - LinkBits)) &
-         ((uint32_t(1) << LinkBits) - 1);
-}
-
-FtScenario FtScenarioSet::operator[](size_t I) const {
+FtScenario FtScenarioSet::operator[](uint64_t I) const {
   FtScenario S;
   S.Node = node(I);
+  std::vector<uint32_t> Ks(LinkFields);
+  linkIndices(I, Ks.data());
   S.Links.reserve(LinkFields);
-  for (unsigned F = 0; F < LinkFields; ++F) {
-    uint32_t X = linkIndex(I, F);
+  for (uint32_t X : Ks)
     S.Links.push_back({Links[X].first, Links[X].second, X, LinkBits});
-  }
   return S;
 }
 
-std::string FtScenarioSet::str(size_t I) const {
+std::string FtScenarioSet::str(uint64_t I) const {
+  // Decoded on the stack for the usual few link fields.
+  std::array<uint32_t, 8> Small;
+  std::vector<uint32_t> Large(LinkFields > Small.size() ? LinkFields : 0);
+  uint32_t *Ks = Large.empty() ? Small.data() : Large.data();
+  linkIndices(I, Ks);
   return scenarioStr(node(I), LinkFields,
-                     [&](size_t F) { return Links[linkIndex(I, F)]; });
+                     [&](size_t F) { return Links[Ks[F]]; });
 }
 
 std::vector<FtScenario> nv::enumerateScenarios(const Program &P,
@@ -534,7 +566,7 @@ std::vector<FtScenario> nv::enumerateScenarios(const Program &P,
   FtScenarioSet Set(P, Opts);
   std::vector<FtScenario> Out;
   Out.reserve(Set.size());
-  for (size_t I = 0; I < Set.size(); ++I)
+  for (uint64_t I = 0; I < Set.size(); ++I)
     Out.push_back(Set[I]);
   return Out;
 }
@@ -561,32 +593,6 @@ unsigned nv::scenarioKeyWidth(const FtOptions &Opts, unsigned NodeBits,
          linkIndexBits(NumLinks) * Opts.LinkFailures;
 }
 
-void nv::packScenarioKey(std::optional<uint32_t> Node, unsigned NodeBits,
-                         std::span<const uint32_t> LinkIndices,
-                         unsigned LinkBits, uint64_t *Words) {
-  // Acc holds the Fill < 64 bits not yet written. A field is at most 32
-  // bits wide, so it completes at most one word.
-  uint64_t Acc = 0;
-  unsigned Fill = 0;
-  auto Put = [&](uint64_t X, unsigned Bits) {
-    if (Fill + Bits < 64) {
-      Acc = Acc << Bits | X;
-      Fill += Bits;
-      return;
-    }
-    unsigned Rest = Fill + Bits - 64; // X's bits for the next word
-    *Words++ = Acc << (64 - Fill) | X >> Rest;
-    Acc = X & ((uint64_t(1) << Rest) - 1);
-    Fill = Rest;
-  };
-  if (Node)
-    Put(*Node, NodeBits);
-  for (uint32_t L : LinkIndices)
-    Put(L, LinkBits);
-  if (Fill)
-    *Words = Acc << (64 - Fill);
-}
-
 //===----------------------------------------------------------------------===//
 // FtChecker
 //===----------------------------------------------------------------------===//
@@ -597,7 +603,7 @@ using Ref = BddManager::Ref;
 
 /// The part of one node's label diagram that leads to a failing leaf,
 /// copied into a flat array: subdiagrams without a failing leaf are cut
-/// (None), so a descent never enters them.
+/// (None), so a walk never enters them.
 struct FailingPart {
   static constexpr uint32_t None = ~0u;
   struct Node {
@@ -638,41 +644,148 @@ struct FailingPart {
     };
     Root = Walk(Label);
   }
+};
 
-  /// Maps the keys [Lo, Hi) through node \p Id and appends a
-  /// (scenario, route) hit for every key that lands on a failing leaf.
-  void descend(const FtScenarioSet &Keys, uint32_t Id, size_t Lo, size_t Hi,
-               std::vector<std::pair<uint32_t, const Value *>> &Out) const {
-    // Follow the diagram down through the bits the whole range agrees on.
-    unsigned D = Keys.firstDiff(Lo, Hi - 1);
-    while (Nodes[Id].Var < D) { // LeafVar is above any key bit
-      const Node &Nd = Nodes[Id];
-      Id = Keys.bit(Lo, Nd.Var) ? Nd.Hi : Nd.Lo;
-      if (Id == None)
-        return;
-    }
-    const Node &Nd = Nodes[Id];
-    if (Nd.Var == BddManager::LeafVar) {
-      for (size_t I = Lo; I < Hi; ++I)
-        Out.emplace_back(uint32_t(I), Nd.Route);
-      return;
-    }
-    // Split the range at bit D; a node testing a later bit serves both
-    // halves.
-    auto Range = std::views::iota(Lo, Hi);
-    size_t Mid = Lo + (std::ranges::partition_point(
-                           Range, [&](size_t I) { return !Keys.bit(I, D); }) -
-                       Range.begin());
-    uint32_t LoId = Id, HiId = Id;
-    if (Nd.Var == D) {
-      LoId = Nd.Lo;
-      HiId = Nd.Hi;
-    }
-    if (LoId != None)
-      descend(Keys, LoId, Lo, Mid, Out);
-    if (HiId != None)
-      descend(Keys, HiId, Mid, Hi, Out);
+/// One run of a node's failing scenarios: [First, Last] select Route.
+struct HitRange {
+  uint64_t First, Last;
+  const Value *Route;
+};
+
+/// The walk of one node's failing part together with the key bits, MSB
+/// first (see FtChecker). The key's fields are the failed node (with
+/// NodeFailure), then the link indices. Per field the walk carries two
+/// flags: Tight, the prefix equals the field's maximum's (so the field
+/// stays below its bound), and Eq, the prefix equals the previous link
+/// field's (so link fields never decrease). Only bits those allow are
+/// taken, so every prefix walked has a canonical completion.
+class LeafWalk {
+public:
+  LeafWalk(const FtScenarioSet &Set, unsigned NodeBits, uint32_t U,
+           const FailingPart &Part, std::vector<HitRange> &Out)
+      : Set(Set), U(U), Part(Part), Out(Out) {
+    unsigned Fields = Set.nodeFailure() + Set.linkFields();
+    auto AddField = [&](unsigned Width, uint32_t Max, bool AfterLink) {
+      unsigned F = unsigned(Bound.size());
+      Bound.push_back(Max);
+      // A field with no lower bound compares with the always-zero slot.
+      LowerBound.push_back(AfterLink ? F - 1 : Fields);
+      for (unsigned T = Width; T-- > 0;) {
+        FieldOf.push_back(F);
+        ShiftOf.push_back(T);
+      }
+    };
+    if (Set.nodeFailure())
+      AddField(NodeBits, Set.numNodes() - 1, false);
+    for (unsigned F = 0; F < Set.linkFields(); ++F)
+      AddField(linkIndexBits(Set.numLinks()), uint32_t(Set.numLinks() - 1),
+               F > 0);
+    Val.assign(Fields + 1, 0);
+    Least.resize(Fields);
+    Greatest.resize(Fields);
   }
+
+  void run() { walk(Part.Root, 0, true, true); }
+
+private:
+  /// From diagram node \p Id with key bit \p B next. Val holds the bits
+  /// before B in place and zeros from B on; the walk may leave bits from
+  /// B on set.
+  void walk(uint32_t Id, unsigned B, bool Tight, bool Eq) {
+    for (;;) {
+      const FailingPart::Node &Nd = Part.Nodes[Id];
+      if (Nd.Var == BddManager::LeafVar) {
+        emit(B, Tight, Eq, Nd.Route);
+        return;
+      }
+      assert(Nd.Var >= B && B < FieldOf.size() && "diagram tests a key bit");
+      unsigned F = FieldOf[B], S = ShiftOf[B];
+      bool MaxBit = Bound[F] >> S & 1, LbBit = Val[LowerBound[F]] >> S & 1;
+      // A node testing a later bit serves both values of this one.
+      uint32_t Lo = Nd.Var == B ? Nd.Lo : Id, Hi = Nd.Var == B ? Nd.Hi : Id;
+      bool Take0 = Lo != FailingPart::None && !(Eq && LbBit);
+      bool Take1 = Hi != FailingPart::None && !(Tight && !MaxBit);
+      // After a field's last bit the next field starts with both flags.
+      bool Last = S == 0;
+      if (!Take0 && !Take1)
+        return;
+      if (Take0 && Take1) {
+        walk(Lo, B + 1, Last || (Tight && !MaxBit), Last || (Eq && !LbBit));
+        // Clear what that walk set after bit B.
+        Val[F] &= ~((uint32_t(1) << S) - 1);
+        std::fill(Val.begin() + F + 1, Val.end() - 1, 0);
+      } else if (Take0) {
+        Tight = Last || (Tight && !MaxBit);
+        Eq = Last || (Eq && !LbBit);
+        Id = Lo;
+        ++B;
+        continue;
+      }
+      // Bit B is 1: the only child to take, or the second one.
+      Val[F] |= uint32_t(1) << S;
+      Tight = Last || (Tight && MaxBit);
+      Eq = Last || (Eq && LbBit);
+      Id = Hi;
+      ++B;
+    }
+  }
+
+  /// Emits the canonical completions of the prefix before bit \p B, which
+  /// are one index range between its least and its greatest completion,
+  /// less the walked node's own failure block.
+  void emit(unsigned B, bool Tight, bool Eq, const Value *Route) {
+    unsigned Fields = unsigned(Bound.size());
+    unsigned F = B < FieldOf.size() ? FieldOf[B] : Fields;
+    for (unsigned G = 0; G < Fields; ++G) {
+      if (G < F) {
+        Least[G] = Greatest[G] = Val[G];
+      } else if (G == F) {
+        uint32_t Free = (uint32_t(2) << ShiftOf[B]) - 1;
+        Least[G] = Eq ? Val[LowerBound[G]] : Val[G];
+        Greatest[G] = Tight ? Bound[G] : Val[G] | Free;
+      } else {
+        Least[G] = LowerBound[G] < Fields ? Least[G - 1] : 0;
+        Greatest[G] = Bound[G];
+      }
+    }
+    uint64_t First = rank(Least), Last = rank(Greatest);
+    if (Set.nodeFailure()) {
+      uint64_t Own = uint64_t(U) * Set.combos(), OwnEnd = Own + Set.combos();
+      if (First < Own)
+        push(First, std::min(Last, Own - 1), Route);
+      if (Last >= OwnEnd)
+        push(std::max(First, OwnEnd), Last, Route);
+    } else {
+      push(First, Last, Route);
+    }
+  }
+
+  uint64_t rank(const std::vector<uint32_t> &Key) const {
+    bool Node = Set.nodeFailure();
+    return Set.rank(Node ? std::optional(Key[0]) : std::nullopt,
+                    std::span(Key).subspan(Node));
+  }
+
+  void push(uint64_t First, uint64_t Last, const Value *Route) {
+    if (!Out.empty() && Out.back().Last + 1 == First &&
+        Out.back().Route == Route)
+      Out.back().Last = Last;
+    else
+      Out.push_back({First, Last, Route});
+  }
+
+  const FtScenarioSet &Set;
+  uint32_t U;
+  const FailingPart &Part;
+  std::vector<HitRange> &Out;
+  /// Per key bit: its field, and its shift within the field's value.
+  std::vector<uint32_t> FieldOf, ShiftOf;
+  /// Per field: its largest value, and the Val slot bounding it below.
+  std::vector<uint32_t> Bound, LowerBound;
+  /// The prefix's field values, then a slot that stays zero.
+  std::vector<uint32_t> Val;
+  /// emit's least and greatest completions.
+  std::vector<uint32_t> Least, Greatest;
 };
 
 } // namespace
@@ -684,88 +797,98 @@ struct FtChecker::ImplTy {
   /// assert pre-pass interns fresh values, and if a collection fires the
   /// label roots must survive it.
   BddManager::RootSet MetaRoots;
-  /// Every violation, sorted by (scenario, node): scenario I's are
-  /// Hits[Offsets[I], Offsets[I + 1]).
+  /// Every violation, sorted by (scenario, node).
   struct Hit {
+    uint64_t Index;
     uint32_t Node;
     const Value *Route;
   };
   std::vector<Hit> Hits;
-  std::vector<size_t> Offsets;
 
   ImplTy(NvContext &Ctx, const Program &BaseProgram,
          ProtocolEvaluator &BaseEval, const SimResult &Meta,
          const FtOptions &Opts, ThreadPool *Pool)
       : Scenarios(std::make_shared<const FtScenarioSet>(BaseProgram, Opts)),
         Chunks(Scenarios->size(), Opts.CheckChunkSize), MetaRoots(Ctx.Mgr) {
-    const FtScenarioSet &Keys = *Scenarios;
+    const FtScenarioSet &Set = *Scenarios;
     uint32_t N = BaseProgram.numNodes();
-    Offsets.assign(Keys.size() + 1, 0);
-    if (Keys.size() == 0 || N == 0)
+    if (Set.size() == 0 || N == 0)
       return;
     for (uint32_t U = 0; U < N; ++U) {
       assert(Meta.Labels[U]->K == Value::Kind::Map &&
              "meta-labels must be dicts");
       MetaRoots.add(Meta.Labels[U]->MapRoot);
     }
+    unsigned NodeBits = Ctx.Layout.nodeBits();
+    assert(scenarioKeyWidth(Opts, NodeBits, Set.numLinks()) ==
+               Meta.Labels[0]->KeyBits &&
+           "scenario key width mismatch");
 
     // Serial pre-pass: evaluate the assert once per (node, distinct leaf)
     // — far fewer evaluations than once per (node, scenario), since MTBDD
     // sharing keeps the number of distinct routes per node tiny (Fig. 4).
     // The interpreter and the value arena are only touched here, which is
-    // what makes the sharded descents below safe.
+    // what makes the sharded walks below safe.
     std::vector<FailingPart> Parts;
     Parts.reserve(N);
     for (uint32_t U = 0; U < N; ++U)
       Parts.emplace_back(Ctx.Mgr, BaseEval, U, Meta.Labels[U]->MapRoot);
 
-    // The set's keys were packed straight from node ids and link indices
-    // (no interning), already in key order.
-    assert(scenarioKeyWidth(Opts, Ctx.Layout.nodeBits(),
-                            BaseProgram.links().size()) ==
-               Meta.Labels[0]->KeyBits &&
-           "scenario key width mismatch");
-    for (size_t I = 1; I < Keys.size(); ++I) {
-      // At the first bit where neighbours differ, the earlier key has a 0.
-      [[maybe_unused]] unsigned D = Keys.firstDiff(I - 1, I);
-      assert((D == ~0u || !Keys.bit(I - 1, D)) &&
-             "scenarios must come out in key order");
-    }
-
-    // One descent per label diagram, each reading only its own failing
-    // part and the keys, so the nodes shard over the pool.
-    std::vector<std::vector<std::pair<uint32_t, const Value *>>> PerNode(N);
-    auto Descend = [&](size_t U) {
+    // One walk per label diagram, each reading only its own failing part
+    // and the set, so the nodes shard over the pool. Each node's ranges
+    // come out in index order.
+    std::vector<std::vector<HitRange>> PerNode(N);
+    auto Walk = [&](size_t U) {
       if (Parts[U].Root != FailingPart::None)
-        Parts[U].descend(Keys, Parts[U].Root, 0, Keys.size(), PerNode[U]);
+        LeafWalk(Set, NodeBits, uint32_t(U), Parts[U], PerNode[U]).run();
     };
     if (Pool && Pool->numThreads() > 1)
-      Pool->parallelFor(N, Descend);
+      Pool->parallelFor(N, Walk);
     else
       for (uint32_t U = 0; U < N; ++U)
-        Descend(U);
-
-    // Counting sort by scenario, in place: Offsets[S] counts scenario S's
-    // hits, then (prefix sums) marks their end. Each node holds at most
-    // one hit per scenario, so filling the slots back to front with the
-    // nodes in reverse leaves them in node order and Offsets[S] at their
-    // start. A failed node asserts nothing.
-    auto Exempt = [&](uint32_t S, uint32_t U) { return Keys.node(S) == U; };
-    for (uint32_t U = 0; U < N; ++U)
-      for (const auto &[S, Route] : PerNode[U])
-        if (!Exempt(S, U))
-          ++Offsets[S];
-    for (size_t I = 1; I <= Keys.size(); ++I)
-      Offsets[I] += Offsets[I - 1];
-    Hits.resize(Offsets.back());
-    for (uint32_t U = N; U-- > 0;)
-      for (const auto &[S, Route] : PerNode[U])
-        if (!Exempt(S, U))
-          Hits[--Offsets[S]] = {U, Route};
+        Walk(U);
+    merge(PerNode);
   }
 
-  FtViolation violation(size_t I, size_t H) const {
-    return {{Scenarios.get(), uint32_t(I)}, Hits[H].Node, Hits[H].Route, {}};
+  /// Orders the per-node ranges' hits by (scenario, node): laid out node
+  /// by node, each node's in scenario order, then stably sorted by
+  /// scenario a byte at a time (LSD radix), which keeps the node order
+  /// among a scenario's hits. Work and memory follow the hits.
+  void merge(const std::vector<std::vector<HitRange>> &PerNode) {
+    size_t Total = 0;
+    for (const std::vector<HitRange> &Rs : PerNode)
+      for (const HitRange &R : Rs)
+        Total += R.Last - R.First + 1;
+    Hits.reserve(Total);
+    for (uint32_t U = 0; U < PerNode.size(); ++U)
+      for (const HitRange &R : PerNode[U])
+        for (uint64_t I = R.First; I <= R.Last; ++I)
+          Hits.push_back({I, U, R.Route});
+    std::vector<Hit> Into(Total);
+    unsigned KeyBits = unsigned(std::bit_width(Scenarios->size() - 1));
+    for (unsigned Shift = 0; Shift < KeyBits; Shift += 8) {
+      std::array<size_t, 257> At{};
+      for (const Hit &H : Hits)
+        ++At[(H.Index >> Shift & 255) + 1];
+      if (std::ranges::count(At, Total))
+        continue; // one digit throughout: already in order
+      for (size_t D = 1; D < At.size(); ++D)
+        At[D] += At[D - 1];
+      for (const Hit &H : Hits)
+        Into[At[H.Index >> Shift & 255]++] = H;
+      Hits.swap(Into);
+    }
+  }
+
+  /// The hits of scenarios [Begin, End).
+  std::span<const Hit> slice(uint64_t Begin, uint64_t End) const {
+    auto ByIndex = [](const Hit &H, uint64_t I) { return H.Index < I; };
+    auto B = std::lower_bound(Hits.begin(), Hits.end(), Begin, ByIndex);
+    return {B, std::lower_bound(B, Hits.end(), End, ByIndex)};
+  }
+
+  FtViolation violation(const Hit &H) const {
+    return {{Scenarios.get(), H.Index}, H.Node, H.Route, {}};
   }
 };
 
@@ -785,18 +908,19 @@ const FtChunks &FtChecker::chunks() const { return Impl->Chunks; }
 
 size_t FtChecker::numViolations() const { return Impl->Hits.size(); }
 
-void FtChecker::checkScenario(size_t I, std::vector<FtViolation> &Out) const {
-  for (size_t H = Impl->Offsets[I]; H < Impl->Offsets[I + 1]; ++H)
-    Out.push_back(Impl->violation(I, H));
+void FtChecker::checkRange(uint64_t Begin, uint64_t End,
+                           std::vector<FtViolation> &Out) const {
+  for (const ImplTy::Hit &H : Impl->slice(Begin, End))
+    Out.push_back(Impl->violation(H));
 }
 
 UnitRecord FtChecker::checkChunk(size_t C) const {
   UnitRecord Rec;
   Rec.Key = FtChunks::key(C);
   Rec.add("status", "ok");
-  for (size_t I = Impl->Chunks.begin(C); I < Impl->Chunks.end(C); ++I)
-    for (size_t H = Impl->Offsets[I]; H < Impl->Offsets[I + 1]; ++H)
-      addViolationField(Rec, Impl->violation(I, H));
+  for (const ImplTy::Hit &H :
+       Impl->slice(Impl->Chunks.begin(C), Impl->Chunks.end(C)))
+    addViolationField(Rec, Impl->violation(H));
   return Rec;
 }
 
@@ -831,8 +955,7 @@ nv::checkFtChunks(const std::shared_ptr<const FtScenarioSet> &Scenarios,
     UnitWorker W;
     W.Run = [&](size_t C) {
       Slots[C].clear();
-      for (size_t I = Chunks.begin(C); I < Chunks.end(C); ++I)
-        Checker->checkScenario(I, Slots[C]);
+      Checker->checkRange(Chunks.begin(C), Chunks.end(C), Slots[C]);
       return RunOutcome();
     };
     W.Render = [&](size_t C, unsigned) { return Checker->checkChunk(C); };
@@ -910,8 +1033,7 @@ FtCheckResult nv::checkFaultTolerance(NvContext &Ctx,
   R.Scenarios = Scenarios;
   R.ScenariosChecked = Scenarios->size();
   R.Violations.reserve(Checker.numViolations());
-  for (size_t I = 0; I < Scenarios->size(); ++I)
-    Checker.checkScenario(I, R.Violations);
+  Checker.checkRange(0, Scenarios->size(), R.Violations);
   return R;
 }
 

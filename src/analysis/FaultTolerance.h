@@ -28,12 +28,12 @@
 /// the key space covers "at most k failures". Indices past the last link
 /// behave like the failure-free scenario and share leaves.
 ///
-/// A scenario is its index in an FtScenarioSet: one packed key per
-/// scenario, in key order (the node field first, then non-decreasing link
-/// indices, each MSB first), decoded only when a scenario is printed or
-/// simulated on its own. A violation names its scenario by reference (set
-/// and index), and FtCheckResult keeps the set alive. Journal and fleet
-/// records name scenarios by index too.
+/// A scenario is its 64-bit index in an FtScenarioSet, which holds no
+/// keys: the index ranks the key in key order (the node field first, then
+/// non-decreasing link indices, each MSB first) and is unranked only when a
+/// scenario is printed or simulated on its own. A violation names its
+/// scenario by reference (set and index), and FtCheckResult keeps the set
+/// alive. Journal and fleet records name scenarios by index too.
 ///
 /// One pipeline runs it: PreparedFt holds the meta-program and its
 /// evaluators, built once per context and options, and simulates then
@@ -70,7 +70,7 @@ struct FtOptions {
   /// derived from the attribute type (defaultDropExpr), None for Fig. 5's
   /// option routes.
   std::string DropValueSource;
-  /// Worker threads for the assert check's per-node descents (1 =
+  /// Worker threads for the assert check's per-node walks (1 =
   /// serial; 0 = NV_THREADS / hardware concurrency). The meta-simulation
   /// itself is one fixpoint and stays single-threaded.
   unsigned Threads = 1;
@@ -132,11 +132,6 @@ std::optional<Program> makeFaultTolerantProgram(const Program &P,
 /// fit FtLink::Index.
 constexpr size_t MaxFtLinks = size_t(1) << 26;
 
-/// Upper bound on the scenarios of one analysis. A scenario's index is
-/// its identity (FtScenarioRef, journal and fleet keys, the check's hit
-/// arrays), and it is a uint32_t.
-constexpr uint64_t MaxFtScenarios = UINT32_MAX;
-
 /// One failed link: its endpoints as declared, and its position in
 /// Program::links(), which the scenario key encodes in an IndexBits-wide
 /// int field.
@@ -165,67 +160,58 @@ unsigned linkIndexBits(size_t NumLinks);
 unsigned scenarioKeyWidth(const FtOptions &Opts, unsigned NodeBits,
                           size_t NumLinks);
 
-/// Writes the bits of a scenario key straight from its failed node (when
-/// \p Node is set) and its link indices, without interning anything: bit
-/// for bit what encodeValue(scenarioKey(...)) produces (node first, then
-/// each link index, each MSB first). \p Words receives ceil(width / 64)
-/// words, packed MSB first: key bit 0 is bit 63 of Words[0], so comparing
-/// the words as unsigned integers orders keys lexicographically by bit.
-void packScenarioKey(std::optional<uint32_t> Node, unsigned NodeBits,
-                     std::span<const uint32_t> LinkIndices, unsigned LinkBits,
-                     uint64_t *Words);
-
-/// Every scenario of an analysis, by index. Built once from (program,
-/// options): the links table and one packed key per scenario
-/// (packScenarioKey), in one exactly-sized array in key order, which is
-/// the enumeration order: the node field first, then non-decreasing link
-/// indices (combinations with repetition, covering "at most k" failures),
-/// each MSB first. That is C(|links| + k - 1, k) scenarios (k =
-/// LinkFailures; none when k > 0 and there are no links), times the node
-/// count with NodeFailure. A scenario is its index; operator[] and str()
-/// decode its key on demand.
+/// Every scenario of an analysis, by index, in key order: the failed node
+/// first (with NodeFailure), then the link indices as a non-decreasing
+/// sequence (combinations with repetition, covering "at most k"
+/// failures), each field compared MSB first. That is C(|links| + k - 1, k)
+/// link combinations (k = LinkFailures; none when k > 0 and there are no
+/// links), times the node count with NodeFailure.
+///
+/// The set stores only these counts and the links table. An index and a
+/// scenario convert both ways in the combinatorial number system for
+/// multisets: rank() sums binomials over the fields, the accessors unrank
+/// I field by field. Binomials are computed arithmetically in 128 bits, so
+/// nothing is sized by the scenario count.
 class FtScenarioSet {
 public:
-  /// An EngineError (evalError) when \p P has more scenarios than
-  /// MaxFtScenarios or more links than MaxFtLinks.
+  /// An EngineError (evalError) when \p P has more links than MaxFtLinks
+  /// or more scenarios than a uint64_t counts.
   FtScenarioSet(const Program &P, const FtOptions &Opts);
 
-  size_t size() const { return Count; }
+  uint64_t size() const { return Count; }
   uint32_t numNodes() const { return NumNodes; }
+  size_t numLinks() const { return Links.size(); }
+  unsigned linkFields() const { return LinkFields; }
+  bool nodeFailure() const { return NodeFailure; }
+  /// The link combinations per failed node: scenario I fails node
+  /// I / combos() (NodeFailure only).
+  uint64_t combos() const { return Combos; }
 
-  /// Scenario \p I's packed key.
-  std::span<const uint64_t> key(size_t I) const {
-    return {Keys.get() + I * Words, Words};
-  }
-  /// Bit \p B of scenario \p I's key.
-  bool bit(size_t I, unsigned B) const {
-    return (Keys[I * Words + B / 64] >> (63 - B % 64)) & 1;
-  }
-  /// The first bit at which the keys of scenarios \p I <= \p J differ
-  /// (~0u if none). Every key between them shares the bits before it.
-  unsigned firstDiff(size_t I, size_t J) const;
+  /// The index of the scenario that fails \p Node (NodeFailure only) and
+  /// the links \p LinkIndices: linkFields() non-decreasing indices, each
+  /// below numLinks().
+  uint64_t rank(std::optional<uint32_t> Node,
+                std::span<const uint32_t> LinkIndices) const;
 
   /// Scenario \p I's failed node (NodeFailure only).
-  std::optional<uint32_t> node(size_t I) const {
+  std::optional<uint32_t> node(uint64_t I) const {
     if (!NodeFailure)
       return std::nullopt;
     return uint32_t(I / Combos);
   }
+  /// Scenario \p I's link indices: linkFields() entries into \p Out.
+  void linkIndices(uint64_t I, uint32_t *Out) const;
   /// Scenario \p I, decoded.
-  FtScenario operator[](size_t I) const;
+  FtScenario operator[](uint64_t I) const;
   /// Scenario \p I's rendering: (*this)[I].str(), without building it.
-  std::string str(size_t I) const;
+  std::string str(uint64_t I) const;
 
 private:
-  /// Link field \p F of scenario \p I's key.
-  uint32_t linkIndex(size_t I, unsigned F) const;
-
   std::vector<std::pair<uint32_t, uint32_t>> Links;
   uint32_t NumNodes;
   bool NodeFailure;
-  unsigned LinkFields, NodeBits, LinkBits;
-  size_t Combos = 0, Count = 0, Words = 0;
-  std::unique_ptr<uint64_t[]> Keys;
+  unsigned LinkFields, LinkBits;
+  uint64_t Combos = 0, Count = 0;
 };
 
 /// Materializes every scenario of \p P under \p Opts, in key order:
@@ -241,7 +227,7 @@ const Value *scenarioKey(NvContext &Ctx, const FtScenario &S,
 /// alive (FtCheckResult::Scenarios).
 struct FtScenarioRef {
   const FtScenarioSet *Set = nullptr;
-  uint32_t Index = 0;
+  uint64_t Index = 0;
 
   std::string str() const { return Set->str(Index); }
 };
@@ -271,7 +257,7 @@ void addViolationField(UnitRecord &R, const FtViolation &V);
 /// decimal number followed by one space, an index outside the record's
 /// scenarios, or a node id past the set's node count.
 bool parseViolationFields(const UnitRecord &R, const FtScenarioSet &Set,
-                          size_t Begin, size_t End,
+                          uint64_t Begin, uint64_t End,
                           std::vector<FtViolation> &Out);
 
 struct FtCheckResult {
@@ -330,7 +316,7 @@ std::string ftViolationsHash(const std::vector<FtViolation> &Vs);
 /// exempt from its own assertion. Violations come out in (scenario, node)
 /// order, each pointing into the result's Scenarios. The work is
 /// FtChecker's; see there for the algorithm. \p Pool shards its per-node
-/// descents. Output is identical for any pool size, including the
+/// walks. Output is identical for any pool size, including the
 /// violation order.
 FtCheckResult checkFaultTolerance(NvContext &Ctx, const Program &BaseProgram,
                                   ProtocolEvaluator &BaseEval,
@@ -339,23 +325,23 @@ FtCheckResult checkFaultTolerance(NvContext &Ctx, const Program &BaseProgram,
                                   ThreadPool *Pool = nullptr);
 
 /// The assert-check engine underneath checkFaultTolerance. Construction
-/// answers every scenario at once:
+/// answers every scenario at once, in time and memory that follow the
+/// failing diagrams and the violations, not the scenario count:
 ///  1. evaluate the assert once per (node, distinct leaf), by a
 ///     visited-set walk over each label diagram's reachable nodes that
-///     also marks which nodes lead to a failing leaf;
-///  2. enumerate the scenarios into an FtScenarioSet, whose packed keys
-///     are in key order, so keys sharing a prefix are already contiguous;
-///  3. for each node whose label has a failing leaf, descend that part
-///     of its diagram once over the keys: a key range is split
-///     where its keys first differ, bits they all share are followed
-///     without splitting, a leaf answers the whole range, and
-///     subdiagrams without failing leaves are never entered;
-///  4. order the hits by (scenario, node).
-/// Step 3 only reads step 1's copies and the keys, so it shards
-/// over \p Pool with per-node outputs merged in node order. It relies on
-/// the MTBDD variable index being the key bit position.
+///     keeps only the part leading to a failing leaf;
+///  2. for each node with such a part, walk it together with the key bits,
+///     MSB first, visiting only prefixes of canonical keys (every field
+///     below its bound, link fields non-decreasing). Below a failing leaf
+///     the canonical completions of the prefix are one index range,
+///     emitted whole; a failed node's own block is cut out of it;
+///  3. merge the per-node ranges by (scenario, node) into the sorted hits.
+/// Step 2 only reads step 1's copies and the set, so it shards over
+/// \p Pool. It relies on the MTBDD variable index being the key bit
+/// position.
 ///
-/// checkScenario and checkChunk then read slices of that result.
+/// checkScenario and checkChunk then read binary-searched slices of the
+/// hits.
 /// checkChunk returns the chunk's canonical UnitRecord ("c<C>", status,
 /// one "v" field per violation). The checkpointed in-process check
 /// journals these records and fleet workers send the *same* records over
@@ -381,7 +367,13 @@ public:
 
   /// Appends scenario \p I's violations in node order (thread-safe;
   /// read-only).
-  void checkScenario(size_t I, std::vector<FtViolation> &Out) const;
+  void checkScenario(uint64_t I, std::vector<FtViolation> &Out) const {
+    checkRange(I, I + 1, Out);
+  }
+  /// Appends the violations of scenarios [\p Begin, \p End) in
+  /// (scenario, node) order (thread-safe; read-only).
+  void checkRange(uint64_t Begin, uint64_t End,
+                  std::vector<FtViolation> &Out) const;
 
 private:
   struct ImplTy;

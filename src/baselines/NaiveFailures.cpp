@@ -31,7 +31,7 @@ RunOutcome checkOneScenario(const Program &P, ProtocolEvaluator &BaseEval,
     if (S.Node && *S.Node == U)
       continue;
     if (!BaseEval.assertAt(U, Sim.Labels[U]))
-      Out.push_back({{&Scenarios, uint32_t(I)}, U, Sim.Labels[U], {}});
+      Out.push_back({{&Scenarios, I}, U, Sim.Labels[U], {}});
   }
   return {};
 }

@@ -69,6 +69,10 @@ void BddManager::growLeaf() {
 void BddManager::growOpCache() {
   const size_t OldSlots = OpCache.size();
   pollSafePoint(GovSite::TableGrow, OldSlots * sizeof(OpEntry));
+  // The first growth reserves up to the cap (address space, touched only
+  // as the cache grows into it), so later doublings stay in place: no new
+  // buffer, no copy. A manager that never grows reserves nothing.
+  OpCache.reserve(OpCacheCap);
   OpCache.resize(OldSlots * 2);
   OpCacheMask = OpCache.size() - 1;
   // Doubling adds one hash bit: an entry either stays in its slot or moves

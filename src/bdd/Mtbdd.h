@@ -26,8 +26,9 @@
 ///    recomputation, never correctness. Like CUDD's, it grows with the node
 ///    store: it starts at InitialOpCacheSlots and doubles (keeping every
 ///    live entry) whenever a new node would leave fewer than two slots per
-///    node, up to the cap given at construction. Growth depends only on the
-///    node count, so cache statistics stay deterministic;
+///    node, up to the cap given at construction; the first doubling
+///    reserves the cap, so later ones grow in place. Growth depends only
+///    on the node count, so cache statistics stay deterministic;
 ///  - the unique (hash-consing) tables are open-addressed, power-of-two
 ///    sized, linear-probe arrays of Refs: the key (Var, Lo, Hi) or leaf
 ///    payload is read back from the node store, so a probe touches one

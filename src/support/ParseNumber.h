@@ -27,6 +27,27 @@ template <class T> bool parseInteger(std::string_view S, T &Out) {
   return true;
 }
 
+/// parseInteger with C's base prefixes, as strtoull(S, nullptr, 0) reads
+/// them: "0x1F" is hex, "017" octal, anything else decimal. Just as strict:
+/// "", "0x", "abc", "3x", "+3", "-1" and out-of-range values are rejected.
+template <class T> bool parseIntegerAnyBase(std::string_view S, T &Out) {
+  int Base = 10;
+  if (S.size() > 1 && S[0] == '0' && (S[1] == 'x' || S[1] == 'X')) {
+    Base = 16;
+    S.remove_prefix(2);
+  } else if (S.size() > 1 && S[0] == '0') {
+    Base = 8;
+    S.remove_prefix(1);
+  }
+  const char *End = S.data() + S.size();
+  T V{};
+  auto [Ptr, Ec] = std::from_chars(S.data(), End, V, Base);
+  if (S.empty() || Ec != std::errc() || Ptr != End)
+    return false;
+  Out = V;
+  return true;
+}
+
 /// All of \p S as a finite number >= 0 ("0.0001", "1e3"); no sign.
 inline bool parseNonNegative(std::string_view S, double &Out) {
   const char *End = S.data() + S.size();

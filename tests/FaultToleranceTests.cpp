@@ -103,6 +103,19 @@ void expectMatchesNaive(const std::string &Src, const FtOptions &Opts) {
   }
 }
 
+/// Steps \p Cur to the next non-decreasing sequence of link indices
+/// below \p NumLinks, in lexicographic order; false after the last.
+bool nextCombo(std::vector<uint32_t> &Cur, size_t NumLinks) {
+  size_t Pos = Cur.size();
+  while (Pos > 0 && Cur[Pos - 1] + 1 == NumLinks)
+    --Pos;
+  if (Pos == 0)
+    return false;
+  ++Cur[Pos - 1];
+  std::fill(Cur.begin() + Pos, Cur.end(), Cur[Pos - 1]);
+  return true;
+}
+
 /// The scenarios of \p P under \p Opts by an independent nested loop:
 /// combinations of link indices with repetition (non-decreasing
 /// sequences, lexicographic), inside a loop over the failed node.
@@ -111,22 +124,14 @@ std::vector<FtScenario> referenceScenarios(const Program &P,
   auto Links = P.links();
   unsigned K = Opts.LinkFailures, Bits = linkIndexBits(Links.size());
   std::vector<FtScenario> Combos;
-  std::vector<size_t> Cur(K, 0);
+  std::vector<uint32_t> Cur(K, 0);
   if (K == 0 || !Links.empty())
-    for (;;) {
+    do {
       FtScenario S;
-      for (size_t I : Cur)
-        S.Links.push_back(
-            {Links[I].first, Links[I].second, uint32_t(I), Bits});
+      for (uint32_t I : Cur)
+        S.Links.push_back({Links[I].first, Links[I].second, I, Bits});
       Combos.push_back(std::move(S));
-      unsigned Pos = K;
-      while (Pos > 0 && Cur[Pos - 1] + 1 == Links.size())
-        --Pos;
-      if (Pos == 0)
-        break;
-      ++Cur[Pos - 1];
-      std::fill(Cur.begin() + Pos, Cur.end(), Cur[Pos - 1]);
-    }
+    } while (nextCombo(Cur, Links.size()));
   if (!Opts.NodeFailure)
     return Combos;
   std::vector<FtScenario> Out;
@@ -146,7 +151,7 @@ struct RefViolation {
   const Value *Route;
 };
 
-/// The per-(scenario, node) lookup the checker's descent replaces: encode
+/// The per-(scenario, node) lookup the checker's leaf walk replaces: encode
 /// each interned scenario key, follow one MTBDD path per node, evaluate the
 /// assert on the route found.
 std::vector<RefViolation> referenceCheck(NvContext &Ctx, const Program &P,
@@ -224,13 +229,34 @@ void expectMatchesReference(const std::string &Src, FtOptions Opts) {
     Expected.add("status", "ok");
     for (const RefViolation &V : Want)
       if (V.Index / Opts.CheckChunkSize == C)
-        addViolationField(Expected, {{nullptr, uint32_t(V.Index)},
+        addViolationField(Expected, {{nullptr, V.Index},
                                      V.Node,
                                      V.Route,
                                      {}});
     EXPECT_EQ(Checker.checkChunk(C).render(), Expected.render())
         << "chunk " << C;
   }
+
+  // checkRange and checkScenario slice the full result.
+  FtCheckResult Full = checkFaultTolerance(Ctx, P, BaseEval, MetaR, Opts);
+  auto Strs = [](const std::vector<FtViolation> &Vs) {
+    std::vector<std::string> Out;
+    for (const FtViolation &V : Vs)
+      Out.push_back(std::to_string(V.Scenario.Index) + "@" +
+                    std::to_string(V.Node) + "=" + V.routeStr());
+    return Out;
+  };
+  std::vector<FtViolation> ByChunk, ByScenario;
+  for (size_t C = 0; C < Checker.chunks().count(); ++C)
+    Checker.checkRange(Checker.chunks().begin(C), Checker.chunks().end(C),
+                       ByChunk);
+  for (size_t I = 0; I < NumScenarios; ++I)
+    Checker.checkScenario(I, ByScenario);
+  EXPECT_EQ(Strs(ByChunk), Strs(Full.Violations));
+  EXPECT_EQ(Strs(ByScenario), Strs(Full.Violations));
+  std::vector<FtViolation> Past;
+  Checker.checkRange(NumScenarios, NumScenarios + 100, Past);
+  EXPECT_TRUE(Past.empty());
 }
 
 /// Seven links listed out of node-id order (neither the pairs nor the list
@@ -238,9 +264,11 @@ void expectMatchesReference(const std::string &Src, FtOptions Opts) {
 const std::vector<std::pair<int, int>> Shuffled = {
     {4, 5}, {3, 0}, {2, 1}, {5, 0}, {1, 4}, {3, 2}, {0, 1}};
 
-TEST(FaultTolerance, DescentMatchesPerScenarioLookup) {
-  for (unsigned Links : {1u, 2u, 3u})
+TEST(FaultTolerance, LeafWalkMatchesPerScenarioLookup) {
+  for (unsigned Links : {0u, 1u, 2u, 3u})
     for (bool Node : {false, true}) {
+      if (!Links && !Node)
+        continue;
       SCOPED_TRACE(std::to_string(Links) + " links" +
                    (Node ? " + node" : ""));
       FtOptions Opts;
@@ -251,7 +279,7 @@ TEST(FaultTolerance, DescentMatchesPerScenarioLookup) {
     }
 }
 
-TEST(FaultTolerance, DescentMatchesPerScenarioLookupOnSparseTopology) {
+TEST(FaultTolerance, LeafWalkMatchesPerScenarioLookupOnSparseTopology) {
   // 300 nodes, most of them isolated, which never have a route.
   FtOptions Opts;
   Opts.LinkFailures = 4;
@@ -264,7 +292,7 @@ TEST(FaultTolerance, DescentMatchesPerScenarioLookupOnSparseTopology) {
       Opts);
 }
 
-TEST(FaultTolerance, DescentMatchesPerScenarioLookupOnWideKeys) {
+TEST(FaultTolerance, LeafWalkMatchesPerScenarioLookupOnWideKeys) {
   // The diamond's four links take 2 bits each: 33 of them give a 66-bit
   // key, so keys span two words. On the diamond the last field still
   // changes routes (0-1 alone reroutes node 1; with 2-3 it cuts it off).
@@ -640,10 +668,11 @@ TEST(FaultTolerance, NaiveResumeReportsMalformedRecord) {
   std::remove(Path.c_str());
 }
 
-TEST(FaultTolerance, PackedKeyEqualsEncodedValue) {
-  // 1500 nodes take 11 bits. Link counts: 1 (a 1-bit field), 2^12 (every
-  // 12-bit code is a link) and 5000 (13 bits, codes to spare). Six
-  // 13-bit links after a node are 89 bits, so fields straddle words.
+TEST(FaultTolerance, KeyFieldsAreMsbFirstInOrder) {
+  // The check walks a label diagram with MTBDD variable = key bit: the
+  // node field first, then each link field, each MSB first. 1500 nodes
+  // take 11 bits. Link counts: 1 (a 1-bit field), 2^12 (every 12-bit code
+  // is a link) and 5000 (13 bits, codes to spare).
   const uint32_t Nodes = 1500;
   NvContext Ctx(Nodes);
   unsigned NodeBits = Ctx.Layout.nodeBits();
@@ -668,25 +697,23 @@ TEST(FaultTolerance, PackedKeyEqualsEncodedValue) {
         ASSERT_EQ(Width, Ctx.Layout.widthOf(KeyTy));
         for (int Trial = 0; Trial < 200; ++Trial) {
           FtScenario S;
-          std::vector<uint32_t> Indices;
-          if (Node)
+          std::vector<std::pair<uint32_t, unsigned>> Fields; // value, bits
+          if (Node) {
             S.Node = Id(Rng);
+            Fields.push_back({*S.Node, NodeBits});
+          }
           for (unsigned L = 0; L < Links; ++L) {
             S.Links.push_back({Id(Rng), Id(Rng), Link(Rng), Bits});
-            Indices.push_back(S.Links.back().Index);
+            Fields.push_back({uint32_t(S.Links.back().Index), Bits});
           }
-          std::vector<bool> Want;
-          Ctx.encodeValue(scenarioKey(Ctx, S, Opts), KeyTy, Want);
-          ASSERT_EQ(Want.size(), Width);
-          std::vector<uint64_t> Words((Width + 63) / 64, ~uint64_t(0));
-          packScenarioKey(S.Node, NodeBits, Indices, Bits, Words.data());
-          for (unsigned B = 0; B < Width; ++B)
-            ASSERT_EQ(bool((Words[B / 64] >> (63 - B % 64)) & 1), Want[B])
-                << NumLinks << " links " << S.str() << " bit " << B;
-          // Padding past the key stays zero, so packed keys compare as keys.
-          if (Width % 64) {
-            EXPECT_EQ(Words.back() << (Width % 64), 0u) << S.str();
-          }
+          std::vector<bool> Got;
+          Ctx.encodeValue(scenarioKey(Ctx, S, Opts), KeyTy, Got);
+          ASSERT_EQ(Got.size(), Width);
+          unsigned B = 0;
+          for (auto [Value, FieldBits] : Fields)
+            for (unsigned T = 0; T < FieldBits; ++T, ++B)
+              ASSERT_EQ(Got[B], bool(Value >> (FieldBits - 1 - T) & 1))
+                  << NumLinks << " links " << S.str() << " bit " << B;
         }
       }
   }
@@ -711,7 +738,8 @@ std::string scenarioFields(const FtScenario &S) {
 }
 
 /// The set against referenceScenarios: count, order, decoded links and
-/// node, rendering, and each packed key against the encoded key value.
+/// node, rendering, rank of each reference scenario, and key order (each
+/// encoded key above the one before it).
 void expectSetMatchesReference(const Program &P, const FtOptions &Opts) {
   FtScenarioSet Set(P, Opts);
   auto Want = referenceScenarios(P, Opts);
@@ -721,7 +749,7 @@ void expectSetMatchesReference(const Program &P, const FtOptions &Opts) {
   EXPECT_EQ(Set.numNodes(), P.numNodes());
   NvContext Ctx(P.numNodes());
   TypePtr KeyTy = scenarioKeyType(Opts, linkIndexBits(P.links().size()));
-  unsigned Width = Ctx.Layout.widthOf(KeyTy);
+  std::vector<bool> Prev;
   for (size_t I = 0; I < Set.size(); ++I) {
     FtScenario Got = Set[I];
     ASSERT_EQ(scenarioFields(Got), scenarioFields(Want[I])) << "#" << I;
@@ -729,17 +757,62 @@ void expectSetMatchesReference(const Program &P, const FtOptions &Opts) {
         << "#" << I;
     EXPECT_EQ(Set.node(I), Want[I].Node) << "#" << I;
     EXPECT_EQ(Set.str(I), Want[I].str()) << "#" << I;
+    std::vector<uint32_t> Indices;
+    for (const FtLink &L : Want[I].Links)
+      Indices.push_back(L.Index);
+    ASSERT_EQ(Set.rank(Want[I].Node, Indices), I) << Want[I].str();
     std::vector<bool> Bits;
     Ctx.encodeValue(scenarioKey(Ctx, Got, Opts), KeyTy, Bits);
-    std::span<const uint64_t> Key = Set.key(I);
-    ASSERT_EQ(Key.size(), (Width + 63) / 64);
-    for (unsigned B = 0; B < Width; ++B)
-      ASSERT_EQ(bool((Key[B / 64] >> (63 - B % 64)) & 1), Bits[B])
-          << Want[I].str() << " bit " << B;
-    if (Width % 64) {
-      EXPECT_EQ(Key.back() << (Width % 64), 0u) << Want[I].str();
+    if (I) {
+      ASSERT_LT(Prev, Bits) << Want[I].str();
+    }
+    Prev = std::move(Bits);
+  }
+}
+
+/// Windows of \p Set too large to enumerate: \p Window consecutive
+/// indices from 0, from the end and from seeded starts, each one the
+/// nested loop's successor of the one before, and rank inverting the
+/// decoding.
+void expectSetWindowsConsistent(const FtScenarioSet &Set, unsigned Seed,
+                                uint64_t Window = 300) {
+  ASSERT_GT(Set.size(), 0u);
+  std::mt19937_64 Rng(Seed);
+  std::vector<uint64_t> Starts = {0, Set.size() - std::min(Window, Set.size())};
+  for (int K = 0; K < 8; ++K)
+    Starts.push_back(Rng() % Set.size());
+  for (uint64_t Start : Starts) {
+    SCOPED_TRACE("window at " + std::to_string(Start));
+    std::vector<uint32_t> Cur(Set.linkFields());
+    Set.linkIndices(Start, Cur.data());
+    std::optional<uint32_t> Node = Set.node(Start);
+    if (Start == 0) {
+      EXPECT_EQ(Cur, std::vector<uint32_t>(Set.linkFields(), 0));
+      EXPECT_EQ(Node.value_or(0), 0u);
+    }
+    for (uint64_t I = Start; I < std::min(Start + Window, Set.size()); ++I) {
+      std::vector<uint32_t> Got(Set.linkFields());
+      Set.linkIndices(I, Got.data());
+      ASSERT_EQ(Got, Cur) << "#" << I;
+      ASSERT_EQ(Set.node(I), Node) << "#" << I;
+      ASSERT_EQ(Set.rank(Node, Got), I);
+      ASSERT_TRUE(std::is_sorted(Got.begin(), Got.end()));
+      ASSERT_TRUE(Got.empty() || Got.back() < Set.numLinks());
+      if (!nextCombo(Cur, Set.numLinks())) {
+        std::fill(Cur.begin(), Cur.end(), 0);
+        if (Node)
+          ++*Node;
+      }
     }
   }
+}
+
+/// A ring of \p N links on \p N nodes.
+std::vector<std::pair<int, int>> ring(int N) {
+  std::vector<std::pair<int, int>> Out;
+  for (int I = 0; I < N; ++I)
+    Out.push_back({I, (I + 1) % N});
+  return Out;
 }
 
 TEST(FaultTolerance, ScenarioSetMatchesReferenceEnumeration) {
@@ -768,35 +841,94 @@ TEST(FaultTolerance, ScenarioSetMatchesReferenceEnumeration) {
         expectSetMatchesReference(P, Opts);
       }
   }
-  // 33 two-bit fields: 66-bit keys, so fields straddle words.
-  SCOPED_TRACE("wide diamond");
-  FtOptions Wide;
-  Wide.LinkFailures = 33;
-  expectSetMatchesReference(parseAndCheck(spProgram(4, Diamond)), Wide);
+  {
+    // 33 two-bit fields: 66-bit keys.
+    SCOPED_TRACE("wide diamond");
+    FtOptions Wide;
+    Wide.LinkFailures = 33;
+    expectSetMatchesReference(parseAndCheck(spProgram(4, Diamond)), Wide);
+  }
+  // 2^12 links: every 12-bit code is a link. One failure (and a node) is
+  // enumerated whole; more, C(4097, 2) = 8.4M and C(4098, 3) = 1.1e10,
+  // window by window.
+  Program Big = parseAndCheck(spProgram(4096, ring(4096)));
+  ASSERT_EQ(Big.links().size(), 4096u);
+  for (unsigned Links : {0u, 1u, 2u, 3u})
+    for (bool Node : {false, true}) {
+      if (!Links && !Node)
+        continue;
+      SCOPED_TRACE("2^12 links, f=" + std::to_string(Links) +
+                   (Node ? " + node" : ""));
+      FtOptions Opts;
+      Opts.LinkFailures = Links;
+      Opts.NodeFailure = Node;
+      if (Links + Node <= 1)
+        expectSetMatchesReference(Big, Opts);
+      else
+        expectSetWindowsConsistent(FtScenarioSet(Big, Opts), Links);
+    }
 }
 
-TEST(FaultTolerance, ScenarioCountPastTheIndexIsAnError) {
-  // 300 links at five failures: C(304, 5) = 2.1e10 scenarios, past a
-  // 32-bit index. Neither the transform nor the set wraps the count.
-  std::vector<std::pair<int, int>> Ring;
-  for (int I = 0; I < 300; ++I)
-    Ring.push_back({I, (I + 1) % 300});
-  Program P = parseAndCheck(spProgram(300, Ring));
+TEST(FaultTolerance, ScenarioSetPast32BitIndices) {
+  // 300 links at five failures: C(304, 5) = 2.1e10 scenarios, indexed in
+  // 64 bits and decoded without a key array.
+  Program P = parseAndCheck(spProgram(300, ring(300)));
   FtOptions Opts;
   Opts.LinkFailures = 5;
+  FtScenarioSet Set(P, Opts);
+  ASSERT_EQ(Set.size(), 20932912560u);
+  EXPECT_EQ(Set.str(Set.size() - 1), "{link 299-0; link 299-0; link 299-0; "
+                                      "link 299-0; link 299-0}");
+  EXPECT_EQ(Set.str(0), "{link 0-1; link 0-1; link 0-1; link 0-1; "
+                        "link 0-1}");
+  expectSetWindowsConsistent(Set, 11);
+  Opts.NodeFailure = true;
+  FtScenarioSet WithNode(P, Opts);
+  ASSERT_EQ(WithNode.size(), 20932912560u * 300);
+  EXPECT_EQ(WithNode.str(WithNode.size() - 1),
+            "{node 299; link 299-0; link 299-0; link 299-0; link 299-0; "
+            "link 299-0}");
+  expectSetWindowsConsistent(WithNode, 12);
+  DiagnosticEngine Fits;
+  EXPECT_TRUE(makeFaultTolerantProgram(P, Opts, Fits)) << Fits.str();
+
+  // A record of chunk [2^33, 2^33 + 512) names scenarios by 64-bit index;
+  // one at the chunk's end or past the set is malformed.
+  const uint64_t Begin = uint64_t(1) << 33, End = Begin + 512;
+  auto Parse = [&](uint64_t Index, uint64_t B, uint64_t E) {
+    UnitRecord R;
+    R.add("v", std::to_string(Index) + " 3 None");
+    std::vector<FtViolation> Out;
+    bool Ok = parseViolationFields(R, Set, B, E, Out);
+    EXPECT_EQ(Out.size(), Ok ? 1u : 0u);
+    if (Ok) {
+      EXPECT_EQ(Out[0].Scenario.Index, Index);
+      EXPECT_EQ(Out[0].Scenario.str(), Set.str(Index));
+    }
+    return Ok;
+  };
+  EXPECT_TRUE(Parse(Begin + 7, Begin, End));
+  EXPECT_TRUE(Parse(End - 1, Begin, End));
+  EXPECT_FALSE(Parse(End, Begin, End));
+  EXPECT_FALSE(Parse(Set.size(), Set.size() - 1, Set.size() + 1));
+}
+
+TEST(FaultTolerance, ScenarioCountPast64BitsIsAnError) {
+  // 300 links: C(309, 10) = 1.9e18 combinations fit a uint64_t, but not
+  // times 300 failed nodes; C(310, 11) = 5.3e19 does not fit at all.
+  Program P = parseAndCheck(spProgram(300, ring(300)));
+  FtOptions Opts;
+  Opts.LinkFailures = 10;
+  EXPECT_EQ(FtScenarioSet(P, Opts).size(), 1887629299319420580u);
+  Opts.NodeFailure = true;
   EXPECT_THROW(FtScenarioSet(P, Opts), EngineError);
   DiagnosticEngine Diags;
   EXPECT_FALSE(makeFaultTolerantProgram(P, Opts, Diags));
-  EXPECT_NE(Diags.str().find("at most 4294967295 scenarios"),
+  EXPECT_NE(Diags.str().find("counts scenarios in 64 bits"),
             std::string::npos)
       << Diags.str();
-  // Three failures fit: C(302, 3) = 4.5M, and with a node 1.4e9.
-  Opts.LinkFailures = 3;
-  Opts.NodeFailure = true;
-  DiagnosticEngine Ok;
-  EXPECT_TRUE(makeFaultTolerantProgram(P, Opts, Ok)) << Ok.str();
-  // Four with a node: C(303, 4) * 300 = 1.0e11.
-  Opts.LinkFailures = 4;
+  Opts.NodeFailure = false;
+  Opts.LinkFailures = 11;
   EXPECT_THROW(FtScenarioSet(P, Opts), EngineError);
 }
 

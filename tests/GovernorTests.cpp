@@ -278,6 +278,29 @@ TEST(ParseNumber, IntegersParseWholeOrNotAtAll) {
   EXPECT_FALSE(parseInteger("2147483648", Signed));
 }
 
+TEST(ParseNumber, AnyBaseIntegersAreJustAsStrict) {
+  uint64_t W = 42;
+  EXPECT_TRUE(parseIntegerAnyBase("0x1F", W));
+  EXPECT_EQ(W, 31u);
+  EXPECT_TRUE(parseIntegerAnyBase("0X10", W));
+  EXPECT_EQ(W, 16u);
+  EXPECT_TRUE(parseIntegerAnyBase("017", W));
+  EXPECT_EQ(W, 15u);
+  EXPECT_TRUE(parseIntegerAnyBase("0", W));
+  EXPECT_EQ(W, 0u);
+  EXPECT_TRUE(parseIntegerAnyBase("250", W));
+  EXPECT_EQ(W, 250u);
+  EXPECT_TRUE(parseIntegerAnyBase("0xFFFFFFFFFFFFFFFF", W));
+  EXPECT_EQ(W, UINT64_MAX);
+  for (const char *Bad : {"", "abc", "-1", "3x", " 3", "+3", "0x", "0x-1",
+                          "0xg", "08", "0x10000000000000000",
+                          "18446744073709551616", "1.5"}) {
+    W = 42;
+    EXPECT_FALSE(parseIntegerAnyBase(Bad, W)) << Bad;
+    EXPECT_EQ(W, 42u) << Bad;
+  }
+}
+
 TEST(ParseNumber, NonNegativeNumbers) {
   double D = 7;
   EXPECT_TRUE(parseNonNegative("0.0001", D));

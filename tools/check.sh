@@ -14,6 +14,8 @@
 #   5. golden fault-tolerance answers: `nv ft/naive --json` on the
 #      examples must match tests/golden/ft_answers.txt bit for bit, also
 #      at 4 threads and on a 2-worker fleet.
+#   6. fault-tolerance scale: Fig. 13b's Fat20 at 3 link failures
+#      (10,674,668,000 scenarios) checked under a 1 GiB address space.
 #
 # Usage: tools/check.sh   (from the repository root)
 set -euo pipefail
@@ -37,6 +39,10 @@ tools/ci/smoke_fuzz.sh build 200 1
 echo
 echo "== golden fault-tolerance answers =="
 tools/ci/ft_golden.sh build
+
+echo
+echo "== fault-tolerance scale gate =="
+tools/ci/ft_scale.sh build
 
 echo
 echo "All checks passed."

@@ -15,6 +15,26 @@ FUZZ="./$BUILD_DIR/tools/nv-fuzz"
 
 cmake --build "$BUILD_DIR" -j"${JOBS:-$(nproc)}" --target nv-fuzz
 
+echo "== numeric flags parse strictly =="
+# A malformed number is a usage error (exit 2), never 0 or 2^64-1 instances.
+for flags in "--count abc" "--count -1" "--count 3x" "--seed 1.5" \
+  "--start -2" "--emit 0x" "--emit 08"; do
+  code=0
+  # shellcheck disable=SC2086  # flags is a flag list
+  timeout 20 "$FUZZ" $flags > /dev/null 2>&1 || code=$?
+  if [ "$code" -ne 2 ]; then
+    echo "FAIL: nv-fuzz $flags exited $code, want 2 (usage)" >&2
+    exit 1
+  fi
+done
+# Base prefixes still read as before: --emit 0x10 is --emit 16.
+if ! diff <("$FUZZ" --emit 0x10) <("$FUZZ" --emit 16) > /dev/null; then
+  echo "FAIL: nv-fuzz --emit 0x10 differs from --emit 16" >&2
+  exit 1
+fi
+echo "ok"
+
+echo
 echo "== corpus replay =="
 "$FUZZ" --replay tests/corpus
 

@@ -114,21 +114,18 @@ std::optional<FuzzCli> parseCli(int argc, char **argv) {
     };
     if (Arg("--seed")) {
       const char *V = Next();
-      if (!V)
+      if (!V || !parseIntegerAnyBase(V, O.Seed))
         return std::nullopt;
-      O.Seed = std::strtoull(V, nullptr, 0);
     } else if (Arg("--count")) {
       const char *V = Next();
-      if (!V)
+      if (!V || !parseIntegerAnyBase(V, O.Count))
         return std::nullopt;
-      O.Count = std::strtoull(V, nullptr, 0);
     } else if (Arg("--start")) {
       // First instance index; lets nightly shards cover disjoint ranges
       // of the same base seed.
       const char *V = Next();
-      if (!V)
+      if (!V || !parseIntegerAnyBase(V, O.Start))
         return std::nullopt;
-      O.Start = std::strtoull(V, nullptr, 0);
     } else if (Arg("--time-budget")) {
       const char *V = Next();
       if (!V || !parseInteger(V, O.TimeBudgetSec))
@@ -168,10 +165,9 @@ std::optional<FuzzCli> parseCli(int argc, char **argv) {
       O.ReplayPath = V;
     } else if (Arg("--emit")) {
       const char *V = Next();
-      if (!V)
+      if (!V || !parseIntegerAnyBase(V, O.EmitSeed))
         return std::nullopt;
       O.Emit = true;
-      O.EmitSeed = std::strtoull(V, nullptr, 0);
     } else if (Arg("--json")) {
       const char *V = Next();
       if (!V)
