@@ -30,8 +30,9 @@ public:
   /// Bit width of a finite type. Raises a recoverable EngineError on
   /// non-finite types (callers check isFiniteType first; map keys are
   /// validated by the type checker).
-  unsigned widthOf(const TypePtr &RawT) const {
-    TypePtr T = resolve(RawT);
+  unsigned widthOf(const TypePtr &T) const { return widthOf(T.get()); }
+  unsigned widthOf(const Type *RawT) const {
+    const Type *T = resolve(RawT);
     switch (T->Kind) {
     case TypeKind::Bool:
       return 1;
@@ -42,13 +43,13 @@ public:
     case TypeKind::Edge:
       return 2 * NodeBits;
     case TypeKind::Option: {
-      return 1 + widthOf(T->Elems[0]);
+      return 1 + widthOf(T->Elems[0].get());
     }
     case TypeKind::Tuple:
     case TypeKind::Record: {
       unsigned W = 0;
       for (const TypePtr &E : T->Elems)
-        W += widthOf(E);
+        W += widthOf(E.get());
       return W;
     }
     case TypeKind::Dict:

@@ -367,58 +367,84 @@ BddManager::Ref BddManager::bddNot(Ref A) {
       TagNot);
 }
 
+namespace {
+
+/// The leaf rule of a boolean apply2, plus its terminal cases: pairs with
+/// a constant operand, or equal operands, are answered without recursing.
+/// Inside a recursion these are what stop an AND of a literal onto a chain
+/// after one step instead of walking the chain.
+struct BoolOp {
+  using Ref = BddManager::Ref;
+  enum Kind { And, Or, Xor } K;
+  Ref T, F;
+  const void *TP, *FP;
+
+  const void *operator()(const void *X, const void *Y) const {
+    bool A = X == TP, B = Y == TP;
+    bool R = K == And ? A && B : K == Or ? A || B : A != B;
+    return R ? TP : FP;
+  }
+
+  bool terminal(Ref A, Ref B, Ref &Out) const {
+    switch (K) {
+    case And:
+      if (A == F || B == F)
+        Out = F;
+      else if (A == T || A == B)
+        Out = B;
+      else if (B == T)
+        Out = A;
+      else
+        return false;
+      return true;
+    case Or:
+      if (A == T || B == T)
+        Out = T;
+      else if (A == F || A == B)
+        Out = B;
+      else if (B == F)
+        Out = A;
+      else
+        return false;
+      return true;
+    case Xor:
+      if (A == F)
+        Out = B;
+      else if (B == F)
+        Out = A;
+      else if (A == B)
+        Out = F;
+      else
+        return false;
+      return true;
+    }
+    return false;
+  }
+};
+
+BoolOp boolOp(const BddManager &M, BoolOp::Kind K) {
+  return {K, M.trueBdd(), M.falseBdd(), M.leafPayload(M.trueBdd()),
+          M.leafPayload(M.falseBdd())};
+}
+
+} // namespace
+
+// The operations commute: the smaller Ref goes first, so (A, B) and
+// (B, A) share one op-cache entry.
+
 BddManager::Ref BddManager::bddAnd(Ref A, Ref B) {
-  if (A == FalseRef || B == FalseRef)
-    return FalseRef;
-  if (A == TrueRef)
-    return B;
-  if (B == TrueRef)
-    return A;
-  if (A > B)
-    std::swap(A, B); // commutative: canonicalize the cache key
-  return apply2(
-      A, B,
-      [this](const void *X, const void *Y) {
-        return (X == TruePayload && Y == TruePayload) ? TruePayload
-                                                      : FalsePayload;
-      },
-      TagAnd);
+  return apply2(std::min(A, B), std::max(A, B), boolOp(*this, BoolOp::And),
+                TagAnd);
 }
 
 BddManager::Ref BddManager::bddOr(Ref A, Ref B) {
-  if (A == TrueRef || B == TrueRef)
-    return TrueRef;
-  if (A == FalseRef)
-    return B;
-  if (B == FalseRef)
-    return A;
-  if (A > B)
-    std::swap(A, B);
-  return apply2(
-      A, B,
-      [this](const void *X, const void *Y) {
-        return (X == TruePayload || Y == TruePayload) ? TruePayload
-                                                      : FalsePayload;
-      },
-      TagOr);
+  return apply2(std::min(A, B), std::max(A, B), boolOp(*this, BoolOp::Or),
+                TagOr);
 }
 
 BddManager::Ref BddManager::bddXor(Ref A, Ref B) {
-  if (A == FalseRef)
-    return B;
-  if (B == FalseRef)
-    return A;
-  if (A == B)
-    return FalseRef;
-  if (A > B)
-    std::swap(A, B);
-  return apply2(
-      A, B,
-      [this](const void *X, const void *Y) {
-        return ((X == TruePayload) != (Y == TruePayload)) ? TruePayload
-                                                          : FalsePayload;
-      },
-      TagXor);
+  return apply2(std::min(A, B), std::max(A, B), boolOp(*this, BoolOp::Xor),
+                TagXor);
 }
 
 BddManager::Ref BddManager::bddIte(Ref C, Ref T, Ref E) {

@@ -65,6 +65,7 @@
 
 #include "support/Governor.h"
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
@@ -142,6 +143,12 @@ public:
   /// per distinct pair of leaves. This single primitive implements NV's
   /// combine (Fn = merge) and mapIte (A = predicate diagram with boolean
   /// payloads, Fn dispatches on the predicate leaf).
+  ///
+  /// A callable that also has `bool terminal(Ref A, Ref B, Ref &Out)` may
+  /// answer a pair without recursing (a constant operand of a boolean
+  /// operation, or A == B): apply2 asks it at every pair before the cache.
+  /// Map operations' callables have no such hook, since a closure leaf
+  /// decides nothing about a whole subdiagram.
   template <typename BinaryFn>
   Ref apply2(Ref A, Ref B, BinaryFn &&Fn, uint64_t Tag) {
     return apply2Rec(A, B, Fn, Tag);
@@ -247,6 +254,16 @@ public:
   void setPayloadTracer(PayloadTracerFn Fn, void *Cookie) {
     Tracer = Fn;
     TracerCookie = Cookie;
+  }
+
+  /// Hashes leaf payloads for the leaf table. Without one a payload hashes
+  /// by its address, which makes the table's probe counts depend on the
+  /// heap layout; a hash of something the payload's owner numbers
+  /// deterministically keeps them reproducible. Set before the first leaf.
+  using PayloadHashFn = uint64_t (*)(const void *Payload);
+  void setPayloadHash(PayloadHashFn Fn) {
+    assert(LeafCount == 0 && "payload hash set after the first leaf");
+    PayloadHash = Fn;
   }
 
   /// Mark-and-sweep: keeps everything reachable from the roots, compacts
@@ -368,6 +385,7 @@ private:
   std::vector<GcRootProvider *> Providers;
   PayloadTracerFn Tracer = nullptr;
   void *TracerCookie = nullptr;
+  PayloadHashFn PayloadHash = nullptr;
   size_t GcWatermark = DefaultGcWatermark;
   GcStats Gc;
 
@@ -400,8 +418,9 @@ private:
   static size_t hashTriple(uint32_t Var, Ref Lo, Ref Hi) {
     return mix3(Var, Lo, Hi);
   }
-  static size_t hashPayload(const void *P) {
-    uint64_t H = reinterpret_cast<uint64_t>(P) * 0x9E3779B97F4A7C15ull;
+  size_t hashPayload(const void *P) const {
+    uint64_t H = PayloadHash ? PayloadHash(P) : reinterpret_cast<uint64_t>(P);
+    H *= 0x9E3779B97F4A7C15ull;
     return static_cast<size_t>(H ^ (H >> 32));
   }
 
@@ -473,6 +492,9 @@ private:
   template <typename BinaryFn>
   Ref apply2Rec(Ref A, Ref B, BinaryFn &Fn, uint64_t Tag) {
     Ref Cached;
+    if constexpr (requires { Fn.terminal(A, B, Cached); })
+      if (Fn.terminal(A, B, Cached))
+        return Cached;
     if (cacheLookup(Tag, A, B, Cached))
       return Cached;
     pollSafePoint(GovSite::ApplyCacheMiss);

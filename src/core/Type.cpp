@@ -84,15 +84,16 @@ int Type::labelIndex(const std::string &L) const {
   return -1;
 }
 
-TypePtr nv::resolve(TypePtr T) {
-  while (T && T->Kind == TypeKind::Var && T->Instance)
-    T = T->Instance;
-  return T;
+const TypePtr &nv::resolve(const TypePtr &T) {
+  const TypePtr *P = &T;
+  while (*P && (*P)->Kind == TypeKind::Var && (*P)->Instance)
+    P = &(*P)->Instance;
+  return *P;
 }
 
 bool nv::typeEquals(const TypePtr &RawA, const TypePtr &RawB) {
-  TypePtr A = resolve(RawA);
-  TypePtr B = resolve(RawB);
+  const TypePtr &A = resolve(RawA);
+  const TypePtr &B = resolve(RawB);
   if (A.get() == B.get())
     return true;
   if (!A || !B || A->Kind != B->Kind)
@@ -125,8 +126,12 @@ bool nv::typeEquals(const TypePtr &RawA, const TypePtr &RawB) {
   nv_unreachable("covered switch");
 }
 
-std::string nv::typeToString(const TypePtr &RawT) {
-  TypePtr T = resolve(RawT);
+std::string nv::typeToString(const TypePtr &T) {
+  return typeToString(T.get());
+}
+
+std::string nv::typeToString(const Type *RawT) {
+  const Type *T = resolve(RawT);
   if (!T)
     return "<null>";
   switch (T->Kind) {
@@ -172,7 +177,7 @@ std::string nv::typeToString(const TypePtr &RawT) {
 }
 
 bool nv::isFiniteType(const TypePtr &RawT) {
-  TypePtr T = resolve(RawT);
+  const TypePtr &T = resolve(RawT);
   if (!T)
     return false;
   switch (T->Kind) {
@@ -197,7 +202,7 @@ bool nv::isFiniteType(const TypePtr &RawT) {
 }
 
 bool nv::isClosedType(const TypePtr &RawT) {
-  TypePtr T = resolve(RawT);
+  const TypePtr &T = resolve(RawT);
   if (!T)
     return false;
   if (T->Kind == TypeKind::Var)
@@ -209,7 +214,7 @@ bool nv::isClosedType(const TypePtr &RawT) {
 }
 
 bool nv::isConcreteType(const TypePtr &RawT) {
-  TypePtr T = resolve(RawT);
+  const TypePtr &T = resolve(RawT);
   if (!T)
     return false;
   switch (T->Kind) {

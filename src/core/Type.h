@@ -79,14 +79,24 @@ public:
 };
 
 /// Follows Instance links of bound unification variables to the
-/// representative type. Never returns a bound Var.
-TypePtr resolve(TypePtr T);
+/// representative type. Never returns a bound Var. The result refers to
+/// \p T itself or to an Instance link it reaches, so it lives as long as
+/// \p T's pointee does: bind it by reference only when \p T is not a
+/// temporary, and copy it when the caller rebinds an Instance.
+const TypePtr &resolve(const TypePtr &T);
+/// resolve() on a borrowed pointer: no reference count is touched.
+inline const Type *resolve(const Type *T) {
+  while (T && T->Kind == TypeKind::Var && T->Instance)
+    T = T->Instance.get();
+  return T;
+}
 
 /// Structural type equality after resolving unification variables.
 bool typeEquals(const TypePtr &A, const TypePtr &B);
 
 /// Renders a type in NV surface syntax (e.g. "dict[(int,int5), option[bool]]").
 std::string typeToString(const TypePtr &T);
+std::string typeToString(const Type *T);
 
 /// True when the type contains no arrow, dict, or unresolved variable, i.e.
 /// it can be encoded as a fixed-size bit vector (usable as a dict key or as

@@ -135,7 +135,7 @@ private:
   //===--------------------------------------------------------------------===//
 
   bool occurs(int VarId, const TypePtr &RawT) {
-    TypePtr T = resolve(RawT);
+    const TypePtr &T = resolve(RawT);
     if (T->Kind == TypeKind::Var)
       return T->VarId == VarId;
     for (const TypePtr &E : T->Elems)
@@ -149,9 +149,11 @@ private:
                          typeToString(B));
   }
 
-  bool unify(TypePtr RawA, TypePtr RawB, SourceLoc Loc) {
-    TypePtr A = resolve(std::move(RawA));
-    TypePtr B = resolve(std::move(RawB));
+  bool unify(const TypePtr &RawA, const TypePtr &RawB, SourceLoc Loc) {
+    // By reference: binding A's Instance writes through A's pointee, never
+    // the slot A or B was read from (A is unbound, so B's chain avoids it).
+    const TypePtr &A = resolve(RawA);
+    const TypePtr &B = resolve(RawB);
     if (A.get() == B.get())
       return true;
     if (A->Kind == TypeKind::Var) {
@@ -232,7 +234,7 @@ private:
   }
 
   void freeVars(const TypePtr &RawT, std::set<int> &Out) {
-    TypePtr T = resolve(RawT);
+    const TypePtr &T = resolve(RawT);
     if (T->Kind == TypeKind::Var) {
       Out.insert(T->VarId);
       return;
@@ -246,7 +248,7 @@ private:
   /// resolved by its first use — a createDict must evaluate at one
   /// concrete key type.
   void dictKeyVars(const TypePtr &RawT, std::set<int> &Out) {
-    TypePtr T = resolve(RawT);
+    const TypePtr &T = resolve(RawT);
     if (T->Kind == TypeKind::Dict)
       freeVars(T->Elems[0], Out);
     for (const TypePtr &E : T->Elems)
@@ -669,7 +671,7 @@ private:
   /// are zonked, and seedDecl keeps their variables unbound), so nothing
   /// else is written.
   static TypePtr zonkInPlace(const TypePtr &RawT) {
-    TypePtr T = resolve(RawT);
+    const TypePtr &T = resolve(RawT);
     if (T)
       for (TypePtr &E : T->Elems)
         if (TypePtr Z = zonkInPlace(E); Z.get() != E.get())

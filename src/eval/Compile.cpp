@@ -13,19 +13,20 @@ namespace {
 
 /// A compiled closure: pre-compiled body plus its closure-table entry,
 /// which holds the captured free-variable values. Calling copies the
-/// capture into a fresh frame and pushes the argument — no environment
-/// search at runtime. The entry is the context's, so it outlives the
+/// capture into a frame leased from the context's pool and pushes the
+/// argument — no environment search and, once the pool is warm, no
+/// allocation at runtime. The entry is the context's, so it outlives the
 /// closure value.
 class CompiledClosure : public ClosureData {
 public:
-  CompiledClosure(const NvContext::ClosureEntry &E,
+  CompiledClosure(NvContext &Ctx, const NvContext::ClosureEntry &E,
                   std::shared_ptr<const CExpr> Body)
-      : E(E), Body(std::move(Body)) {}
+      : Ctx(Ctx), E(E), Body(std::move(Body)) {}
 
   const Value *call(const Value *Arg) const override {
-    Frame F;
-    F.reserve(E.Captured.size() + 8);
-    F = E.Captured;
+    NvContext::FrameLease Lease(Ctx);
+    Frame &F = *Lease;
+    F.assign(E.Captured.begin(), E.Captured.end());
     F.push_back(Arg);
     return (*Body)(F);
   }
@@ -42,6 +43,7 @@ public:
   }
 
 private:
+  NvContext &Ctx;
   const NvContext::ClosureEntry &E;
   std::shared_ptr<const CExpr> Body;
 };
@@ -57,7 +59,7 @@ int Compiler::slotOf(const std::string &Name) const {
 
 std::function<bool(const Value *, Frame &)>
 Compiler::compilePattern(const PatternPtr &P, const TypePtr &RawTy) {
-  TypePtr Ty = resolve(RawTy);
+  const TypePtr &Ty = resolve(RawTy);
   switch (P->Kind) {
   case PatternKind::Wild:
     return [](const Value *, Frame &) { return true; };
@@ -175,7 +177,7 @@ CExpr Compiler::compile(const ExprPtr &E) {
       const Value *Clo = C->canonicalClosure(
           Src, F.data() + Mark, FreeSlots.size(),
           [&](const NvContext::ClosureEntry &Entry) {
-            return std::make_shared<CompiledClosure>(Entry, Body);
+            return std::make_shared<CompiledClosure>(*C, Entry, Body);
           });
       F.resize(Mark);
       return Clo;
@@ -228,16 +230,26 @@ CExpr Compiler::compile(const ExprPtr &E) {
     return compileOper(E);
   case ExprKind::Tuple:
   case ExprKind::Record: {
+    // Components are gathered on top of the frame and interned in place.
+    // Each is compiled with a nameless slot per component before it, so a
+    // binder inside it gets the frame position it will have at runtime.
     auto Subs = std::make_shared<std::vector<CExpr>>();
-    for (const ExprPtr &A : E->Args)
+    size_t ScopeMark = Scope.size();
+    for (const ExprPtr &A : E->Args) {
       Subs->push_back(compile(A));
+      Scope.emplace_back();
+    }
+    Scope.resize(ScopeMark);
     NvContext *C = &Ctx;
     return [C, Subs](Frame &F) {
-      std::vector<const Value *> Elems;
-      Elems.reserve(Subs->size());
-      for (const CExpr &S : *Subs)
-        Elems.push_back(S(F));
-      return C->tupleV(std::move(Elems));
+      size_t Mark = F.size();
+      for (const CExpr &S : *Subs) {
+        const Value *V = S(F);
+        F.push_back(V);
+      }
+      const Value *T = C->tupleV(F.data() + Mark, Subs->size());
+      F.resize(Mark);
+      return T;
     };
   }
   case ExprKind::Proj: {
@@ -247,24 +259,35 @@ CExpr Compiler::compile(const ExprPtr &E) {
   }
   case ExprKind::RecordUpdate: {
     CExpr Base = compile(E->Args[0]);
-    TypePtr BaseTy = resolve(E->Args[0]->Ty);
+    const TypePtr &BaseTy = resolve(E->Args[0]->Ty);
+    // The updated record is built on top of the frame: the new values are
+    // compiled above one nameless slot per field (see Tuple).
+    size_t ScopeMark = Scope.size();
+    Scope.resize(ScopeMark + BaseTy->Elems.size());
     auto Updates = std::make_shared<std::vector<std::pair<int, CExpr>>>();
     for (size_t I = 0; I < E->Labels.size(); ++I) {
       int Idx = BaseTy->labelIndex(E->Labels[I]);
       assert(Idx >= 0 && "label checked by the type checker");
       Updates->emplace_back(Idx, compile(E->Args[I + 1]));
     }
+    Scope.resize(ScopeMark);
     NvContext *C = &Ctx;
     return [C, Base, Updates](Frame &F) {
-      std::vector<const Value *> Elems = Base(F)->Elems;
-      for (const auto &[Idx, Sub] : *Updates)
-        Elems[Idx] = Sub(F);
-      return C->tupleV(std::move(Elems));
+      const Value *B = Base(F);
+      size_t Mark = F.size();
+      F.insert(F.end(), B->Elems.begin(), B->Elems.end());
+      for (const auto &[Idx, Sub] : *Updates) {
+        const Value *V = Sub(F);
+        F[Mark + Idx] = V;
+      }
+      const Value *R = C->tupleV(F.data() + Mark, B->Elems.size());
+      F.resize(Mark);
+      return R;
     };
   }
   case ExprKind::Field: {
     CExpr Sub = compile(E->Args[0]);
-    TypePtr Ty = resolve(E->Args[0]->Ty);
+    const TypePtr &Ty = resolve(E->Args[0]->Ty);
     int Idx = Ty->labelIndex(E->Name);
     assert(Idx >= 0 && "label checked by the type checker");
     return [Sub, Idx](Frame &F) { return Sub(F)->Elems[Idx]; };
@@ -319,7 +342,7 @@ CExpr Compiler::compileOper(const ExprPtr &E) {
   case Op::Ge:
     return [C, A](Frame &F) { return C->boolV(A[0](F)->I >= A[1](F)->I); };
   case Op::MCreate: {
-    TypePtr DictTy = resolve(E->Ty);
+    const TypePtr &DictTy = resolve(E->Ty);
     assert(DictTy->Kind == TypeKind::Dict && "createDict type");
     if (!isFiniteType(DictTy->Elems[0]))
       evalError("createDict key type " + typeToString(DictTy->Elems[0]) +

@@ -27,8 +27,6 @@
 
 namespace nv {
 
-/// Runtime frame: slot-indexed values (globals prefix + locals).
-using Frame = std::vector<const Value *>;
 /// A compiled expression: evaluates against a frame, leaving its size
 /// unchanged.
 using CExpr = std::function<const Value *(Frame &)>;

@@ -50,7 +50,7 @@ uint64_t InterpClosure::cacheKey() const {
 
 bool Interp::matchPattern(const Pattern *P, const Value *V, const TypePtr &RawTy,
                           EnvPtr &Env) {
-  TypePtr Ty = resolve(RawTy);
+  const TypePtr &Ty = resolve(RawTy);
   switch (P->Kind) {
   case PatternKind::Wild:
     return true;
@@ -159,7 +159,7 @@ const Value *Interp::eval(const Expr *E, const EnvPtr &Env) {
   }
   case ExprKind::RecordUpdate: {
     const Value *Base = eval(E->Args[0].get(), Env);
-    TypePtr BaseTy = resolve(E->Args[0]->Ty);
+    const TypePtr &BaseTy = resolve(E->Args[0]->Ty);
     assert(BaseTy->Kind == TypeKind::Record && "update on non-record");
     std::vector<const Value *> Elems = Base->Elems;
     for (size_t I = 0; I < E->Labels.size(); ++I) {
@@ -171,7 +171,7 @@ const Value *Interp::eval(const Expr *E, const EnvPtr &Env) {
   }
   case ExprKind::Field: {
     const Value *V = eval(E->Args[0].get(), Env);
-    TypePtr Ty = resolve(E->Args[0]->Ty);
+    const TypePtr &Ty = resolve(E->Args[0]->Ty);
     assert(Ty->Kind == TypeKind::Record && "field access on non-record");
     int Idx = Ty->labelIndex(E->Name);
     assert(Idx >= 0 && "label checked by the type checker");
@@ -229,7 +229,7 @@ const Value *Interp::evalOper(const Expr *E, const EnvPtr &Env) {
     return Ctx.boolV(Result);
   }
   case Op::MCreate: {
-    TypePtr DictTy = resolve(E->Ty);
+    const TypePtr &DictTy = resolve(E->Ty);
     assert(DictTy->Kind == TypeKind::Dict && "createDict type");
     if (!isFiniteType(DictTy->Elems[0]))
       evalError("createDict key type " + typeToString(DictTy->Elems[0]) +

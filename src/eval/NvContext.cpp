@@ -32,6 +32,11 @@ NvContext::NvContext(uint32_t NumNodes) : Layout(NumNodes) {
   N.K = Value::Kind::Option;
   N.Inner = nullptr;
   NoneV = Arena.intern(std::move(N));
+  // Leaves hash by arena serial, not address: the leaf table's probe
+  // counts then repeat from one process to the next.
+  Mgr.setPayloadHash([](const void *P) -> uint64_t {
+    return static_cast<const Value *>(P)->Serial;
+  });
   Mgr.setBoolPayloads(TrueV, FalseV);
   // Registered first so gcBegin clears the shared visited set before any
   // other provider (e.g. the simulator's label roots) walks values.
@@ -142,11 +147,8 @@ const Value *NvContext::edgeV(uint32_t U, uint32_t W) {
   return Arena.intern(std::move(V));
 }
 
-const Value *NvContext::tupleV(std::vector<const Value *> Elems) {
-  Value V;
-  V.K = Value::Kind::Tuple;
-  V.Elems = std::move(Elems);
-  return Arena.intern(std::move(V));
+const Value *NvContext::tupleV(const Value *const *Elems, size_t N) {
+  return Arena.internTuple(Elems, N);
 }
 
 const Value *NvContext::someV(const Value *Inner) {
@@ -156,7 +158,7 @@ const Value *NvContext::someV(const Value *Inner) {
   return Arena.intern(std::move(V));
 }
 
-const Value *NvContext::mapV(BddManager::Ref Root, TypePtr KeyType) {
+const Value *NvContext::mapV(BddManager::Ref Root, const TypePtr &KeyType) {
   Value V;
   V.K = Value::Kind::Map;
   V.MapRoot = Root;
@@ -197,59 +199,13 @@ const Value *NvContext::applyClosure(const Value *Fn, const Value *Arg) {
 // Bit encoding
 //===----------------------------------------------------------------------===//
 
-void NvContext::encodeValue(const Value *V, const TypePtr &RawTy,
-                            std::vector<bool> &Out) {
-  TypePtr Ty = resolve(RawTy);
-  switch (Ty->Kind) {
-  case TypeKind::Bool:
-    Out.push_back(V->B);
-    return;
-  case TypeKind::Int:
-    for (unsigned I = 0; I < Ty->Width; ++I)
-      Out.push_back((V->I >> (Ty->Width - 1 - I)) & 1);
-    return;
-  case TypeKind::Node: {
-    unsigned NB = Layout.nodeBits();
-    for (unsigned I = 0; I < NB; ++I)
-      Out.push_back((V->N >> (NB - 1 - I)) & 1);
-    return;
-  }
-  case TypeKind::Edge: {
-    unsigned NB = Layout.nodeBits();
-    for (unsigned I = 0; I < NB; ++I)
-      Out.push_back((V->N >> (NB - 1 - I)) & 1);
-    for (unsigned I = 0; I < NB; ++I)
-      Out.push_back((V->N2 >> (NB - 1 - I)) & 1);
-    return;
-  }
-  case TypeKind::Option: {
-    Out.push_back(V->Inner != nullptr);
-    if (V->Inner) {
-      encodeValue(V->Inner, Ty->Elems[0], Out);
-    } else {
-      unsigned W = Layout.widthOf(Ty->Elems[0]);
-      Out.insert(Out.end(), W, false);
-    }
-    return;
-  }
-  case TypeKind::Tuple:
-  case TypeKind::Record: {
-    assert(V->Elems.size() == Ty->Elems.size() && "value/type arity mismatch");
-    for (size_t I = 0; I < Ty->Elems.size(); ++I)
-      encodeValue(V->Elems[I], Ty->Elems[I], Out);
-    return;
-  }
-  case TypeKind::Dict:
-  case TypeKind::Arrow:
-  case TypeKind::Var:
-    break;
-  }
+void NvContext::encodeError(const Type *Ty) {
   evalError("cannot bit-encode a value of type " + typeToString(Ty));
 }
 
 const Value *NvContext::decodeValue(const std::vector<bool> &Bits, size_t &Pos,
                                     const TypePtr &RawTy) {
-  TypePtr Ty = resolve(RawTy);
+  const TypePtr &Ty = resolve(RawTy);
   switch (Ty->Kind) {
   case TypeKind::Bool:
     return boolV(Bits[Pos++]);
@@ -298,7 +254,7 @@ const Value *NvContext::decodeValue(const std::vector<bool> &Bits, size_t &Pos,
 }
 
 const Value *NvContext::defaultValue(const TypePtr &RawTy) {
-  TypePtr Ty = resolve(RawTy);
+  const TypePtr &Ty = resolve(RawTy);
   switch (Ty->Kind) {
   case TypeKind::Bool:
     return FalseV;
@@ -327,7 +283,7 @@ const Value *NvContext::defaultValue(const TypePtr &RawTy) {
 }
 
 std::vector<const Value *> NvContext::enumerateType(const TypePtr &RawTy) {
-  TypePtr Ty = resolve(RawTy);
+  const TypePtr &Ty = resolve(RawTy);
   unsigned W = Layout.widthOf(Ty);
   if (W > 22)
     evalError("enumerateType over " + std::to_string(W) +
@@ -362,17 +318,17 @@ const Value *NvContext::mapCreate(const TypePtr &KeyTy, const Value *Default) {
 
 const Value *NvContext::mapGet(const Value *M, const Value *Key) {
   assert(M->K == Value::Kind::Map && "get on a non-map");
-  std::vector<bool> Bits;
-  encodeValue(Key, M->KeyType, Bits);
-  return static_cast<const Value *>(Mgr.get(M->MapRoot, Bits));
+  KeyBits.clear();
+  encodeValue(Key, M->KeyType, KeyBits);
+  return static_cast<const Value *>(Mgr.get(M->MapRoot, KeyBits));
 }
 
 const Value *NvContext::mapSet(const Value *M, const Value *Key,
                                const Value *V) {
   assert(M->K == Value::Kind::Map && "set on a non-map");
-  std::vector<bool> Bits;
-  encodeValue(Key, M->KeyType, Bits);
-  return mapV(Mgr.set(M->MapRoot, Bits, V), M->KeyType);
+  KeyBits.clear();
+  encodeValue(Key, M->KeyType, KeyBits);
+  return mapV(Mgr.set(M->MapRoot, KeyBits, V), M->KeyType);
 }
 
 const Value *NvContext::mapMap(const Value *Fn, const Value *M) {

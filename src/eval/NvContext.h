@@ -24,10 +24,15 @@
 #include "support/PtrTable.h"
 
 #include <deque>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
 namespace nv {
+
+/// Runtime frame of compiled code: slot-indexed values (captured values,
+/// then the parameter, then locals), used as a stack.
+using Frame = std::vector<const Value *>;
 
 /// Shared evaluation state. One NvContext per analysis — or, since the
 /// MTBDD memory overhaul, one per analysis *shard*, reused across
@@ -62,10 +67,13 @@ public:
   const Value *intV(uint64_t I, unsigned Width = 32);
   const Value *nodeV(uint32_t N);
   const Value *edgeV(uint32_t U, uint32_t V);
-  const Value *tupleV(std::vector<const Value *> Elems);
+  const Value *tupleV(const Value *const *Elems, size_t N);
+  const Value *tupleV(const std::vector<const Value *> &Elems) {
+    return tupleV(Elems.data(), Elems.size());
+  }
   const Value *someV(const Value *Inner);
   const Value *noneV() { return NoneV; }
-  const Value *mapV(BddManager::Ref Root, TypePtr KeyType);
+  const Value *mapV(BddManager::Ref Root, const TypePtr &KeyType);
   /// Stores a new closure value (closures are not interned).
   const Value *closureV(std::shared_ptr<ClosureData> C);
   const Value *valueOfLiteral(const Literal &L);
@@ -73,12 +81,91 @@ public:
   /// Applies an NV function value to an argument.
   const Value *applyClosure(const Value *Fn, const Value *Arg);
 
+  /// A frame leased from the context's pool for one compiled-closure call.
+  /// The frame goes back to the pool, capacity kept, when the lease ends,
+  /// also when evaluation throws; a warm call allocates nothing.
+  class FrameLease {
+  public:
+    explicit FrameLease(NvContext &Ctx) : Ctx(Ctx) {
+      if (Ctx.FramePool.empty()) {
+        // Room for every frame in existence, so that returning one in the
+        // destructor never allocates.
+        Ctx.FramePool.reserve(Ctx.FramesLeased + 1);
+        F.reserve(16);
+      } else {
+        F = std::move(Ctx.FramePool.back());
+        Ctx.FramePool.pop_back();
+      }
+      ++Ctx.FramesLeased;
+    }
+    ~FrameLease() {
+      F.clear();
+      Ctx.FramePool.push_back(std::move(F));
+      --Ctx.FramesLeased;
+    }
+    FrameLease(const FrameLease &) = delete;
+    FrameLease &operator=(const FrameLease &) = delete;
+
+    Frame &operator*() { return F; }
+
+  private:
+    NvContext &Ctx;
+    Frame F;
+  };
+
+  /// Frames currently leased: zero whenever no compiled call is running.
+  size_t framesLeased() const { return FramesLeased; }
+
   //===--------------------------------------------------------------------===//
   // Bit encoding of finite values (Sec. 5.1)
   //===--------------------------------------------------------------------===//
 
   /// Appends the MSB-first bit encoding of \p V (of finite type \p Ty).
-  void encodeValue(const Value *V, const TypePtr &Ty, std::vector<bool> &Out);
+  void encodeValue(const Value *V, const TypePtr &Ty, std::vector<bool> &Out) {
+    forEachBit(V, Ty.get(), [&](bool B) { Out.push_back(B); });
+  }
+
+  /// Calls \p Emit(bool) on each bit of \p V's encoding, MSB first.
+  template <class EmitFn>
+  void forEachBit(const Value *V, const Type *RawTy, EmitFn &&Emit) {
+    const Type *Ty = resolve(RawTy);
+    auto EmitUInt = [&](uint64_t X, unsigned W) {
+      for (unsigned I = W; I-- > 0;)
+        Emit(((X >> I) & 1) != 0);
+    };
+    switch (Ty->Kind) {
+    case TypeKind::Bool:
+      Emit(V->B);
+      return;
+    case TypeKind::Int:
+      EmitUInt(V->I, Ty->Width);
+      return;
+    case TypeKind::Node:
+      EmitUInt(V->N, Layout.nodeBits());
+      return;
+    case TypeKind::Edge:
+      EmitUInt(V->N, Layout.nodeBits());
+      EmitUInt(V->N2, Layout.nodeBits());
+      return;
+    case TypeKind::Option:
+      Emit(V->Inner != nullptr);
+      if (V->Inner)
+        forEachBit(V->Inner, Ty->Elems[0].get(), Emit);
+      else
+        EmitUInt(0, Layout.widthOf(Ty->Elems[0].get()));
+      return;
+    case TypeKind::Tuple:
+    case TypeKind::Record:
+      for (size_t I = 0; I < Ty->Elems.size(); ++I)
+        forEachBit(V->Elems[I], Ty->Elems[I].get(), Emit);
+      return;
+    case TypeKind::Dict:
+    case TypeKind::Arrow:
+    case TypeKind::Var:
+      break;
+    }
+    encodeError(Ty);
+  }
 
   /// Decodes a value of type \p Ty starting at \p Pos (advanced past it).
   const Value *decodeValue(const std::vector<bool> &Bits, size_t &Pos,
@@ -159,6 +246,9 @@ public:
   /// encoding of its key-typed parameter, by symbolic evaluation of the
   /// closure body (implemented in SymBdd.cpp).
   BddManager::Ref predToBdd(const Value *Pred, const TypePtr &KeyTy);
+  /// Storage symbolic evaluation reuses across predToBdd runs (opaque;
+  /// defined in SymBdd.cpp).
+  struct SymScratch;
 
   //===--------------------------------------------------------------------===//
   // Memory management (GC roots and scenario reuse)
@@ -201,6 +291,18 @@ private:
       return static_cast<size_t>(H ^ (H >> 32));
     }
   };
+
+  [[noreturn]] static void encodeError(const Type *Ty);
+
+  std::vector<Frame> FramePool;
+  size_t FramesLeased = 0;
+  /// Scratch key bits of mapGet/mapSet.
+  std::vector<bool> KeyBits;
+
+  struct SymScratchDeleter {
+    void operator()(SymScratch *S) const;
+  };
+  std::unique_ptr<SymScratch, SymScratchDeleter> Sym;
 
   std::deque<ClosureEntry> ClosureEntries;
   PtrTable<ClosureEntry> ClosureTable;

@@ -9,12 +9,21 @@
 // NV's totality (no recursion) guarantees termination: both branches of a
 // symbolic conditional can always be evaluated and merged per bit.
 //
+// Symbolic values are plain data over storage the context keeps from one
+// run to the next, so a warm run allocates nothing:
+//  - a bit vector is a span of one bit arena; bits are never rewritten
+//    once a value owns them, so a variable lookup, a projection or a
+//    pattern binding shares its span instead of copying it;
+//  - a symbolic Fun's captured locals are a range of a capture arena;
+//  - types are borrowed, resolved `const Type *`.
+//
 //===----------------------------------------------------------------------===//
 
-#include "core/Printer.h"
 #include "eval/NvContext.h"
 #include "support/Fatal.h"
 #include "support/Governor.h"
+
+#include <cassert>
 
 using namespace nv;
 
@@ -23,95 +32,170 @@ namespace {
 using Ref = BddManager::Ref;
 
 /// A symbolic value: either a bit vector of BDDs (finite types) or a
-/// function (concrete closure, or a syntactic closure over symbolic
-/// locals).
+/// function (concrete closure, or a Fun over symbolic locals).
 struct SymVal {
-  TypePtr Ty;
-  std::vector<Ref> Bits;
-  // Function representations (mutually exclusive with Bits):
-  const Value *Fn = nullptr;     ///< A concrete NV closure.
-  const Expr *FnExpr = nullptr;  ///< A Fun evaluated symbolically...
-  std::shared_ptr<std::vector<std::pair<std::string, SymVal>>> FnLocals;
-  const ClosureData *FnFree = nullptr; ///< ...with these captured frames.
+  const Type *Ty = nullptr; ///< Resolved.
+  uint32_t Off = 0, Len = 0; ///< Bits: the arena's [Off, Off + Len).
+  // Function representations (mutually exclusive with bits):
+  const Value *Fn = nullptr;    ///< A concrete NV closure.
+  const Expr *FnExpr = nullptr; ///< A Fun evaluated symbolically...
+  uint32_t EnvOff = 0, EnvLen = 0; ///< ...over these captured locals...
+  const ClosureData *FnFree = nullptr; ///< ...and this concrete closure.
 
   bool isFun() const { return Fn || FnExpr; }
 };
 
-using Locals = std::vector<std::pair<std::string, SymVal>>;
+struct Local {
+  const std::string *Name;
+  SymVal V;
+};
+
+/// A tuple component, or a match arm and the condition it is taken under.
+struct Part {
+  Ref Cond;
+  SymVal V;
+};
+
+} // namespace
+
+struct NvContext::SymScratch {
+  std::vector<Ref> Bits;
+  /// Bound names, innermost last; a function body sees [FrameBase, end).
+  std::vector<Local> Locals;
+  /// Captured locals of symbolic Funs, append-only during a run.
+  std::vector<Local> Captures;
+  /// Tuple components and match arms awaiting their combination.
+  std::vector<Part> Parts;
+
+  void clear() {
+    Bits.clear();
+    Locals.clear();
+    Captures.clear();
+    Parts.clear();
+  }
+};
+
+void NvContext::SymScratchDeleter::operator()(SymScratch *S) const {
+  delete S;
+}
+
+namespace {
 
 class SymEval {
 public:
-  explicit SymEval(NvContext &Ctx) : Ctx(Ctx), Mgr(Ctx.Mgr) {}
+  SymEval(NvContext &Ctx, NvContext::SymScratch &S)
+      : Ctx(Ctx), Mgr(Ctx.Mgr), S(S) {
+    S.clear();
+  }
 
   /// Evaluates the closure applied to a fully-symbolic key parameter.
   Ref run(const ClosureData *Clo, const TypePtr &KeyTy) {
     const Expr *Fn = Clo->sourceExpr();
     if (!Fn || Fn->Kind != ExprKind::Fun)
       evalError("mapIte predicate has no NV source to evaluate symbolically");
-    unsigned W = Ctx.Layout.widthOf(KeyTy);
-    SymVal Key;
-    Key.Ty = resolve(KeyTy);
-    for (unsigned I = 0; I < W; ++I)
-      Key.Bits.push_back(Mgr.bitVar(I));
-    Locals Frame;
-    Frame.emplace_back(Fn->Name, std::move(Key));
-    SymVal R = eval(Fn->Args[0].get(), Frame, Clo);
-    if (R.Bits.size() != 1)
+    SymVal Key = fresh(resolve(KeyTy.get()));
+    for (unsigned I = 0, W = Ctx.Layout.widthOf(Key.Ty); I < W; ++I)
+      push(Key, Mgr.bitVar(I));
+    SymVal R = call(*Fn, 0, 0, Clo, Key);
+    if (R.Len != 1)
       evalError("mapIte predicate did not evaluate to a boolean");
-    return R.Bits[0];
+    return bit(R, 0);
   }
 
 private:
   NvContext &Ctx;
   BddManager &Mgr;
+  NvContext::SymScratch &S;
+  /// First local the current function body sees.
+  size_t FrameBase = 0;
+  // The shared base types (Type's own statics keep them alive).
+  const Type *BoolTy = Type::boolTy().get();
+  const Type *NodeTy = Type::nodeTy().get();
 
   Ref constBit(bool B) { return B ? Mgr.trueBdd() : Mgr.falseBdd(); }
+  bool isConst(Ref R) { return R == Mgr.trueBdd() || R == Mgr.falseBdd(); }
 
-  /// Lifts a concrete finite value to a constant bit vector.
-  SymVal lift(const Value *V, const TypePtr &Ty) {
-    if (V->K == Value::Kind::Closure) {
-      SymVal S;
-      S.Ty = resolve(Ty);
-      S.Fn = V;
-      return S;
-    }
-    std::vector<bool> Bits;
-    Ctx.encodeValue(V, Ty, Bits);
-    SymVal S;
-    S.Ty = resolve(Ty);
-    for (bool B : Bits)
-      S.Bits.push_back(constBit(B));
-    return S;
+  Ref bit(const SymVal &V, unsigned I) const { return S.Bits[V.Off + I]; }
+
+  /// An empty bit vector of type \p Ty at the arena's end; push() grows it.
+  SymVal fresh(const Type *Ty) {
+    SymVal V;
+    V.Ty = Ty;
+    V.Off = static_cast<uint32_t>(S.Bits.size());
+    return V;
+  }
+  void push(SymVal &V, Ref R) {
+    assert(V.Off + V.Len == S.Bits.size() && "only the newest value grows");
+    S.Bits.push_back(R);
+    ++V.Len;
+  }
+  /// Appends \p Src's bits to \p V (a copy; \p Src keeps its own span).
+  void append(SymVal &V, const SymVal &Src) {
+    for (unsigned I = 0; I < Src.Len; ++I)
+      push(V, bit(Src, I));
   }
 
   SymVal boolSym(Ref R) {
-    SymVal S;
-    S.Ty = Type::boolTy();
-    S.Bits = {R};
-    return S;
+    SymVal V = fresh(BoolTy);
+    push(V, R);
+    return V;
   }
 
-  /// Width of element I of a tuple/record symbolic value, plus its offset.
-  std::pair<unsigned, unsigned> fieldRange(const TypePtr &Ty, size_t Idx) {
+  /// Lifts a concrete value: a closure stays a function, anything else
+  /// becomes a constant bit vector.
+  SymVal lift(const Value *V, const Type *Ty) {
+    if (V->K == Value::Kind::Closure) {
+      SymVal F;
+      F.Ty = resolve(Ty);
+      F.Fn = V;
+      return F;
+    }
+    SymVal Out = fresh(resolve(Ty));
+    Ctx.forEachBit(V, Ty, [&](bool B) { push(Out, constBit(B)); });
+    return Out;
+  }
+
+  /// Element \p Idx of a tuple/record value: a subspan, nothing copied.
+  SymVal field(const SymVal &V, size_t Idx) {
     unsigned Off = 0;
     for (size_t I = 0; I < Idx; ++I)
-      Off += Ctx.Layout.widthOf(Ty->Elems[I]);
-    return {Off, Ctx.Layout.widthOf(Ty->Elems[Idx])};
+      Off += Ctx.Layout.widthOf(V.Ty->Elems[I].get());
+    return slice(V, Off, V.Ty->Elems[Idx].get());
   }
 
-  SymVal slice(const SymVal &V, unsigned Off, unsigned W, TypePtr Ty) {
-    SymVal S;
-    S.Ty = resolve(std::move(Ty));
-    S.Bits.assign(V.Bits.begin() + Off, V.Bits.begin() + Off + W);
-    return S;
+  SymVal slice(const SymVal &V, unsigned Off, const Type *Ty) {
+    SymVal Out;
+    Out.Ty = resolve(Ty);
+    Out.Off = V.Off + Off;
+    Out.Len = Ctx.Layout.widthOf(Out.Ty);
+    return Out;
   }
 
+  bool allConst(const SymVal &V) {
+    for (unsigned I = 0; I < V.Len; ++I)
+      if (!isConst(bit(V, I)))
+        return false;
+    return true;
+  }
+
+  /// A == B, conjoined from the last bit up: the diagram of the bits below
+  /// exists before a higher bit is ANDed on. Against a constant side each
+  /// conjunct is a literal, and the AND's terminal cases stop it after one
+  /// step instead of walking the chain.
   Ref eqBits(const SymVal &A, const SymVal &B) {
-    if (A.Bits.size() != B.Bits.size())
+    if (A.Len != B.Len)
       evalError("symbolic equality over mismatched widths");
+    const SymVal *X = &A, *C = &B;
+    if (allConst(A))
+      std::swap(X, C);
+    bool ConstSide = allConst(*C);
     Ref R = Mgr.trueBdd();
-    for (size_t I = 0; I < A.Bits.size(); ++I)
-      R = Mgr.bddAnd(R, Mgr.bddXnor(A.Bits[I], B.Bits[I]));
+    for (unsigned I = A.Len; I-- > 0;) {
+      Ref Xi = bit(*X, I), Ci = bit(*C, I);
+      Ref Eq = ConstSide ? (Ci == Mgr.trueBdd() ? Xi : Mgr.bddNot(Xi))
+                         : Mgr.bddXnor(Xi, Ci);
+      R = Mgr.bddAnd(Eq, R);
+    }
     return R;
   }
 
@@ -119,25 +203,26 @@ private:
   std::pair<Ref, Ref> compareBits(const SymVal &A, const SymVal &B) {
     Ref Lt = Mgr.falseBdd();
     Ref Eq = Mgr.trueBdd();
-    for (size_t I = 0; I < A.Bits.size(); ++I) {
-      Ref Ai = A.Bits[I], Bi = B.Bits[I];
+    for (unsigned I = 0; I < A.Len; ++I) {
+      Ref Ai = bit(A, I), Bi = bit(B, I);
       Lt = Mgr.bddOr(Lt, Mgr.bddAnd(Eq, Mgr.bddAnd(Mgr.bddNot(Ai), Bi)));
       Eq = Mgr.bddAnd(Eq, Mgr.bddXnor(Ai, Bi));
     }
     return {Lt, Eq};
   }
 
-  /// Ripple add/sub over MSB-first bit vectors (wrap-around).
+  /// Ripple add/sub over MSB-first bit vectors (wrap-around). The sum is
+  /// computed LSB first, so it is written in place into a fresh span.
   SymVal addSub(const SymVal &A, const SymVal &B, bool Subtract) {
-    SymVal Out;
-    Out.Ty = A.Ty;
-    Out.Bits.resize(A.Bits.size());
+    SymVal Out = fresh(A.Ty);
+    for (unsigned I = 0; I < A.Len; ++I)
+      push(Out, Mgr.falseBdd());
     Ref Carry = Subtract ? Mgr.trueBdd() : Mgr.falseBdd();
-    for (size_t I = A.Bits.size(); I-- > 0;) {
-      Ref Ai = A.Bits[I];
-      Ref Bi = Subtract ? Mgr.bddNot(B.Bits[I]) : B.Bits[I];
+    for (unsigned I = A.Len; I-- > 0;) {
+      Ref Ai = bit(A, I);
+      Ref Bi = Subtract ? Mgr.bddNot(bit(B, I)) : bit(B, I);
       Ref AxB = Mgr.bddXor(Ai, Bi);
-      Out.Bits[I] = Mgr.bddXor(AxB, Carry);
+      S.Bits[Out.Off + I] = Mgr.bddXor(AxB, Carry);
       Carry = Mgr.bddOr(Mgr.bddAnd(Ai, Bi), Mgr.bddAnd(Carry, AxB));
     }
     return Out;
@@ -146,69 +231,77 @@ private:
   SymVal mergeIte(Ref Cond, const SymVal &T, const SymVal &E) {
     if (T.isFun() || E.isFun())
       evalError("cannot merge function values under a symbolic condition");
-    if (T.Bits.size() != E.Bits.size())
+    if (T.Len != E.Len)
       evalError("symbolic ite over mismatched widths");
-    SymVal Out;
-    Out.Ty = T.Ty;
-    Out.Bits.resize(T.Bits.size());
-    for (size_t I = 0; I < T.Bits.size(); ++I)
-      Out.Bits[I] = Mgr.bddIte(Cond, T.Bits[I], E.Bits[I]);
+    SymVal Out = fresh(T.Ty);
+    for (unsigned I = 0; I < T.Len; ++I)
+      push(Out, Mgr.bddIte(Cond, bit(T, I), bit(E, I)));
     return Out;
   }
 
-  const SymVal *lookupLocal(const Locals &Frame, const std::string &Name) {
-    for (auto It = Frame.rbegin(); It != Frame.rend(); ++It)
-      if (It->first == Name)
-        return &It->second;
+  const SymVal *lookupLocal(const std::string &Name) const {
+    for (size_t I = S.Locals.size(); I-- > FrameBase;)
+      if (*S.Locals[I].Name == Name)
+        return &S.Locals[I].V;
     return nullptr;
   }
 
+  void bind(const std::string &Name, const SymVal &V) {
+    S.Locals.push_back({&Name, V});
+  }
+
+  /// Evaluates \p Fn's body in a new frame: the captured locals
+  /// [EnvOff, EnvOff + EnvLen), then the parameter bound to \p Arg.
+  SymVal call(const Expr &Fn, uint32_t EnvOff, uint32_t EnvLen,
+              const ClosureData *Free, const SymVal &Arg) {
+    size_t SavedBase = FrameBase;
+    FrameBase = S.Locals.size();
+    for (uint32_t I = 0; I < EnvLen; ++I) {
+      Local L = S.Captures[EnvOff + I];
+      S.Locals.push_back(L);
+    }
+    bind(Fn.Name, Arg);
+    SymVal R = eval(Fn.Args[0].get(), Free);
+    S.Locals.resize(FrameBase);
+    FrameBase = SavedBase;
+    return R;
+  }
+
   /// Pattern match against a symbolic scrutinee: returns the match
-  /// condition and pushes bindings onto \p Frame.
-  Ref matchSym(const Pattern *P, const SymVal &Scrut, Locals &Frame) {
+  /// condition and binds the pattern's variables.
+  Ref matchSym(const Pattern *P, const SymVal &Scrut) {
     switch (P->Kind) {
     case PatternKind::Wild:
       return Mgr.trueBdd();
     case PatternKind::Var:
-      Frame.emplace_back(P->Name, Scrut);
+      bind(P->Name, Scrut);
       return Mgr.trueBdd();
     case PatternKind::Lit:
-      return eqBits(Scrut, lift(Ctx.valueOfLiteral(P->Lit), P->Lit.type()));
+      return eqBits(Scrut, lift(Ctx.valueOfLiteral(P->Lit), Scrut.Ty));
     case PatternKind::None:
-      return Mgr.bddNot(Scrut.Bits[0]);
+      return Mgr.bddNot(bit(Scrut, 0));
     case PatternKind::Some: {
-      TypePtr Inner = resolve(Scrut.Ty)->Elems[0];
-      SymVal Payload = slice(Scrut, 1, Ctx.Layout.widthOf(Inner), Inner);
-      Ref Tag = Scrut.Bits[0];
-      return Mgr.bddAnd(Tag, matchSym(P->Elems[0].get(), Payload, Frame));
+      SymVal Payload = slice(Scrut, 1, Scrut.Ty->Elems[0].get());
+      return Mgr.bddAnd(bit(Scrut, 0), matchSym(P->Elems[0].get(), Payload));
     }
     case PatternKind::Tuple: {
-      TypePtr Ty = resolve(Scrut.Ty);
-      if (Ty->Kind == TypeKind::Edge) {
+      if (Scrut.Ty->Kind == TypeKind::Edge) {
         unsigned NB = Ctx.Layout.nodeBits();
-        Ref C1 = matchSym(P->Elems[0].get(),
-                          slice(Scrut, 0, NB, Type::nodeTy()), Frame);
-        Ref C2 = matchSym(P->Elems[1].get(),
-                          slice(Scrut, NB, NB, Type::nodeTy()), Frame);
+        Ref C1 = matchSym(P->Elems[0].get(), slice(Scrut, 0, NodeTy));
+        Ref C2 = matchSym(P->Elems[1].get(), slice(Scrut, NB, NodeTy));
         return Mgr.bddAnd(C1, C2);
       }
       Ref C = Mgr.trueBdd();
-      for (size_t I = 0; I < P->Elems.size(); ++I) {
-        auto [Off, W] = fieldRange(Ty, I);
-        C = Mgr.bddAnd(C, matchSym(P->Elems[I].get(),
-                                   slice(Scrut, Off, W, Ty->Elems[I]), Frame));
-      }
+      for (size_t I = 0; I < P->Elems.size(); ++I)
+        C = Mgr.bddAnd(C, matchSym(P->Elems[I].get(), field(Scrut, I)));
       return C;
     }
     case PatternKind::Record: {
-      TypePtr Ty = resolve(Scrut.Ty);
       Ref C = Mgr.trueBdd();
       for (size_t I = 0; I < P->Labels.size(); ++I) {
-        int Idx = Ty->labelIndex(P->Labels[I]);
-        auto [Off, W] = fieldRange(Ty, static_cast<size_t>(Idx));
-        C = Mgr.bddAnd(C,
-                       matchSym(P->Elems[I].get(),
-                                slice(Scrut, Off, W, Ty->Elems[Idx]), Frame));
+        int Idx = Scrut.Ty->labelIndex(P->Labels[I]);
+        C = Mgr.bddAnd(C, matchSym(P->Elems[I].get(),
+                                   field(Scrut, static_cast<size_t>(Idx))));
       }
       return C;
     }
@@ -216,182 +309,180 @@ private:
     nv_unreachable("covered switch");
   }
 
-  SymVal eval(const Expr *E, Locals &Frame, const ClosureData *Free) {
+  SymVal eval(const Expr *E, const ClosureData *Free) {
     switch (E->Kind) {
     case ExprKind::Const:
-      return lift(Ctx.valueOfLiteral(E->Lit), E->Lit.type());
+      return lift(Ctx.valueOfLiteral(E->Lit), E->Ty.get());
     case ExprKind::Var: {
-      if (const SymVal *S = lookupLocal(Frame, E->Name))
-        return *S;
+      if (const SymVal *L = lookupLocal(E->Name))
+        return *L;
       const Value *V = Free ? Free->lookupFree(E->Name) : nullptr;
       if (!V)
         evalError("unbound variable in symbolic evaluation: " + E->Name);
-      return lift(V, E->Ty);
+      return lift(V, E->Ty.get());
     }
     case ExprKind::Let: {
-      SymVal Init = eval(E->Args[0].get(), Frame, Free);
-      Frame.emplace_back(E->Name, std::move(Init));
-      SymVal R = eval(E->Args[1].get(), Frame, Free);
-      Frame.pop_back();
+      SymVal Init = eval(E->Args[0].get(), Free);
+      bind(E->Name, Init);
+      SymVal R = eval(E->Args[1].get(), Free);
+      S.Locals.pop_back();
       return R;
     }
     case ExprKind::Fun: {
-      SymVal S;
-      S.Ty = resolve(E->Ty);
-      S.FnExpr = E;
-      S.FnLocals = std::make_shared<Locals>(Frame);
-      S.FnFree = Free;
-      return S;
+      SymVal F;
+      F.Ty = resolve(E->Ty.get());
+      F.FnExpr = E;
+      F.EnvOff = static_cast<uint32_t>(S.Captures.size());
+      F.EnvLen = static_cast<uint32_t>(S.Locals.size() - FrameBase);
+      S.Captures.insert(S.Captures.end(), S.Locals.begin() + FrameBase,
+                        S.Locals.end());
+      F.FnFree = Free;
+      return F;
     }
     case ExprKind::App: {
-      SymVal FnV = eval(E->Args[0].get(), Frame, Free);
-      SymVal Arg = eval(E->Args[1].get(), Frame, Free);
-      return applySym(FnV, std::move(Arg));
+      SymVal FnV = eval(E->Args[0].get(), Free);
+      SymVal Arg = eval(E->Args[1].get(), Free);
+      return applySym(FnV, Arg);
     }
     case ExprKind::If: {
-      SymVal C = eval(E->Args[0].get(), Frame, Free);
-      Ref Cond = C.Bits[0];
+      Ref Cond = evalBool(E->Args[0].get(), Free);
       if (Cond == Mgr.trueBdd())
-        return eval(E->Args[1].get(), Frame, Free);
+        return eval(E->Args[1].get(), Free);
       if (Cond == Mgr.falseBdd())
-        return eval(E->Args[2].get(), Frame, Free);
-      SymVal T = eval(E->Args[1].get(), Frame, Free);
-      SymVal El = eval(E->Args[2].get(), Frame, Free);
+        return eval(E->Args[2].get(), Free);
+      SymVal T = eval(E->Args[1].get(), Free);
+      SymVal El = eval(E->Args[2].get(), Free);
       return mergeIte(Cond, T, El);
     }
     case ExprKind::Match: {
-      SymVal Scrut = eval(E->Args[0].get(), Frame, Free);
+      SymVal Scrut = eval(E->Args[0].get(), Free);
       // Evaluate each case body under its bindings; fold so the first
       // matching case wins and the final case is the default.
-      std::vector<Ref> Conds;
-      std::vector<SymVal> Bodies;
+      size_t Mark = S.Parts.size();
       for (const MatchCase &C : E->Cases) {
-        size_t Mark = Frame.size();
-        Ref Cond = matchSym(C.Pat.get(), Scrut, Frame);
+        size_t LocalsMark = S.Locals.size();
+        Ref Cond = matchSym(C.Pat.get(), Scrut);
         if (Cond == Mgr.falseBdd()) {
-          Frame.resize(Mark);
+          S.Locals.resize(LocalsMark);
           continue;
         }
-        Conds.push_back(Cond);
-        Bodies.push_back(eval(C.Body.get(), Frame, Free));
-        Frame.resize(Mark);
+        SymVal Body = eval(C.Body.get(), Free);
+        S.Locals.resize(LocalsMark);
+        S.Parts.push_back({Cond, Body});
         if (Cond == Mgr.trueBdd())
           break;
       }
-      if (Bodies.empty())
+      if (S.Parts.size() == Mark)
         evalError("symbolic match with no reachable cases");
-      SymVal R = Bodies.back();
-      for (size_t I = Bodies.size() - 1; I-- > 0;)
-        R = mergeIte(Conds[I], Bodies[I], R);
+      SymVal R = S.Parts.back().V;
+      for (size_t I = S.Parts.size() - 1; I-- > Mark;)
+        R = mergeIte(S.Parts[I].Cond, S.Parts[I].V, R);
+      S.Parts.resize(Mark);
       return R;
     }
     case ExprKind::Oper:
-      return evalOper(E, Frame, Free);
+      return evalOper(E, Free);
     case ExprKind::Tuple:
     case ExprKind::Record: {
-      SymVal Out;
-      Out.Ty = resolve(E->Ty);
+      size_t Mark = S.Parts.size();
       for (const ExprPtr &A : E->Args) {
-        SymVal S = eval(A.get(), Frame, Free);
-        Out.Bits.insert(Out.Bits.end(), S.Bits.begin(), S.Bits.end());
+        SymVal V = eval(A.get(), Free);
+        S.Parts.push_back({Mgr.trueBdd(), V});
       }
+      SymVal Out = fresh(resolve(E->Ty.get()));
+      for (size_t I = Mark; I < S.Parts.size(); ++I)
+        append(Out, S.Parts[I].V);
+      S.Parts.resize(Mark);
       return Out;
     }
-    case ExprKind::Proj: {
-      SymVal V = eval(E->Args[0].get(), Frame, Free);
-      TypePtr Ty = resolve(V.Ty);
-      auto [Off, W] = fieldRange(Ty, E->Index);
-      return slice(V, Off, W, Ty->Elems[E->Index]);
-    }
+    case ExprKind::Proj:
+      return field(eval(E->Args[0].get(), Free), E->Index);
     case ExprKind::RecordUpdate: {
-      SymVal Base = eval(E->Args[0].get(), Frame, Free);
-      TypePtr Ty = resolve(Base.Ty);
-      SymVal Out = Base;
+      SymVal Base = eval(E->Args[0].get(), Free);
+      SymVal Out = fresh(Base.Ty);
+      append(Out, Base);
       for (size_t I = 0; I < E->Labels.size(); ++I) {
-        int Idx = Ty->labelIndex(E->Labels[I]);
-        auto [Off, W] = fieldRange(Ty, static_cast<size_t>(Idx));
-        SymVal V = eval(E->Args[I + 1].get(), Frame, Free);
-        for (unsigned B = 0; B < W; ++B)
-          Out.Bits[Off + B] = V.Bits[B];
+        SymVal Dst = field(Out, Base.Ty->labelIndex(E->Labels[I]));
+        SymVal V = eval(E->Args[I + 1].get(), Free);
+        for (unsigned B = 0; B < Dst.Len; ++B)
+          S.Bits[Dst.Off + B] = bit(V, B);
       }
       return Out;
     }
     case ExprKind::Field: {
-      SymVal V = eval(E->Args[0].get(), Frame, Free);
-      TypePtr Ty = resolve(V.Ty);
-      int Idx = Ty->labelIndex(E->Name);
-      auto [Off, W] = fieldRange(Ty, static_cast<size_t>(Idx));
-      return slice(V, Off, W, Ty->Elems[Idx]);
+      SymVal V = eval(E->Args[0].get(), Free);
+      return field(V, V.Ty->labelIndex(E->Name));
     }
     case ExprKind::Some: {
-      SymVal Inner = eval(E->Args[0].get(), Frame, Free);
-      SymVal Out;
-      Out.Ty = resolve(E->Ty);
-      Out.Bits.push_back(Mgr.trueBdd());
-      Out.Bits.insert(Out.Bits.end(), Inner.Bits.begin(), Inner.Bits.end());
+      SymVal Inner = eval(E->Args[0].get(), Free);
+      SymVal Out = fresh(resolve(E->Ty.get()));
+      push(Out, Mgr.trueBdd());
+      append(Out, Inner);
       return Out;
     }
     case ExprKind::None: {
-      TypePtr Ty = resolve(E->Ty);
-      SymVal Out;
-      Out.Ty = Ty;
-      Out.Bits.push_back(Mgr.falseBdd());
-      unsigned W = Ctx.Layout.widthOf(Ty->Elems[0]);
-      Out.Bits.insert(Out.Bits.end(), W, Mgr.falseBdd());
+      SymVal Out = fresh(resolve(E->Ty.get()));
+      unsigned W = Ctx.Layout.widthOf(Out.Ty);
+      for (unsigned I = 0; I < W; ++I)
+        push(Out, Mgr.falseBdd());
       return Out;
     }
     }
     nv_unreachable("covered switch");
   }
 
-  SymVal applySym(const SymVal &FnV, SymVal Arg) {
+  SymVal applySym(const SymVal &FnV, const SymVal &Arg) {
     if (FnV.Fn) {
       const ClosureData *Clo = FnV.Fn->Closure.get();
       const Expr *Fn = Clo->sourceExpr();
       if (!Fn || Fn->Kind != ExprKind::Fun)
         evalError("cannot symbolically apply an opaque closure");
-      Locals Frame;
-      Frame.emplace_back(Fn->Name, std::move(Arg));
-      return eval(Fn->Args[0].get(), Frame, Clo);
+      return call(*Fn, 0, 0, Clo, Arg);
     }
-    if (FnV.FnExpr) {
-      Locals Frame = *FnV.FnLocals;
-      Frame.emplace_back(FnV.FnExpr->Name, std::move(Arg));
-      return eval(FnV.FnExpr->Args[0].get(), Frame, FnV.FnFree);
-    }
+    if (FnV.FnExpr)
+      return call(*FnV.FnExpr, FnV.EnvOff, FnV.EnvLen, FnV.FnFree, Arg);
     evalError("symbolic application of a non-function");
   }
 
-  SymVal evalOper(const Expr *E, Locals &Frame, const ClosureData *Free) {
+  Ref evalBool(const Expr *E, const ClosureData *Free) {
+    return bit(eval(E, Free), 0);
+  }
+
+  SymVal evalOper(const Expr *E, const ClosureData *Free) {
     Op O = E->OpCode;
     if (isMapOp(O))
       evalError("map operation '" + opToString(O) +
                 "' cannot appear inside a mapIte key predicate");
     switch (O) {
-    case Op::And:
-      return boolSym(Mgr.bddAnd(eval(E->Args[0].get(), Frame, Free).Bits[0],
-                                eval(E->Args[1].get(), Frame, Free).Bits[0]));
-    case Op::Or:
-      return boolSym(Mgr.bddOr(eval(E->Args[0].get(), Frame, Free).Bits[0],
-                               eval(E->Args[1].get(), Frame, Free).Bits[0]));
+    case Op::And: {
+      Ref A = evalBool(E->Args[0].get(), Free);
+      return boolSym(Mgr.bddAnd(A, evalBool(E->Args[1].get(), Free)));
+    }
+    case Op::Or: {
+      Ref A = evalBool(E->Args[0].get(), Free);
+      return boolSym(Mgr.bddOr(A, evalBool(E->Args[1].get(), Free)));
+    }
     case Op::Not:
-      return boolSym(Mgr.bddNot(eval(E->Args[0].get(), Frame, Free).Bits[0]));
+      return boolSym(Mgr.bddNot(evalBool(E->Args[0].get(), Free)));
     case Op::Eq:
     case Op::Neq: {
-      Ref R = eqBits(eval(E->Args[0].get(), Frame, Free),
-                     eval(E->Args[1].get(), Frame, Free));
+      SymVal A = eval(E->Args[0].get(), Free);
+      SymVal B = eval(E->Args[1].get(), Free);
+      Ref R = eqBits(A, B);
       return boolSym(O == Op::Eq ? R : Mgr.bddNot(R));
     }
     case Op::Add:
-    case Op::Sub:
-      return addSub(eval(E->Args[0].get(), Frame, Free),
-                    eval(E->Args[1].get(), Frame, Free), O == Op::Sub);
+    case Op::Sub: {
+      SymVal A = eval(E->Args[0].get(), Free);
+      SymVal B = eval(E->Args[1].get(), Free);
+      return addSub(A, B, O == Op::Sub);
+    }
     case Op::Lt:
     case Op::Le:
     case Op::Gt:
     case Op::Ge: {
-      SymVal A = eval(E->Args[0].get(), Frame, Free);
-      SymVal B = eval(E->Args[1].get(), Frame, Free);
+      SymVal A = eval(E->Args[0].get(), Free);
+      SymVal B = eval(E->Args[1].get(), Free);
       auto [Lt, Eq] = compareBits(A, B);
       switch (O) {
       case Op::Lt:
@@ -418,7 +509,9 @@ BddManager::Ref NvContext::predToBdd(const Value *Pred, const TypePtr &KeyTy) {
   auto It = PredCache.find(Key);
   if (It != PredCache.end())
     return It->second;
-  BddManager::Ref R = SymEval(*this).run(Pred->Closure.get(), KeyTy);
+  if (!Sym)
+    Sym.reset(new SymScratch);
+  BddManager::Ref R = SymEval(*this, *Sym).run(Pred->Closure.get(), KeyTy);
   PredCache.emplace(Key, R);
   return R;
 }

@@ -5,6 +5,7 @@
 #include "support/Fatal.h"
 #include "support/Governor.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace nv;
@@ -15,8 +16,19 @@ static uint64_t hashCombine(uint64_t H, uint64_t V) {
   return (H ^ V) * 0x9E3779B97F4A7C15ull;
 }
 
+static uint64_t kindSeed(Value::Kind K) {
+  return hashCombine(0x243F6A8885A308D3ull, static_cast<uint64_t>(K));
+}
+
+uint64_t Value::tupleHash(const Value *const *Elems, size_t N) {
+  uint64_t H = kindSeed(Kind::Tuple);
+  for (size_t I = 0; I < N; ++I)
+    H = hashCombine(H, reinterpret_cast<uint64_t>(Elems[I]));
+  return H ^ (H >> 32);
+}
+
 uint64_t Value::hash() const {
-  uint64_t H = hashCombine(0x243F6A8885A308D3ull, static_cast<uint64_t>(K));
+  uint64_t H = kindSeed(K);
   switch (K) {
   case Kind::Bool:
     H = hashCombine(H, B ? 1 : 0);
@@ -31,9 +43,7 @@ uint64_t Value::hash() const {
     H = hashCombine(hashCombine(H, N), N2);
     break;
   case Kind::Tuple:
-    for (const Value *E : Elems)
-      H = hashCombine(H, reinterpret_cast<uint64_t>(E));
-    break;
+    return tupleHash(Elems.data(), Elems.size());
   case Kind::Option:
     H = hashCombine(H, reinterpret_cast<uint64_t>(Inner));
     break;
@@ -123,6 +133,7 @@ Value *ValueArena::append(Value &&V) {
   // leaves the arena and table untouched.
   if (Governor::active())
     Governor::pollSafePoint(GovSite::EvalAlloc);
+  V.Serial = static_cast<uint32_t>(Storage.size());
   Storage.push_back(std::move(V));
   return &Storage.back();
 }
@@ -131,6 +142,21 @@ const Value *ValueArena::intern(Value &&V) {
   uint64_t H = V.hash();
   if (Value *Hit = Table.find(H, [&](const Value &O) { return O.equals(V); }))
     return Hit;
+  Value *P = append(std::move(V));
+  Table.insert(H, P);
+  return P;
+}
+
+const Value *ValueArena::internTuple(const Value *const *Elems, size_t N) {
+  uint64_t H = Value::tupleHash(Elems, N);
+  if (Value *Hit = Table.find(H, [&](const Value &O) {
+        return O.K == Value::Kind::Tuple &&
+               std::equal(Elems, Elems + N, O.Elems.begin(), O.Elems.end());
+      }))
+    return Hit;
+  Value V;
+  V.K = Value::Kind::Tuple;
+  V.Elems.assign(Elems, Elems + N);
   Value *P = append(std::move(V));
   Table.insert(H, P);
   return P;

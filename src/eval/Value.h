@@ -84,6 +84,9 @@ public:
   unsigned Width = 32; ///< Int width.
   uint32_t N = 0;      ///< Node id; Edge source.
   uint32_t N2 = 0;     ///< Edge target.
+  /// Position in the arena's storage order: a deterministic identity that
+  /// MTBDD leaf tables hash by instead of the address.
+  uint32_t Serial = 0;
   std::vector<const Value *> Elems; ///< Tuple components.
   const Value *Inner = nullptr;     ///< Option payload (null = None).
   BddManager::Ref MapRoot = 0;      ///< Map: canonical MTBDD root.
@@ -99,6 +102,8 @@ public:
   /// Structural hash; maps hash by canonical root. Closures have none:
   /// they are canonical by construction and never interned.
   uint64_t hash() const;
+  /// hash() of a tuple with components \p Elems[0..N).
+  static uint64_t tupleHash(const Value *const *Elems, size_t N);
   /// Structural equality consistent with hash() (not for closures).
   bool equals(const Value &O) const;
 
@@ -113,6 +118,9 @@ class ValueArena {
 public:
   /// The canonical copy of \p V (not a closure).
   const Value *intern(Value &&V);
+  /// The canonical tuple of \p Elems[0..N), read in place: a vector is
+  /// built only when the tuple is new.
+  const Value *internTuple(const Value *const *Elems, size_t N);
   /// Stores \p V without interning: closures are canonical by construction
   /// (NvContext's closure table).
   const Value *store(Value &&V);

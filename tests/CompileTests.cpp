@@ -10,6 +10,7 @@
 #include "eval/Compile.h"
 #include "eval/Interp.h"
 #include "sim/Simulator.h"
+#include "support/Governor.h"
 
 #include <gtest/gtest.h>
 
@@ -75,7 +76,18 @@ INSTANTIATE_TEST_SUITE_P(
         " (fun v -> match v with | None -> None | Some x -> Some (x + 1)) "
         " (fun v -> None) m)[9u4]",
         "match 2n with | 0n -> 10 | 2n -> 20 | _ -> 30",
-        "let (a, b) = (4, 7) in a - b"));
+        "let (a, b) = (4, 7) in a - b",
+        // Tuples and record updates are built on top of the frame: binders
+        // and closures inside their components must still find their slots.
+        "let y = 5 in (let a = 1 in a + y, let b = 2 in (b, let c = b in c + y))",
+        "let y = 5 in ((fun x -> x + y) 1, let w = 3 in (fun z -> z + w + y) 2)",
+        "match (Some 1, (match 3 with | x -> (x, x + 1))) with "
+        "| (Some a, (b, c)) -> a + b + c | _ -> 0",
+        "let r = {lp = 7; med = 2; len = 1} in "
+        "{r with med = let z = r.lp in z + 1; len = match r.med with | x -> x + 10}",
+        "let r = {lp = 7; med = 2} in "
+        "let f (s : {lp : int; med : int}) = {s with lp = let q = s.med in q} in "
+        "(f r, f {r with med = 9})"));
 
 const char *Fig2b = R"nv(
 include bgp
@@ -188,6 +200,105 @@ TEST(Compiled, PredicateBddsWorkFromCompiledClosures) {
       Ctx.encodeValue(Ctx.edgeV(U, V), Type::edgeTy(), Bits);
       EXPECT_EQ(Ctx.Mgr.get(Bdd, Bits) == Ctx.TrueV, U == 4 && V == 1);
     }
+}
+
+//===----------------------------------------------------------------------===//
+// Evaluation state across throws
+//===----------------------------------------------------------------------===//
+
+const char *Ring = R"nv(
+let nodes = 4
+let edges = {0n=1n;1n=2n;2n=3n;3n=0n}
+type attribute = dict[int3, option[(int8, node)]]
+let init (u : node) =
+  let base : attribute = createDict None in
+  match u with
+  | 0n -> base[0u3 := Some (0u8, 0n)]
+  | 2n -> mapIte (fun k -> k > 4u3) (fun v -> Some (0u8, 2n)) (fun v -> v) base
+  | _ -> base
+let trans (e : edge) (x : attribute) =
+  let (u, v) = e in
+  map (fun r -> match r with
+    | None -> None
+    | Some (d, o) -> if o = v then None else Some (d + 1u8, o)) x
+let merge (u : node) (x : attribute) (y : attribute) =
+  combine (fun a b ->
+    match a, b with
+    | _, None -> a
+    | None, _ -> b
+    | Some (d1, o1), Some (d2, o2) -> if d1 <= d2 then a else b) x y
+)nv";
+
+/// Simulates Ring natively on \p Ctx under \p Budget; labels rendered,
+/// so that runs on different contexts compare.
+std::vector<std::string> ringLabels(NvContext &Ctx, const Program &P,
+                                    const RunBudget &Budget, RunStatus Want,
+                                    const char *WantSite = nullptr) {
+  CompiledProgramEvaluator EC(Ctx, P);
+  SimOptions Opts;
+  Opts.Budget = Budget;
+  SimResult R = simulate(P, EC, Opts);
+  EXPECT_EQ(R.Outcome.Status, Want) << R.Outcome.str();
+  if (WantSite) {
+    EXPECT_STREQ(R.Outcome.Site, WantSite);
+  }
+  std::vector<std::string> Out;
+  for (const Value *L : R.Labels)
+    Out.push_back(L ? Ctx.printValue(L) : "-");
+  return Out;
+}
+
+/// A compiled closure that throws inside a map operation's leaf callback —
+/// nested compiled calls hold leased frames at the throw — gives every
+/// frame back, and the context simulates afterwards like a fresh one.
+TEST(Compiled, ThrowsInsideMapLeavesReturnEveryFrame) {
+  DiagnosticEngine Diags;
+  auto P = parseProgram(Ring, Diags);
+  ASSERT_TRUE(P.has_value()) << Diags.str();
+  ASSERT_TRUE(typeCheck(*P, Diags)) << Diags.str();
+  const RunBudget Default = SimOptions{}.Budget;
+  NvContext Fresh(P->numNodes());
+  const std::vector<std::string> Want =
+      ringLabels(Fresh, *P, Default, RunStatus::Ok);
+
+  NvContext Ctx(P->numNodes());
+  // Only Some leaves are covered: the None leaves make the match throw
+  // once mapIte calls the closure from inside apply2.
+  ExprPtr E = parseExprString(
+      "fun (m : dict[int3, option[int]]) -> "
+      "  let g = fun (n : int) -> mapIte (fun k -> k > 3u3) "
+      "    (fun v -> match v with | Some x -> Some (x + n)) (fun v -> v) m in "
+      "  (g 1, g 2)",
+      Diags);
+  ASSERT_TRUE(E && typeCheckExpr(E, Diags)) << Diags.str();
+  Frame F;
+  const Value *Fn = Compiler(Ctx).compile(E)(F);
+  const Value *M = Ctx.mapSet(
+      Ctx.mapCreate(Type::intTy(3), Ctx.noneV()), Ctx.intV(5, 3),
+      Ctx.someV(Ctx.intV(1)));
+  try {
+    Ctx.applyClosure(Fn, M);
+    ADD_FAILURE() << "the inexhaustive match did not throw";
+  } catch (const EngineError &Err) {
+    EXPECT_EQ(Err.outcome().Status, RunStatus::EvalError);
+  }
+  EXPECT_EQ(Ctx.framesLeased(), 0u);
+
+  // A live-node budget trips at an apply-cache miss, in the middle of an
+  // apply2 the compiled code started. (Step budgets count simulator pops,
+  // so they trip between applies; the simulator catches both.)
+  RunBudget Nodes = Default;
+  Nodes.MaxLiveNodes = Ctx.Mgr.numNodes() + 8;
+  ringLabels(Ctx, *P, Nodes, RunStatus::NodeBudgetExceeded,
+             "apply-cache-miss");
+  EXPECT_EQ(Ctx.framesLeased(), 0u);
+  RunBudget Steps = Default;
+  Steps.MaxSteps = 2;
+  ringLabels(Ctx, *P, Steps, RunStatus::StepBudgetExceeded);
+  EXPECT_EQ(Ctx.framesLeased(), 0u);
+
+  EXPECT_EQ(ringLabels(Ctx, *P, Default, RunStatus::Ok), Want);
+  EXPECT_EQ(Ctx.framesLeased(), 0u);
 }
 
 } // namespace

@@ -244,6 +244,142 @@ INSTANTIATE_TEST_SUITE_P(
         "fun (k : int8) -> (match k = 7u8 with | true -> true | _ -> k = 9u8)",
         "fun (k : int8) -> (fun (j : int8) -> j > 250u8) k"));
 
+/// A predicate over a compound key: \c Src is a closed expression of type
+/// `KeyTy -> bool`, or `edge -> KeyTy -> bool` when \c TakesEdge (it is
+/// applied to the edge 1n~2n first, as the fault-tolerance transform's
+/// predicates capture their edge).
+struct KeyedPred {
+  const char *KeyTy;
+  const char *Src;
+  bool TakesEdge = false;
+};
+
+std::ostream &operator<<(std::ostream &OS, const KeyedPred &P) {
+  return OS << P.Src;
+}
+
+class PredBddKeys : public ::testing::TestWithParam<KeyedPred> {};
+
+/// predToBdd of \p Pred agrees with concrete application on every key.
+void expectPredMatchesConcrete(NvContext &Ctx, const Value *Pred,
+                               const TypePtr &KeyTy) {
+  BddManager::Ref Bdd = Ctx.predToBdd(Pred, KeyTy);
+  std::vector<const Value *> Keys = Ctx.enumerateType(KeyTy);
+  ASSERT_GT(Keys.size(), 1u);
+  for (const Value *Key : Keys) {
+    std::vector<bool> Bits;
+    Ctx.encodeValue(Key, KeyTy, Bits);
+    bool FromBdd = Ctx.Mgr.get(Bdd, Bits) == Ctx.TrueV;
+    bool Concrete = Ctx.applyClosure(Pred, Key)->isTrue();
+    ASSERT_EQ(FromBdd, Concrete) << "at key " << Ctx.printValue(Key);
+  }
+}
+
+TEST_P(PredBddKeys, MatchesConcreteEvaluationOnEveryKey) {
+  const KeyedPred &C = GetParam();
+  DiagnosticEngine Diags;
+  TypePtr KeyTy = parseTypeString(C.KeyTy, Diags);
+  ASSERT_TRUE(KeyTy) << Diags.str();
+  ExprPtr E = parseExprString(C.Src, Diags);
+  ASSERT_TRUE(E) << Diags.str();
+  ASSERT_TRUE(typeCheckExpr(E, Diags)) << Diags.str();
+  // Interpreted and compiled closures reach SymEval through different
+  // capture lookups; separate contexts keep their predicate caches apart.
+  for (bool Compiled : {false, true}) {
+    SCOPED_TRACE(Compiled ? "compiled" : "interpreted");
+    NvContext Ctx(5);
+    Interp I(Ctx); // interpreted closures call back into it
+    Frame F;
+    const Value *Pred =
+        Compiled ? Compiler(Ctx).compile(E)(F) : I.eval(E.get(), nullptr);
+    if (C.TakesEdge)
+      Pred = Ctx.applyClosure(Pred, Ctx.edgeV(1, 2));
+    ASSERT_EQ(Pred->K, Value::Kind::Closure);
+    expectPredMatchesConcrete(Ctx, Pred, KeyTy);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CompoundKeys, PredBddKeys,
+    ::testing::Values(
+        KeyedPred{"(int8, int8)", "fun (k : (int8, int8)) -> k.0 = k.1"},
+        KeyedPred{"(int8, int8)",
+                  "fun (k : (int8, int8)) -> (match k with | (a, b) -> "
+                  "a + b < 7u8 || a - b >= 250u8)"},
+        KeyedPred{"(int8, int8)",
+                  "fun (k : (int8, int8)) -> k.0 <= 3u8 && k.1 > 100u8 && "
+                  "k.0 <> k.1"},
+        // The fault-tolerance transfer predicate's shape: a captured
+        // curried closure applied to the key, the edge and a link index.
+        KeyedPred{"(node, int3, int3)",
+                  "fun (e : edge) -> let i = 5u3 in "
+                  "let aff = fun (key : (node, int3, int3)) -> "
+                  "  fun (e2 : edge) -> fun (j : int3) -> "
+                  "  (match key with | (fn, k0, k1) -> "
+                  "    ((k0 = j) || (k1 = j)) || "
+                  "    (match e2 with | (u, v) -> (fn = u) || (fn = v))) in "
+                  "fun (key : (node, int3, int3)) -> ((aff key) e) i",
+                  true},
+        KeyedPred{"(node, int3, int3)",
+                  "fun (k : (node, int3, int3)) -> (match k with "
+                  "| (n, 3u3, _) -> true | (2n, a, b) -> a < b | _ -> false)"},
+        KeyedPred{"{a : int3; b : option[int2]}",
+                  "fun (k : {a : int3; b : option[int2]}) -> "
+                  "({k with a = k.a + 1u3}).a = 0u3 || "
+                  "(match k.b with | Some 2u2 -> true | _ -> false)"},
+        KeyedPred{"{a : int3; b : option[int2]}",
+                  "fun (k : {a : int3; b : option[int2]}) -> "
+                  "{k with b = None; a = 4u3} = {a = k.a; b = k.b}"},
+        KeyedPred{"(int3, int3)",
+                  "fun (k : (int3, int3)) -> (match (if k.0 < k.1 then "
+                  "Some (k.1 - k.0) else None) with | None -> k.0 = 7u3 "
+                  "| Some 1u3 -> true | Some d -> d > 4u3)"},
+        KeyedPred{"(int3, int3)",
+                  "fun (k : (int3, int3)) -> ((k.0 < k.1) = (k.1 > k.0)) && "
+                  "((k.0 <= k.1) || (k.0 >= k.1)) && "
+                  "!(k.0 = 2u3 && k.1 <> 5u3)"},
+        KeyedPred{"(int3, int3)",
+                  "fun (k : (int3, int3)) -> let t = (k.1, k.0) in "
+                  "t.0 = k.1 && ({x = t.1; y = true} = {x = 6u3; y = true})"},
+        KeyedPred{"option[int3]",
+                  "fun (k : option[int3]) -> k = Some 3u3 || k = None"},
+        KeyedPred{"int4", "fun (k : int4) -> let f = fun (x : int4) -> x + k "
+                          "in f 1u4 = 0u4 || f k = 6u4"}));
+
+/// Evaluation errors keep their EngineError, and a failed run leaves the
+/// context's symbolic scratch usable.
+TEST(SymBdd, ErrorsRaiseEvalErrorAndLeaveContextUsable) {
+  NvContext Ctx(4);
+  Interp I(Ctx);
+  std::vector<ExprPtr> Exprs; // closures point into their source
+  auto Closure = [&](const char *Src) {
+    DiagnosticEngine Diags;
+    ExprPtr E = parseExprString(Src, Diags);
+    EXPECT_TRUE(E && typeCheckExpr(E, Diags)) << Diags.str();
+    Exprs.push_back(E);
+    return I.eval(E.get(), nullptr);
+  };
+  TypePtr KeyTy = Type::intTy(3);
+  auto ExpectError = [&](const char *Src, const char *Msg) {
+    try {
+      Ctx.predToBdd(Closure(Src), KeyTy);
+      ADD_FAILURE() << "no error from " << Src;
+    } catch (const EngineError &E) {
+      EXPECT_EQ(E.outcome().Status, RunStatus::EvalError);
+      EXPECT_NE(std::string(E.what()).find(Msg), std::string::npos)
+          << E.what();
+    }
+  };
+  ExpectError("fun (k : int3) -> let m : dict[int3, bool] = createDict true "
+              "in m[k]",
+              "cannot appear inside a mapIte key predicate");
+  ExpectError("fun (k : int3) -> (if k < 2u3 then (fun (x : int3) -> x = "
+              "1u3) else (fun (x : int3) -> x = 2u3)) k",
+              "cannot merge function values under a symbolic condition");
+  expectPredMatchesConcrete(
+      Ctx, Closure("fun (k : int3) -> (k, k) = (1u3, 1u3)"), KeyTy);
+}
+
 TEST(SymBdd, EdgeEqualityPredicate) {
   // The fault-tolerance transfer predicate: fun e' -> e = e'.
   NvContext Ctx(6);
@@ -501,6 +637,56 @@ let merge (u : node) (x : attribute) (y : attribute) =
   EXPECT_EQ(DistTo(2, 1)->Inner->I, 0u);
   // Unannounced prefixes stay None everywhere.
   EXPECT_TRUE(DistTo(1, 2)->isNone());
+}
+
+/// The leaf table hashes values by arena serial, so a simulation's
+/// unique-table probe count does not depend on where the heap put its
+/// values: two live contexts, with other allocations between them,
+/// report the same count.
+TEST(Simulate, LeafProbeCountsIgnoreHeapLayout) {
+  // Every node announces 32 prefixes with distinct costs: a few hundred
+  // distinct leaves, enough for the leaf table to see collisions.
+  std::string Src = "let nodes = 6\n"
+                    "let edges = {0n=1n;1n=2n;2n=3n;3n=4n;4n=5n;5n=0n}\n"
+                    "type attribute = dict[int5, option[int16]]\n"
+                    "let init (u : node) =\n"
+                    "  let m : attribute = createDict None in\n"
+                    "  match u with\n";
+  for (unsigned U = 0; U < 6; ++U) {
+    Src += "  | ";
+    Src += std::to_string(U);
+    Src += "n -> m";
+    for (unsigned K = 0; K < 32; ++K) {
+      Src += "[";
+      Src += std::to_string(K);
+      Src += "u5 := Some ";
+      Src += std::to_string(1000 * U + 7 * K);
+      Src += "u16]";
+    }
+    Src += "\n";
+  }
+  Src += "  | _ -> m\n"
+         "let trans (e : edge) (x : attribute) =\n"
+         "  map (fun v -> match v with | None -> None "
+         "| Some d -> Some (d + 1u16)) x\n"
+         "let merge (u : node) (x : attribute) (y : attribute) =\n"
+         "  combine (fun a b -> match a, b with | _, None -> a | None, _ -> b\n"
+         "    | Some c, Some d -> if c <= d then a else b) x y\n";
+  Program P = parseAndCheck(Src);
+  auto Run = [&](NvContext &Ctx) {
+    CompiledProgramEvaluator Eval(Ctx, P);
+    EXPECT_TRUE(simulate(P, Eval).Converged);
+    return std::make_pair(Ctx.Mgr.uniqueProbes(), Ctx.Mgr.uniqueLookups());
+  };
+  NvContext A(P.numNodes());
+  auto First = Run(A);
+  std::vector<std::unique_ptr<char[]>> Ballast;
+  for (size_t I = 1; I <= 64; ++I)
+    Ballast.emplace_back(new char[I * 104]);
+  NvContext B(P.numNodes());
+  auto Second = Run(B);
+  EXPECT_GT(First.first, 0u);
+  EXPECT_EQ(First, Second);
 }
 
 } // namespace

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# asan.sh — ASan+UBSan build of the BDD, GC and parallel suites, to catch
-# the memory errors a moving collector can introduce (stale Refs, table
-# over-reads) that functional tests may survive by luck. UBSan reports
-# are fatal (-fno-sanitize-recover), so any new one fails the stage.
+# asan.sh — ASan+UBSan build of the BDD, GC, parallel and evaluator
+# suites, to catch the memory errors a moving collector can introduce
+# (stale Refs, table over-reads) and those of the evaluator's reused
+# storage (pooled closure frames, the symbolic bit arena) that functional
+# tests may survive by luck. UBSan reports are fatal
+# (-fno-sanitize-recover), so any new one fails the stage.
 #
 # Usage: tools/ci/asan.sh [BUILD_DIR]
 set -euo pipefail
@@ -16,10 +18,10 @@ cmake -B "$BUILD_DIR" -S . \
   -DNV_WERROR="${NV_WERROR:-OFF}" \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
-cmake --build "$BUILD_DIR" -j"$JOBS" \
-  --target bdd_tests gc_tests parallel_tests governor_tests serve_tests
-"./$BUILD_DIR/tests/bdd_tests"
-"./$BUILD_DIR/tests/gc_tests"
-"./$BUILD_DIR/tests/parallel_tests"
-"./$BUILD_DIR/tests/governor_tests"
-"./$BUILD_DIR/tests/serve_tests"
+SUITES="bdd_tests gc_tests parallel_tests governor_tests serve_tests
+        eval_tests compile_tests alloc_tests"
+# shellcheck disable=SC2086 # one target and one binary per word
+cmake --build "$BUILD_DIR" -j"$JOBS" --target $SUITES
+for T in $SUITES; do
+  "$BUILD_DIR/tests/$T"
+done
