@@ -329,10 +329,13 @@ std::optional<Program> nv::makeFaultTolerantProgram(const Program &P,
   size_t First = Out.Decls.size();
 
   // Predicate over keys: scenario affects edge e, whose link indices are
-  // the __i parameters (failed link, or failed node adjacent to e).
+  // the __i parameters (failed link, or failed node adjacent to e). Only a
+  // key with a node field reads e: without one, both directions of a link
+  // share one predicate closure, so one predicate BDD.
   {
-    std::vector<std::pair<std::string, TypePtr>> Params = {
-        {"key", K}, {"e", Type::edgeTy()}};
+    std::vector<std::pair<std::string, TypePtr>> Params = {{"key", K}};
+    if (!Key.Node.empty())
+      Params.emplace_back("e", Type::edgeTy());
     for (size_t R = 0; R < Ranks; ++R)
       Params.emplace_back(ranked("__i", R), LinkTy);
     ExprPtr Cond;
@@ -366,23 +369,34 @@ std::optional<Program> nv::makeFaultTolerantProgram(const Program &P,
   Out.Decls.push_back(
       funDecl("init", {{"u", Type::nodeTy()}}, std::move(Init), DictTy));
 
-  // trans: Fig. 5's transFail, generalized to multi-failure keys.
-  std::vector<ExprPtr> AffectsArgs = {Expr::var("key"), Expr::var("e")};
+  // trans: Fig. 5's transFail, generalized to multi-failure keys. The
+  // link indices, predicate, drop and transfer functions are bound outside
+  // `fun x`, so the evaluator's cached partial application `trans e`
+  // builds them once per edge.
+  std::vector<ExprPtr> AffectsArgs = {Expr::var("key")};
+  if (!Key.Node.empty())
+    AffectsArgs.push_back(Expr::var("e"));
   for (size_t R = 0; R < Ranks; ++R)
     AffectsArgs.push_back(Expr::var(ranked("__i", R)));
-  ExprPtr Trans = Expr::oper(
-      Op::MMapIte,
-      {Lambda("key", K, App("__ft_affects", std::move(AffectsArgs))),
-       DropFn(),
-       Lambda("v", P.AttrType,
-              App("__base_trans", {Expr::var("e"), Expr::var("v")})),
-       Expr::var("x")});
+  ExprPtr Trans = Lambda(
+      "x", DictTy,
+      Expr::oper(Op::MMapIte, {Expr::var("__ft_pred"), Expr::var("__ft_drop"),
+                               Expr::var("__ft_trans"), Expr::var("x")}));
+  Trans = Expr::let(
+      "__ft_pred",
+      Lambda("key", K, App("__ft_affects", std::move(AffectsArgs))),
+      Expr::let("__ft_drop", DropFn(),
+                Expr::let("__ft_trans",
+                          Lambda("v", P.AttrType,
+                                 App("__base_trans",
+                                     {Expr::var("e"), Expr::var("v")})),
+                          std::move(Trans))));
   for (size_t R = Ranks; R-- > 0;)
     Trans = Expr::let(ranked("__i", R),
                       App(ranked("__ft_link", R), {Expr::var("e")}),
                       std::move(Trans));
-  Out.Decls.push_back(funDecl(
-      "trans", {{"e", Type::edgeTy()}, {"x", DictTy}}, std::move(Trans)));
+  Out.Decls.push_back(
+      funDecl("trans", {{"e", Type::edgeTy()}}, std::move(Trans)));
 
   // merge: Fig. 5's mergeFail.
   Out.Decls.push_back(funDecl(

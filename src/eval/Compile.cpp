@@ -11,24 +11,45 @@ using namespace nv;
 
 namespace {
 
-/// A compiled closure: pre-compiled body plus its closure-table entry,
-/// which holds the captured free-variable values. Calling copies the
-/// capture into a frame leased from the context's pool and pushes the
-/// argument — no environment search and, once the pool is warm, no
-/// allocation at runtime. The entry is the context's, so it outlives the
-/// closure value.
+/// A compiled closure: its Fun's code plus its closure-table entry, which
+/// holds the captured free-variable values. Calling copies the capture
+/// into a frame leased from the context's pool and pushes the argument —
+/// no environment search and, once the pool is warm, no allocation at
+/// runtime. The entry is the context's, so it outlives the closure value.
 class CompiledClosure : public ClosureData {
 public:
   CompiledClosure(NvContext &Ctx, const NvContext::ClosureEntry &E,
-                  std::shared_ptr<const CExpr> Body)
-      : Ctx(Ctx), E(E), Body(std::move(Body)) {}
+                  std::shared_ptr<const FunCode> Code)
+      : Ctx(Ctx), E(E), Code(std::move(Code)) {}
 
-  const Value *call(const Value *Arg) const override {
-    NvContext::FrameLease Lease(Ctx);
-    Frame &F = *Lease;
-    F.assign(E.Captured.begin(), E.Captured.end());
-    F.push_back(Arg);
-    return (*Body)(F);
+  const Value *call(const Value *Arg) const override { return callN(&Arg, 1); }
+
+  /// Walks the Inner chain of a curried body, one parameter per argument:
+  /// each inner frame is filled from the slots of the frame around it, so
+  /// no closure is built for an intermediate application. Arguments past
+  /// the chain's end apply to the body's result.
+  const Value *callN(const Value *const *Args, size_t N) const override {
+    const FunCode *C = Code.get();
+    size_t I = 1;
+    const Value *R;
+    {
+      NvContext::FrameLease Lease(Ctx);
+      Frame &F = *Lease;
+      F.assign(E.Captured.begin(), E.Captured.end());
+      F.push_back(Args[0]);
+      for (; I < N && C->Inner; ++I) {
+        C = C->Inner.get();
+        size_t Mark = F.size();
+        for (int Slot : C->FreeSlots) {
+          const Value *V = F[Slot];
+          F.push_back(V);
+        }
+        F.push_back(Args[I]);
+        F.erase(F.begin(), F.begin() + Mark);
+      }
+      R = C->Body(F);
+    }
+    return I == N ? R : NvContext::applyClosureN(R, Args + I, N - I);
   }
 
   uint64_t cacheKey() const override { return E.Id; }
@@ -45,7 +66,7 @@ public:
 private:
   NvContext &Ctx;
   const NvContext::ClosureEntry &E;
-  std::shared_ptr<const CExpr> Body;
+  std::shared_ptr<const FunCode> Code;
 };
 
 } // namespace
@@ -146,48 +167,36 @@ CExpr Compiler::compile(const ExprPtr &E) {
       return V;
     };
   }
-  case ExprKind::Fun: {
-    // Compile the body once against [free vars..., param]. Each runtime
-    // evaluation looks its captured free values up in the closure table
-    // and builds a closure only for a new combination.
-    const std::vector<std::string> &FreeNames = freeVarsOf(E.get());
-    std::vector<int> FreeSlots;
-    for (const std::string &Name : FreeNames) {
-      int Slot = slotOf(Name);
-      if (Slot < 0)
-        evalError("compile: unbound free variable " + Name);
-      FreeSlots.push_back(Slot);
+  case ExprKind::Fun:
+    return funNode(compileFun(E));
+  case ExprKind::App: {
+    // A spine `f a1 ... an` is one call: the head, then the arguments left
+    // to right, gathered on top of the frame (each compiled above one
+    // nameless slot per argument before it, as in Tuple).
+    std::vector<const ExprPtr *> ArgExprs;
+    const ExprPtr *Head = &E;
+    for (; (*Head)->Kind == ExprKind::App; Head = &(*Head)->Args[0])
+      ArgExprs.push_back(&(*Head)->Args[1]);
+    CExpr Fn = compile(*Head);
+    auto Args = std::make_shared<std::vector<CExpr>>();
+    size_t ScopeMark = Scope.size();
+    for (auto It = ArgExprs.rbegin(); It != ArgExprs.rend(); ++It) {
+      Args->push_back(compile(**It));
+      Scope.emplace_back();
     }
-    std::vector<std::string> Saved = std::move(Scope);
-    Scope = FreeNames;
-    Scope.push_back(E->Name);
-    auto Body = std::make_shared<const CExpr>(compile(E->Args[0]));
-    Scope = std::move(Saved);
-
-    NvContext *C = &Ctx;
-    const Expr *Src = E.get();
-    return [C, Src, FreeSlots, Body](Frame &F) {
-      // The captured values are gathered on top of the frame, which saves
-      // an allocation when the table already has the closure.
+    Scope.resize(ScopeMark);
+    return [Fn, Args](Frame &F) {
+      const Value *Head = Fn(F);
       size_t Mark = F.size();
-      for (int Slot : FreeSlots) {
-        const Value *V = F[Slot];
+      for (const CExpr &A : *Args) {
+        const Value *V = A(F);
         F.push_back(V);
       }
-      const Value *Clo = C->canonicalClosure(
-          Src, F.data() + Mark, FreeSlots.size(),
-          [&](const NvContext::ClosureEntry &Entry) {
-            return std::make_shared<CompiledClosure>(*C, Entry, Body);
-          });
+      const Value *R =
+          NvContext::applyClosureN(Head, F.data() + Mark, Args->size());
       F.resize(Mark);
-      return Clo;
+      return R;
     };
-  }
-  case ExprKind::App: {
-    CExpr Fn = compile(E->Args[0]);
-    CExpr Arg = compile(E->Args[1]);
-    NvContext *C = &Ctx;
-    return [C, Fn, Arg](Frame &F) { return C->applyClosure(Fn(F), Arg(F)); };
   }
   case ExprKind::If: {
     CExpr Cond = compile(E->Args[0]);
@@ -303,6 +312,54 @@ CExpr Compiler::compile(const ExprPtr &E) {
   }
   }
   nv_unreachable("covered switch");
+}
+
+std::shared_ptr<const FunCode> Compiler::compileFun(const ExprPtr &E) {
+  // The body is compiled once against [free vars..., param]; a body that
+  // is itself a Fun keeps its code as Inner, for callN's chain walk.
+  auto Code = std::make_shared<FunCode>();
+  Code->Src = E.get();
+  const std::vector<std::string> &FreeNames = freeVarsOf(E.get());
+  for (const std::string &Name : FreeNames) {
+    int Slot = slotOf(Name);
+    if (Slot < 0)
+      evalError("compile: unbound free variable " + Name);
+    Code->FreeSlots.push_back(Slot);
+  }
+  std::vector<std::string> Saved = std::move(Scope);
+  Scope = FreeNames;
+  Scope.push_back(E->Name);
+  const ExprPtr &Body = E->Args[0];
+  if (Body->Kind == ExprKind::Fun) {
+    Code->Inner = compileFun(Body);
+    Code->Body = funNode(Code->Inner);
+  } else {
+    Code->Body = compile(Body);
+  }
+  Scope = std::move(Saved);
+  return Code;
+}
+
+CExpr Compiler::funNode(std::shared_ptr<const FunCode> Code) {
+  // Each evaluation looks its captured free values up in the closure
+  // table and builds a closure only for a new combination. The values are
+  // gathered on top of the frame, which saves an allocation when the
+  // table already has the closure.
+  NvContext *C = &Ctx;
+  return [C, Code = std::move(Code)](Frame &F) {
+    size_t Mark = F.size();
+    for (int Slot : Code->FreeSlots) {
+      const Value *V = F[Slot];
+      F.push_back(V);
+    }
+    const Value *Clo = C->canonicalClosure(
+        Code->Src, F.data() + Mark, Code->FreeSlots.size(),
+        [&](const NvContext::ClosureEntry &Entry) {
+          return std::make_shared<CompiledClosure>(*C, Entry, Code);
+        });
+    F.resize(Mark);
+    return Clo;
+  };
 }
 
 CExpr Compiler::compileOper(const ExprPtr &E) {
@@ -467,7 +524,7 @@ const Value *CompiledProgramEvaluator::merge(uint32_t U, const Value *A,
     Partial = pinned(Ctx.applyClosure(MergeClo, Ctx.nodeV(U)));
     MergePartial.emplace(U, Partial);
   }
-  return Ctx.applyClosure(Ctx.applyClosure(Partial, A), B);
+  return Ctx.applyClosure2(Partial, A, B);
 }
 
 bool CompiledProgramEvaluator::assertAt(uint32_t U, const Value *A) {

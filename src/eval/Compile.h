@@ -31,6 +31,20 @@ namespace nv {
 /// unchanged.
 using CExpr = std::function<const Value *(Frame &)>;
 
+/// The compiled code of one Fun expression, shared by its Fun node and
+/// every closure built from it.
+struct FunCode {
+  const Expr *Src = nullptr;
+  /// Slots of Src's free variables (freeVarsOf order) in the frame the Fun
+  /// is evaluated in.
+  std::vector<int> FreeSlots;
+  /// The body, compiled against [free vars..., param].
+  CExpr Body;
+  /// The body's code when the body is itself a Fun (a curried function);
+  /// its FreeSlots index the frame Body runs in.
+  std::shared_ptr<const FunCode> Inner;
+};
+
 /// Compiles expressions against a lexical scope of named slots.
 class Compiler {
 public:
@@ -51,6 +65,9 @@ private:
 
   int slotOf(const std::string &Name) const;
   CExpr compileOper(const ExprPtr &E);
+  std::shared_ptr<const FunCode> compileFun(const ExprPtr &E);
+  /// The Fun node of \p Code: builds (or finds) its canonical closure.
+  CExpr funNode(std::shared_ptr<const FunCode> Code);
   /// Compiles a pattern match attempt: pushes bindings onto the frame on
   /// success (caller resets the frame on failure). Extends Scope with the
   /// pattern's bound variables.

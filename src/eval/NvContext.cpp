@@ -11,14 +11,6 @@
 
 using namespace nv;
 
-namespace {
-enum TagKind : uint64_t {
-  TagKindMap = 1,
-  TagKindCombine = 2,
-  TagKindIte = 3,
-};
-} // namespace
-
 NvContext::NvContext(uint32_t NumNodes) : Layout(NumNodes) {
   Value T;
   T.K = Value::Kind::Bool;
@@ -195,6 +187,20 @@ const Value *NvContext::applyClosure(const Value *Fn, const Value *Arg) {
   return Fn->Closure->call(Arg);
 }
 
+const Value *NvContext::applyClosureN(const Value *Fn,
+                                      const Value *const *Args, size_t N) {
+  if (Fn->K != Value::Kind::Closure)
+    evalError("applied a non-function value: " + Fn->str());
+  return Fn->Closure->callN(Args, N);
+}
+
+const Value *ClosureData::callN(const Value *const *Args, size_t N) const {
+  const Value *R = call(Args[0]);
+  for (size_t I = 1; I < N; ++I)
+    R = NvContext::applyClosure(R, Args[I]);
+  return R;
+}
+
 //===----------------------------------------------------------------------===//
 // Bit encoding
 //===----------------------------------------------------------------------===//
@@ -352,9 +358,8 @@ const Value *NvContext::mapCombine(const Value *Fn, const Value *A,
   BddManager::Ref R = Mgr.apply2(
       A->MapRoot, B->MapRoot,
       [&](const void *X, const void *Y) {
-        const Value *F1 =
-            applyClosure(Fn, static_cast<const Value *>(X));
-        return applyClosure(F1, static_cast<const Value *>(Y));
+        return applyClosure2(Fn, static_cast<const Value *>(X),
+                             static_cast<const Value *>(Y));
       },
       Tag);
   return mapV(R, A->KeyType);

@@ -79,7 +79,15 @@ public:
   const Value *valueOfLiteral(const Literal &L);
 
   /// Applies an NV function value to an argument.
-  const Value *applyClosure(const Value *Fn, const Value *Arg);
+  static const Value *applyClosure(const Value *Fn, const Value *Arg);
+  /// Applies \p Fn to \p Args[0..N), N >= 1: `Fn a1 ... an` in one call.
+  static const Value *applyClosureN(const Value *Fn, const Value *const *Args,
+                                    size_t N);
+  static const Value *applyClosure2(const Value *Fn, const Value *A,
+                                    const Value *B) {
+    const Value *Args[2] = {A, B};
+    return applyClosureN(Fn, Args, 2);
+  }
 
   /// A frame leased from the context's pool for one compiled-closure call.
   /// The frame goes back to the pool, capacity kept, when the lease ends,
@@ -238,6 +246,14 @@ public:
   /// Closure values stored in the arena (distinct closures).
   uint64_t closures() const { return Closures; }
 
+  /// The map operations' tag kinds; K1 (and K2, for mapIte's else branch)
+  /// are the closures' ids.
+  enum TagKind : uint64_t {
+    TagKindMap = 1,
+    TagKindCombine = 2,
+    TagKindIte = 3,
+  };
+
   /// A stable MTBDD operation tag for the semantic operation identified by
   /// (Kind, K1, K2): same inputs, same tag.
   uint64_t opTag(uint64_t Kind, uint64_t K1, uint64_t K2 = 0);
@@ -246,6 +262,8 @@ public:
   /// encoding of its key-typed parameter, by symbolic evaluation of the
   /// closure body (implemented in SymBdd.cpp).
   BddManager::Ref predToBdd(const Value *Pred, const TypePtr &KeyTy);
+  /// Predicate BDDs built so far: one per distinct predicate closure id.
+  size_t predicatesCached() const { return PredCache.size(); }
   /// Storage symbolic evaluation reuses across predToBdd runs (opaque;
   /// defined in SymBdd.cpp).
   struct SymScratch;

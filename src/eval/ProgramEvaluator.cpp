@@ -85,7 +85,7 @@ const Value *InterpProgramEvaluator::merge(uint32_t U, const Value *A,
     Partial = pinned(Ctx.applyClosure(MergeClo, Ctx.nodeV(U)));
     MergePartial.emplace(U, Partial);
   }
-  return Ctx.applyClosure(Ctx.applyClosure(Partial, A), B);
+  return Ctx.applyClosure2(Partial, A, B);
 }
 
 bool InterpProgramEvaluator::assertAt(uint32_t U, const Value *A) {

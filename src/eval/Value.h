@@ -47,6 +47,11 @@ public:
   /// Applies the closure to one argument.
   virtual const Value *call(const Value *Arg) const = 0;
 
+  /// Applies the closure to \p Args[0..N), N >= 1, as `f a1 ... an`. The
+  /// default applies them one at a time; compiled closures run a curried
+  /// body without building the closures in between.
+  virtual const Value *callN(const Value *const *Args, size_t N) const;
+
   /// A stable identity for MTBDD operation caching: two closures with the
   /// same key must denote the same function. Computed from the source
   /// expression identity and the captured environment values.

@@ -96,6 +96,48 @@ INSTANTIATE_TEST_SUITE_P(
         "  (fun v -> match v with | None -> None | Some y -> Some (y + 1)) "
         "  (fun v -> None) m)[6u3]"));
 
+/// A saturated call of a curried function runs its innermost body in one
+/// leased frame: once warm it allocates nothing and, its result already
+/// interned, evaluates no Fun at all.
+TEST(Allocations, WarmSaturatedCallBuildsNoClosure) {
+  NvContext Ctx(4);
+  ExprPtr E = parseChecked("fun (a : int) -> fun (b : int) -> fun (c : int) "
+                           "-> (a + b, c)");
+  ASSERT_TRUE(E);
+  Frame F;
+  const Value *Fn = Compiler(Ctx).compile(E)(F);
+  const Value *Args[3] = {Ctx.intV(1), Ctx.intV(2), Ctx.intV(3)};
+  const Value *First = Ctx.applyClosureN(Fn, Args, 3);
+  uint64_t Created = Ctx.closuresCreated();
+  const Value *Second = nullptr;
+  EXPECT_EQ(allocationsOf([&] { Second = Ctx.applyClosureN(Fn, Args, 3); }),
+            0u);
+  EXPECT_EQ(First, Second);
+  EXPECT_EQ(Ctx.closuresCreated(), Created);
+  EXPECT_EQ(Ctx.framesLeased(), 0u);
+}
+
+/// mapCombine's leaf callback, `f x y` through applyClosure2, likewise.
+TEST(Allocations, WarmCombineLeafCallBuildsNoClosure) {
+  NvContext Ctx(4);
+  ExprPtr E = parseChecked("fun (x : option[int]) -> fun (y : option[int]) "
+                           "-> match x, y with "
+                           "  | _, None -> x | None, _ -> y "
+                           "  | Some a, Some b -> if a <= b then x else y");
+  ASSERT_TRUE(E);
+  Frame F;
+  const Value *Fn = Compiler(Ctx).compile(E)(F);
+  const Value *X = Ctx.someV(Ctx.intV(4)), *Y = Ctx.someV(Ctx.intV(2));
+  const Value *First = Ctx.applyClosure2(Fn, X, Y);
+  uint64_t Created = Ctx.closuresCreated();
+  const Value *Second = nullptr;
+  EXPECT_EQ(allocationsOf([&] { Second = Ctx.applyClosure2(Fn, X, Y); }), 0u);
+  EXPECT_EQ(First, Y);
+  EXPECT_EQ(Second, Y);
+  EXPECT_EQ(Ctx.closuresCreated(), Created);
+  EXPECT_EQ(Ctx.framesLeased(), 0u);
+}
+
 TEST(Allocations, CachedPredicateAllocatesNothing) {
   NvContext Ctx(4);
   ExprPtr E = parseChecked(

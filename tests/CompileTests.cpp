@@ -87,7 +87,28 @@ INSTANTIATE_TEST_SUITE_P(
         "{r with med = let z = r.lp in z + 1; len = match r.med with | x -> x + 10}",
         "let r = {lp = 7; med = 2} in "
         "let f (s : {lp : int; med : int}) = {s with lp = let q = s.med in q} in "
-        "(f r, f {r with med = 9})"));
+        "(f r, f {r with med = 9})",
+        // Application spines are one call: saturated calls of curried
+        // functions, and partial applications kept and applied later.
+        "let f (a : int) (b : int) (c : int) = a - b + c in f 10 3 4",
+        "let f (a : int) (b : int) (c : int) (d : int) = (a - b, c - d) in "
+        "f 10 3 9 2",
+        "let f (a : int) (b : int) (c : int) = a - b + c in "
+        "let g = f 10 in let h = g 3 in (g 1 2, h 4, f 1 2 3)",
+        // Over-application through a body that returns a function.
+        "let g (x : int) (y : int) = x + y in "
+        "let h (x : int) (y : int) = x - y in "
+        "let pick (c : bool) = if c then g else h in "
+        "(pick true 5 2, pick false 5 2)",
+        // A Fun chain broken by a let: the rest applies to the body's value.
+        "let f (a : int) = let b = a + 1 in fun (c : int) -> "
+        "  fun (d : int) -> a + b + c - d in f 1 2 3",
+        // Arguments with binders and closures of their own, built above the
+        // arguments already gathered.
+        "let f (a : int) (b : int) (c : int) = a - b - c in let y = 2 in "
+        "f (let z = 10 in z + y) (let w = 1 in w) (match y with | q -> q + y)",
+        "let y = 5 in let ap (f : int -> int) (x : int) = f x in "
+        "(ap (fun z -> z + y) (let t = 3 in t), ap ((fun a b -> a + b) 1) 2)"));
 
 const char *Fig2b = R"nv(
 include bgp
@@ -202,6 +223,73 @@ TEST(Compiled, PredicateBddsWorkFromCompiledClosures) {
     }
 }
 
+/// A partial application kept as a value is the closure applying one
+/// argument at a time builds: its id numbers the closure entries in
+/// creation order (the outer Fun, f, then `f 1`), and combine's op-cache
+/// tag is the first one the context hands out. The leaf calls `g x y`
+/// run f's body without building a closure, so the interpreter's closure
+/// over the same capture shares the id, the tag and the cached result.
+TEST(Compiled, KeptPartialApplicationKeepsItsIdAndTag) {
+  NvContext Ctx(4);
+  DiagnosticEngine Diags;
+  ExprPtr E = parseExprString(
+      "fun (m : dict[int2, int]) -> "
+      "  let f = fun (a : int) -> fun (b : int) -> fun (c : int) -> a + b + c in "
+      "  let g = f 1 in (g, combine g m m)",
+      Diags);
+  ASSERT_TRUE(E && typeCheckExpr(E, Diags)) << Diags.str();
+  const Value *M = Ctx.mapSet(Ctx.mapCreate(Type::intTy(2), Ctx.intV(3)),
+                              Ctx.intV(1, 2), Ctx.intV(7));
+  Frame F;
+  const Value *R = Ctx.applyClosure(Compiler(Ctx).compile(E)(F), M);
+  const Value *G = R->Elems[0];
+  ASSERT_EQ(G->K, Value::Kind::Closure);
+  EXPECT_EQ(G->Closure->cacheKey(), 3u);
+  EXPECT_EQ(Ctx.opTag(NvContext::TagKindCombine, 3), 1u);
+  EXPECT_EQ(Ctx.mapGet(R->Elems[1], Ctx.intV(1, 2)), Ctx.intV(15));
+  EXPECT_EQ(Ctx.mapGet(R->Elems[1], Ctx.intV(0, 2)), Ctx.intV(7));
+  EXPECT_EQ(Ctx.closures(), 3u);
+  EXPECT_EQ(Ctx.closuresCreated(), 3u);
+
+  Interp I(Ctx);
+  const Value *RI = Ctx.applyClosure(I.eval(E.get(), nullptr), M);
+  EXPECT_EQ(RI->Elems[0]->Closure->cacheKey(), 3u);
+  EXPECT_EQ(RI->Elems[1], R->Elems[1]);
+  EXPECT_EQ(Ctx.opTag(NvContext::TagKindCombine, 3), 1u);
+}
+
+/// Applying a non-function inside a spine, at its head or past the end of
+/// a Fun chain, raises the error applying one argument at a time raises.
+/// The expressions are not type-checked: the checker would reject them.
+TEST(Compiled, NonFunctionInSpineRaisesTheSameError) {
+  for (const char *Src :
+       {"1 2 3", "(fun x -> x) 1 2", "(fun x -> fun y -> x) 1 2 3",
+        "(fun x -> let y = x in fun z -> y) 4 5 6"}) {
+    NvContext Ctx(4);
+    DiagnosticEngine Diags;
+    ExprPtr E = parseExprString(Src, Diags);
+    ASSERT_TRUE(E) << Src << "\n" << Diags.str();
+    auto ErrorOf = [&](auto &&Eval) -> std::string {
+      try {
+        Eval();
+      } catch (const EngineError &Err) {
+        EXPECT_EQ(Err.outcome().Status, RunStatus::EvalError);
+        return Err.what();
+      }
+      return "<no error>";
+    };
+    Interp I(Ctx);
+    std::string Interpreted = ErrorOf([&] { I.eval(E.get(), nullptr); });
+    Frame F;
+    std::string Compiled = ErrorOf([&] { Compiler(Ctx).compile(E)(F); });
+    EXPECT_NE(Interpreted.find("applied a non-function value"),
+              std::string::npos)
+        << Src << ": " << Interpreted;
+    EXPECT_EQ(Compiled, Interpreted) << Src;
+    EXPECT_EQ(Ctx.framesLeased(), 0u);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Evaluation state across throws
 //===----------------------------------------------------------------------===//
@@ -297,6 +385,42 @@ TEST(Compiled, ThrowsInsideMapLeavesReturnEveryFrame) {
   ringLabels(Ctx, *P, Steps, RunStatus::StepBudgetExceeded);
   EXPECT_EQ(Ctx.framesLeased(), 0u);
 
+  EXPECT_EQ(ringLabels(Ctx, *P, Default, RunStatus::Ok), Want);
+  EXPECT_EQ(Ctx.framesLeased(), 0u);
+}
+
+/// The same, thrown from the innermost body of a saturated curried call:
+/// callN has filled two inner frames when the match fails.
+TEST(Compiled, ThrowsInsideCallChainReturnEveryFrame) {
+  DiagnosticEngine Diags;
+  auto P = parseProgram(Ring, Diags);
+  ASSERT_TRUE(P.has_value()) << Diags.str();
+  ASSERT_TRUE(typeCheck(*P, Diags)) << Diags.str();
+  const RunBudget Default = SimOptions{}.Budget;
+  NvContext Fresh(P->numNodes());
+  const std::vector<std::string> Want =
+      ringLabels(Fresh, *P, Default, RunStatus::Ok);
+
+  NvContext Ctx(P->numNodes());
+  ExprPtr E = parseExprString(
+      "fun (m : dict[int3, option[int]]) -> "
+      "  let f = fun (a : int) -> fun (v : option[int]) -> fun (c : int) -> "
+      "    match v with | Some x -> Some (x + a + c) in "
+      "  map (fun v -> f 1 v 2) m",
+      Diags);
+  ASSERT_TRUE(E && typeCheckExpr(E, Diags)) << Diags.str();
+  Frame F;
+  const Value *Fn = Compiler(Ctx).compile(E)(F);
+  const Value *M = Ctx.mapSet(
+      Ctx.mapCreate(Type::intTy(3), Ctx.noneV()), Ctx.intV(5, 3),
+      Ctx.someV(Ctx.intV(1)));
+  try {
+    Ctx.applyClosure(Fn, M);
+    ADD_FAILURE() << "the inexhaustive match did not throw";
+  } catch (const EngineError &Err) {
+    EXPECT_EQ(Err.outcome().Status, RunStatus::EvalError);
+  }
+  EXPECT_EQ(Ctx.framesLeased(), 0u);
   EXPECT_EQ(ringLabels(Ctx, *P, Default, RunStatus::Ok), Want);
   EXPECT_EQ(Ctx.framesLeased(), 0u);
 }

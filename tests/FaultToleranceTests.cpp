@@ -13,6 +13,7 @@
 #include "core/Printer.h"
 #include "core/TypeChecker.h"
 #include "eval/Compile.h"
+#include "net/Generators.h"
 #include "support/Journal.h"
 #include "support/ThreadPool.h"
 
@@ -75,17 +76,22 @@ const std::vector<std::pair<int, int>> Diamond = {{0, 1}, {0, 2}, {1, 3},
 /// Line: 0-1-2-3 — any link failure cuts reachability.
 const std::vector<std::pair<int, int>> Line = {{0, 1}, {1, 2}, {2, 3}};
 
-/// Oracle check: the meta-program's per-scenario routes equal the naive
-/// per-scenario simulation's routes, for every node and scenario.
-void expectMatchesNaive(const std::string &Src, const FtOptions &Opts) {
-  Program P = parseAndCheck(Src);
+/// Oracle check: the meta-program's per-scenario routes, simulated by the
+/// interpreter or the compiled evaluator, equal the naive per-scenario
+/// simulation's routes, for every node and scenario.
+void expectMatchesNaive(const Program &P, const FtOptions &Opts,
+                        bool Compiled = false) {
   DiagnosticEngine Diags;
   auto Meta = makeFaultTolerantProgram(P, Opts, Diags);
   ASSERT_TRUE(Meta.has_value()) << Diags.str();
 
   NvContext Ctx(P.numNodes());
-  InterpProgramEvaluator MetaEval(Ctx, *Meta);
-  SimResult MetaR = simulate(*Meta, MetaEval);
+  std::unique_ptr<ProtocolEvaluator> MetaEval;
+  if (Compiled)
+    MetaEval = std::make_unique<CompiledProgramEvaluator>(Ctx, *Meta);
+  else
+    MetaEval = std::make_unique<InterpProgramEvaluator>(Ctx, *Meta);
+  SimResult MetaR = simulate(*Meta, *MetaEval);
   ASSERT_TRUE(MetaR.Converged);
 
   InterpProgramEvaluator BaseEval(Ctx, P);
@@ -101,6 +107,10 @@ void expectMatchesNaive(const std::string &Src, const FtOptions &Opts) {
           << FromMeta->str() << " naive=" << NaiveR.Labels[U]->str();
     }
   }
+}
+
+void expectMatchesNaive(const std::string &Src, const FtOptions &Opts) {
+  expectMatchesNaive(parseAndCheck(Src), Opts);
 }
 
 /// Steps \p Cur to the next non-decreasing sequence of link indices
@@ -1128,6 +1138,43 @@ TEST(FaultTolerance, CompiledEvaluatorAgrees) {
   EXPECT_EQ(RI.Check.Violations.size(), RC.Check.Violations.size());
 }
 
+/// Without a node field the transfer predicate captures only the edge's
+/// link indices, so both directions of a link share one predicate closure
+/// id and one predicate BDD. A node-failure key also reads the edge: one
+/// predicate per directed edge, plus init's one per node.
+TEST(FaultTolerance, OnePredicateBddPerLink) {
+  DiagnosticEngine Diags;
+  auto P = loadGenerated(generateFatSingle(4), Diags);
+  ASSERT_TRUE(P.has_value()) << Diags.str();
+  const size_t Links = P->links().size(), Nodes = P->numNodes();
+  for (bool Compiled : {false, true})
+    for (unsigned F : {1u, 2u})
+      for (bool Node : {false, true}) {
+        FtOptions Opts;
+        Opts.LinkFailures = F;
+        Opts.NodeFailure = Node;
+        NvContext Ctx(P->numNodes());
+        FtRunResult R = runFaultTolerance(*P, Opts, Compiled, Diags,
+                                          /*CheckAsserts=*/true, &Ctx);
+        ASSERT_TRUE(R.Outcome.ok()) << R.Outcome.str();
+        EXPECT_EQ(Ctx.predicatesCached(), Node ? 2 * Links + Nodes : Links)
+            << "links " << F << (Node ? " + node" : "")
+            << (Compiled ? ", compiled" : ", interpreted");
+      }
+}
+
+TEST(FaultTolerance, NodeFailureKeysMatchNaiveOnFatTree) {
+  DiagnosticEngine Diags;
+  auto P = loadGenerated(generateFatSingle(4), Diags);
+  ASSERT_TRUE(P.has_value()) << Diags.str();
+  for (unsigned F : {0u, 1u}) {
+    FtOptions Opts;
+    Opts.LinkFailures = F;
+    Opts.NodeFailure = true;
+    expectMatchesNaive(*P, Opts, /*Compiled=*/true);
+  }
+}
+
 TEST(FaultTolerance, SharingCollapsesScenarios) {
   // Fig. 4's insight: the number of distinct routes across scenarios is
   // far below the number of scenarios. On the diamond, node 3's dict over
@@ -1247,9 +1294,8 @@ std::string examplesMetaPrograms() {
 }
 
 TEST(FaultTolerance, MetaProgramsMatchGolden) {
-  // tests/golden/ft_meta.txt was printed by the text-based transform
-  // (print the renamed base, append generated NV, re-parse, re-check), so
-  // the typed transform must build the very same programs. A mismatch
+  // tests/golden/ft_meta.txt pins the meta-program the transform builds
+  // for every example and failure configuration. A mismatch
   // writes the new text to ft_meta.actual.txt in the working directory;
   // replace the golden with it only for an intended change of the
   // meta-program, and say why in CHANGES.md.

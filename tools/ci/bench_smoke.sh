@@ -15,14 +15,14 @@ cmake --build "$BUILD_DIR" -j"$JOBS" \
   --target fig13b_fault_scaling fig14_simulation serve_latency fleet_overhead
 
 mkdir -p bench-artifacts
-"./$BUILD_DIR/bench/fig13b_fault_scaling" --smoke --json bench-artifacts/fig13b.json
-"./$BUILD_DIR/bench/fig14_simulation" --smoke --json bench-artifacts/fig14.json
+"$BUILD_DIR/bench/fig13b_fault_scaling" --smoke --json bench-artifacts/fig13b.json
+"$BUILD_DIR/bench/fig14_simulation" --smoke --json bench-artifacts/fig14.json
 # The saturation record tracks admission behavior (shed_rate by absolute
 # drift, accepted_p99_ms like any timing) against the baseline.
-"./$BUILD_DIR/bench/serve_latency" --smoke --saturate \
+"$BUILD_DIR/bench/serve_latency" --smoke --saturate \
   --json bench-artifacts/serve_saturation.json
 # Fleet dispatch tax: in-process vs 1-worker fleet wall time per job.
-"./$BUILD_DIR/bench/fleet_overhead" --smoke \
+"$BUILD_DIR/bench/fleet_overhead" --smoke \
   --json bench-artifacts/fleet_overhead.json
 
 python3 tools/ci/bench_compare.py BENCH_2.json \

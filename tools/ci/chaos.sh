@@ -23,7 +23,7 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
   -DNV_WERROR="${NV_WERROR:-OFF}" ${CMAKE_EXTRA:-}
 cmake --build "$BUILD_DIR" -j"$JOBS" --target nv
 
-NV="./$BUILD_DIR/tools/nv"
+NV="$BUILD_DIR/tools/nv"
 ART=chaos-artifacts
 mkdir -p "$ART"
 

@@ -25,8 +25,8 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
   -DNV_WERROR="${NV_WERROR:-OFF}" ${CMAKE_EXTRA:-}
 cmake --build "$BUILD_DIR" -j"$JOBS" --target nv nv-fuzz
 
-NV="./$BUILD_DIR/tools/nv"
-NV_FUZZ="./$BUILD_DIR/tools/nv-fuzz"
+NV="$BUILD_DIR/tools/nv"
+NV_FUZZ="$BUILD_DIR/tools/nv-fuzz"
 ART=fleet-chaos-artifacts
 mkdir -p "$ART"
 

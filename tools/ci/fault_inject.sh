@@ -19,8 +19,8 @@ JOBS=${JOBS:-$(nproc)}
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release ${CMAKE_EXTRA:-}
 cmake --build "$BUILD_DIR" -j"$JOBS" --target nv nv-fuzz
 
-NV="./$BUILD_DIR/tools/nv"
-NV_FUZZ="./$BUILD_DIR/tools/nv-fuzz"
+NV="$BUILD_DIR/tools/nv"
+NV_FUZZ="$BUILD_DIR/tools/nv-fuzz"
 
 # expect_code CODE DESC CMD...: run CMD, require exit code CODE exactly.
 # Signal deaths (abort = 134, segfault = 139) show up as wrong codes.

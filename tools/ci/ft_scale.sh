@@ -22,7 +22,7 @@ trap 'rm -rf "$WORK"' EXIT
 
 (
   ulimit -v 1048576
-  "./$BUILD_DIR/bench/fig13b_fault_scaling" --cell 20:3 --json "$WORK/out.json"
+  "$BUILD_DIR/bench/fig13b_fault_scaling" --cell 20:3 --json "$WORK/out.json"
 )
 
 python3 - "$WORK/out.json" <<'PY'

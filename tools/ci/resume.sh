@@ -22,8 +22,8 @@ JOBS=${JOBS:-$(nproc)}
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release ${CMAKE_EXTRA:-}
 cmake --build "$BUILD_DIR" -j"$JOBS" --target nv nv-fuzz
 
-NV="./$BUILD_DIR/tools/nv"
-NV_FUZZ="./$BUILD_DIR/tools/nv-fuzz"
+NV="$BUILD_DIR/tools/nv"
+NV_FUZZ="$BUILD_DIR/tools/nv-fuzz"
 
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT

@@ -33,7 +33,7 @@ else
 fi
 cmake --build "$BUILD_DIR" -j"$JOBS" --target nv
 
-NV="./$BUILD_DIR/tools/nv"
+NV="$BUILD_DIR/tools/nv"
 ART=serve-artifacts
 mkdir -p "$ART"
 # Socket paths are length-limited (sun_path), so keep it in /tmp.
@@ -191,7 +191,7 @@ echo "$SUMMARY" | grep -q "0 pending" || {
 
 echo "== saturation smoke: admission sheds with retry hints, accepted work completes"
 cmake --build "$BUILD_DIR" -j"$JOBS" --target serve_latency
-"./$BUILD_DIR/bench/serve_latency" --smoke --saturate \
+"$BUILD_DIR/bench/serve_latency" --smoke --saturate \
   --json "$ART/serve_saturation.json"
 
 echo "serve e2e: all checks passed"

@@ -11,7 +11,7 @@ cd "$(dirname "$0")/../.."
 BUILD_DIR=${1:-build}
 COUNT=${2:-200}
 SEED=${3:-1}
-FUZZ="./$BUILD_DIR/tools/nv-fuzz"
+FUZZ="$BUILD_DIR/tools/nv-fuzz"
 
 cmake --build "$BUILD_DIR" -j"${JOBS:-$(nproc)}" --target nv-fuzz
 

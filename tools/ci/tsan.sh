@@ -17,7 +17,7 @@ cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build "$BUILD_DIR" -j"$JOBS" \
   --target parallel_tests threadpool_tests governor_tests serve_tests
-"./$BUILD_DIR/tests/threadpool_tests"
-"./$BUILD_DIR/tests/parallel_tests"
-"./$BUILD_DIR/tests/governor_tests"
-"./$BUILD_DIR/tests/serve_tests"
+"$BUILD_DIR/tests/threadpool_tests"
+"$BUILD_DIR/tests/parallel_tests"
+"$BUILD_DIR/tests/governor_tests"
+"$BUILD_DIR/tests/serve_tests"
