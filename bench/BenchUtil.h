@@ -12,13 +12,17 @@
 //   --gc-watermark N  MTBDD garbage-collection watermark in nodes for all
 //                contexts the run creates (exported as NV_GC_WATERMARK;
 //                0 disables collection, 1 collects at every safe point)
-// and prints one aligned table matching the figure's rows/series.
+// and prints one aligned table matching the figure's rows/series. A
+// --timeout or --threads value that is not an unsigned decimal ("abc",
+// "3x", "-1") exits 2 with the usage text.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef NV_BENCH_BENCHUTIL_H
 #define NV_BENCH_BENCHUTIL_H
 
+#include "support/Json.h"
+#include "support/ParseNumber.h"
 #include "support/ThreadPool.h"
 
 #include <cstdio>
@@ -29,6 +33,27 @@
 
 namespace nvbench {
 
+/// Prints \p Flag's bad \p Value and the usage text, then exits 2.
+/// \p Extra lists the benchmark's own flags.
+[[noreturn]] inline void usageError(const char *Prog, const char *Flag,
+                                    const char *Value,
+                                    const char *Extra = "") {
+  std::fprintf(stderr,
+               "%s: invalid value for %s: '%s'\n"
+               "usage: %s [--paper] [--smoke] [--timeout S] [--threads N] "
+               "[--json PATH] [--gc-watermark N]%s\n",
+               Prog, Flag, Value, Prog, Extra);
+  std::exit(2);
+}
+
+/// argv[I] as an unsigned decimal, or the usage error for argv[I - 1].
+inline unsigned unsignedArg(char **argv, int I, const char *Extra = "") {
+  unsigned V = 0;
+  if (!nv::parseInteger(argv[I], V))
+    usageError(argv[0], argv[I - 1], argv[I], Extra);
+  return V;
+}
+
 struct Args {
   bool Paper = false;
   bool Smoke = false;
@@ -36,7 +61,8 @@ struct Args {
   unsigned Threads = 1;
   std::string JsonPath;
 
-  static Args parse(int argc, char **argv) {
+  /// \p Extra lists the benchmark's own flags for the usage text.
+  static Args parse(int argc, char **argv, const char *Extra = "") {
     Args A;
     if (const char *Env = std::getenv("NV_THREADS")) {
       int N = std::atoi(Env);
@@ -49,9 +75,9 @@ struct Args {
       else if (!std::strcmp(argv[I], "--smoke"))
         A.Smoke = true;
       else if (!std::strcmp(argv[I], "--timeout") && I + 1 < argc)
-        A.TimeoutSec = static_cast<unsigned>(atoi(argv[++I]));
+        A.TimeoutSec = unsignedArg(argv, ++I, Extra);
       else if (!std::strcmp(argv[I], "--threads") && I + 1 < argc)
-        A.Threads = static_cast<unsigned>(atoi(argv[++I]));
+        A.Threads = unsignedArg(argv, ++I, Extra);
       else if (!std::strcmp(argv[I], "--json") && I + 1 < argc)
         A.JsonPath = argv[++I];
       else if (!std::strcmp(argv[I], "--gc-watermark") && I + 1 < argc)
@@ -67,8 +93,8 @@ struct Args {
 };
 
 /// Collects one flat JSON object per measurement and writes them as an
-/// array, for BENCH_*.json trajectory tracking. Keys/strings must not need
-/// escaping (benchmark and network names are plain identifiers).
+/// array, for BENCH_*.json trajectory tracking. Keys must not need escaping
+/// (they are plain identifiers); string values are escaped.
 class JsonReport {
 public:
   /// Starts a new record; returns *this for chaining field() calls.
@@ -77,7 +103,7 @@ public:
     return field("bench", Bench);
   }
   JsonReport &field(const std::string &Key, const std::string &V) {
-    Records.back().push_back({Key, "\"" + V + "\""});
+    Records.back().push_back({Key, nv::Json(V).dump()});
     return *this;
   }
   JsonReport &field(const std::string &Key, double V) {

@@ -40,7 +40,7 @@ bool parseCell(std::string_view V, unsigned &K, unsigned &F) {
 }
 
 int main(int argc, char **argv) {
-  Args A = Args::parse(argc, argv);
+  Args A = Args::parse(argc, argv, " [--cell K:F]");
   struct Net {
     std::string Name;
     std::string Src;

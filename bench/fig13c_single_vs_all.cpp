@@ -18,7 +18,6 @@
 #include "bench/BenchUtil.h"
 #include "core/Parser.h"
 #include "core/TypeChecker.h"
-#include "eval/Compile.h"
 #include "net/Generators.h"
 #include "support/Timer.h"
 
@@ -38,12 +37,7 @@ bool runOneLeaf(const Program &Meta, NvContext &Ctx, uint32_t Dest,
                 bool Native) {
   Ctx.resetBetweenRuns();
   SymbolicAssignment Sym{{"dest", Ctx.nodeV(Dest)}};
-  std::unique_ptr<ProtocolEvaluator> Eval;
-  if (Native)
-    Eval = std::make_unique<CompiledProgramEvaluator>(Ctx, Meta, Sym);
-  else
-    Eval = std::make_unique<InterpProgramEvaluator>(Ctx, Meta, Sym);
-  SimResult R = simulate(Meta, *Eval);
+  SimResult R = simulate(Meta, *makeProgramEvaluator(Ctx, Meta, Native, Sym));
   return R.Converged;
 }
 
@@ -81,12 +75,7 @@ double singleMode(const Program &Meta, const std::vector<uint32_t> &Leaves,
 double allMode(const Program &Meta, bool Native) {
   Stopwatch W;
   NvContext Ctx(Meta.numNodes());
-  std::unique_ptr<ProtocolEvaluator> Eval;
-  if (Native)
-    Eval = std::make_unique<CompiledProgramEvaluator>(Ctx, Meta);
-  else
-    Eval = std::make_unique<InterpProgramEvaluator>(Ctx, Meta);
-  SimResult R = simulate(Meta, *Eval);
+  SimResult R = simulate(Meta, *makeProgramEvaluator(Ctx, Meta, Native));
   return R.Converged ? W.elapsedMs() : -1;
 }
 

@@ -43,6 +43,10 @@ using namespace nvbench;
 
 namespace {
 
+/// serve_latency's own flags, for the usage text.
+const char *const ServeLatencyFlags =
+    " [--min-speedup X] [--repeats N] [--saturate]";
+
 double median(std::vector<double> Xs) {
   std::sort(Xs.begin(), Xs.end());
   size_t N = Xs.size();
@@ -187,17 +191,19 @@ double coldQuery(const std::string &Src, unsigned LinkFailures) {
 } // namespace
 
 int main(int argc, char **argv) {
-  Args A = Args::parse(argc, argv);
+  Args A = Args::parse(argc, argv, ServeLatencyFlags);
   double MinSpeedup = 0;
   unsigned Repeats = 10;
   bool Saturate = false;
   for (int I = 1; I < argc; ++I) {
-    if (!std::strcmp(argv[I], "--min-speedup") && I + 1 < argc)
-      MinSpeedup = std::atof(argv[++I]);
-    else if (!std::strcmp(argv[I], "--repeats") && I + 1 < argc)
-      Repeats = static_cast<unsigned>(std::atoi(argv[++I]));
-    else if (!std::strcmp(argv[I], "--saturate"))
+    if (!std::strcmp(argv[I], "--min-speedup") && I + 1 < argc) {
+      if (!parseNonNegative(argv[++I], MinSpeedup))
+        usageError(argv[0], argv[I - 1], argv[I], ServeLatencyFlags);
+    } else if (!std::strcmp(argv[I], "--repeats") && I + 1 < argc) {
+      Repeats = unsignedArg(argv, ++I, ServeLatencyFlags);
+    } else if (!std::strcmp(argv[I], "--saturate")) {
       Saturate = true;
+    }
   }
   if (Saturate)
     return runSaturate(A);

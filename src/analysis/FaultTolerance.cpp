@@ -4,7 +4,6 @@
 
 #include "core/Parser.h"
 #include "core/TypeChecker.h"
-#include "eval/Compile.h"
 #include "support/Journal.h"
 #include "support/Timer.h"
 #include "transform/Transforms.h"
@@ -398,11 +397,18 @@ std::optional<Program> nv::makeFaultTolerantProgram(const Program &P,
   Out.Decls.push_back(
       funDecl("trans", {{"e", Type::edgeTy()}}, std::move(Trans)));
 
-  // merge: Fig. 5's mergeFail.
+  // merge: Fig. 5's mergeFail. The base merge of `u` is bound outside
+  // `fun x`, so the cached partial application `merge u` builds it once
+  // per node.
   Out.Decls.push_back(funDecl(
-      "merge", {{"u", Type::nodeTy()}, {"x", DictTy}, {"y", DictTy}},
-      Expr::oper(Op::MCombine, {App("__base_merge", {Expr::var("u")}),
-                                Expr::var("x"), Expr::var("y")})));
+      "merge", {{"u", Type::nodeTy()}},
+      Expr::let("__ft_merge", App("__base_merge", {Expr::var("u")}),
+                Lambda("x", DictTy,
+                       Lambda("y", DictTy,
+                              Expr::oper(Op::MCombine,
+                                         {Expr::var("__ft_merge"),
+                                          Expr::var("x"),
+                                          Expr::var("y")}))))));
 
   if (!typeCheckAppended(Out, First, Diags))
     return std::nullopt;
@@ -1067,10 +1073,7 @@ PreparedFt::create(NvContext &Ctx, const Program &Base, const FtOptions &Opts,
 PreparedFt::PreparedFt(NvContext &Ctx, const Program &Base,
                        Program MetaProgram, bool UseCompiledEvaluator)
     : Ctx(Ctx), Base(Base), Meta(std::move(MetaProgram)),
-      MetaEval(UseCompiledEvaluator
-                   ? std::unique_ptr<ProtocolEvaluator>(
-                         std::make_unique<CompiledProgramEvaluator>(Ctx, Meta))
-                   : std::make_unique<InterpProgramEvaluator>(Ctx, Meta)),
+      MetaEval(makeProgramEvaluator(Ctx, Meta, UseCompiledEvaluator)),
       BaseEval(Ctx, Base) {}
 
 SimResult PreparedFt::simulate() {

@@ -432,111 +432,15 @@ CExpr Compiler::compileOper(const ExprPtr &E) {
 CompiledProgramEvaluator::CompiledProgramEvaluator(NvContext &Ctx,
                                                    const Program &P,
                                                    const SymbolicAssignment &Sym)
-    : Ctx(Ctx) {
+    : ProgramEvaluator(Ctx, P) {
+  // The globals frame lives only through construction: compiled closures
+  // capture their values, and the base pins them.
   Compiler C(Ctx);
-  std::vector<std::string> Names;
-  for (const DeclPtr &D : P.Decls) {
-    switch (D->Kind) {
-    case DeclKind::Let: {
-      CExpr Body = C.compile(D->Body);
-      Globals.push_back(Body(Globals));
-      C.pushGlobal(D->Name);
-      Names.push_back(D->Name);
-      break;
-    }
-    case DeclKind::Symbolic: {
-      const Value *V = nullptr;
-      auto It = Sym.find(D->Name);
-      if (It != Sym.end()) {
-        V = It->second;
-      } else if (D->Body) {
-        CExpr Body = C.compile(D->Body);
-        V = Body(Globals);
-      } else {
-        V = Ctx.defaultValue(D->Ty);
-      }
-      Globals.push_back(V);
-      C.pushGlobal(D->Name);
-      Names.push_back(D->Name);
-      break;
-    }
-    case DeclKind::Require: {
-      CExpr Body = C.compile(D->Body);
-      RequiresOk &= Body(Globals)->isTrue();
-      break;
-    }
-    case DeclKind::TypeAlias:
-    case DeclKind::Nodes:
-    case DeclKind::Edges:
-      break;
-    }
-  }
-
-  auto Find = [&](const char *Name) -> const Value * {
-    for (size_t I = Names.size(); I-- > 0;)
-      if (Names[I] == Name)
-        return Globals[I];
-    return nullptr;
-  };
-  InitClo = Find("init");
-  TransClo = Find("trans");
-  MergeClo = Find("merge");
-  AssertClo = Find("assert");
-  if (!InitClo || !TransClo || !MergeClo)
-    evalError("program is missing init/trans/merge declarations");
-  // Root the globals frame: compiled closures capture interned constants
-  // only through these slots (scalar literals aside), so pinning the frame
-  // keeps every diagram a scenario can reach alive across collections.
-  for (const Value *V : Globals)
-    pinned(V);
-}
-
-CompiledProgramEvaluator::~CompiledProgramEvaluator() {
-  for (const Value *V : Pinned)
-    Ctx.unpinValue(V);
-}
-
-const Value *CompiledProgramEvaluator::init(uint32_t U) {
-  return Ctx.applyClosure(InitClo, Ctx.nodeV(U));
-}
-
-const Value *CompiledProgramEvaluator::trans(uint32_t U, uint32_t V,
-                                             const Value *A) {
-  auto Key = std::make_pair(U, V);
-  auto It = TransPartial.find(Key);
-  const Value *Partial;
-  if (It != TransPartial.end()) {
-    Partial = It->second;
-  } else {
-    Partial = pinned(Ctx.applyClosure(TransClo, Ctx.edgeV(U, V)));
-    TransPartial.emplace(Key, Partial);
-  }
-  return Ctx.applyClosure(Partial, A);
-}
-
-const Value *CompiledProgramEvaluator::merge(uint32_t U, const Value *A,
-                                             const Value *B) {
-  auto It = MergePartial.find(U);
-  const Value *Partial;
-  if (It != MergePartial.end()) {
-    Partial = It->second;
-  } else {
-    Partial = pinned(Ctx.applyClosure(MergeClo, Ctx.nodeV(U)));
-    MergePartial.emplace(U, Partial);
-  }
-  return Ctx.applyClosure2(Partial, A, B);
-}
-
-bool CompiledProgramEvaluator::assertAt(uint32_t U, const Value *A) {
-  if (!AssertClo)
-    return true;
-  auto It = AssertPartial.find(U);
-  const Value *Partial;
-  if (It != AssertPartial.end()) {
-    Partial = It->second;
-  } else {
-    Partial = pinned(Ctx.applyClosure(AssertClo, Ctx.nodeV(U)));
-    AssertPartial.emplace(U, Partial);
-  }
-  return Ctx.applyClosure(Partial, A)->isTrue();
+  Frame Globals;
+  declare(
+      P, Sym, [&](const ExprPtr &E) { return C.compile(E)(Globals); },
+      [&](const std::string &Name, const Value *V) {
+        Globals.push_back(V);
+        C.pushGlobal(Name);
+      });
 }

@@ -78,42 +78,10 @@ private:
 /// Closure-compiled program evaluator (the "NV-native" series of Fig. 13c
 /// and Fig. 14). Compilation happens in the constructor; construction time
 /// is the analog of the paper's OCaml compile time.
-class CompiledProgramEvaluator : public ProtocolEvaluator {
+class CompiledProgramEvaluator : public ProgramEvaluator {
 public:
   CompiledProgramEvaluator(NvContext &Ctx, const Program &P,
                            const SymbolicAssignment &Sym = {});
-  ~CompiledProgramEvaluator() override;
-
-  NvContext &ctx() override { return Ctx; }
-  const Value *init(uint32_t U) override;
-  const Value *trans(uint32_t U, uint32_t V, const Value *A) override;
-  const Value *merge(uint32_t U, const Value *A, const Value *B) override;
-  bool hasAssert() const override { return AssertClo != nullptr; }
-  bool assertAt(uint32_t U, const Value *A) override;
-  bool requiresHold() const override { return RequiresOk; }
-
-private:
-  NvContext &Ctx;
-  Frame Globals;
-  const Value *InitClo = nullptr;
-  const Value *TransClo = nullptr;
-  const Value *MergeClo = nullptr;
-  const Value *AssertClo = nullptr;
-  bool RequiresOk = true;
-
-  std::map<std::pair<uint32_t, uint32_t>, const Value *> TransPartial;
-  std::map<uint32_t, const Value *> MergePartial;
-  std::map<uint32_t, const Value *> AssertPartial;
-
-  // GC root discipline: the globals frame and cached partial applications
-  // are pinned for the evaluator's lifetime (compiled closures capture
-  // interned constants only through these).
-  std::vector<const Value *> Pinned;
-  const Value *pinned(const Value *V) {
-    Ctx.pinValue(V);
-    Pinned.push_back(V);
-    return V;
-  }
 };
 
 } // namespace nv

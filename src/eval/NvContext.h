@@ -245,6 +245,10 @@ public:
   uint64_t closuresCreated() const { return Closures + ClosureHits; }
   /// Closure values stored in the arena (distinct closures).
   uint64_t closures() const { return Closures; }
+  /// Every pinned value with its pin count.
+  const std::unordered_map<const Value *, uint32_t> &pinnedValues() const {
+    return PinnedValues;
+  }
 
   /// The map operations' tag kinds; K1 (and K2, for mapIte's else branch)
   /// are the closures' ids.

@@ -6,7 +6,6 @@
 #include "baselines/NaiveFailures.h"
 #include "core/Parser.h"
 #include "core/TypeChecker.h"
-#include "eval/Compile.h"
 #include "sim/Simulator.h"
 #include "smt/Verifier.h"
 #include "support/ThreadPool.h"
@@ -52,11 +51,8 @@ std::string simFingerprint(const Program &P, bool UseCompiled,
   try {
     NvContext Ctx(P.numNodes());
     Ctx.Mgr.setGcWatermark(Watermark);
-    std::unique_ptr<ProtocolEvaluator> Eval;
-    if (UseCompiled)
-      Eval = std::make_unique<CompiledProgramEvaluator>(Ctx, P);
-    else
-      Eval = std::make_unique<InterpProgramEvaluator>(Ctx, P);
+    std::unique_ptr<ProtocolEvaluator> Eval =
+        makeProgramEvaluator(Ctx, P, UseCompiled);
 
     SimOptions SO;
     SO.Budget.MaxSteps = Opts.MaxSteps;

@@ -2,7 +2,7 @@
 
 #include "serve/Client.h"
 
-#include "serve/Json.h"
+#include "support/Json.h"
 
 #include <cerrno>
 #include <chrono>

@@ -6,7 +6,6 @@
 #include "core/Parser.h"
 #include "core/Printer.h"
 #include "core/TypeChecker.h"
-#include "eval/Compile.h"
 #include "sim/Simulator.h"
 #include "smt/Verifier.h"
 #include "support/Journal.h"
@@ -736,12 +735,8 @@ Json ServeCore::doSim(ServeSession &S, const Json &Req, const std::string &Id,
   try {
     S.Ctx->resetBetweenRuns();
     std::unique_ptr<ProtocolEvaluator> &Eval = S.SimEval[Native ? 1 : 0];
-    if (!Eval) {
-      if (Native)
-        Eval = std::make_unique<CompiledProgramEvaluator>(*S.Ctx, S.Prog);
-      else
-        Eval = std::make_unique<InterpProgramEvaluator>(*S.Ctx, S.Prog);
-    }
+    if (!Eval)
+      Eval = makeProgramEvaluator(*S.Ctx, S.Prog, Native);
     SimOptions SO; // simulate() governs itself
     std::string Error;
     if (!overlayRequestBudget(Req, SO.Budget, Error))

@@ -73,7 +73,7 @@
 #ifndef NV_SERVE_SERVE_H
 #define NV_SERVE_SERVE_H
 
-#include "serve/Json.h"
+#include "support/Json.h"
 #include "serve/RequestLog.h"
 #include "support/Governor.h"
 #include "support/ThreadPool.h"

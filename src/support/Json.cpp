@@ -1,6 +1,6 @@
 //===- Json.cpp - Minimal JSON value, parser, and writer ----------------------===//
 
-#include "serve/Json.h"
+#include "support/Json.h"
 
 #include <cctype>
 #include <cmath>

@@ -6,11 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small dependency-free JSON implementation for the serve protocol
-/// (newline-delimited JSON over a local socket). Deliberately minimal:
-/// one value type, recursive-descent parsing with positions in error
-/// messages, and compact single-line serialization (the wire format is
-/// one request or response per line, so the writer never emits newlines).
+/// A small dependency-free JSON implementation: the serve protocol's
+/// codec (newline-delimited JSON over a local socket), and the string
+/// escaping of the reports nv-fuzz and the benchmarks write.
+/// Deliberately minimal: one value type, recursive-descent parsing with
+/// positions in error messages, and compact single-line serialization (the
+/// wire format is one request or response per line, so the writer never
+/// emits newlines).
 ///
 /// Objects preserve insertion order (responses render deterministically,
 /// which the CI assertions and journal byte-comparisons rely on) and
@@ -18,8 +20,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef NV_SERVE_JSON_H
-#define NV_SERVE_JSON_H
+#ifndef NV_SUPPORT_JSON_H
+#define NV_SUPPORT_JSON_H
 
 #include <cstdint>
 #include <memory>
@@ -106,4 +108,4 @@ private:
 
 } // namespace nv
 
-#endif // NV_SERVE_JSON_H
+#endif // NV_SUPPORT_JSON_H

@@ -199,6 +199,65 @@ let merge (u : node) (a : int) (b : int) = if a <= b then a else b
   EXPECT_EQ(R.Labels[1], Ctx.intV(42));
 }
 
+/// Both modes through makeProgramEvaluator: trans on a declared edge
+/// caches and pins its partial application once; trans on a pair outside
+/// the edge list is `trans e x` applied directly, neither cached nor
+/// pinned.
+class ProgramEvaluatorModes : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ProgramEvaluatorModes, TransOutsideTheEdgeListIsAppliedUncached) {
+  const char *Src = R"nv(
+let nodes = 3
+let edges = {0n=1n;1n=2n}
+let init (u : node) = if u = 0n then 0 else 100
+let trans (e : edge) (x : int) =
+  match e with | (u, v) -> if v = 0n then x + 10 else x + 1
+let merge (u : node) (a : int) (b : int) = if a <= b then a else b
+)nv";
+  DiagnosticEngine Diags;
+  auto P = parseProgram(Src, Diags);
+  ASSERT_TRUE(P.has_value()) << Diags.str();
+  ASSERT_TRUE(typeCheck(*P, Diags)) << Diags.str();
+  NvContext Ctx(P->numNodes());
+  InterpProgramEvaluator Boot(Ctx, *P);
+  const Value *TransClo = envLookup(Boot.globals().get(), "trans");
+  ASSERT_TRUE(TransClo);
+  std::unique_ptr<ProgramEvaluator> Eval =
+      makeProgramEvaluator(Ctx, *P, GetParam());
+  const Value *A = Ctx.intV(5);
+  auto Direct = [&](uint32_t U, uint32_t V) {
+    return Ctx.applyClosure(Ctx.applyClosure(TransClo, Ctx.edgeV(U, V)), A);
+  };
+
+  // A declared edge: the first call caches and pins its partial, a repeat
+  // builds and pins nothing.
+  size_t PinCount = Ctx.pinnedValues().size();
+  EXPECT_EQ(Eval->trans(1, 0, A), Direct(1, 0));
+  EXPECT_EQ(Ctx.pinnedValues().size(), PinCount + 1);
+  auto Pins = Ctx.pinnedValues();
+  uint64_t Created = Ctx.closuresCreated();
+  EXPECT_EQ(Eval->trans(1, 0, A), Ctx.intV(15));
+  EXPECT_EQ(Ctx.closuresCreated(), Created);
+  EXPECT_EQ(Ctx.pinnedValues(), Pins);
+
+  // (2, 0) and (0, 2) are not edges: applied, never pinned.
+  for (auto [U, V] : {std::pair<uint32_t, uint32_t>{2, 0}, {0, 2}}) {
+    EXPECT_EQ(Eval->trans(U, V, A), Direct(U, V));
+    EXPECT_EQ(Ctx.pinnedValues(), Pins);
+    Created = Ctx.closuresCreated();
+    EXPECT_EQ(Eval->trans(U, V, A), Ctx.intV(V == 0 ? 15 : 6));
+    EXPECT_EQ(Ctx.pinnedValues(), Pins);
+    // The compiled call `trans e x` builds no closure; the interpreter
+    // builds `fun x` anew on every call, cached or not.
+    EXPECT_EQ(Ctx.closuresCreated() - Created, GetParam() ? 0u : 1u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, ProgramEvaluatorModes, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool> &Info) {
+                           return Info.param ? "Compiled" : "Interp";
+                         });
+
 TEST(Compiled, PredicateBddsWorkFromCompiledClosures) {
   // Symbolic evaluation (predToBdd) must also work when the predicate is a
   // CompiledClosure, via its sourceExpr/lookupFree hooks.

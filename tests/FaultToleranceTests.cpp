@@ -12,7 +12,6 @@
 #include "core/Parser.h"
 #include "core/Printer.h"
 #include "core/TypeChecker.h"
-#include "eval/Compile.h"
 #include "net/Generators.h"
 #include "support/Journal.h"
 #include "support/ThreadPool.h"
@@ -86,11 +85,8 @@ void expectMatchesNaive(const Program &P, const FtOptions &Opts,
   ASSERT_TRUE(Meta.has_value()) << Diags.str();
 
   NvContext Ctx(P.numNodes());
-  std::unique_ptr<ProtocolEvaluator> MetaEval;
-  if (Compiled)
-    MetaEval = std::make_unique<CompiledProgramEvaluator>(Ctx, *Meta);
-  else
-    MetaEval = std::make_unique<InterpProgramEvaluator>(Ctx, *Meta);
+  std::unique_ptr<ProgramEvaluator> MetaEval =
+      makeProgramEvaluator(Ctx, *Meta, Compiled);
   SimResult MetaR = simulate(*Meta, *MetaEval);
   ASSERT_TRUE(MetaR.Converged);
 

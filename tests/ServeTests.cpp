@@ -10,7 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "serve/Client.h"
-#include "serve/Json.h"
+#include "support/Json.h"
 #include "serve/RequestLog.h"
 #include "serve/Serve.h"
 #include "serve/Server.h"

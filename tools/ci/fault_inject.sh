@@ -3,10 +3,11 @@
 # safe-point site against the nv CLI on the example networks and asserts
 # that each run terminates with the documented resource-exhausted exit
 # code (3) — never an abort, never a crash — and that a clean budget-flag
-# run degrades the same way, and that malformed numeric flags are usage
-# errors (2). Finally replays the committed budget corpus
-# seed through nv-fuzz: its FT legs hit the step budget and must reduce to
-# the structured skip verdict (exit 0, no divergence).
+# run degrades the same way, and that malformed numeric flags of nv,
+# nv-fuzz and the benchmarks are usage errors (2). Finally replays the
+# committed budget corpus seed through nv-fuzz: its FT legs hit the step
+# budget and must reduce to the structured skip verdict (exit 0, no
+# divergence).
 #
 # Usage: tools/ci/fault_inject.sh [BUILD_DIR]
 set -euo pipefail
@@ -17,7 +18,8 @@ JOBS=${JOBS:-$(nproc)}
 
 # shellcheck disable=SC2086
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release ${CMAKE_EXTRA:-}
-cmake --build "$BUILD_DIR" -j"$JOBS" --target nv nv-fuzz
+cmake --build "$BUILD_DIR" -j"$JOBS" --target nv nv-fuzz \
+  fig13b_fault_scaling fig12_smt serve_latency
 
 NV="$BUILD_DIR/tools/nv"
 NV_FUZZ="$BUILD_DIR/tools/nv-fuzz"
@@ -130,8 +132,17 @@ for BAD in abc 3x; do
     expect_usage "nv-fuzz $FLAG $BAD" "$NV_FUZZ" --count 0 "$FLAG" "$BAD"
   done
 done
+# The benchmarks' numeric flags exit before any work starts.
+expect_usage "fig13b_fault_scaling --threads abc" \
+  "$BUILD_DIR/bench/fig13b_fault_scaling" --threads abc
+expect_usage "fig12_smt --timeout 3x" "$BUILD_DIR/bench/fig12_smt" --timeout 3x
+expect_usage "serve_latency --repeats abc" \
+  "$BUILD_DIR/bench/serve_latency" --repeats abc
+expect_usage "serve_latency --min-speedup 2x" \
+  "$BUILD_DIR/bench/serve_latency" --min-speedup 2x
 rm -rf "$SOCK_DIR"
-echo "ok: numeric flags of nv, nv serve/req and nv-fuzz reject abc and 3x"
+echo "ok: numeric flags of nv, nv serve/req, nv-fuzz and the benchmarks" \
+  "reject abc and 3x"
 
 # The committed budget corpus seed: its non-monotone FT meta-simulation
 # hits the oracle's step budget and must reduce to the canonical skip

@@ -35,6 +35,21 @@ fi
 echo "ok"
 
 echo
+echo "== the --json summary escapes repro paths =="
+# The injected bug makes a divergence whose repro lands under a directory
+# named with a quote and a backslash; the summary must still parse.
+ODD_DIR=$(mktemp -d)
+"$FUZZ" --seed 3 --count 3 --inject-bug-for-testing --minimize \
+  --artifact-dir "$ODD_DIR/a\"b\\c" --json "$ODD_DIR/summary.json" \
+  > /dev/null || true
+python3 -c 'import json, sys
+repros = json.load(open(sys.argv[1]))["repros"]
+assert repros and all("a\"b\\c/" in r for r in repros), repros' \
+  "$ODD_DIR/summary.json"
+rm -rf "$ODD_DIR"
+echo "ok"
+
+echo
 echo "== corpus replay =="
 "$FUZZ" --replay tests/corpus
 

@@ -69,12 +69,11 @@
 #include "baselines/NaiveFailures.h"
 #include "core/Parser.h"
 #include "serve/Client.h"
-#include "serve/Json.h"
+#include "support/Json.h"
 #include "serve/Server.h"
 #include "serve/Supervisor.h"
 #include "core/Printer.h"
 #include "core/TypeChecker.h"
-#include "eval/Compile.h"
 #include "sim/Simulator.h"
 #include "smt/Verifier.h"
 #include "support/Fleet.h"
@@ -289,11 +288,8 @@ int cmdSim(const Program &P, const CliOptions &O) {
   SymbolicAssignment Syms = resolveSyms(Ctx, P, O, Ok);
   if (!Ok)
     return 2;
-  std::unique_ptr<ProtocolEvaluator> Eval;
-  if (O.Native)
-    Eval = std::make_unique<CompiledProgramEvaluator>(Ctx, P, Syms);
-  else
-    Eval = std::make_unique<InterpProgramEvaluator>(Ctx, P, Syms);
+  std::unique_ptr<ProtocolEvaluator> Eval =
+      makeProgramEvaluator(Ctx, P, O.Native, Syms);
   if (!Eval->requiresHold())
     std::printf("warning: a require clause fails under this symbolic "
                 "assignment\n");

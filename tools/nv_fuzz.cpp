@@ -59,6 +59,7 @@
 #include "fuzz/Rng.h"
 #include "support/Fleet.h"
 #include "support/Governor.h"
+#include "support/Json.h"
 #include "support/ParseNumber.h"
 #include "support/Resume.h"
 #include "support/Subprocess.h"
@@ -401,7 +402,7 @@ bool writeJson(const std::string &Path, const RunTally &T, double Ms) {
       << ",\n  \"skipped\": " << T.Skipped << ",\n  \"elapsed_ms\": "
       << static_cast<uint64_t>(Ms) << ",\n  \"repros\": [";
   for (size_t I = 0; I < T.ReproFiles.size(); ++I)
-    Out << (I ? ", " : "") << '"' << T.ReproFiles[I] << '"';
+    Out << (I ? ", " : "") << Json(T.ReproFiles[I]).dump();
   Out << "]\n}\n";
   return true;
 }
