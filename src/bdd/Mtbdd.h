@@ -27,8 +27,9 @@
 ///    store: it starts at InitialOpCacheSlots and doubles (keeping every
 ///    live entry) whenever a new node would leave fewer than two slots per
 ///    node, up to the cap given at construction; the first doubling
-///    reserves the cap, so later ones grow in place. Growth depends only
-///    on the node count, so cache statistics stay deterministic;
+///    reserves the cap (mapped pages, see support/PageAllocator.h), so
+///    later ones grow in place. Growth depends only on the node count, so
+///    cache statistics stay deterministic;
 ///  - the unique (hash-consing) tables are open-addressed, power-of-two
 ///    sized, linear-probe arrays of Refs: the key (Var, Lo, Hi) or leaf
 ///    payload is read back from the node store, so a probe touches one
@@ -64,6 +65,7 @@
 #define NV_BDD_MTBDD_H
 
 #include "support/Governor.h"
+#include "support/PageAllocator.h"
 
 #include <cassert>
 #include <cstdint>
@@ -369,7 +371,9 @@ private:
   size_t LeafMask = 0;
   size_t LeafCount = 0; ///< Leaves in LeafSlots.
 
-  std::vector<OpEntry> OpCache; ///< Power-of-two sized, lossy.
+  /// Power-of-two sized, lossy. Its reservation is mapped pages, so the
+  /// untouched tail of the cap costs no resident memory.
+  std::vector<OpEntry, PageAllocator<OpEntry>> OpCache;
   size_t OpCacheMask = 0;
   size_t OpCacheCap = 0; ///< Power of two; OpCache never grows past it.
 
