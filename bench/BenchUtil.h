@@ -13,8 +13,10 @@
 //                contexts the run creates (exported as NV_GC_WATERMARK;
 //                0 disables collection, 1 collects at every safe point)
 // and prints one aligned table matching the figure's rows/series. A
-// --timeout or --threads value that is not an unsigned decimal ("abc",
-// "3x", "-1") exits 2 with the usage text.
+// --timeout, --threads or --gc-watermark value that is not an unsigned
+// decimal ("abc", "3x", "-1"), or one of the four value-taking flags
+// last on the command line without its value, exits 2 with the usage
+// text.
 //
 //===----------------------------------------------------------------------===//
 
@@ -70,21 +72,33 @@ struct Args {
         A.Threads = static_cast<unsigned>(N);
     }
     for (int I = 1; I < argc; ++I) {
+      auto Valued = [&](const char *Flag) {
+        if (std::strcmp(argv[I], Flag))
+          return false;
+        if (I + 1 == argc)
+          usageError(argv[0], Flag, "", Extra);
+        ++I;
+        return true;
+      };
       if (!std::strcmp(argv[I], "--paper"))
         A.Paper = true;
       else if (!std::strcmp(argv[I], "--smoke"))
         A.Smoke = true;
-      else if (!std::strcmp(argv[I], "--timeout") && I + 1 < argc)
-        A.TimeoutSec = unsignedArg(argv, ++I, Extra);
-      else if (!std::strcmp(argv[I], "--threads") && I + 1 < argc)
-        A.Threads = unsignedArg(argv, ++I, Extra);
-      else if (!std::strcmp(argv[I], "--json") && I + 1 < argc)
-        A.JsonPath = argv[++I];
-      else if (!std::strcmp(argv[I], "--gc-watermark") && I + 1 < argc)
+      else if (Valued("--timeout"))
+        A.TimeoutSec = unsignedArg(argv, I, Extra);
+      else if (Valued("--threads"))
+        A.Threads = unsignedArg(argv, I, Extra);
+      else if (Valued("--json"))
+        A.JsonPath = argv[I];
+      else if (Valued("--gc-watermark")) {
         // Managers read NV_GC_WATERMARK at construction, so exporting it
         // reaches every context the benchmark creates (including the ones
         // built internally by the analyses).
-        setenv("NV_GC_WATERMARK", argv[++I], /*overwrite=*/1);
+        uint64_t N = 0;
+        if (!nv::parseInteger(argv[I], N))
+          usageError(argv[0], argv[I - 1], argv[I], Extra);
+        setenv("NV_GC_WATERMARK", argv[I], /*overwrite=*/1);
+      }
     }
     if (A.Threads == 0)
       A.Threads = nv::ThreadPool::defaultThreadCount();

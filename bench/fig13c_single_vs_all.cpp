@@ -20,8 +20,8 @@
 #include "core/TypeChecker.h"
 #include "net/Generators.h"
 #include "support/Timer.h"
+#include "support/Units.h"
 
-#include <atomic>
 #include <optional>
 
 using namespace nv;
@@ -32,7 +32,7 @@ namespace {
 /// Runs the single-destination analysis for one leaf in a shard-persistent
 /// context: the arena is garbage-collected back to its pinned baseline
 /// first, so MTBDD/arena tables no longer grow monotonically across the
-/// 32+ per-destination runs. Returns false on divergence.
+/// 32+ per-destination runs. Returns false when it does not converge.
 bool runOneLeaf(const Program &Meta, NvContext &Ctx, uint32_t Dest,
                 bool Native) {
   Ctx.resetBetweenRuns();
@@ -42,34 +42,29 @@ bool runOneLeaf(const Program &Meta, NvContext &Ctx, uint32_t Dest,
 }
 
 /// FT over each prefix separately: one meta-program with a symbolic dest,
-/// instantiated per leaf. With a pool, one persistent worker per thread
-/// takes its own typed copy of the program once (cloneProgram; AST
-/// free-variable caches fill lazily, so programs are not shared across
-/// threads), then claims leaves dynamically and reuses its context across
-/// them.
+/// instantiated per leaf, one unit per leaf on the unit runner. Each
+/// worker (one per pool thread, the calling thread without a pool) takes
+/// its own typed copy of the program once (cloneProgram; AST free-variable
+/// caches fill lazily, so programs are not shared across threads) and
+/// reuses its context across the leaves it claims.
 double singleMode(const Program &Meta, const std::vector<uint32_t> &Leaves,
                   bool Native, ThreadPool *Pool) {
   Stopwatch W;
-  if (!Pool || Pool->numThreads() <= 1 || Leaves.size() <= 1) {
-    NvContext Ctx(Meta.numNodes());
-    for (uint32_t Dest : Leaves)
-      if (!runOneLeaf(Meta, Ctx, Dest, Native))
-        return -1;
-    return W.elapsedMs();
-  }
-  size_t Workers =
-      std::min(Leaves.size(), static_cast<size_t>(Pool->numThreads()));
-  std::atomic<size_t> Next{0};
-  std::atomic<bool> Ok{true};
-  Pool->parallelFor(Workers, [&](size_t) {
-    Program Local = cloneProgram(Meta);
-    NvContext Ctx(Local.numNodes());
-    for (size_t I = Next.fetch_add(1); I < Leaves.size();
-         I = Next.fetch_add(1))
-      if (!runOneLeaf(Local, Ctx, Leaves[I], Native))
-        Ok.store(false);
-  });
-  return Ok.load() ? W.elapsedMs() : -1;
+  UnitExecutor X;
+  X.Pool = Pool;
+  UnitsResult U = runUnits(
+      {.Count = Leaves.size(), .Prefix = 'p'}, X, [&](const auto &Serve) {
+        Program Local = cloneProgram(Meta);
+        NvContext Ctx(Local.numNodes());
+        UnitWorker Leaf;
+        Leaf.Run = [&](size_t I) -> RunOutcome {
+          if (runOneLeaf(Local, Ctx, Leaves[I], Native))
+            return {};
+          return {RunStatus::EvalError, "did not converge", ""};
+        };
+        Serve(Leaf);
+      });
+  return U.Skipped ? -1 : W.elapsedMs();
 }
 
 double allMode(const Program &Meta, bool Native) {

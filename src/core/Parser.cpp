@@ -36,7 +36,9 @@
 #include "core/Stdlib.h"
 
 #include <algorithm>
+#include <fstream>
 #include <set>
+#include <sstream>
 
 using namespace nv;
 
@@ -1138,6 +1140,25 @@ private:
 };
 
 } // namespace
+
+std::optional<std::string> nv::readSourceFile(const std::string &Path) {
+  std::ifstream In(Path);
+  if (!In)
+    return std::nullopt;
+  std::ostringstream Out;
+  Out << In.rdbuf();
+  return Out.str();
+}
+
+ParseOptions nv::fileParseOptions(const std::string &Path) {
+  size_t Slash = Path.rfind('/');
+  std::string Dir = Slash == std::string::npos ? "." : Path.substr(0, Slash);
+  ParseOptions Opts;
+  Opts.Resolver = [Dir](const std::string &Name) {
+    return readSourceFile(Dir + "/" + Name + ".nv");
+  };
+  return Opts;
+}
 
 std::optional<Program> nv::parseProgram(const std::string &Source,
                                         DiagnosticEngine &Diags,

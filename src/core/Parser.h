@@ -27,6 +27,13 @@ struct ParseOptions {
   IncludeResolver Resolver;
 };
 
+/// The text of the file at \p Path, or std::nullopt when it cannot be read.
+std::optional<std::string> readSourceFile(const std::string &Path);
+
+/// Options for parsing the program file at \p Path: its `include`
+/// directives resolve next to the file before the built-in registry.
+ParseOptions fileParseOptions(const std::string &Path);
+
 /// Parses a whole NV program. Returns std::nullopt (after filing
 /// diagnostics) when the source is malformed.
 std::optional<Program> parseProgram(const std::string &Source,

@@ -2,11 +2,12 @@
 
 #include "fuzz/Corpus.h"
 
+#include "core/Parser.h"
+
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 using namespace nv;
@@ -83,14 +84,12 @@ std::optional<FuzzInstance> nv::parseCorpusText(const std::string &Text) {
 }
 
 std::optional<FuzzInstance> nv::loadCorpusFile(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In) {
+  std::optional<std::string> Text = readSourceFile(Path);
+  if (!Text) {
     std::fprintf(stderr, "cannot read corpus file %s\n", Path.c_str());
     return std::nullopt;
   }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  auto I = parseCorpusText(Buf.str());
+  auto I = parseCorpusText(*Text);
   if (!I)
     std::fprintf(stderr, "%s: missing nv-fuzz corpus header\n", Path.c_str());
   else

@@ -14,9 +14,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <tuple>
 
 using namespace nv;
@@ -72,29 +70,6 @@ struct ServeSession {
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-std::optional<std::string> readFileText(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In)
-    return std::nullopt;
-  std::ostringstream Out;
-  Out << In.rdbuf();
-  return Out.str();
-}
-
-/// `include` directives in a file-loaded program resolve next to the file
-/// (mirroring the CLI); inline programs use only the built-in registry.
-ParseOptions pathParseOptions(const std::string &Path) {
-  std::string Dir = ".";
-  size_t Slash = Path.rfind('/');
-  if (Slash != std::string::npos)
-    Dir = Path.substr(0, Slash);
-  ParseOptions Opts;
-  Opts.Resolver = [Dir](const std::string &Name) -> std::optional<std::string> {
-    return readFileText(Dir + "/" + Name + ".nv");
-  };
-  return Opts;
-}
 
 Json makeResp(const std::string &Id) {
   Json R = Json::object();
@@ -665,11 +640,11 @@ Json ServeCore::doLoad(const Json &Req, const std::string &Id) {
   }
   ParseOptions PO;
   if (Source.empty()) {
-    auto Text = readFileText(Path);
+    auto Text = readSourceFile(Path);
     if (!Text)
       return errResp(Id, 2, "cannot read " + Path);
     Source = std::move(*Text);
-    PO = pathParseOptions(Path);
+    PO = fileParseOptions(Path);
   }
   DiagnosticEngine Diags;
   std::optional<Program> P = parseProgram(Source, Diags, PO);

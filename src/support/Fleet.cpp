@@ -180,6 +180,22 @@ void nv::applyFleetEnvOverrides(FleetOptions &O) {
     O.QuarantineDir = V;
 }
 
+FleetStats &FleetStats::operator+=(const FleetStats &O) {
+  JobsCompleted += O.JobsCompleted;
+  JobsRequeued += O.JobsRequeued;
+  WorkerDeaths += O.WorkerDeaths;
+  Respawns += O.Respawns;
+  SpawnFailures += O.SpawnFailures;
+  HeartbeatTimeouts += O.HeartbeatTimeouts;
+  SpeculativeLaunches += O.SpeculativeLaunches;
+  SpeculativeWins += O.SpeculativeWins;
+  SpeculationMismatches += O.SpeculationMismatches;
+  Quarantined += O.Quarantined;
+  if (!O.LastExit.empty())
+    LastExit = O.LastExit;
+  return *this;
+}
+
 std::string FleetStats::str() const {
   char Buf[256];
   std::snprintf(Buf, sizeof(Buf),
@@ -429,17 +445,15 @@ std::string writeQuarantineRepro(const FleetOptions &Opts, const JobState &JS,
 
 class Coordinator {
 public:
-  Coordinator(const FleetOptions &Opts, const std::function<bool(FleetJob &)> &Next,
-              const FleetCallbacks &CB)
-      : Opts(Opts), Next(Next), CB(CB), Slots(std::max(1u, Opts.Workers)) {}
+  Coordinator(const FleetOptions &Opts, const std::vector<FleetJob> &Queue,
+              const FleetCallbacks &CB);
 
   FleetResult run();
 
 private:
   bool haveWork() const {
-    return !Exhausted || !Pending.empty() || DoneCount < IssuedCount;
+    return !Pending.empty() || DoneCount < Jobs.size();
   }
-  bool pullOne();
   bool spawnSlot(unsigned I);
   void closeSlotFds(Slot &S);
   void handleDeath(unsigned I, const ChildExit &Exit);
@@ -460,15 +474,13 @@ private:
   void logf(const char *Fmt, ...) __attribute__((format(printf, 2, 3)));
 
   const FleetOptions &Opts;
-  const std::function<bool(FleetJob &)> &Next;
   const FleetCallbacks &CB;
 
   std::vector<Slot> Slots;
   std::unordered_map<std::string, JobState> Jobs;
   std::deque<std::string> Pending;
   std::vector<uint64_t> Durations;
-  bool Exhausted = false;
-  uint64_t IssuedCount = 0, DoneCount = 0;
+  uint64_t DoneCount = 0;
   unsigned ConsecSpawnFailures = 0;
   FleetResult R;
 };
@@ -482,23 +494,19 @@ void Coordinator::logf(const char *Fmt, ...) {
   va_end(Ap);
 }
 
-bool Coordinator::pullOne() {
-  if (Exhausted)
-    return false;
-  FleetJob J;
-  if (!Next(J)) {
-    Exhausted = true;
-    return false;
+Coordinator::Coordinator(const FleetOptions &Opts,
+                         const std::vector<FleetJob> &Queue,
+                         const FleetCallbacks &CB)
+    : Opts(Opts), CB(CB), Slots(std::max(1u, Opts.Workers)) {
+  for (const FleetJob &J : Queue) {
+    auto [It, Fresh] = Jobs.emplace(J.Key, JobState{});
+    if (!Fresh) {
+      logf("nv fleet: duplicate job key '%s' ignored\n", J.Key.c_str());
+      continue;
+    }
+    It->second.Job = J;
+    Pending.push_back(It->first);
   }
-  auto [It, Fresh] = Jobs.emplace(J.Key, JobState{});
-  if (!Fresh) {
-    logf("nv fleet: duplicate job key '%s' ignored\n", J.Key.c_str());
-    return pullOne();
-  }
-  It->second.Job = std::move(J);
-  Pending.push_back(It->first);
-  ++IssuedCount;
-  return true;
 }
 
 void Coordinator::closeSlotFds(Slot &S) {
@@ -751,10 +759,8 @@ void Coordinator::dispatch() {
     Slot &S = Slots[I];
     if (!S.Live || !S.Idle || S.Killed || S.Eof)
       continue;
-    if (Pending.empty())
-      pullOne();
     if (Pending.empty()) {
-      if (Exhausted && DoneCount < IssuedCount)
+      if (DoneCount < Jobs.size())
         trySpeculate(I);
       continue;
     }
@@ -933,7 +939,6 @@ FleetResult Coordinator::run() {
   sigemptyset(&Ign.sa_mask);
   sigaction(SIGPIPE, &Ign, &OldPipe);
 
-  pullOne(); // learn immediately whether there is any work at all
   while (haveWork()) {
     if (Opts.Cancel && Opts.Cancel->isCanceled()) {
       R.Outcome = RunOutcome{RunStatus::Canceled, "fleet canceled", ""};
@@ -978,24 +983,9 @@ FleetResult Coordinator::run() {
 
 } // namespace
 
-FleetResult nv::runFleetDynamic(const FleetOptions &Opts,
-                                const std::function<bool(FleetJob &)> &Next,
-                                const FleetCallbacks &CB) {
-  Coordinator C(Opts, Next, CB);
-  return C.run();
-}
-
 FleetResult nv::runFleet(const FleetOptions &Opts,
                          const std::vector<FleetJob> &Jobs,
                          const FleetCallbacks &CB) {
-  size_t I = 0;
-  return runFleetDynamic(
-      Opts,
-      [&](FleetJob &J) {
-        if (I >= Jobs.size())
-          return false;
-        J = Jobs[I++];
-        return true;
-      },
-      CB);
+  Coordinator C(Opts, Jobs, CB);
+  return C.run();
 }

@@ -128,6 +128,8 @@ struct FleetStats {
   uint64_t Quarantined = 0;
   std::string LastExit;             ///< describe() of the latest worker death.
 
+  /// Adds \p O's counts (a later run of the same fleet options).
+  FleetStats &operator+=(const FleetStats &O);
   /// One-line operator summary ("12 jobs, 2 deaths, ...").
   std::string str() const;
 };
@@ -155,13 +157,6 @@ struct FleetCallbacks {
 /// Runs \p Jobs to completion on a fleet of Opts.Workers subprocesses.
 FleetResult runFleet(const FleetOptions &Opts, const std::vector<FleetJob> &Jobs,
                      const FleetCallbacks &CB = {});
-
-/// Pull-based variant for open-ended runs (time-budget fuzz campaigns):
-/// \p Next fills the next job and returns true, or returns false when the
-/// source is exhausted. Requeued jobs always take priority over new ones.
-FleetResult runFleetDynamic(const FleetOptions &Opts,
-                            const std::function<bool(FleetJob &)> &Next,
-                            const FleetCallbacks &CB = {});
 
 //===----------------------------------------------------------------------===//
 // Worker

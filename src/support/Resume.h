@@ -21,8 +21,8 @@
 ///    never silently reused.
 ///
 ///  - ResumeLog: the journal handle. The unit runner (support/Units.h)
-///    and nv-fuzz's campaign ask replay before running a unit, and
-///    recordDone (thread-safe) after completing one. Replayed results make the resumed run's
+///    asks replay before running a unit, and recordDone (thread-safe)
+///    after completing one. Replayed results make the resumed run's
 ///    aggregate output bit-identical to an uninterrupted run at any thread
 ///    count: recorded payloads carry everything the aggregate needs, and
 ///    the deterministic unit order does the rest.

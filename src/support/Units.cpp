@@ -61,10 +61,10 @@ void runOnFleet(const UnitSweep &S, const UnitExecutor &X,
     auto It = FR.Results.find(unitKey(S.Prefix, I));
     unsigned Attempts = 1;
     if (It != FR.Results.end())
-      R.Units[I].Outcome =
+      R.Units[I - S.Begin].Outcome =
           restoreUnit(S, I, It->second, "the worker fleet", Attempts);
     else // the fleet stopped first (cancellation, workers lost)
-      R.Units[I].Outcome =
+      R.Units[I - S.Begin].Outcome =
           FR.Outcome.ok() ? RunOutcome{RunStatus::InternalError,
                                        "no fleet record for a unit", ""}
                           : FR.Outcome;
@@ -89,7 +89,7 @@ void runInProcess(const UnitSweep &S, const UnitExecutor &X,
                                        : outcomeRecord(S, I, O, Attempts));
         if (W.Finish)
           W.Finish(I, O);
-        R.Units[I].Outcome = std::move(O);
+        R.Units[I - S.Begin].Outcome = std::move(O);
       }
     });
   };
@@ -113,12 +113,12 @@ UnitsResult nv::runUnits(const UnitSweep &S, const UnitExecutor &X,
   UnitsResult R;
   R.Units.resize(S.Count);
   std::vector<size_t> Pending;
-  for (size_t I = 0; I < S.Count; ++I) {
+  for (size_t I = S.Begin; I < S.Begin + S.Count; ++I) {
     UnitRecord Rec;
     unsigned Attempts = 1;
     if (S.Journal && S.Journal->replay(unitKey(S.Prefix, I), Rec))
-      R.Units[I] = {restoreUnit(S, I, Rec, S.Journal->path(), Attempts),
-                    true};
+      R.Units[I - S.Begin] = {
+          restoreUnit(S, I, Rec, S.Journal->path(), Attempts), true};
     else
       Pending.push_back(I);
   }
@@ -150,7 +150,7 @@ int nv::serveFleetUnits(const UnitSweep &S,
     const char *End = J.Key.data() + J.Key.size();
     if (J.Key.size() < 2 || J.Key[0] != S.Prefix ||
         std::from_chars(J.Key.data() + 1, End, I).ptr != End ||
-        I >= S.Count)
+        I < S.Begin || I - S.Begin >= S.Count)
       throw std::runtime_error("fleet worker: no unit '" + J.Key + "'");
     return Handler(I);
   });

@@ -7,8 +7,9 @@
 ///
 /// \file
 /// runUnits: the one replay -> retry -> journal -> fold path of every sweep
-/// of independent units (naive scenarios "s<I>", FT check chunks "c<C>"),
-/// run on threads of this process or on a worker fleet. A journaled unit
+/// of independent units (naive scenarios "s<I>", FT check chunks "c<C>",
+/// fuzz instances "i<I>", corpus files "r<I>"), run on threads of this
+/// process or on a worker fleet. A journaled unit
 /// is restored, never re-run. Every other unit runs each attempt in its
 /// own Governor::Scope, transient trips retried (runUnitWithRetry); once
 /// the run is canceled no unit starts. Every completion but a canceled one
@@ -32,7 +33,8 @@ namespace nv {
 std::string unitKey(char Prefix, size_t I);
 
 struct UnitSweep {
-  size_t Count = 0; ///< Units [0, Count), keyed unitKey(Prefix, I).
+  size_t Begin = 0; ///< Units [Begin, Begin + Count), keyed
+  size_t Count = 0; ///< unitKey(Prefix, I).
   char Prefix = 'u';
   RunBudget Budget{}; ///< Per attempt, escalated by Retry.
   RetryPolicy Retry{};
@@ -76,7 +78,7 @@ struct UnitResult {
 };
 
 struct UnitsResult {
-  std::vector<UnitResult> Units; ///< In unit order.
+  std::vector<UnitResult> Units; ///< In unit order: unit I at I - Begin.
   RunOutcome First;              ///< First non-ok outcome in unit order.
   uint64_t Replayed = 0; ///< Units restored from the journal.
   uint64_t Retries = 0;  ///< Extra attempts of the units run now.
@@ -92,7 +94,8 @@ UnitsResult runUnits(const UnitSweep &S, const UnitExecutor &X,
 UnitRecord runUnitRecord(const UnitSweep &S, UnitWorker &W, size_t I);
 
 /// A fleet worker serving \p S's units, \p Handler returning unit I's
-/// record (see runFleetWorker). A key outside \p S kills the worker.
+/// record (see runFleetWorker). A key outside [Begin, Begin + Count)
+/// kills the worker.
 int serveFleetUnits(const UnitSweep &S,
                     const std::function<UnitRecord(size_t I)> &Handler);
 

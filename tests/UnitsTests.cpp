@@ -5,7 +5,8 @@
 // canceled unit is never journaled and re-runs on resume, retries are
 // counted, the fold is identical at any thread count, an interrupted run
 // resumes to the uninterrupted aggregate, and the fleet executor's
-// aggregate equals the in-process one.
+// aggregate equals the in-process one, also for a sweep that starts at a
+// unit other than 0.
 //
 // The sweep is synthetic: unit I's payload is a digest of I, some units
 // trip a transient fault on their first attempt and some fail for good.
@@ -27,6 +28,7 @@
 #include <cstring>
 #include <memory>
 #include <set>
+#include <stdexcept>
 
 using namespace nv;
 
@@ -39,15 +41,17 @@ std::string payload(size_t I) {
   return fnv1a64Hex("unit-" + std::to_string(I));
 }
 
-/// One synthetic sweep: slots, per-unit attempt counters, and the worker
-/// that fills them. Unit I % 3 == 1 trips a transient fault on its first
-/// attempt in a process; unit I % 5 == 4 fails for good.
+/// One synthetic sweep of units [Begin, Begin + N): slots, per-unit
+/// attempt counters, and the worker that fills them. Unit I % 3 == 1 trips
+/// a transient fault on its first attempt in a process; unit I % 5 == 4
+/// fails for good.
 struct Sweep {
   explicit Sweep(size_t N, ResumeLog *Journal = nullptr,
-                 CancelToken *Cancel = nullptr)
-      : Slots(N), Attempts(new std::atomic<unsigned>[N]) {
-    for (size_t I = 0; I < N; ++I)
+                 CancelToken *Cancel = nullptr, size_t Begin = 0)
+      : Slots(Begin + N), Attempts(new std::atomic<unsigned>[Begin + N]) {
+    for (size_t I = 0; I < Begin + N; ++I)
       Attempts[I] = 0;
+    S.Begin = Begin;
     S.Count = N;
     S.Prefix = 'u';
     S.Budget.Cancel = Cancel;
@@ -107,9 +111,10 @@ struct Sweep {
   /// order, then the first failure and the skipped count.
   std::string fold(const UnitsResult &R) const {
     std::string Out;
-    for (size_t I = 0; I < Slots.size(); ++I)
-      Out += R.Units[I].Outcome.str() + " " +
-             (R.Units[I].Outcome.ok() ? Slots[I] : "") + "\n";
+    for (size_t I = S.Begin; I < Slots.size(); ++I) {
+      const RunOutcome &O = R.Units[I - S.Begin].Outcome;
+      Out += O.str() + " " + (O.ok() ? Slots[I] : "") + "\n";
+    }
     return Out + "first " + R.First.str() + ", skipped " +
            std::to_string(R.Skipped);
   }
@@ -121,9 +126,9 @@ struct Sweep {
   std::unique_ptr<std::atomic<unsigned>[]> Attempts;
 };
 
-/// The expected fold of an uninterrupted sweep of \p N units.
-std::string referenceFold(size_t N) {
-  Sweep Ref(N);
+/// The expected fold of an uninterrupted sweep of units [Begin, Begin + N).
+std::string referenceFold(size_t N, size_t Begin = 0) {
+  Sweep Ref(N, nullptr, nullptr, Begin);
   return Ref.fold(Ref.run());
 }
 
@@ -167,11 +172,11 @@ struct ScratchJournal {
   RunBinding Binding;
 };
 
-FleetOptions fleetOptions(unsigned Workers) {
+FleetOptions fleetOptions(unsigned Workers, size_t Begin = 0) {
   FleetOptions O;
   O.Workers = Workers;
   O.WorkerArgv = {getExecutablePath(), "--units-worker",
-                  std::to_string(NumUnits)};
+                  std::to_string(NumUnits), std::to_string(Begin)};
   O.HeartbeatMs = 25;
   O.BackoffBaseMs = 5;
   O.BackoffCapMs = 50;
@@ -230,25 +235,34 @@ TEST(Units, FoldIsIdenticalAtAnyThreadCount) {
 }
 
 TEST(Units, JournaledUnitsAreRestoredNotRerun) {
-  ScratchJournal J("restore");
-  {
+  for (size_t Begin : {size_t(0), size_t(7)}) {
+    SCOPED_TRACE("units from " + std::to_string(Begin));
+    ScratchJournal J("restore");
+    {
+      auto Log = J.open();
+      Sweep First(NumUnits, Log.get(), nullptr, Begin);
+      First.run();
+    }
+    // The keys are those of units [Begin, Begin + NumUnits).
+    std::set<std::string> Want;
+    for (size_t I = Begin; I < Begin + NumUnits; ++I)
+      Want.insert(unitKey('u', I));
+    EXPECT_EQ(J.keys(), Want);
+
     auto Log = J.open();
-    Sweep First(NumUnits, Log.get());
-    First.run();
+    Sweep Sw(NumUnits, Log.get(), nullptr, Begin);
+    ThreadPool Pool(4);
+    UnitsResult R = Sw.run(Pool);
+    EXPECT_EQ(R.Replayed, NumUnits);
+    EXPECT_EQ(R.Retries, 0u); // retries of earlier runs are not re-counted
+    for (size_t I = Begin; I < Begin + NumUnits; ++I) {
+      EXPECT_EQ(Sw.attempts(I), 0u) << I;
+      EXPECT_TRUE(R.Units[I - Begin].Replayed) << I;
+    }
+    // Failed units are durable skips too: restored with their outcome.
+    EXPECT_EQ(Sw.fold(R), referenceFold(NumUnits, Begin));
+    EXPECT_EQ(Log->entryCount(), NumUnits);
   }
-  auto Log = J.open();
-  Sweep Sw(NumUnits, Log.get());
-  ThreadPool Pool(4);
-  UnitsResult R = Sw.run(Pool);
-  EXPECT_EQ(R.Replayed, NumUnits);
-  EXPECT_EQ(R.Retries, 0u); // retries of earlier runs are not re-counted
-  for (size_t I = 0; I < NumUnits; ++I) {
-    EXPECT_EQ(Sw.attempts(I), 0u) << I;
-    EXPECT_TRUE(R.Units[I].Replayed) << I;
-  }
-  // Failed units are durable skips too: restored with their outcome.
-  EXPECT_EQ(Sw.fold(R), referenceFold(NumUnits));
-  EXPECT_EQ(Log->entryCount(), NumUnits);
 }
 
 TEST(Units, MalformedRecordIsAnEvalErrorOfItsUnit) {
@@ -340,37 +354,64 @@ TEST(Units, InterruptedThreadedRunResumesToTheUninterruptedAggregate) {
 }
 
 TEST(Units, FleetAggregateEqualsInProcess) {
-  std::string Ref = referenceFold(NumUnits);
-  ScratchJournal J("fleet");
-  {
-    // Half the units are journaled in process first; the fleet runs only
-    // the rest, and journals each record as it lands.
+  for (size_t Begin : {size_t(0), size_t(5)}) {
+    SCOPED_TRACE("units from " + std::to_string(Begin));
+    size_t Half = Begin + NumUnits / 2;
+    ScratchJournal J("fleet");
+    {
+      // Half the units are journaled in process first; the fleet runs
+      // only the rest, and journals each record as it lands.
+      auto Log = J.open();
+      CancelToken Tok;
+      Sweep Sw(NumUnits, Log.get(), &Tok, Begin);
+      Sw.BeforeRun = [&](size_t I) {
+        if (I == Half)
+          Tok.requestCancel();
+      };
+      Sw.run();
+    }
     auto Log = J.open();
-    CancelToken Tok;
-    Sweep Sw(NumUnits, Log.get(), &Tok);
-    Sw.BeforeRun = [&](size_t I) {
-      if (I == NumUnits / 2)
-        Tok.requestCancel();
+    Sweep Sw(NumUnits, Log.get(), nullptr, Begin);
+    UnitExecutor X;
+    X.Fleet = fleetOptions(3, Begin);
+    uint64_t Jobs = 0;
+    X.OnFleetDone = [&](const FleetResult &FR) {
+      EXPECT_TRUE(FR.Outcome.ok()) << FR.Outcome.str();
+      Jobs = FR.Stats.JobsCompleted;
     };
-    Sw.run();
+    UnitsResult R = Sw.run(X);
+    EXPECT_EQ(Jobs, NumUnits - NumUnits / 2);
+    EXPECT_EQ(R.Replayed, NumUnits / 2);
+    // Retries happen in the workers and come back in the records.
+    EXPECT_EQ(R.Retries, countIf(Begin + NumUnits, isFlaky) -
+                             countIf(Half, isFlaky));
+    EXPECT_EQ(Sw.fold(R), referenceFold(NumUnits, Begin));
+    EXPECT_EQ(J.keys().size(), NumUnits);
   }
-  auto Log = J.open();
-  Sweep Sw(NumUnits, Log.get());
-  UnitExecutor X;
-  X.Fleet = fleetOptions(3);
-  uint64_t Jobs = 0;
-  X.OnFleetDone = [&](const FleetResult &FR) {
-    EXPECT_TRUE(FR.Outcome.ok()) << FR.Outcome.str();
-    Jobs = FR.Stats.JobsCompleted;
+}
+
+TEST(Units, FleetWorkerRejectsKeysOutsideItsSweep) {
+  // The one-job hook runs the handler in this process, so the rejection
+  // surfaces as the exception that would kill a worker.
+  Sweep Sw(NumUnits, nullptr, nullptr, 5);
+  UnitWorker W = Sw.worker();
+  auto Serve = [&](const char *Key) {
+    ::setenv("NV_FLEET_ONE_JOB", Key, 1);
+    int Rc = -1;
+    try {
+      Rc = serveFleetUnits(Sw.S,
+                           [&](size_t I) { return runUnitRecord(Sw.S, W, I); });
+    } catch (const std::runtime_error &) {
+    }
+    ::unsetenv("NV_FLEET_ONE_JOB");
+    return Rc;
   };
-  UnitsResult R = Sw.run(X);
-  EXPECT_EQ(Jobs, NumUnits - NumUnits / 2);
-  EXPECT_EQ(R.Replayed, NumUnits / 2);
-  // Retries happen in the workers and come back in the records.
-  EXPECT_EQ(R.Retries, countIf(NumUnits, isFlaky) -
-                           countIf(NumUnits / 2, isFlaky));
-  EXPECT_EQ(Sw.fold(R), Ref);
-  EXPECT_EQ(J.keys().size(), NumUnits);
+  EXPECT_EQ(Serve("u5"), 0);
+  EXPECT_EQ(Serve(unitKey('u', 4 + NumUnits).c_str()), 0);
+  EXPECT_EQ(Serve("u4"), -1);
+  EXPECT_EQ(Serve(unitKey('u', 5 + NumUnits).c_str()), -1);
+  EXPECT_EQ(Serve("x6"), -1);
+  EXPECT_EQ(Sw.attempts(5), 1u);
 }
 
 TEST(Units, CanceledFleetLeavesUnitsCanceledAndUnjournaled) {
@@ -397,8 +438,9 @@ TEST(Units, CanceledFleetLeavesUnitsCanceledAndUnjournaled) {
 int main(int argc, char **argv) {
   // Worker half: the fleet re-execs this binary with the flag. Handled
   // before gtest so the flag never reaches InitGoogleTest.
-  if (argc >= 3 && !std::strcmp(argv[1], "--units-worker")) {
-    Sweep Sw(std::strtoull(argv[2], nullptr, 10));
+  if (argc >= 4 && !std::strcmp(argv[1], "--units-worker")) {
+    Sweep Sw(std::strtoull(argv[2], nullptr, 10), nullptr, nullptr,
+             std::strtoull(argv[3], nullptr, 10));
     UnitWorker W = Sw.worker();
     return serveFleetUnits(Sw.S, [&](size_t I) {
       return runUnitRecord(Sw.S, W, I);

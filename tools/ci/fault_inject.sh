@@ -135,6 +135,10 @@ done
 # The benchmarks' numeric flags exit before any work starts.
 expect_usage "fig13b_fault_scaling --threads abc" \
   "$BUILD_DIR/bench/fig13b_fault_scaling" --threads abc
+expect_usage "fig13b_fault_scaling --gc-watermark abc" \
+  "$BUILD_DIR/bench/fig13b_fault_scaling" --cell 4:1 --gc-watermark abc
+expect_usage "fig13b_fault_scaling with a valueless trailing --threads" \
+  "$BUILD_DIR/bench/fig13b_fault_scaling" --cell 4:1 --threads
 expect_usage "fig12_smt --timeout 3x" "$BUILD_DIR/bench/fig12_smt" --timeout 3x
 expect_usage "serve_latency --repeats abc" \
   "$BUILD_DIR/bench/serve_latency" --repeats abc

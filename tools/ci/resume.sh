@@ -8,8 +8,10 @@
 # corruption and binding mismatch hard exit 2), retry semantics under
 # NV_FAULT_INJECT, that `nv ft` agrees with the naive reference (also on
 # a dict-attribute route-map instance), that a fleet ft journal resumes in
-# process and an in-process naive journal on a fleet, and that replaying
-# tests/corpus twice under --resume shows no fingerprint drift.
+# process and an in-process naive journal on a fleet, that replaying
+# tests/corpus twice under --resume shows no fingerprint drift, that an
+# interrupted nv-fuzz campaign resumes on a fleet and past a torn tail,
+# and that a corpus replay journal is refused once the file list changes.
 #
 # Usage: tools/ci/resume.sh [BUILD_DIR]
 set -euo pipefail
@@ -232,5 +234,58 @@ grep -q "(journal)" "$WORK/c2.out" || fail "second replay re-ran the corpus"
 diff <(strip_ms "$WORK/c1.json") <(strip_ms "$WORK/c2.json") \
   || fail "journaled corpus replay drifted"
 echo "ok: corpus verdicts stable across resume"
+
+echo "== fuzz campaign: SIGTERM, resume on a fleet, torn tail =="
+# The campaign runs on the unit runner: an interrupted in-process journal
+# resumes on a 2-worker fleet, and a torn last record re-runs that one
+# instance; both aggregates equal an uninterrupted campaign's.
+FUZZ_ARGS=(--seed 7 --count 24 --inject-bug-for-testing)
+FREF=0
+"$NV_FUZZ" "${FUZZ_ARGS[@]}" --json "$WORK/fref.json" > /dev/null || FREF=$?
+[ "$FREF" -eq 1 ] || fail "fuzz reference: expected exit 1, got $FREF"
+JZ="$WORK/fuzz.journal"
+"$NV_FUZZ" "${FUZZ_ARGS[@]}" --resume "$JZ" --json "$WORK/fint.json" \
+  > /dev/null 2> "$WORK/fint.err" &
+PID=$!
+for _ in $(seq 1 500); do
+  SZ=$(stat -c %s "$JZ" 2>/dev/null || echo 0)
+  [ "$SZ" -ge 500 ] && break
+  sleep 0.01
+done
+kill -TERM "$PID" 2>/dev/null || true
+GOT=0
+wait "$PID" || GOT=$?
+[ "$GOT" -eq 3 ] || {
+  cat "$WORK/fint.err" >&2
+  fail "interrupted fuzz campaign: expected exit 3, got $GOT"
+}
+FR=0
+"$NV_FUZZ" "${FUZZ_ARGS[@]}" --resume "$JZ" --workers 2 \
+  --json "$WORK/fres.json" > "$WORK/fres.out" 2> /dev/null || FR=$?
+[ "$FR" -eq "$FREF" ] || fail "fuzz fleet resume exit $FR != reference $FREF"
+grep -q "completed instance(s) replayed" "$WORK/fres.out" \
+  || fail "fuzz resume replayed nothing"
+diff <(strip_ms "$WORK/fref.json") <(strip_ms "$WORK/fres.json") \
+  || fail "fleet-resumed fuzz JSON differs from the uninterrupted campaign"
+truncate -s -3 "$JZ"
+FT=0
+"$NV_FUZZ" "${FUZZ_ARGS[@]}" --resume "$JZ" --json "$WORK/ftorn.json" \
+  > /dev/null 2> "$WORK/ftorn.err" || FT=$?
+[ "$FT" -eq "$FREF" ] || fail "fuzz torn-tail resume exit $FT != $FREF"
+grep -qi "torn" "$WORK/ftorn.err" || fail "no torn-tail note from nv-fuzz"
+diff <(strip_ms "$WORK/fref.json") <(strip_ms "$WORK/ftorn.json") \
+  || fail "torn-tail fuzz resume JSON differs from the reference"
+echo "ok: fuzz campaign resumed on a fleet and past a torn tail, identical"
+
+echo "== corpus replay journal is bound to its file list =="
+# Unit r<I> is the I-th corpus file, so a journal from another file list
+# must be refused rather than replay one file's verdict as another's.
+cp -r tests/corpus "$WORK/corpus"
+JR="$WORK/replay.journal"
+"$NV_FUZZ" --replay "$WORK/corpus" --resume "$JR" > /dev/null
+CORPUS_FILES=("$WORK"/corpus/*.nv)
+cp "${CORPUS_FILES[0]}" "$WORK/corpus/0-added.nv"
+expect_code 2 "replay journal of another corpus file list rejected" \
+  "$NV_FUZZ" --replay "$WORK/corpus" --resume "$JR"
 
 echo "resume smoke passed"

@@ -238,31 +238,6 @@ std::optional<CliOptions> parseCli(int argc, char **argv) {
   return O;
 }
 
-std::optional<std::string> readFile(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In)
-    return std::nullopt;
-  std::ostringstream Out;
-  Out << In.rdbuf();
-  return Out.str();
-}
-
-/// Resolves includes relative to the program's directory before falling
-/// back to the built-in registry.
-ParseOptions fileParseOptions(const std::string &Path) {
-  std::string Dir = ".";
-  size_t Slash = Path.rfind('/');
-  if (Slash != std::string::npos)
-    Dir = Path.substr(0, Slash);
-  ParseOptions Opts;
-  Opts.Resolver = [Dir](const std::string &Name) -> std::optional<std::string> {
-    if (auto Src = readFile(Dir + "/" + Name + ".nv"))
-      return Src;
-    return std::nullopt;
-  };
-  return Opts;
-}
-
 SymbolicAssignment resolveSyms(NvContext &Ctx, const Program &P,
                                const CliOptions &O, bool &Ok) {
   SymbolicAssignment Out;
@@ -794,7 +769,7 @@ int main(int argc, char **argv) {
       return 2;
     }
 
-  auto Src = readFile(O->File);
+  auto Src = readSourceFile(O->File);
   if (!Src) {
     std::fprintf(stderr, "cannot read %s\n", O->File.c_str());
     return 2;

@@ -15,27 +15,32 @@
 //   --artifact-dir DIR   where minimized repros (and other run artifacts)
 //                        are written (default tests/corpus; --corpus-dir
 //                        is the older spelling of the same knob)
-//   --resume PATH        campaign checkpoint journal: completed instances
-//                        are replayed (divergence tallies included) and
-//                        each newly completed instance is recorded durably
-//   --workers N          campaign mode only: run instances on N crash-
-//                        isolated worker subprocesses (support/Fleet.h).
-//                        A crashing instance requeues; one that kills
-//                        several workers is quarantined (recorded as
-//                        skipped, with a runnable repro script in the
-//                        artifact dir) instead of ending the campaign the
-//                        way an escaped EngineError does in-process
+//   --resume PATH        checkpoint journal: completed instances are
+//                        replayed (divergence tallies included) and each
+//                        newly completed instance is recorded durably
+//   --workers N          run instances on N crash-isolated worker
+//                        subprocesses (support/Fleet.h), which re-exec
+//                        this binary with the same flags. A crashing
+//                        instance requeues; one that kills several workers
+//                        is quarantined (recorded as skipped, with a
+//                        runnable repro script in the artifact dir)
 //   --retry N            attempts per instance when an EngineError with a
 //                        transient outcome escapes the oracle's per-leg
-//                        catches; exhausted retries record the instance as
-//                        skipped instead of killing the campaign
+//                        catches; an instance whose last attempt still
+//                        fails is recorded as skipped
 //   --threads N          thread count for the N-thread oracle legs
 //   --no-smt/--no-ft/--no-naive   disable oracle legs
 //   --json PATH          machine-readable summary
 //
+// Every mode runs its instances as units of the unit runner
+// (support/Units.h): campaign instance I is unit "i<I>", corpus file I (in
+// sorted order) is unit "r<I>". The executor is this process or, with
+// --workers, a fleet; the two write the same records, so a journal from
+// either resumes on the other.
+//
 // SIGINT/SIGTERM trigger graceful shutdown: the in-flight instance drains
 // through its engines' safe points, the journal keeps every completed
-// instance, and the campaign exits with code 3.
+// instance, and the run exits with code 3.
 //
 // Determinism: instance i of a run is seed-derived via mixSeed(S, i) —
 // the same --seed/--count always replays the same instances and reaches
@@ -43,12 +48,10 @@
 //
 // Exit codes (shared scheme with the nv CLI):
 //   0  all instances agree
-//   1  divergence found
+//   1  divergence found (a generator error counts as one)
 //   2  usage or I/O error
-//   3  resource exhausted (an EngineError with a resource-limit outcome
-//      escaped the oracle's per-leg catches, e.g. a fault injected before
-//      any engine scope was armed)
-//   4  internal error
+//   3  canceled by SIGINT/SIGTERM
+//   4  internal error (the fleet could not keep workers alive, ...)
 //
 //===----------------------------------------------------------------------===//
 
@@ -57,14 +60,16 @@
 #include "fuzz/Minimize.h"
 #include "fuzz/Oracle.h"
 #include "fuzz/Rng.h"
-#include "support/Fleet.h"
 #include "support/Governor.h"
+#include "support/Journal.h"
 #include "support/Json.h"
 #include "support/ParseNumber.h"
-#include "support/Resume.h"
 #include "support/Subprocess.h"
 #include "support/Timer.h"
+#include "support/Units.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -99,15 +104,17 @@ struct FuzzCli {
   std::string ResumePath;
   std::string JsonPath;
   unsigned Retry = 1;
-  unsigned Workers = 0;    ///< Campaign fleet size (0 = in-process).
+  unsigned Workers = 0;    ///< Fleet size (0 = in-process).
   bool FleetWorker = false; ///< Hidden: serve instances over fleet pipes.
   bool Emit = false;
   uint64_t EmitSeed = 0;
   OracleOptions Oracle;
+  std::vector<std::string> Flags; ///< argv[1..], a fleet worker's flags.
 };
 
 std::optional<FuzzCli> parseCli(int argc, char **argv) {
   FuzzCli O;
+  O.Flags.assign(argv + 1, argv + argc);
   for (int I = 1; I < argc; ++I) {
     auto Arg = [&](const char *Name) { return !std::strcmp(argv[I], Name); };
     auto Next = [&]() -> const char * {
@@ -203,42 +210,74 @@ struct RunTally {
   std::vector<std::string> ReproFiles;
 };
 
-/// What one completed instance contributed — exactly the facts the
-/// checkpoint journal needs to replay it without re-running any engine.
-struct InstanceResult {
+/// What one instance contributed: the fields of its unit record.
+struct InstanceSlot {
+  bool GenError = false; ///< The generator failed; nothing else is set.
+  std::string Name;
   bool Diverged = false;
-  bool Skipped = false;
   uint64_t Legs = 0;
-  unsigned Attempts = 1;
-  std::string ReproFile;
+  std::string Repro;
 };
 
+bool replayMode(const FuzzCli &Cli) { return !Cli.ReplayPath.empty(); }
+
+/// All of the run's units. Replay unit I ("r<I>") is the I-th corpus file;
+/// campaign instance I ("i<I>") is generated from mixSeed(Seed, I), and a
+/// time-budgeted campaign has no end. Each attempt is retried per --retry
+/// and stops at \p Cancel.
+UnitSweep fuzzSweep(const FuzzCli &Cli, size_t CorpusSize, ResumeLog *Log,
+                    CancelToken *Cancel) {
+  UnitSweep S;
+  if (replayMode(Cli)) {
+    S.Prefix = 'r';
+    S.Count = CorpusSize;
+  } else {
+    S.Prefix = 'i';
+    S.Begin = Cli.Start;
+    S.Count = SIZE_MAX - Cli.Start;
+    if (!Cli.TimeBudgetSec)
+      S.Count = std::min<uint64_t>(Cli.Count, S.Count);
+  }
+  S.Budget.Cancel = Cancel;
+  S.Retry.MaxAttempts = Cli.Retry;
+  S.Journal = Log;
+  return S;
+}
+
 /// The journal header: everything that determines per-instance verdicts.
-/// Thread count and wall-clock budget are provenance — verdicts are
-/// invariant under both, so an interrupted campaign may resume with
-/// different parallelism.
-RunBinding fuzzBinding(const FuzzCli &Cli, const char *Mode) {
+/// Thread count, worker count and wall-clock budget are provenance —
+/// verdicts are invariant under them, so an interrupted campaign may
+/// resume with different parallelism, in process or on a fleet.
+RunBinding fuzzBinding(const FuzzCli &Cli,
+                       const std::vector<std::string> &Files) {
   RunBinding B;
   B.set("tool", "nv-fuzz");
-  B.set("mode", Mode);
-  if (!std::strcmp(Mode, "campaign")) {
+  // Records carry the unit runner's outcome fields (format 1 had a skip
+  // flag instead), so a format-1 journal is refused, not misread.
+  B.setInt("record-format", 2);
+  if (replayMode(Cli)) {
+    B.set("mode", "replay");
+    B.set("replay-root", Cli.ReplayPath);
+    // Unit r<I> is the I-th file: another file list must not replay.
+    std::string List;
+    for (const std::string &F : Files)
+      List += F + "\n";
+    B.set("corpus", std::to_string(Files.size()) + " files, list " +
+                        fnv1a64Hex(List));
+  } else {
+    B.set("mode", "campaign");
     B.setInt("seed", static_cast<long long>(Cli.Seed));
     B.setInt("start", static_cast<long long>(Cli.Start));
     if (Cli.TimeBudgetSec)
       B.set("count", "time-budget");
     else
       B.setInt("count", static_cast<long long>(Cli.Count));
-  } else {
-    B.set("replay-root", Cli.ReplayPath);
   }
   B.setInt("smt", Cli.Oracle.EnableSmt);
   B.setInt("ft", Cli.Oracle.EnableFt);
   B.setInt("naive", Cli.Oracle.EnableNaive);
   B.setInt("inject-bug", Cli.Oracle.InjectBugForTesting);
   B.setInt("retry", Cli.Retry);
-  // Worker count is provenance, not binding: fleet and in-process
-  // campaigns write identical instance records, so their journals are
-  // interchangeable.
   B.setProvenance("workers", std::to_string(Cli.Workers));
   B.setProvenance("threads", std::to_string(Cli.Oracle.Threads));
   if (Cli.TimeBudgetSec)
@@ -246,124 +285,9 @@ RunBinding fuzzBinding(const FuzzCli &Cli, const char *Mode) {
   return B;
 }
 
-bool openFuzzResume(const FuzzCli &Cli, const char *Mode,
-                    std::unique_ptr<ResumeLog> &Log, int &ExitCode) {
-  if (Cli.ResumePath.empty())
-    return true;
-  ResumeLog::OpenResult R =
-      ResumeLog::open(Cli.ResumePath, fuzzBinding(Cli, Mode));
-  if (!R.Log) {
-    std::fprintf(stderr, "nv-fuzz: %s\n", R.Error.c_str());
-    ExitCode = 2;
-    return false;
-  }
-  Log = std::move(R.Log);
-  if (Log->tornTailDropped())
-    std::fprintf(stderr,
-                 "nv-fuzz: note: dropped a torn trailing journal entry "
-                 "(interrupted mid-write); that instance will re-run\n");
-  if (Log->replayedCount())
-    std::printf("resuming from %s: %zu completed instance(s) replayed\n",
-                Log->path().c_str(), Log->replayedCount());
-  return true;
-}
-
-/// The canonical instance record — what the campaign journals and what a
-/// fleet worker sends back over the result pipe (same shape, so fleet and
-/// in-process journals are interchangeable).
-UnitRecord makeInstanceRecord(const std::string &Key, const std::string &Name,
-                              const InstanceResult &R) {
-  UnitRecord Rec;
-  Rec.Key = Key;
-  Rec.add("name", Name);
-  Rec.addInt("div", R.Diverged ? 1 : 0);
-  Rec.addInt("skip", R.Skipped ? 1 : 0);
-  Rec.addInt("legs", static_cast<long long>(R.Legs));
-  Rec.addInt("attempts", R.Attempts);
-  if (!R.ReproFile.empty())
-    Rec.add("repro", R.ReproFile);
-  return Rec;
-}
-
-void recordInstance(ResumeLog &Log, const std::string &Key,
-                    const std::string &Name, const InstanceResult &R) {
-  Log.recordDone(makeInstanceRecord(Key, Name, R));
-}
-
-/// Applies a journaled instance record to the tally as if the instance
-/// had just run. Returns false if the record lacks the expected fields
-/// (version drift) — the caller then re-runs the instance.
-bool replayInstance(const UnitRecord &Rec, RunTally &T) {
-  const std::string *Legs = Rec.get("legs");
-  const std::string *Div = Rec.get("div");
-  if (!Legs || !Div)
-    return false;
-  ++T.Instances;
-  ++T.Replayed;
-  T.LegRuns += std::strtoull(Legs->c_str(), nullptr, 10);
-  if (const std::string *S = Rec.get("skip"); S && *S == "1")
-    ++T.Skipped;
-  if (*Div == "1") {
-    ++T.Divergences;
-    const std::string *Name = Rec.get("name");
-    std::printf("DIVERGENCE %s (replayed from journal)\n",
-                Name ? Name->c_str() : Rec.Key.c_str());
-  }
-  if (const std::string *Repro = Rec.get("repro"))
-    T.ReproFiles.push_back(*Repro);
-  return true;
-}
-
-/// Runs one instance through the oracle; on divergence optionally
-/// minimizes and writes a corpus repro under the artifact directory.
-/// An EngineError with a transient resource-limit outcome that escapes
-/// the oracle's per-leg catches is retried up to --retry times; when the
-/// retries are exhausted the instance is recorded as skipped (so a
-/// persistently flaky unit cannot kill a long campaign). Returns false
-/// on divergence.
-bool runOne(const FuzzInstance &Inst, const FuzzCli &Cli, RunTally &T,
-            InstanceResult &R) {
-  DiagnosticEngine Diags;
-  OracleVerdict V;
-  unsigned MaxAttempts = Cli.Retry ? Cli.Retry : 1;
-  for (unsigned Attempt = 1;; ++Attempt) {
-    R.Attempts = Attempt;
-    try {
-      V = runOracle(Inst, Cli.Oracle, Diags);
-      break;
-    } catch (const EngineError &E) {
-      if (!isTransientOutcome(E.outcome()))
-        throw;
-      if (Attempt < MaxAttempts) {
-        ++T.Retries;
-        continue;
-      }
-      if (MaxAttempts > 1) {
-        // Retries exhausted on a transient failure: record durably as
-        // skipped and let the campaign continue.
-        R.Skipped = true;
-        ++T.Instances;
-        ++T.Skipped;
-        std::printf("SKIP %s after %u attempt(s): %s\n", Inst.Name.c_str(),
-                    Attempt, E.what());
-        return true;
-      }
-      throw; // retry disabled: preserve the structural-exit behavior
-    }
-  }
-  ++T.Instances;
-  T.LegRuns += V.Runs.size();
-  R.Legs = V.Runs.size();
-  if (V.Ok)
-    return true;
-
-  ++T.Divergences;
-  R.Diverged = true;
-  std::printf("DIVERGENCE %s\n  %s\n", Inst.Name.c_str(),
-              V.Mismatch.c_str());
-  if (!Cli.Minimize)
-    return false;
-
+/// Shrinks a diverging instance and writes the corpus repro under the
+/// artifact directory; returns its path ("" when it cannot be written).
+std::string writeMinimizedRepro(const FuzzInstance &Inst, const FuzzCli &Cli) {
   MinimizeResult M = minimizeSpec(Inst.Spec, Cli.Oracle);
   std::printf("  minimized: n=%u e=%zu after %u oracle runs, %u moves\n",
               M.Final.NumNodes, M.Final.Edges.size(), M.OracleRuns,
@@ -378,14 +302,92 @@ bool runOne(const FuzzInstance &Inst, const FuzzCli &Cli, RunTally &T,
   std::ofstream Out(Path);
   if (!Out) {
     std::fprintf(stderr, "cannot write %s\n", Path.c_str());
-    return false;
+    return "";
   }
   Out << corpusFileText(M.Instance, "minimized repro; diverged: " +
                                         M.Verdict.Mismatch.substr(0, 200));
   std::printf("  wrote %s\n", Path.c_str());
-  T.ReproFiles.push_back(Path);
-  R.ReproFile = Path;
-  return false;
+  return Path;
+}
+
+/// A worker running unit I's instance through the oracle into Slot(I) and
+/// printing its live lines (GENERATOR ERROR, DIVERGENCE, the minimizer's).
+/// A divergence is an ok unit; so is a generator error, which recurs on
+/// every run (generation is deterministic). An instance whose oracle was
+/// canceled is Canceled, so it is not journaled and re-runs on resume.
+UnitWorker instanceWorker(const FuzzCli &Cli,
+                          const std::vector<FuzzInstance> &Corpus, char Prefix,
+                          std::function<InstanceSlot &(size_t)> Slot) {
+  UnitWorker W;
+  W.Run = [&Cli, &Corpus, Slot](size_t I) -> RunOutcome {
+    InstanceSlot &S = Slot(I);
+    S = {};
+    DiagnosticEngine Diags;
+    FuzzInstance Inst;
+    if (replayMode(Cli)) {
+      Inst = Corpus[I];
+    } else {
+      uint64_t Seed = mixSeed(Cli.Seed, I);
+      Inst = instanceFromSeed(Seed, Diags);
+      if (Inst.NvSource.empty()) {
+        std::printf("GENERATOR ERROR seed=0x%016llx:\n%s",
+                    static_cast<unsigned long long>(Seed),
+                    Diags.str().c_str());
+        S.GenError = true;
+        return {};
+      }
+    }
+    OracleVerdict V = runOracle(Inst, Cli.Oracle, Diags);
+    S.Name = Inst.Name;
+    S.Legs = V.Runs.size();
+    S.Diverged = !V.Ok;
+    if (S.Diverged) {
+      std::printf("DIVERGENCE %s\n  %s\n", Inst.Name.c_str(),
+                  V.Mismatch.c_str());
+      if (Cli.Minimize)
+        S.Repro = writeMinimizedRepro(Inst, Cli);
+    }
+    // Canceled legs fingerprint as skips: the verdict is incomplete.
+    if (Cli.Oracle.Cancel && Cli.Oracle.Cancel->isCanceled())
+      return {RunStatus::Canceled, "cancellation requested", ""};
+    return {};
+  };
+  W.Render = [Prefix, Slot](size_t I, unsigned Attempts) {
+    const InstanceSlot &S = Slot(I);
+    UnitRecord Rec;
+    Rec.Key = unitKey(Prefix, I);
+    addOutcome(Rec, RunOutcome(), Attempts);
+    if (S.GenError) {
+      Rec.addInt("gen_error", 1);
+      return Rec;
+    }
+    Rec.add("name", S.Name);
+    Rec.addInt("div", S.Diverged);
+    Rec.addInt("legs", static_cast<long long>(S.Legs));
+    if (!S.Repro.empty())
+      Rec.add("repro", S.Repro);
+    return Rec;
+  };
+  return W;
+}
+
+/// Restores an ok instance record into \p S; false when it is malformed.
+bool restoreInstance(const UnitRecord &Rec, InstanceSlot &S) {
+  S = {};
+  if (const std::string *Gen = Rec.get("gen_error"))
+    return S.GenError = *Gen == "1";
+  const std::string *Name = Rec.get("name");
+  const std::string *Div = Rec.get("div");
+  const std::string *Legs = Rec.get("legs");
+  unsigned D = 0;
+  if (!Name || !Div || !Legs || !parseInteger(*Div, D) || D > 1 ||
+      !parseInteger(*Legs, S.Legs))
+    return false;
+  S.Name = *Name;
+  S.Diverged = D;
+  if (const std::string *Repro = Rec.get("repro"))
+    S.Repro = *Repro;
+  return true;
 }
 
 bool writeJson(const std::string &Path, const RunTally &T, double Ms) {
@@ -407,229 +409,183 @@ bool writeJson(const std::string &Path, const RunTally &T, double Ms) {
   return true;
 }
 
-//===----------------------------------------------------------------------===//
-// Campaign worker fleet (--workers N / hidden --fleet-worker)
-//===----------------------------------------------------------------------===//
-
-/// The worker half: each job's spec is the instance seed in hex (keys stay
-/// "i<I>", but the seed travels so the worker needs no --seed/--start
-/// flags). Handler exceptions — an EngineError escaping the oracle's
-/// per-leg catches — kill the worker on purpose: the coordinator requeues
-/// the instance and, if it keeps killing workers, quarantines it with a
-/// repro script instead of ending the campaign.
-int fuzzFleetWorker(const FuzzCli &Cli) {
-  return runFleetWorker([&](const FleetJob &J) -> UnitRecord {
-    uint64_t Seed = std::strtoull(J.Spec.c_str(), nullptr, 16);
-    DiagnosticEngine Diags;
-    FuzzInstance Inst = instanceFromSeed(Seed, Diags);
-    if (Inst.NvSource.empty()) {
-      // Mirror the in-process campaign: print the generator error, count
-      // it as a divergence at the coordinator, and do NOT journal it
-      // (generation is deterministic, so a resumed run re-counts it).
-      std::printf("GENERATOR ERROR seed=0x%016llx:\n%s",
-                  static_cast<unsigned long long>(Seed), Diags.str().c_str());
-      UnitRecord Rec;
-      Rec.Key = J.Key;
-      Rec.addInt("gen_error", 1);
-      return Rec;
-    }
-    RunTally T; // worker-local; the coordinator tallies from the record
-    InstanceResult R;
-    runOne(Inst, Cli, T, R);
-    return makeInstanceRecord(J.Key, Inst.Name, R);
-  });
+/// The hidden --fleet-worker mode: serves the run's units over the fleet
+/// pipes (see support/Fleet.h). Its argv is the coordinator's own flags,
+/// so it derives every instance exactly as the coordinator would.
+int fuzzFleetWorker(const FuzzCli &Cli,
+                    const std::vector<FuzzInstance> &Corpus) {
+  UnitSweep S = fuzzSweep(Cli, Corpus.size(), nullptr, nullptr);
+  InstanceSlot Slot;
+  UnitWorker W = instanceWorker(Cli, Corpus, S.Prefix,
+                                [&](size_t) -> InstanceSlot & { return Slot; });
+  return serveFleetUnits(S, [&](size_t I) { return runUnitRecord(S, W, I); });
 }
 
-/// The coordinator half of a fleet campaign: jobs are generated lazily
-/// (so --time-budget works — the source dries up when the clock runs
-/// out), journal-replayed instances are skipped at generation time, and
-/// results are tallied and journaled as they land. Worker stdout is
-/// inherited, so DIVERGENCE/SKIP/minimizer lines print exactly as they
-/// do in-process (interleaved across workers).
-int campaignFleet(FuzzCli &Cli, ResumeLog *Log, CancelToken &Cancel,
-                  RunTally &T, Stopwatch &W) {
-  FleetOptions FO;
-  FO.Workers = Cli.Workers;
-  FO.WorkerArgv = {getExecutablePath(), "--fleet-worker"};
-  if (Cli.Oracle.Threads != 1) {
-    FO.WorkerArgv.push_back("--threads");
-    FO.WorkerArgv.push_back(std::to_string(Cli.Oracle.Threads));
-  }
-  if (!Cli.Oracle.EnableSmt)
-    FO.WorkerArgv.push_back("--no-smt");
-  if (!Cli.Oracle.EnableFt)
-    FO.WorkerArgv.push_back("--no-ft");
-  if (!Cli.Oracle.EnableNaive)
-    FO.WorkerArgv.push_back("--no-naive");
-  if (Cli.Oracle.InjectBugForTesting)
-    FO.WorkerArgv.push_back("--inject-bug-for-testing");
-  if (Cli.Minimize)
-    FO.WorkerArgv.push_back("--minimize");
-  if (Cli.Retry != 1) {
-    FO.WorkerArgv.push_back("--retry");
-    FO.WorkerArgv.push_back(std::to_string(Cli.Retry));
-  }
-  FO.WorkerArgv.push_back("--artifact-dir");
-  FO.WorkerArgv.push_back(Cli.ArtifactDir);
-  FO.QuarantineDir = Cli.ArtifactDir; // repro scripts live with the corpus
-  FO.Cancel = &Cancel;
-  applyFleetEnvOverrides(FO);
+/// Units per fleet worker in one round of a fleet run: enough to amortize
+/// the round's worker spawns, few enough to stop near a time budget.
+constexpr size_t FleetRoundPerWorker = 32;
 
-  uint64_t I = Cli.Start;
-  auto Next = [&](FleetJob &J) {
-    for (;;) {
-      if (Cli.TimeBudgetSec) {
-        if (W.elapsedMs() >= Cli.TimeBudgetSec * 1000.0)
-          return false;
-      } else if (I >= Cli.Start + Cli.Count) {
-        return false;
-      }
-      uint64_t Idx = I++;
-      std::string Key = "i";
-      Key += std::to_string(Idx);
-      if (Log) {
-        UnitRecord Rec;
-        if (Log->replay(Key, Rec) && replayInstance(Rec, T))
-          continue; // already done in a previous run
-      }
-      char Hex[32];
-      std::snprintf(Hex, sizeof(Hex), "%016llx",
-                    static_cast<unsigned long long>(mixSeed(Cli.Seed, Idx)));
-      J = {Key, Hex};
-      return true;
-    }
-  };
-
-  FleetCallbacks CB;
-  CB.OnResult = [&](const UnitRecord &Rec) {
-    if (Rec.get("gen_error")) {
-      ++T.Divergences; // counted, never journaled (see fuzzFleetWorker)
-      return;
-    }
-    RunOutcome O;
-    unsigned Attempts = 1;
-    if (parseOutcome(Rec, O, Attempts) && !O.ok()) {
-      // A quarantined instance: journal it as a durable skip (plus the
-      // repro script path), so any resume — fleet or in-process — replays
-      // it as skipped instead of re-running the crasher.
-      ++T.Instances;
-      ++T.Skipped;
-      InstanceResult R;
-      R.Skipped = true;
-      R.Attempts = Attempts;
-      if (const std::string *Repro = Rec.get("repro")) {
-        R.ReproFile = *Repro;
-        T.ReproFiles.push_back(*Repro);
-      }
-      std::printf("SKIP %s: %s\n", Rec.Key.c_str(), O.str().c_str());
-      if (Log)
-        recordInstance(*Log, Rec.Key, Rec.Key, R);
-      return;
-    }
-    // A normal instance record: tally exactly what replayInstance would,
-    // minus the replayed count (the worker already printed any
-    // DIVERGENCE/SKIP lines to the shared stdout).
-    ++T.Instances;
-    if (const std::string *S = Rec.get("skip"); S && *S == "1")
-      ++T.Skipped;
-    if (const std::string *Legs = Rec.get("legs"))
-      T.LegRuns += std::strtoull(Legs->c_str(), nullptr, 10);
-    if (const std::string *Div = Rec.get("div"); Div && *Div == "1")
-      ++T.Divergences;
-    if (const std::string *Repro = Rec.get("repro"))
-      T.ReproFiles.push_back(*Repro);
-    if (const std::string *A = Rec.get("attempts"))
-      if (unsigned N = unsigned(std::strtoul(A->c_str(), nullptr, 10)); N > 1)
-        T.Retries += N - 1;
-    if (Log)
-      Log->recordDone(Rec);
-  };
-
-  FleetResult FR = runFleetDynamic(FO, Next, CB);
-  if (!FR.Outcome.ok() && FR.Outcome.Status != RunStatus::Canceled) {
-    std::fprintf(stderr, "nv-fuzz: fleet run failed: %s\n",
-                 FR.Outcome.str().c_str());
-    return exitCodeForOutcome(FR.Outcome);
-  }
-  std::printf("fleet: %s\n", FR.Stats.str().c_str());
-  return 0; // fuzzMain prints the summary and derives the exit code
-}
-
-int replay(FuzzCli &Cli) {
-  std::vector<std::string> Files;
-  if (std::filesystem::is_directory(Cli.ReplayPath))
-    Files = listCorpusFiles(Cli.ReplayPath);
-  else
-    Files.push_back(Cli.ReplayPath);
-  if (Files.empty()) {
-    std::fprintf(stderr, "no corpus files under %s\n",
-                 Cli.ReplayPath.c_str());
-    return 2;
-  }
-
+/// Runs the campaign or corpus replay as rounds of unit-runner sweeps —
+/// one instance per round in process, FleetRoundPerWorker per worker on a
+/// fleet — folding each round into the tally in unit order, so memory is
+/// bounded by the round and the time budget is checked between rounds.
+int runSweep(FuzzCli &Cli, const std::vector<std::string> &Files,
+             const std::vector<FuzzInstance> &Corpus) {
   std::unique_ptr<ResumeLog> Log;
-  int Ec = 0;
-  if (!openFuzzResume(Cli, "replay", Log, Ec))
-    return Ec;
+  if (!Cli.ResumePath.empty()) {
+    ResumeLog::OpenResult R =
+        ResumeLog::open(Cli.ResumePath, fuzzBinding(Cli, Files));
+    if (!R.Log) {
+      std::fprintf(stderr, "nv-fuzz: %s\n", R.Error.c_str());
+      return 2;
+    }
+    Log = std::move(R.Log);
+    if (Log->tornTailDropped())
+      std::fprintf(stderr,
+                   "nv-fuzz: note: dropped a torn trailing journal entry "
+                   "(interrupted mid-write); that instance will re-run\n");
+    if (Log->replayedCount())
+      std::printf("resuming from %s: %zu completed instance(s) replayed\n",
+                  Log->path().c_str(), Log->replayedCount());
+  }
 
   CancelToken Cancel;
   GracefulShutdown Shutdown(Cancel);
   Cli.Oracle.Cancel = &Cancel;
+  const UnitSweep All = fuzzSweep(Cli, Corpus.size(), Log.get(), &Cancel);
+
+  UnitExecutor X;
+  FleetStats Fleet;
+  RunOutcome FleetFailure;
+  if (Cli.Workers) {
+    FleetOptions FO;
+    FO.Workers = Cli.Workers;
+    FO.WorkerArgv = {getExecutablePath(), "--fleet-worker"};
+    FO.WorkerArgv.insert(FO.WorkerArgv.end(), Cli.Flags.begin(),
+                         Cli.Flags.end());
+    FO.QuarantineDir = Cli.ArtifactDir; // repro scripts live with the corpus
+    FO.Cancel = &Cancel;
+    applyFleetEnvOverrides(FO);
+    X.Fleet = std::move(FO);
+    X.OnFleetDone = [&](const FleetResult &FR) {
+      Fleet += FR.Stats;
+      if (!FR.Outcome.ok() && FR.Outcome.Status != RunStatus::Canceled)
+        FleetFailure = FR.Outcome;
+    };
+  }
+  const size_t Round = Cli.Workers ? Cli.Workers * FleetRoundPerWorker : 1;
 
   RunTally T;
   Stopwatch W;
-  bool AllOk = true;
-  for (const std::string &F : Files) {
-    if (Cancel.isCanceled())
-      break;
-    if (Log) {
-      // Journal key for replay mode is the corpus file path itself.
-      UnitRecord Rec;
-      if (Log->replay(F, Rec) && replayInstance(Rec, T)) {
-        const std::string *Div = Rec.get("div");
-        bool Ok = !Div || *Div != "1";
-        std::printf("%-60s %s\n", F.c_str(),
-                    Ok ? "ok (journal)" : "DIVERGED (journal)");
-        AllOk = AllOk && Ok;
-        continue;
-      }
+  // Adds unit I to the tally, printing the lines the run prints for it
+  // beyond the worker's live ones. False at a canceled unit: it and the
+  // units after it are not part of this run.
+  auto Fold = [&](size_t I, const UnitResult &U, const InstanceSlot &S) {
+    const char *Journal = U.Replayed ? " (replayed from journal)" : "";
+    if (U.Outcome.Status == RunStatus::Canceled)
+      return false;
+    if (!U.Outcome.ok()) {
+      ++T.Instances;
+      ++T.Skipped;
+      std::printf("SKIP %s: %s%s\n", unitKey(All.Prefix, I).c_str(),
+                  U.Outcome.str().c_str(), Journal);
+    } else if (S.GenError) {
+      ++T.Divergences; // counted, but not an instance
+      if (U.Replayed)
+        std::printf("GENERATOR ERROR seed=0x%016llx%s\n",
+                    static_cast<unsigned long long>(mixSeed(Cli.Seed, I)),
+                    Journal);
+    } else {
+      ++T.Instances;
+      T.LegRuns += S.Legs;
+      T.Divergences += S.Diverged;
+      if (S.Diverged && U.Replayed)
+        std::printf("DIVERGENCE %s%s\n", S.Name.c_str(), Journal);
+      if (!S.Repro.empty())
+        T.ReproFiles.push_back(S.Repro);
     }
-    auto Inst = loadCorpusFile(F);
-    if (!Inst)
-      return 2;
-    InstanceResult R;
-    bool Ok = runOne(*Inst, Cli, T, R);
-    if (Cancel.isCanceled())
-      break; // legs drained via cancellation: not a completed unit
-    if (Log)
-      recordInstance(*Log, F, Inst->Name, R);
-    std::printf("%-60s %s\n", F.c_str(), Ok ? "ok" : "DIVERGED");
-    AllOk = AllOk && Ok;
+    if (replayMode(Cli))
+      std::printf("%-60s %s%s\n", Files[I].c_str(),
+                  !U.Outcome.ok() ? "skipped"
+                  : S.Diverged    ? "DIVERGED"
+                                  : "ok",
+                  U.Replayed ? " (journal)" : "");
+    else if ((I + 1) % 100 == 0)
+      std::printf("[%llu] %llu instances, %llu divergences, %.1fs\n",
+                  static_cast<unsigned long long>(I + 1),
+                  static_cast<unsigned long long>(T.Instances),
+                  static_cast<unsigned long long>(T.Divergences),
+                  W.elapsedMs() / 1000.0);
+    return true;
+  };
+
+  std::vector<InstanceSlot> Slots;
+  for (size_t Done = 0; Done < All.Count && !Cancel.isCanceled();) {
+    if (Cli.TimeBudgetSec && W.elapsedMs() >= Cli.TimeBudgetSec * 1000.0)
+      break;
+    UnitSweep S = All;
+    S.Begin = All.Begin + Done;
+    S.Count = std::min(Round, All.Count - Done);
+    Slots.assign(S.Count, {});
+    auto Slot = [&Slots, B = S.Begin](size_t I) -> InstanceSlot & {
+      return Slots[I - B];
+    };
+    S.Restore = [Slot](size_t I, const UnitRecord &Rec) {
+      return restoreInstance(Rec, Slot(I));
+    };
+    if (X.Fleet)
+      std::fflush(stdout); // our lines first, then the workers'
+    UnitsResult U = runUnits(S, X, [&](const auto &Serve) {
+      UnitWorker Wk = instanceWorker(Cli, Corpus, S.Prefix, Slot);
+      Serve(Wk);
+    });
+    if (!FleetFailure.ok()) {
+      std::fprintf(stderr, "nv-fuzz: fleet run failed: %s\n",
+                   FleetFailure.str().c_str());
+      return exitCodeForOutcome(FleetFailure);
+    }
+    T.Replayed += U.Replayed;
+    T.Retries += U.Retries;
+    for (size_t K = 0; K < S.Count; ++K)
+      if (!Fold(S.Begin + K, U.Units[K], Slots[K]))
+        break;
+    Done += S.Count;
   }
-  std::printf("replayed %llu corpus instances, %llu divergences\n",
-              static_cast<unsigned long long>(T.Instances),
-              static_cast<unsigned long long>(T.Divergences));
+
+  if (replayMode(Cli))
+    std::printf("replayed %llu corpus instances, %llu divergences\n",
+                static_cast<unsigned long long>(T.Instances),
+                static_cast<unsigned long long>(T.Divergences));
+  else
+    std::printf(
+        "%llu instances (%llu replayed, %llu skipped, %llu retries), "
+        "%llu engine runs, %llu divergences, %.1fs\n",
+        static_cast<unsigned long long>(T.Instances),
+        static_cast<unsigned long long>(T.Replayed),
+        static_cast<unsigned long long>(T.Skipped),
+        static_cast<unsigned long long>(T.Retries),
+        static_cast<unsigned long long>(T.LegRuns),
+        static_cast<unsigned long long>(T.Divergences),
+        W.elapsedMs() / 1000.0);
+  if (Cli.Workers)
+    std::printf("fleet: %s\n", Fleet.str().c_str());
   if (!Cli.JsonPath.empty() && !writeJson(Cli.JsonPath, T, W.elapsedMs()))
     return 2;
   if (Shutdown.triggered()) {
     std::fprintf(stderr,
-                 "nv-fuzz: replay interrupted; %zu completed instance(s) "
+                 "nv-fuzz: %s interrupted; %zu completed instance(s) "
                  "journaled\n",
+                 replayMode(Cli) ? "replay" : "campaign",
                  Log ? Log->entryCount() : size_t(0));
     return 3;
   }
-  return AllOk ? 0 : 1;
+  return T.Divergences ? 1 : 0;
 }
 
 int fuzzMain(int argc, char **argv) {
   auto Cli = parseCli(argc, argv);
   if (!Cli)
     return usage();
-
-  if (Cli->FleetWorker)
-    // Before any signal plumbing: the coordinator owns this process's
-    // lifecycle (SIGTERM/SIGKILL), so dispositions stay at their defaults.
-    return fuzzFleetWorker(*Cli);
 
   if (Cli->Emit) {
     DiagnosticEngine Diags;
@@ -643,84 +599,32 @@ int fuzzMain(int argc, char **argv) {
                           .c_str());
     return 0;
   }
-  if (!Cli->ReplayPath.empty())
-    return replay(*Cli);
 
-  std::unique_ptr<ResumeLog> Log;
-  int Ec = 0;
-  if (!openFuzzResume(*Cli, "campaign", Log, Ec))
-    return Ec;
-
-  CancelToken Cancel;
-  GracefulShutdown Shutdown(Cancel);
-  Cli->Oracle.Cancel = &Cancel;
-
-  RunTally T;
-  Stopwatch W;
-  if (Cli->Workers > 0) {
-    if (int FleetEc = campaignFleet(*Cli, Log.get(), Cancel, T, W))
-      return FleetEc;
-  } else
-  for (uint64_t I = Cli->Start;; ++I) {
-    if (Cancel.isCanceled())
-      break;
-    if (Cli->TimeBudgetSec) {
-      if (W.elapsedMs() >= Cli->TimeBudgetSec * 1000.0)
-        break;
-    } else if (I >= Cli->Start + Cli->Count) {
-      break;
+  std::vector<std::string> Files;
+  std::vector<FuzzInstance> Corpus;
+  if (replayMode(*Cli)) {
+    if (std::filesystem::is_directory(Cli->ReplayPath))
+      Files = listCorpusFiles(Cli->ReplayPath);
+    else
+      Files.push_back(Cli->ReplayPath);
+    if (Files.empty()) {
+      std::fprintf(stderr, "no corpus files under %s\n",
+                   Cli->ReplayPath.c_str());
+      return 2;
     }
-    std::string Key = "i";
-    Key += std::to_string(I);
-    if (Log) {
-      UnitRecord Rec;
-      if (Log->replay(Key, Rec) && replayInstance(Rec, T))
-        continue;
+    for (const std::string &F : Files) {
+      std::optional<FuzzInstance> Inst = loadCorpusFile(F);
+      if (!Inst)
+        return 2;
+      Corpus.push_back(std::move(*Inst));
     }
-    uint64_t Seed = mixSeed(Cli->Seed, I);
-    DiagnosticEngine Diags;
-    FuzzInstance Inst = instanceFromSeed(Seed, Diags);
-    if (Inst.NvSource.empty()) {
-      // Not journaled: generation is deterministic, so a resumed run
-      // reproduces (and re-counts) the same generator error.
-      std::printf("GENERATOR ERROR seed=0x%016llx:\n%s",
-                  static_cast<unsigned long long>(Seed),
-                  Diags.str().c_str());
-      ++T.Divergences;
-      continue;
-    }
-    InstanceResult R;
-    runOne(Inst, *Cli, T, R);
-    if (Cancel.isCanceled())
-      break; // legs drained via cancellation: not a completed unit
-    if (Log)
-      recordInstance(*Log, Key, Inst.Name, R);
-    if ((I + 1) % 100 == 0)
-      std::printf("[%llu] %llu instances, %llu divergences, %.1fs\n",
-                  static_cast<unsigned long long>(I + 1),
-                  static_cast<unsigned long long>(T.Instances),
-                  static_cast<unsigned long long>(T.Divergences),
-                  W.elapsedMs() / 1000.0);
   }
-  std::printf("%llu instances (%llu replayed, %llu skipped, %llu retries), "
-              "%llu engine runs, %llu divergences, %.1fs\n",
-              static_cast<unsigned long long>(T.Instances),
-              static_cast<unsigned long long>(T.Replayed),
-              static_cast<unsigned long long>(T.Skipped),
-              static_cast<unsigned long long>(T.Retries),
-              static_cast<unsigned long long>(T.LegRuns),
-              static_cast<unsigned long long>(T.Divergences),
-              W.elapsedMs() / 1000.0);
-  if (!Cli->JsonPath.empty() && !writeJson(Cli->JsonPath, T, W.elapsedMs()))
-    return 2;
-  if (Shutdown.triggered()) {
-    std::fprintf(stderr,
-                 "nv-fuzz: campaign interrupted; %zu completed instance(s) "
-                 "journaled\n",
-                 Log ? Log->entryCount() : size_t(0));
-    return 3;
-  }
-  return T.Divergences ? 1 : 0;
+
+  if (Cli->FleetWorker)
+    // Before any signal plumbing: the coordinator owns this process's
+    // lifecycle (SIGTERM/SIGKILL), so dispositions stay at their defaults.
+    return fuzzFleetWorker(*Cli, Corpus);
+  return runSweep(*Cli, Files, Corpus);
 }
 
 } // namespace
@@ -728,12 +632,6 @@ int fuzzMain(int argc, char **argv) {
 int main(int argc, char **argv) {
   try {
     return fuzzMain(argc, argv);
-  } catch (const EngineError &E) {
-    // The oracle catches per-leg EngineErrors; one escaping here means it
-    // fired outside any engine (e.g. an injected fault during instance
-    // generation). Exit structurally rather than aborting.
-    std::fprintf(stderr, "nv-fuzz: %s\n", E.what());
-    return exitCodeForOutcome(E.outcome());
   } catch (const std::exception &E) {
     std::fprintf(stderr, "nv-fuzz: internal error: %s\n", E.what());
     return 4;
