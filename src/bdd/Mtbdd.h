@@ -70,6 +70,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -150,7 +151,15 @@ public:
   /// answer a pair without recursing (a constant operand of a boolean
   /// operation, or A == B): apply2 asks it at every pair before the cache.
   /// Map operations' callables have no such hook, since a closure leaf
-  /// decides nothing about a whole subdiagram.
+  /// decides nothing about a whole subdiagram before it is applied.
+  ///
+  /// A callable whose A is always a boolean diagram (mapIte's predicate)
+  /// declares `static constexpr bool PredicateFirst = true`. At a missed
+  /// pair of an internal A and a leaf B, apply2 then applies Fn to B's
+  /// payload once per boolean leaf (a reduced, non-constant A reaches
+  /// both, so the recursion would too) and answers with that leaf when
+  /// the two agree, or with mtbddIte(A, ...) of them, instead of walking
+  /// A against B pair by pair.
   template <typename BinaryFn>
   Ref apply2(Ref A, Ref B, BinaryFn &&Fn, uint64_t Tag) {
     return apply2Rec(A, B, Fn, Tag);
@@ -493,6 +502,12 @@ private:
     return Result;
   }
 
+  template <typename BinaryFn> static constexpr bool predicateFirst() {
+    return requires {
+      requires std::remove_cvref_t<BinaryFn>::PredicateFirst;
+    };
+  }
+
   template <typename BinaryFn>
   Ref apply2Rec(Ref A, Ref B, BinaryFn &Fn, uint64_t Tag) {
     Ref Cached;
@@ -505,6 +520,17 @@ private:
     Ref Result;
     if (isLeaf(A) && isLeaf(B)) {
       Result = leaf(Fn(leafPayload(A), leafPayload(B)));
+    } else if (predicateFirst<BinaryFn>() && isLeaf(B)) {
+      // The leaf on A's all-Lo path is the one the recursion meets first,
+      // so Fn raises the same error first.
+      Ref First = A;
+      while (!isLeaf(First))
+        First = Nodes[First].Lo;
+      Ref R1 = apply2Rec(First, B, Fn, Tag);
+      Ref R2 = apply2Rec(First == TrueRef ? FalseRef : TrueRef, B, Fn, Tag);
+      Result = R1 == R2            ? R1
+               : First == TrueRef ? mtbddIte(A, R1, R2)
+                                  : mtbddIte(A, R2, R1);
     } else {
       // Recurse on the topmost variable of either operand.
       uint32_t VarA = Nodes[A].Var; // LeafVar sorts below every real var

@@ -241,25 +241,6 @@ PatternPtr Pattern::record(std::vector<std::string> Labels,
   return P;
 }
 
-void Pattern::boundVars(std::vector<std::string> &Out) const {
-  switch (Kind) {
-  case PatternKind::Wild:
-  case PatternKind::Lit:
-  case PatternKind::None:
-    return;
-  case PatternKind::Var:
-    Out.push_back(Name);
-    return;
-  case PatternKind::Some:
-  case PatternKind::Tuple:
-  case PatternKind::Record:
-    for (const PatternPtr &E : Elems)
-      E->boundVars(Out);
-    return;
-  }
-  nv_unreachable("covered switch");
-}
-
 std::string Pattern::str() const {
   switch (Kind) {
   case PatternKind::Wild:

@@ -131,8 +131,14 @@ struct Pattern {
   static PatternPtr record(std::vector<std::string> Labels,
                            std::vector<PatternPtr> Ps, SourceLoc Loc = {});
 
-  /// Collects the variables bound by this pattern, in left-to-right order.
-  void boundVars(std::vector<std::string> &Out) const;
+  /// Appends the variables bound by this pattern, in left-to-right order,
+  /// to \p Out (a vector of std::string or std::string_view).
+  template <typename StringVec> void boundVars(StringVec &Out) const {
+    if (Kind == PatternKind::Var)
+      Out.push_back(Name);
+    for (const PatternPtr &E : Elems) // empty but for Some, Tuple, Record
+      E->boundVars(Out);
+  }
   std::string str() const;
 };
 

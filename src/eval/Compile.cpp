@@ -5,6 +5,7 @@
 #include "support/Fatal.h"
 #include "support/Governor.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace nv;
@@ -67,6 +68,44 @@ private:
   NvContext &Ctx;
   const NvContext::ClosureEntry &E;
   std::shared_ptr<const FunCode> Code;
+};
+
+/// A match's leading literal arms, sorted by their interned values, so the
+/// arm for a scrutinee V is found by binary search instead of testing each
+/// literal in turn. find(V) is the first of these arms whose literal L has
+/// V == L (the test the arms make), or -1.
+class LiteralArms {
+public:
+  LiteralArms() = default;
+  LiteralArms(NvContext &Ctx, const std::vector<MatchCase> &Cases,
+              size_t N) {
+    Table.reserve(N);
+    for (size_t I = 0; I < N; ++I)
+      Table.push_back(
+          {Ctx.valueOfLiteral(Cases[I].Pat->Lit), static_cast<int>(I)});
+    // Equal literals keep arm order, so find's lower bound is the first
+    // arm, the one that wins.
+    std::stable_sort(
+        Table.begin(), Table.end(),
+        [](const Entry &A, const Entry &B) { return A.Lit < B.Lit; });
+  }
+
+  /// Number of literal arms covered.
+  size_t size() const { return Table.size(); }
+
+  int find(const Value *V) const {
+    auto It = std::lower_bound(
+        Table.begin(), Table.end(), V,
+        [](const Entry &E, const Value *X) { return E.Lit < X; });
+    return It != Table.end() && It->Lit == V ? It->Arm : -1;
+  }
+
+private:
+  struct Entry {
+    const Value *Lit;
+    int Arm;
+  };
+  std::vector<Entry> Table;
 };
 
 } // namespace
@@ -213,18 +252,37 @@ CExpr Compiler::compile(const ExprPtr &E) {
       std::function<bool(const Value *, Frame &)> Match;
       CExpr Body;
     };
-    auto Cases = std::make_shared<std::vector<Case>>();
+    // Two or more leading literal arms dispatch through a table; a miss
+    // tests the remaining arms in order. Literal arms bind nothing.
+    struct Arms {
+      LiteralArms Lits; ///< Covers Cases[0, Lits.size()).
+      std::vector<Case> Cases;
+    };
+    auto M = std::make_shared<Arms>();
+    size_t NumLits = 0;
+    while (NumLits < E->Cases.size() &&
+           E->Cases[NumLits].Pat->Kind == PatternKind::Lit)
+      ++NumLits;
+    if (NumLits >= 2)
+      M->Lits = LiteralArms(Ctx, E->Cases, NumLits);
+    M->Cases.reserve(E->Cases.size());
     for (const MatchCase &C : E->Cases) {
       size_t Mark = Scope.size();
-      auto M = compilePattern(C.Pat, ScrutTy);
+      std::function<bool(const Value *, Frame &)> Match;
+      if (M->Cases.size() >= M->Lits.size())
+        Match = compilePattern(C.Pat, ScrutTy);
       CExpr B = compile(C.Body);
       Scope.resize(Mark);
-      Cases->push_back({std::move(M), std::move(B)});
+      M->Cases.push_back({std::move(Match), std::move(B)});
     }
-    return [Scrut, Cases](Frame &F) -> const Value * {
+    return [Scrut, M](Frame &F) -> const Value * {
       const Value *V = Scrut(F);
+      if (M->Lits.size())
+        if (int Arm = M->Lits.find(V); Arm >= 0)
+          return M->Cases[Arm].Body(F);
       size_t Mark = F.size();
-      for (const Case &C : *Cases) {
+      for (size_t I = M->Lits.size(); I < M->Cases.size(); ++I) {
+        const Case &C = M->Cases[I];
         if (C.Match(V, F)) {
           const Value *R = C.Body(F);
           F.resize(Mark);

@@ -9,8 +9,9 @@
 /// The native-execution substitute for the paper's NV-to-OCaml compiler
 /// (Sec. 5.1). NV expressions are compiled once into a tree of C++
 /// closures: variables become frame-slot indices resolved at compile time,
-/// record labels become precomputed field offsets, and patterns become
-/// pre-compiled matchers. The simulator then executes compiled code with
+/// record labels become precomputed field offsets, patterns become
+/// pre-compiled matchers, and a match's leading literal arms become one
+/// lookup table. The simulator then executes compiled code with
 /// no name lookups, no environment allocation and no AST dispatch —
 /// amortizing the one-time compilation cost across simulator iterations,
 /// exactly the axis Fig. 13c/14 measure. Map leaves still cross between

@@ -7,7 +7,7 @@
 #include "support/Governor.h"
 
 #include <algorithm>
-#include <set>
+#include <string_view>
 
 using namespace nv;
 
@@ -365,19 +365,29 @@ const Value *NvContext::mapCombine(const Value *Fn, const Value *A,
   return mapV(R, A->KeyType);
 }
 
+namespace {
+
+/// mapIte's leaf rule: the then-function where the predicate holds, the
+/// else-function elsewhere. Its first operand is always a predicate.
+struct IteLeaf {
+  static constexpr bool PredicateFirst = true;
+  const Value *TrueV, *FnThen, *FnElse;
+  const void *operator()(const void *P, const void *Leaf) const {
+    return NvContext::applyClosure(P == TrueV ? FnThen : FnElse,
+                                   static_cast<const Value *>(Leaf));
+  }
+};
+
+} // namespace
+
 const Value *NvContext::mapIte(const Value *Pred, const Value *FnThen,
                                const Value *FnElse, const Value *M) {
   assert(M->K == Value::Kind::Map && "mapIte on a non-map");
   BddManager::Ref PredBdd = predToBdd(Pred, M->KeyType);
   uint64_t Tag = opTag(TagKindIte, FnThen->Closure->cacheKey(),
                        FnElse->Closure->cacheKey());
-  BddManager::Ref R = Mgr.apply2(
-      PredBdd, M->MapRoot,
-      [&](const void *P, const void *Leaf) {
-        const Value *Fn = (P == TrueV) ? FnThen : FnElse;
-        return applyClosure(Fn, static_cast<const Value *>(Leaf));
-      },
-      Tag);
+  BddManager::Ref R = Mgr.apply2(PredBdd, M->MapRoot,
+                                 IteLeaf{TrueV, FnThen, FnElse}, Tag);
   return mapV(R, M->KeyType);
 }
 
@@ -458,60 +468,58 @@ uint64_t NvContext::opTag(uint64_t Kind, uint64_t K1, uint64_t K2) {
 
 namespace {
 
-void freeVarsRec(const Expr *E, std::set<std::string> &Bound,
-                 std::set<std::string> &Out) {
-  if (!E)
-    return;
-  switch (E->Kind) {
-  case ExprKind::Var:
-    if (!Bound.count(E->Name))
-      Out.insert(E->Name);
-    return;
-  case ExprKind::Let: {
-    freeVarsRec(E->Args[0].get(), Bound, Out);
-    bool Inserted = Bound.insert(E->Name).second;
-    freeVarsRec(E->Args[1].get(), Bound, Out);
-    if (Inserted)
-      Bound.erase(E->Name);
-    return;
-  }
-  case ExprKind::Fun: {
-    bool Inserted = Bound.insert(E->Name).second;
-    freeVarsRec(E->Args[0].get(), Bound, Out);
-    if (Inserted)
-      Bound.erase(E->Name);
-    return;
-  }
-  case ExprKind::Match: {
-    freeVarsRec(E->Args[0].get(), Bound, Out);
-    for (const MatchCase &C : E->Cases) {
-      std::vector<std::string> Vars;
-      C.Pat->boundVars(Vars);
-      std::vector<std::string> Inserted;
-      for (const std::string &V : Vars)
-        if (Bound.insert(V).second)
-          Inserted.push_back(V);
-      freeVarsRec(C.Body.get(), Bound, Out);
-      for (const std::string &V : Inserted)
-        Bound.erase(V);
+/// One free-variable walk. Binders in scope form a stack (leaving a scope
+/// truncates it to its mark), and free occurrences collect in one list,
+/// sorted and deduplicated once.
+struct FreeVarWalk {
+  std::vector<std::string_view> Bound, Free;
+
+  void walk(const Expr *E) {
+    if (!E)
+      return;
+    switch (E->Kind) {
+    case ExprKind::Var:
+      if (std::find(Bound.begin(), Bound.end(), E->Name) == Bound.end())
+        Free.push_back(E->Name);
+      return;
+    case ExprKind::Let:
+      walk(E->Args[0].get());
+      Bound.push_back(E->Name);
+      walk(E->Args[1].get());
+      Bound.pop_back();
+      return;
+    case ExprKind::Fun:
+      Bound.push_back(E->Name);
+      walk(E->Args[0].get());
+      Bound.pop_back();
+      return;
+    case ExprKind::Match:
+      walk(E->Args[0].get());
+      for (const MatchCase &C : E->Cases) {
+        size_t Mark = Bound.size();
+        C.Pat->boundVars(Bound);
+        walk(C.Body.get());
+        Bound.resize(Mark);
+      }
+      return;
+    default:
+      for (const ExprPtr &A : E->Args)
+        walk(A.get());
+      return;
     }
-    return;
   }
-  default:
-    for (const ExprPtr &A : E->Args)
-      freeVarsRec(A.get(), Bound, Out);
-    return;
-  }
-}
+};
 
 } // namespace
 
 const std::vector<std::string> &nv::freeVarsOf(const Expr *E) {
   if (!E->CachedFreeVars) {
-    std::set<std::string> Bound, Out;
-    freeVarsRec(E, Bound, Out);
+    FreeVarWalk W;
+    W.walk(E);
+    std::sort(W.Free.begin(), W.Free.end());
+    W.Free.erase(std::unique(W.Free.begin(), W.Free.end()), W.Free.end());
     E->CachedFreeVars = std::make_shared<const std::vector<std::string>>(
-        Out.begin(), Out.end());
+        W.Free.begin(), W.Free.end());
   }
   return *E->CachedFreeVars;
 }

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <filesystem>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -406,18 +407,21 @@ std::string shellQuote(const std::string &S) {
   return Q;
 }
 
-/// Writes the runnable quarantine repro script and returns its path ("" on
-/// failure). The script re-execs the worker command on just the poison job
-/// via the NV_FLEET_ONE_JOB hook.
+/// Writes the runnable quarantine repro script, creating QuarantineDir if
+/// needed, and returns its path ("" on failure). The script re-execs the
+/// worker command on just the poison job via the NV_FLEET_ONE_JOB hook.
 std::string writeQuarantineRepro(const FleetOptions &Opts, const JobState &JS,
                                  const std::string &LastExit) {
   std::string Name = "nv-quarantine-";
   for (char C : JS.Job.Key)
     Name += std::isalnum(static_cast<unsigned char>(C)) ? C : '_';
   Name += ".sh";
-  std::string Path = Opts.QuarantineDir.empty()
-                         ? Name
-                         : Opts.QuarantineDir + "/" + Name;
+  std::string Path = Name;
+  if (!Opts.QuarantineDir.empty()) {
+    std::error_code EC; // a failure shows as the fopen's
+    std::filesystem::create_directories(Opts.QuarantineDir, EC);
+    Path = Opts.QuarantineDir + "/" + Name;
+  }
   FILE *F = std::fopen(Path.c_str(), "w");
   if (!F)
     return "";

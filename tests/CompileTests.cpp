@@ -18,14 +18,10 @@ using namespace nv;
 
 namespace {
 
-/// Evaluates a closed expression both ways and checks agreement; returns
-/// the (shared) result rendering.
-std::string evalBoth(NvContext &Ctx, const std::string &Src) {
+/// Type-checks a closed expression, evaluates it both ways and checks
+/// agreement; returns the (shared) result rendering.
+std::string evalBoth(NvContext &Ctx, const ExprPtr &E, const std::string &Src) {
   DiagnosticEngine Diags;
-  ExprPtr E = parseExprString(Src, Diags);
-  EXPECT_TRUE(E) << Diags.str();
-  if (!E)
-    return "<parse error>";
   TypePtr T = typeCheckExpr(E, Diags);
   EXPECT_TRUE(T) << Src << "\n" << Diags.str();
   if (!T)
@@ -42,6 +38,15 @@ std::string evalBoth(NvContext &Ctx, const std::string &Src) {
   EXPECT_EQ(VI, VC) << Src << ": interp=" << VI->str()
                     << " compiled=" << VC->str();
   return VI->str();
+}
+
+std::string evalBoth(NvContext &Ctx, const std::string &Src) {
+  DiagnosticEngine Diags;
+  ExprPtr E = parseExprString(Src, Diags);
+  EXPECT_TRUE(E) << Diags.str();
+  if (!E)
+    return "<parse error>";
+  return evalBoth(Ctx, E, Src);
 }
 
 class InterpCompiledAgreement : public ::testing::TestWithParam<const char *> {
@@ -108,7 +113,89 @@ INSTANTIATE_TEST_SUITE_P(
         "let f (a : int) (b : int) (c : int) = a - b - c in let y = 2 in "
         "f (let z = 10 in z + y) (let w = 1 in w) (match y with | q -> q + y)",
         "let y = 5 in let ap (f : int -> int) (x : int) = f x in "
-        "(ap (fun z -> z + y) (let t = 3 in t), ap ((fun a b -> a + b) 1) 2)"));
+        "(ap (fun z -> z + y) (let t = 3 in t), ap ((fun a b -> a + b) 1) 2)",
+        // Leading literal arms: the compiled match finds the arm in a
+        // sorted table; the first of duplicate arms wins, and a miss tests
+        // the remaining arms in order.
+        "(match 5n with | 0n -> 10 | 3n -> 30 | 5n -> 50 | 7n -> 70 | _ -> 0, "
+        " match 6n with | 0n -> 10 | 3n -> 30 | _ -> 99, "
+        " match 0n with | 0n -> 1 | 7n -> 2)",
+        "(match 200u8 with | 1u8 -> 1 | 200u8 -> 2 | 255u8 -> 3 | _ -> 4, "
+        " match 9u4 with | 2u4 -> 1 | 9u4 -> 2 | x -> 3, "
+        " match 70000 with | 3 -> 1 | 70000 -> 2 | _ -> 0, "
+        " match 1u1 with | 0u1 -> 5 | 1u1 -> 6)",
+        "(match 3 < 4 with | false -> 1 | true -> 2, "
+        " match false with | true -> 1 | false -> 2 | true -> 3)",
+        "(match 3n with | 3n -> 1 | 2n -> 2 | 3n -> 3 | _ -> 0, "
+        " match 2 with | 1 -> 10 | 1 -> 11 | 2 -> 20 | 2 -> 21 | _ -> 0, "
+        " match true with | true -> 1 | true -> 2 | false -> 3)",
+        // A literal prefix then var, wildcard and record arms; literal arms
+        // reach the frame's slots and capture from it.
+        "let y = 5 in let z = 6 in "
+        "(match 4n with | 0n -> y | 3n -> z | n -> if n = 4n then y + z else 0, "
+        " match 9 with | 1 -> y | 2 -> z | _ -> y - z, "
+        " match 3n with | 1n -> y | 3n -> z + y | n -> 0)",
+        "let r = {lp = 3; med = 4} in "
+        "match (r.med, r) with | (1, _) -> r | (2, _) -> {r with lp = 0} "
+        "| (m, {lp = a; med = b}) -> {lp = b + m; med = a}",
+        "let r = {lp = 3; med = 4} in "
+        "(match r.med with | 1 -> r | 2 -> {r with lp = 0} "
+        " | m -> (match {r with med = m + 1} with "
+        "         | {lp = a; med = b} -> {lp = b; med = a}), "
+        " match r.lp with | 3 -> {r with med = 0} | 4 -> r | _ -> r)",
+        "let y = 2 in (match 2n with | 1n -> (fun (x : int) -> x) "
+        "| 2n -> (fun (x : int) -> x + y) | _ -> (fun (x : int) -> 0)) 10"));
+
+/// Edge literals have no surface syntax; the transforms build them.
+TEST(Compiled, EdgeLiteralArmsAgreeWithInterpreter) {
+  NvContext Ctx(8);
+  for (auto [U, V] : {std::pair{0u, 1u}, {1u, 2u}, {2u, 1u}, {5u, 6u}}) {
+    auto Arm = [](uint32_t A, uint32_t B, uint64_t R) {
+      return MatchCase{Pattern::lit(Literal::edgeLit(A, B)),
+                       Expr::intConst(R)};
+    };
+    std::vector<MatchCase> Cases = {Arm(0, 1, 1), Arm(1, 2, 2), Arm(0, 1, 3),
+                                    Arm(2, 1, 4)};
+    Cases.push_back({Pattern::tuple({Pattern::var("u"), Pattern::wild()}),
+                     Expr::iff(Expr::oper(Op::Eq, {Expr::var("u"),
+                                                   Expr::nodeConst(5)}),
+                               Expr::intConst(5), Expr::intConst(6))});
+    ExprPtr E = Expr::match(Expr::edgeConst(U, V), std::move(Cases));
+    std::string Want = U == 0 ? "1" : U == 1 ? "2" : U == 2 ? "4" : "5";
+    EXPECT_EQ(evalBoth(Ctx, E, "edge " + std::to_string(U) + "~" +
+                                   std::to_string(V)),
+              Want);
+  }
+}
+
+/// A literal match that no arm covers raises an evaluation error in both
+/// evaluators, with or without a table.
+TEST(Compiled, InexhaustiveLiteralMatchRaisesInBoth) {
+  for (const char *Src : {"match 4 with | 1 -> 1 | 2 -> 2 | 3 -> 3",
+                          "match 4n with | 1n -> 1 | 2n -> 2",
+                          "match 4 with | 1 -> 1"}) {
+    SCOPED_TRACE(Src);
+    DiagnosticEngine Diags;
+    ExprPtr E = parseExprString(Src, Diags);
+    ASSERT_TRUE(E && typeCheckExpr(E, Diags)) << Diags.str();
+    NvContext Ctx(8);
+    auto Raises = [](const std::function<void()> &Eval) {
+      try {
+        Eval();
+      } catch (const EngineError &Err) {
+        return Err.outcome().Status == RunStatus::EvalError &&
+               Err.outcome().Detail.starts_with("inexhaustive match");
+      }
+      return false;
+    };
+    Interp I(Ctx);
+    EXPECT_TRUE(Raises([&] { I.eval(E.get(), nullptr); }));
+    CExpr CE = Compiler(Ctx).compile(E);
+    Frame F;
+    EXPECT_TRUE(Raises([&] { CE(F); }));
+    EXPECT_TRUE(F.empty());
+  }
+}
 
 const char *Fig2b = R"nv(
 include bgp

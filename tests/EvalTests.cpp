@@ -425,6 +425,105 @@ TEST(SymBdd, OptionKeyPredicate) {
   }
 }
 
+/// One mapIte instance: `mapIte Pred Then Else Map` with Map of MapTy.
+struct MapIteCase {
+  const char *MapTy, *Map, *Pred, *Then, *Else;
+};
+
+std::ostream &operator<<(std::ostream &OS, const MapIteCase &C) {
+  return OS << "mapIte (" << C.Pred << ") (" << C.Then << ") (" << C.Else
+            << ") (" << C.Map << ")";
+}
+
+class MapIteKeys : public ::testing::TestWithParam<MapIteCase> {};
+
+/// Property: for every key k, mapIte(p, f, g, m)[k] = p(k) ? f(m[k]) :
+/// g(m[k]), in both evaluators. The cases cover constant maps and
+/// predicates, maps constant under part of the predicate, branch functions
+/// that agree on some leaves, and compound keys.
+TEST_P(MapIteKeys, EveryKeyIsThenOrElseOfItsLeaf) {
+  const MapIteCase &C = GetParam();
+  std::string Src = std::string("let m : ") + C.MapTy + " = " + C.Map +
+                    " in let p = " + C.Pred + " in let f = " + C.Then +
+                    " in let g = " + C.Else + " in (p, f, g, m, mapIte p f g m)";
+  DiagnosticEngine Diags;
+  ExprPtr E = parseExprString(Src, Diags);
+  ASSERT_TRUE(E) << Diags.str();
+  ASSERT_TRUE(typeCheckExpr(E, Diags)) << Src << "\n" << Diags.str();
+  for (bool Compiled : {false, true}) {
+    SCOPED_TRACE(Compiled ? "compiled" : "interpreted");
+    NvContext Ctx(5);
+    Interp I(Ctx);
+    Frame F;
+    const Value *T =
+        Compiled ? Compiler(Ctx).compile(E)(F) : I.eval(E.get(), nullptr);
+    ASSERT_EQ(T->Elems.size(), 5u);
+    const Value *P = T->Elems[0], *Fn = T->Elems[1], *G = T->Elems[2];
+    const Value *M = T->Elems[3], *R = T->Elems[4];
+    std::vector<const Value *> Keys = Ctx.enumerateType(M->KeyType);
+    ASSERT_GT(Keys.size(), 1u);
+    for (const Value *K : Keys) {
+      const Value *Leaf = Ctx.mapGet(M, K);
+      const Value *Want = Ctx.applyClosure(
+          Ctx.applyClosure(P, K)->isTrue() ? Fn : G, Leaf);
+      ASSERT_EQ(Ctx.mapGet(R, K), Want) << "at key " << Ctx.printValue(K);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Maps, MapIteKeys,
+    ::testing::Values(
+        // A constant map: the branches agree on its leaf, or they do not.
+        MapIteCase{"dict[int3, option[int]]", "createDict None",
+                   "fun (k : int3) -> k > 2u3",
+                   "fun (v : option[int]) -> None",
+                   "fun (v : option[int]) -> v"},
+        MapIteCase{"dict[int3, option[int]]", "createDict None",
+                   "fun (k : int3) -> k = 1u3 || k > 5u3",
+                   "fun (v : option[int]) -> Some 1",
+                   "fun (v : option[int]) -> v"},
+        // Constant predicates.
+        MapIteCase{"dict[int3, int]", "(createDict 0)[6u3 := 2]",
+                   "fun (k : int3) -> true", "fun (v : int) -> v + 1",
+                   "fun (v : int) -> v"},
+        MapIteCase{"dict[int3, int]", "createDict 4",
+                   "fun (k : int3) -> false", "fun (v : int) -> v + 1",
+                   "fun (v : int) -> v + 2"},
+        // The map is constant below the predicate's top test.
+        MapIteCase{"dict[int4, int]", "(createDict 0)[13u4 := 7]",
+                   "fun (k : int4) -> k < 8u4 && k <> 3u4",
+                   "fun (v : int) -> v + 1", "fun (v : int) -> v"},
+        // The branches agree on leaf 0 only.
+        MapIteCase{"dict[int4, int]",
+                   "((createDict 0)[1u4 := 3])[9u4 := 5]",
+                   "fun (k : int4) -> k = 2u4 || k > 10u4 || k = 1u4",
+                   "fun (v : int) -> if v = 0 then 0 else v + 1",
+                   "fun (v : int) -> v"},
+        // Compound keys.
+        MapIteCase{"dict[(node, int3), option[int]]",
+                   "(createDict None)[(2n, 3u3) := Some 4]",
+                   "fun (k : (node, int3)) -> (match k with | (n, i) -> "
+                   "n = 1n || i = 3u3)",
+                   "fun (v : option[int]) -> (match v with | None -> Some 0 "
+                   "| Some x -> Some (x + 1))",
+                   "fun (v : option[int]) -> v"},
+        MapIteCase{"dict[(int3, int3), option[int]]",
+                   "((createDict None)[(1u3, 2u3) := Some 1])"
+                   "[(4u3, 4u3) := Some 2]",
+                   "fun (k : (int3, int3)) -> k.0 = 1u3 || k.1 = 4u3",
+                   "fun (v : option[int]) -> None",
+                   "fun (v : option[int]) -> (match v with | None -> None "
+                   "| Some x -> Some (x + 10))"},
+        MapIteCase{"dict[option[int3], bool]",
+                   "(createDict false)[Some 5u3 := true]",
+                   "fun (k : option[int3]) -> k = None || k = Some 2u3",
+                   "fun (v : bool) -> !v", "fun (v : bool) -> v"},
+        MapIteCase{"dict[{a : int2; b : bool}, int]",
+                   "(createDict 1)[{a = 2u2; b = true} := 3]",
+                   "fun (k : {a : int2; b : bool}) -> k.b && k.a <> 1u2",
+                   "fun (v : int) -> v - 1", "fun (v : int) -> 1"}));
+
 //===----------------------------------------------------------------------===//
 // Encoding round trips
 //===----------------------------------------------------------------------===//

@@ -1134,6 +1134,25 @@ TEST(FaultTolerance, CompiledEvaluatorAgrees) {
   EXPECT_EQ(RI.Check.Violations.size(), RC.Check.Violations.size());
 }
 
+/// The meta-simulation's MTBDD work on a FAT8 at two link failures, in
+/// op-cache lookups: mapIte answers an internal predicate node against a
+/// map leaf from the leaf's two results instead of walking the predicate
+/// (80,824 lookups before that rule, 59,763 with it).
+TEST(FaultTolerance, FatTreeMetaSimulationOpCacheLookups) {
+  DiagnosticEngine Diags;
+  auto P = loadGenerated(generateFatSingle(8, 0), Diags);
+  ASSERT_TRUE(P.has_value()) << Diags.str();
+  FtOptions Opts;
+  Opts.LinkFailures = 2;
+  NvContext Ctx(P->numNodes());
+  FtRunResult R = runFaultTolerance(*P, Opts, /*UseCompiledEvaluator=*/true,
+                                    Diags, /*CheckAsserts=*/true, &Ctx);
+  ASSERT_TRUE(R.Outcome.ok()) << R.Outcome.str();
+  EXPECT_EQ(R.Stats.TransCalls, 860u);
+  EXPECT_EQ(R.Check.ScenariosChecked, 32896u);
+  EXPECT_LE(R.CacheHits + R.CacheMisses, 59763u);
+}
+
 /// Without a node field the transfer predicate captures only the edge's
 /// link indices, so both directions of a link share one predicate closure
 /// id and one predicate BDD. A node-failure key also reads the edge: one

@@ -25,6 +25,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <mutex>
 #include <thread>
 #include <unistd.h>
@@ -242,6 +243,26 @@ TEST(FleetPoison, QuarantinedAfterThresholdDeathsWithRepro) {
   RunOutcome Sib;
   ASSERT_TRUE(parseOutcome(FR.Results.at("p0"), Sib, Attempts));
   EXPECT_TRUE(Sib.ok());
+}
+
+TEST(FleetPoison, ReproLandsInANewNestedDirectory) {
+  EnvGuard G("NV_FLEET_POISON_KEY", "q1");
+
+  FleetOptions O = testOptions("echo", 1);
+  O.PoisonThreshold = 1;
+  std::string Root =
+      ::testing::TempDir() + "fleet-repro-" + std::to_string(::getpid());
+  std::filesystem::remove_all(Root);
+  O.QuarantineDir = Root + "/a/b";
+  FleetResult FR = runFleet(O, makeJobs("q", 3));
+
+  ASSERT_TRUE(FR.Outcome.ok()) << FR.Outcome.str();
+  ASSERT_EQ(FR.QuarantinedKeys.size(), 1u);
+  const std::string *Repro = FR.Results.at("q1").get("repro");
+  ASSERT_NE(Repro, nullptr);
+  EXPECT_EQ(*Repro, O.QuarantineDir + "/nv-quarantine-q1.sh");
+  EXPECT_EQ(::access(Repro->c_str(), X_OK), 0) << *Repro;
+  std::filesystem::remove_all(Root);
 }
 
 } // namespace

@@ -7,7 +7,7 @@
 # reference verdict; and a planted always-crashing job must be
 # quarantined — the run completes, prints the QUARANTINED line, exits
 # with the documented resource code 3, and leaves a runnable repro
-# script behind.
+# script behind, also in an artifact directory that does not exist yet.
 #
 # Usage: tools/ci/chaos_fleet.sh [BUILD_DIR]
 # Env:   JOBS (parallelism), KILLS (SIGKILL budget), CMAKE_EXTRA.
@@ -193,5 +193,28 @@ GOTW=0
 diff <(strip_ms "$ART/fuzz-ref.json") <(strip_ms "$ART/fuzz-w3.json") \
   || fail "fuzz fleet summary differs from in-process campaign"
 echo "ok: fuzz fleet tally identical (exit $GOTW)"
+
+#===----------------------------------------------------------------------===#
+# Stage 6: a quarantine repro whose --artifact-dir does not exist yet (a
+# nested path) is still written: the log names the script, not
+# "(unwritable)", and the script is executable.
+#===----------------------------------------------------------------------===#
+
+echo "== quarantine repro into a new nested --artifact-dir"
+rm -rf "$ART/nested"
+NEST="$ART/nested/not/yet"
+GOT=0
+env NV_FLEET_POISON_KEY=i2 \
+  "$NV_FUZZ" --seed 3 --count 6 --no-smt --workers 2 --artifact-dir "$NEST" \
+  > "$ART/nest.out" 2> "$ART/nest.err" || GOT=$?
+[ "$GOT" -le 1 ] || {
+  cat "$ART/nest.out" "$ART/nest.err" >&2
+  fail "nested artifact-dir campaign died (exit $GOT)"
+}
+REPRO="$NEST/nv-quarantine-i2.sh"
+grep -qF "repro: $REPRO" "$ART/nest.err" \
+  || fail "fleet log does not name the repro script $REPRO"
+[ -x "$REPRO" ] || fail "quarantine repro script $REPRO missing/not executable"
+echo "ok: repro written to a new nested directory"
 
 echo "fleet chaos gate: all checks passed"
