@@ -17,7 +17,6 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
-#include <stdexcept>
 #include <unordered_map>
 
 using namespace nv;
@@ -812,7 +811,6 @@ private:
 
 struct FtChecker::ImplTy {
   std::shared_ptr<const FtScenarioSet> Scenarios;
-  FtChunks Chunks;
   /// Roots the meta labels' diagrams for the checker's lifetime: the
   /// assert pre-pass interns fresh values, and if a collection fires the
   /// label roots must survive it.
@@ -829,7 +827,7 @@ struct FtChecker::ImplTy {
          ProtocolEvaluator &BaseEval, const SimResult &Meta,
          const FtOptions &Opts, ThreadPool *Pool)
       : Scenarios(std::make_shared<const FtScenarioSet>(BaseProgram, Opts)),
-        Chunks(Scenarios->size(), Opts.CheckChunkSize), MetaRoots(Ctx.Mgr) {
+        MetaRoots(Ctx.Mgr) {
     const FtScenarioSet &Set = *Scenarios;
     uint32_t N = BaseProgram.numNodes();
     if (Set.size() == 0 || N == 0)
@@ -924,116 +922,12 @@ const std::shared_ptr<const FtScenarioSet> &FtChecker::scenarios() const {
   return Impl->Scenarios;
 }
 
-const FtChunks &FtChecker::chunks() const { return Impl->Chunks; }
-
 size_t FtChecker::numViolations() const { return Impl->Hits.size(); }
 
 void FtChecker::checkRange(uint64_t Begin, uint64_t End,
                            std::vector<FtViolation> &Out) const {
   for (const ImplTy::Hit &H : Impl->slice(Begin, End))
     Out.push_back(Impl->violation(H));
-}
-
-UnitRecord FtChecker::checkChunk(size_t C) const {
-  UnitRecord Rec;
-  Rec.Key = FtChunks::key(C);
-  Rec.add("status", "ok");
-  for (const ImplTy::Hit &H :
-       Impl->slice(Impl->Chunks.begin(C), Impl->Chunks.end(C)))
-    addViolationField(Rec, Impl->violation(H));
-  return Rec;
-}
-
-FtChunks::FtChunks(size_t NumScenarios, unsigned ChunkSize)
-    : NumScenarios(NumScenarios),
-      Size(ChunkSize ? ChunkSize : FtOptions{}.CheckChunkSize) {}
-
-std::string FtChunks::key(size_t C) { return unitKey('c', C); }
-
-namespace {
-
-/// The chunked check's units: one per chunk, keyed "c<C>".
-UnitSweep chunkSweep(const FtChunks &Chunks, const FtOptions &Opts) {
-  return {.Count = Chunks.count(), .Prefix = 'c', .Budget = Opts.Budget,
-          .Retry = Opts.Retry, .Journal = Opts.Resume};
-}
-
-} // namespace
-
-FtCheckResult
-nv::checkFtChunks(const std::shared_ptr<const FtScenarioSet> &Scenarios,
-                  const FtOptions &Opts, const UnitExecutor &X,
-                  const FtChecker *Checker) {
-  FtChunks Chunks(Scenarios->size(), Opts.CheckChunkSize);
-  std::vector<std::vector<FtViolation>> Slots(Chunks.count());
-  UnitSweep S = chunkSweep(Chunks, Opts);
-  S.Restore = [&](size_t C, const UnitRecord &Rec) {
-    return parseViolationFields(Rec, *Scenarios, Chunks.begin(C),
-                                Chunks.end(C), Slots[C]);
-  };
-  UnitsResult U = runUnits(S, X, [&](const auto &Serve) {
-    UnitWorker W;
-    W.Run = [&](size_t C) {
-      Slots[C].clear();
-      Checker->checkRange(Chunks.begin(C), Chunks.end(C), Slots[C]);
-      return RunOutcome();
-    };
-    W.Render = [&](size_t C, unsigned) { return Checker->checkChunk(C); };
-    Serve(W);
-  });
-
-  // Fold in chunk order. A skipped chunk (e.g. a quarantined poison
-  // chunk) contributes no violations, like a skipped naive scenario; a
-  // canceled chunk was never checked.
-  FtCheckResult R;
-  R.Scenarios = Scenarios;
-  R.RetriesPerformed = U.Retries;
-  R.Outcome = U.First;
-  for (size_t C = 0; C < Chunks.count(); ++C) {
-    const UnitResult &Unit = U.Units[C];
-    size_t N = Chunks.end(C) - Chunks.begin(C);
-    if (Unit.Replayed)
-      R.ScenariosReplayed += N;
-    if (Unit.Outcome.Status == RunStatus::Canceled)
-      continue;
-    R.ScenariosChecked += N;
-    if (!Unit.Outcome.ok())
-      R.ScenariosSkipped += N;
-    R.Violations.insert(R.Violations.end(), Slots[C].begin(), Slots[C].end());
-  }
-  return R;
-}
-
-int nv::ftFleetWorker(const Program &P, const FtOptions &Opts, bool Native) {
-  // The meta-simulation is rebuilt lazily on the first job — a spare
-  // worker that never gets one costs nothing, and a respawned worker only
-  // pays the cost when it actually has work. The coordinator ran the same
-  // (deterministic) transform + simulation before spawning the fleet, so
-  // a converged run is guaranteed here.
-  std::optional<NvContext> Ctx;
-  std::unique_ptr<PreparedFt> Prep;
-  SimResult Sim;
-  std::unique_ptr<FtChecker> Checker;
-  FtChunks Chunks(FtScenarioSet(P, Opts).size(), Opts.CheckChunkSize);
-  return serveFleetUnits(chunkSweep(Chunks, Opts), [&](size_t C) {
-    if (!Checker) {
-      Governor::Scope Guard(Opts.Budget);
-      DiagnosticEngine Diags;
-      Ctx.emplace(P.numNodes());
-      Prep = PreparedFt::create(*Ctx, P, Opts, Native, Diags);
-      if (!Prep)
-        throw std::runtime_error("ft worker: transform failed:\n" +
-                                 Diags.str());
-      Sim = Prep->simulate();
-      if (!Sim.Converged)
-        throw std::runtime_error("ft worker: meta-simulation did not "
-                                 "converge: " +
-                                 Sim.Outcome.str());
-      Checker = std::make_unique<FtChecker>(*Ctx, P, Prep->baseEval(), Sim,
-                                            Opts);
-    }
-    return Checker->checkChunk(C);
-  });
 }
 
 FtCheckResult nv::checkFaultTolerance(NvContext &Ctx,
@@ -1044,11 +938,6 @@ FtCheckResult nv::checkFaultTolerance(NvContext &Ctx,
                                       ThreadPool *Pool) {
   FtChecker Checker(Ctx, BaseProgram, BaseEval, MetaResult, Opts, Pool);
   const auto &Scenarios = Checker.scenarios();
-  // Checkpointed mode: the check is journaled in fixed chunks (one entry
-  // per chunk keeps journal traffic sane at fig13 scales), sliced from
-  // the checker's result on the calling thread.
-  if (Opts.Resume)
-    return checkFtChunks(Scenarios, Opts, UnitExecutor(), &Checker);
   FtCheckResult R;
   R.Scenarios = Scenarios;
   R.ScenariosChecked = Scenarios->size();
@@ -1152,4 +1041,77 @@ FtRunResult nv::runFaultTolerance(const Program &P, const FtOptions &Opts,
   if (OwnCtx)
     Out.Check.RetainedContexts.push_back(std::move(OwnCtx));
   return Out;
+}
+
+namespace {
+
+/// A fault-tolerance run's one unit, "f0".
+UnitSweep ftSweep(const FtOptions &Opts) {
+  return {.Count = 1, .Prefix = 'f', .Budget = Opts.Budget,
+          .Retry = Opts.Retry, .Journal = Opts.Resume};
+}
+
+/// The worker of unit f0: runFaultTolerance into \p Slot, its diagnostics
+/// into \p Diags, each attempt governed by the runner's scope alone. Its
+/// record is the outcome fields and one "v" field per violation.
+UnitWorker ftUnitWorker(const Program &P, const FtOptions &Opts, bool Native,
+                        DiagnosticEngine &Diags, FtRunResult &Slot) {
+  UnitWorker W;
+  W.Run = [&P, &Opts, Native, &Diags, &Slot](size_t) {
+    FtOptions Attempt = Opts;
+    Attempt.Budget = RunBudget{};
+    Attempt.Resume = nullptr;
+    Diags.clear();
+    Slot = runFaultTolerance(P, Attempt, Native, Diags);
+    return Slot.Outcome;
+  };
+  W.Render = [&Slot](size_t I, unsigned Attempts) {
+    UnitRecord Rec;
+    Rec.Key = unitKey('f', I);
+    addOutcome(Rec, RunOutcome(), Attempts);
+    for (const FtViolation &V : Slot.Check.Violations)
+      addViolationField(Rec, V);
+    return Rec;
+  };
+  return W;
+}
+
+} // namespace
+
+FtRunResult nv::runFtUnit(const Program &P, const FtOptions &Opts,
+                          bool UseCompiledEvaluator, DiagnosticEngine &Diags,
+                          const UnitExecutor &X) {
+  FtRunResult Out;
+  UnitSweep S = ftSweep(Opts);
+  S.Restore = [&](size_t, const UnitRecord &Rec) {
+    auto Scenarios = std::make_shared<const FtScenarioSet>(P, Opts);
+    if (!parseViolationFields(Rec, *Scenarios, 0, Scenarios->size(),
+                              Out.Check.Violations))
+      return false;
+    Out.Converged = true;
+    Out.Check.ScenariosChecked = Scenarios->size();
+    Out.Check.Scenarios = std::move(Scenarios);
+    return true;
+  };
+  UnitsResult U = runUnits(S, X, [&](const auto &Serve) {
+    UnitWorker W = ftUnitWorker(P, Opts, UseCompiledEvaluator, Diags, Out);
+    Serve(W);
+  });
+  Out.Outcome = Out.Check.Outcome = U.First;
+  Out.Check.RetriesPerformed = U.Retries;
+  if (U.Replayed)
+    Out.Check.ScenariosReplayed = Out.Check.ScenariosChecked;
+  return Out;
+}
+
+int nv::ftFleetWorker(const Program &P, const FtOptions &Opts, bool Native) {
+  DiagnosticEngine Diags;
+  FtRunResult Slot;
+  UnitSweep S = ftSweep(Opts);
+  UnitWorker W = ftUnitWorker(P, Opts, Native, Diags, Slot);
+  return serveFleetUnits(S, [&](size_t I) {
+    UnitRecord Rec = runUnitRecord(S, W, I);
+    Diags.printToStderr();
+    return Rec;
+  });
 }

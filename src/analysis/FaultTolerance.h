@@ -38,8 +38,9 @@
 /// One pipeline runs it: PreparedFt holds the meta-program and its
 /// evaluators, built once per context and options, and simulates then
 /// checks (FtChecker) per run. runFaultTolerance, `nv serve` sessions and
-/// fleet workers all use it. The journaled and fleet-sharded check works
-/// in FtChunks, run and folded by checkFtChunks.
+/// fleet workers all use it. For the journal and the fleet, a whole run is
+/// one unit of the unit runner, "f0" (runFtUnit, ftFleetWorker): the
+/// durable unit carries its own simulation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,7 +55,6 @@
 #include "support/ThreadPool.h"
 #include "support/Units.h"
 
-#include <algorithm>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -88,16 +88,12 @@ struct FtOptions {
   /// finite limits escalated. Default MaxAttempts=1 keeps single-shot
   /// semantics.
   RetryPolicy Retry;
-  /// Scenarios per check chunk in the checkpointed and fleet-sharded
-  /// paths: chunks are the journal/fleet unit of the assert check ("c<C>"
-  /// keys), so this changes the unit list and binds in the journal.
-  unsigned CheckChunkSize = 512;
-  /// Optional checkpoint/resume journal. When set, scenarios completed in
-  /// a previous run are replayed instead of re-simulated, and each newly
-  /// completed scenario (or scenario chunk, in checkFaultTolerance) is
-  /// durably recorded. Canceled scenarios are never recorded, so they
-  /// re-run on resume. The caller owns binding validation (ResumeLog::
-  /// open rejects mismatched journals).
+  /// Optional checkpoint/resume journal of the naive sweep (one unit per
+  /// scenario) and of runFtUnit (one unit per run). When set, units
+  /// completed in a previous run are replayed instead of re-run, and each
+  /// newly completed unit is durably recorded. Canceled units are never
+  /// recorded, so they re-run on resume. The caller owns binding
+  /// validation (ResumeLog::open rejects mismatched journals).
   ResumeLog *Resume = nullptr;
 };
 
@@ -268,11 +264,11 @@ struct FtCheckResult {
   /// scenario order is recorded in Outcome, so the report is deterministic
   /// for any thread count.
   uint64_t ScenariosSkipped = 0;
-  /// Scenarios (or scenario chunks' worth of scenarios) replayed from a
-  /// resume journal instead of re-simulated. Counted inside
+  /// Scenarios replayed from a resume journal instead of re-simulated
+  /// (all of them, for a replayed fault-tolerance run). Counted inside
   /// ScenariosChecked, so aggregate counts match an uninterrupted run.
   uint64_t ScenariosReplayed = 0;
-  /// Extra attempts spent by the retry policy across all scenarios.
+  /// Extra attempts spent by the retry policy across all units.
   uint64_t RetriesPerformed = 0;
   RunOutcome Outcome;
   std::vector<FtViolation> Violations;
@@ -286,24 +282,6 @@ struct FtCheckResult {
   /// caller-provided context already owns the values).
   std::vector<std::shared_ptr<NvContext>> RetainedContexts;
   bool holds() const { return Violations.empty(); }
-};
-
-/// The chunk layout of the checkpointed and fleet-sharded assert check:
-/// chunk C covers scenarios [begin(C), end(C)), keyed "c<C>" in journals
-/// and fleet jobs. A ChunkSize of 0 means the FtOptions default.
-class FtChunks {
-public:
-  FtChunks(size_t NumScenarios, unsigned ChunkSize);
-
-  size_t count() const { return (NumScenarios + Size - 1) / Size; }
-  size_t begin(size_t C) const { return C * Size; }
-  size_t end(size_t C) const {
-    return std::min(begin(C) + Size, NumScenarios);
-  }
-  static std::string key(size_t C);
-
-private:
-  size_t NumScenarios, Size;
 };
 
 /// FNV-1a 64 hex fingerprint of violations in result order: identical for
@@ -340,13 +318,8 @@ FtCheckResult checkFaultTolerance(NvContext &Ctx, const Program &BaseProgram,
 /// \p Pool. It relies on the MTBDD variable index being the key bit
 /// position.
 ///
-/// checkScenario and checkChunk then read binary-searched slices of the
+/// checkScenario and checkRange then read binary-searched slices of the
 /// hits.
-/// checkChunk returns the chunk's canonical UnitRecord ("c<C>", status,
-/// one "v" field per violation). The checkpointed in-process check
-/// journals these records and fleet workers send the *same* records over
-/// the result pipe (checkFtChunks), which is what makes `--workers N`
-/// aggregates bit-identical to `--workers 0`.
 class FtChecker {
 public:
   /// \p MetaResult must be converged with dict labels; both it and
@@ -358,12 +331,8 @@ public:
 
   /// The checked scenarios, which every violation points into.
   const std::shared_ptr<const FtScenarioSet> &scenarios() const;
-  const FtChunks &chunks() const;
   /// The number of violations over all scenarios.
   size_t numViolations() const;
-
-  /// The record of chunk \p C's scenarios.
-  UnitRecord checkChunk(size_t C) const;
 
   /// Appends scenario \p I's violations in node order (thread-safe;
   /// read-only).
@@ -379,24 +348,6 @@ private:
   struct ImplTy;
   std::unique_ptr<ImplTy> Impl;
 };
-
-/// The chunked assert check on the unit runner (support/Units.h): chunk
-/// C is unit "c<C>". Journaled chunks (Opts.Resume) are restored; the rest
-/// are sliced from \p Checker in process, or checked on \p X's fleet by
-/// ftFleetWorker, whose records carry the same violations
-/// (FtChecker::checkChunk). Folded in chunk order: violations in scenario
-/// order, a non-ok chunk (e.g. a quarantined poison chunk) counted as
-/// skipped scenarios, a canceled chunk as not checked, the first non-ok
-/// outcome kept. \p Checker may be null when \p X is a fleet.
-FtCheckResult
-checkFtChunks(const std::shared_ptr<const FtScenarioSet> &Scenarios,
-              const FtOptions &Opts, const UnitExecutor &X,
-              const FtChecker *Checker = nullptr);
-
-/// The fleet worker of the chunked check (`nv worker --cmd ft`): rebuilds
-/// the meta-simulation on its first job and serves chunk records until
-/// the coordinator shuts it down; returns the worker's exit code.
-int ftFleetWorker(const Program &P, const FtOptions &Opts, bool Native);
 
 /// The result of one fault-tolerance run.
 struct FtRunResult {
@@ -434,9 +385,9 @@ public:
   SimResult simulate();
   /// Simulates, then (when converged and \p CheckAsserts) runs
   /// checkFaultTolerance with a pool of Opts.Threads. \p Opts names the
-  /// scenario space it was created for; budget, threads, chunking and
-  /// journal are per run. Fills all but TransformMs; a trip becomes the
-  /// Outcome, completed phases keeping their timings and stats.
+  /// scenario space it was created for; budget and threads are per run.
+  /// Fills all but TransformMs; a trip becomes the Outcome, completed
+  /// phases keeping their timings and stats.
   FtRunResult run(const FtOptions &Opts, bool CheckAsserts = true);
   /// The interpreted base evaluator, for an FtChecker over simulate().
   ProtocolEvaluator &baseEval() { return BaseEval; }
@@ -455,6 +406,7 @@ private:
 /// Convenience driver: transform, simulate (interpreted or compiled), and
 /// check, through a PreparedFt. Null base assert means only convergence
 /// is checked. One governor (Opts.Budget) spans all three phases.
+/// Opts.Resume is not read: runFtUnit journals a run.
 ///
 /// \p ReuseCtx (optional) runs the analysis in a caller-owned context
 /// instead of a fresh one — e.g. one context per network reused across
@@ -468,6 +420,26 @@ FtRunResult runFaultTolerance(const Program &P, const FtOptions &Opts,
                               DiagnosticEngine &Diags,
                               bool CheckAsserts = true,
                               NvContext *ReuseCtx = nullptr);
+
+/// A fault-tolerance run as the one unit "f0" of the unit runner
+/// (support/Units.h) on \p X: runFaultTolerance on this thread, or on
+/// \p X's fleet by ftFleetWorker. The unit's record is its outcome
+/// fields, then one "v" field per violation (addViolationField). With
+/// Opts.Resume, a journaled record is restored instead, without a
+/// simulation, and a completed run is journaled; a run that tripped is
+/// journaled too, and replays as that trip. Opts.Budget and Opts.Retry
+/// govern each attempt. A run that ran here returns runFaultTolerance's
+/// result; a restored one only its check (Converged, Check, Outcome),
+/// with zero timings and stats. ScenariosReplayed counts every scenario
+/// of a replayed run. \p Diags holds the last attempt's diagnostics.
+FtRunResult runFtUnit(const Program &P, const FtOptions &Opts,
+                      bool UseCompiledEvaluator, DiagnosticEngine &Diags,
+                      const UnitExecutor &X = UnitExecutor());
+
+/// The fleet worker of runFtUnit (`nv worker --cmd ft`): serves unit f0
+/// through runUnitRecord until the coordinator shuts it down, writing each
+/// run's diagnostics to stderr; returns the worker's exit code.
+int ftFleetWorker(const Program &P, const FtOptions &Opts, bool Native);
 
 } // namespace nv
 

@@ -255,6 +255,25 @@ void maybeWedge(const std::string &Key, std::atomic<bool> &PauseBeats) {
     ::pause(); // the coordinator SIGKILLs us
 }
 
+/// What a worker sends instead of \p Rec, \p Bytes long, whose 'R' frame
+/// would pass the cap: the coordinator reads an oversized frame as a dead
+/// worker, so the unit fails by name instead.
+UnitRecord oversizedRecord(const UnitRecord &Rec, size_t Bytes) {
+  RunOutcome O;
+  unsigned Attempts = 1;
+  parseOutcome(Rec, O, Attempts);
+  UnitRecord Out;
+  Out.Key = Rec.Key;
+  addOutcome(Out,
+             {RunStatus::InternalError,
+              "unit record of " + std::to_string(Bytes) +
+                  " bytes exceeds the fleet frame cap of " +
+                  std::to_string(MaxFleetFrame) + " bytes",
+              ""},
+             Attempts);
+  return Out;
+}
+
 } // namespace
 
 int nv::runFleetWorker(const std::function<UnitRecord(const FleetJob &)> &Handler,
@@ -350,9 +369,12 @@ int nv::runFleetWorker(const std::function<UnitRecord(const FleetJob &)> &Handle
     maybePoison(J.Key);
     UnitRecord Rec = Handler(J);
     Rec.Key = J.Key;
+    std::string Body = Rec.render();
+    if (Body.size() >= MaxFleetFrame) // the type byte shares the cap
+      Body = oversizedRecord(Rec, Body.size()).render();
     {
       std::lock_guard<std::mutex> L(WriteM);
-      if (!writeFrameFd(Opts.OutFd, 'R', Rec.render()))
+      if (!writeFrameFd(Opts.OutFd, 'R', Body))
         return 0; // coordinator gone
     }
     {

@@ -7,10 +7,11 @@
 ///
 /// \file
 /// The coordinator/worker execution layer: farms a sharded analysis' job
-/// units (naive scenarios, FT check chunks, fuzz instances) out to a pool
-/// of forked worker *subprocesses*, so a segfault, OOM kill, or runaway
-/// job in any shard costs one worker — not the run. This is the substrate
-/// fragment-parallel Kirigami verification is meant to run on (ROADMAP).
+/// units (naive scenarios, whole fault-tolerance runs, fuzz instances)
+/// out to a pool of forked worker *subprocesses*, so a segfault, OOM kill,
+/// or runaway job in any shard costs one worker — not the run. This is the
+/// substrate fragment-parallel Kirigami verification is meant to run on
+/// (ROADMAP).
 ///
 /// Protocol. Workers are re-execs of the owning CLI (a hidden verb) with
 /// a job pipe on fd 3 and a result pipe on fd 4. Both directions carry
@@ -22,6 +23,10 @@
 /// which is what makes fleet aggregates bit-identical to `--workers 0`:
 /// the unit runner (support/Units.h) journals records as they land and
 /// restores them in deterministic unit order, as it replays a journal.
+/// A record whose 'R' frame would pass the frame cap (64 MiB, the
+/// journal's cap too) is replaced in the worker by a non-ok record of the
+/// same key that names the cap, so the coordinator never reads an
+/// oversized frame as a dead worker.
 ///
 /// Robustness policy:
 ///  - Liveness: workers heartbeat every HeartbeatMs; a worker silent for

@@ -207,6 +207,13 @@ static bool lockJournalFd(int Fd, const std::string &Path, std::string &Err) {
 bool JournalWriter::append(const std::string &Payload) {
   if (!Err.empty())
     return false;
+  // The reader refuses such a frame as corrupt, so it is never written.
+  if (Payload.size() > MaxFramePayload) {
+    Err = Path + ": frame of " + std::to_string(Payload.size()) +
+          " bytes exceeds the journal frame cap of " +
+          std::to_string(MaxFramePayload) + " bytes";
+    return false;
+  }
   std::string Frame;
   Frame.reserve(8 + Payload.size());
   putU32le(Frame, uint32_t(Payload.size()));

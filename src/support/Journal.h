@@ -100,9 +100,10 @@ public:
   JournalWriter(const JournalWriter &) = delete;
   JournalWriter &operator=(const JournalWriter &) = delete;
 
-  /// Appends one frame and fdatasyncs. Returns false on I/O failure (the
-  /// error is sticky: subsequent appends fail fast and lastError() holds
-  /// the first failure).
+  /// Appends one frame and fdatasyncs. Returns false on I/O failure or a
+  /// payload over the 64 MiB frame cap, which the reader would refuse
+  /// (the error is sticky: subsequent appends fail fast and lastError()
+  /// holds the first failure).
   bool append(const std::string &Payload);
 
   bool broken() const { return !Err.empty(); }

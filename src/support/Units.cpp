@@ -2,6 +2,7 @@
 
 #include "support/Units.h"
 
+#include <algorithm>
 #include <atomic>
 #include <charconv>
 #include <stdexcept>
@@ -54,7 +55,10 @@ void runOnFleet(const UnitSweep &S, const UnitExecutor &X,
     if (S.Journal)
       S.Journal->recordDone(Rec);
   };
-  FleetResult FR = runFleet(*X.Fleet, Jobs, CB);
+  // No more workers than units: a spare one would only start up.
+  FleetOptions FO = *X.Fleet;
+  FO.Workers = unsigned(std::min<size_t>(FO.Workers, Jobs.size()));
+  FleetResult FR = runFleet(FO, Jobs, CB);
   if (X.OnFleetDone)
     X.OnFleetDone(FR);
   for (size_t I : Pending) {

@@ -7,9 +7,9 @@
 ///
 /// \file
 /// runUnits: the one replay -> retry -> journal -> fold path of every sweep
-/// of independent units (naive scenarios "s<I>", FT check chunks "c<C>",
-/// fuzz instances "i<I>", corpus files "r<I>"), run on threads of this
-/// process or on a worker fleet. A journaled unit
+/// of independent units (naive scenarios "s<I>", a whole fault-tolerance
+/// run "f0", fuzz instances "i<I>", corpus files "r<I>"), run on threads
+/// of this process or on a worker fleet. A journaled unit
 /// is restored, never re-run. Every other unit runs each attempt in its
 /// own Governor::Scope, transient trips retried (runUnitWithRetry); once
 /// the run is canceled no unit starts. Every completion but a canceled one
@@ -61,7 +61,7 @@ using UnitWorkerSetup =
 
 /// Where pending units run: one worker per thread of Pool (the calling
 /// thread when null), claiming units off a shared counter; or, with Fleet
-/// set, one fleet job per unit.
+/// set, one fleet job per unit, on at most one worker per pending unit.
 struct UnitExecutor {
   ThreadPool *Pool = nullptr;
   std::optional<FleetOptions> Fleet;

@@ -18,7 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -200,10 +202,10 @@ void expectSameViolations(const FtCheckResult &R,
   }
 }
 
-/// The checker against referenceCheck: unchunked (serial and sharded), and
-/// chunk by chunk, where every record must equal the matching slice of the
-/// reference.
-void expectMatchesReference(const std::string &Src, FtOptions Opts) {
+/// The checker against referenceCheck, serial and sharded, and sliced by
+/// checkRange over windows of \p Window scenarios and by checkScenario.
+void expectMatchesReference(const std::string &Src, FtOptions Opts,
+                            uint64_t Window) {
   Program P = parseAndCheck(Src);
   DiagnosticEngine Diags;
   auto Meta = makeFaultTolerantProgram(P, Opts, Diags);
@@ -223,27 +225,11 @@ void expectMatchesReference(const std::string &Src, FtOptions Opts) {
       checkFaultTolerance(Ctx, P, BaseEval, MetaR, Opts, &Pool), Want,
       "3 threads");
 
-  size_t NumScenarios = referenceScenarios(P, Opts).size();
-  ASSERT_NE(NumScenarios % Opts.CheckChunkSize, 0u)
-      << "the chunk size must leave a partial last chunk";
-  FtChecker Checker(Ctx, P, BaseEval, MetaR, Opts);
-  ASSERT_EQ(Checker.chunks().count(),
-            (NumScenarios + Opts.CheckChunkSize - 1) / Opts.CheckChunkSize);
-  for (size_t C = 0; C < Checker.chunks().count(); ++C) {
-    UnitRecord Expected;
-    Expected.Key = FtChunks::key(C);
-    Expected.add("status", "ok");
-    for (const RefViolation &V : Want)
-      if (V.Index / Opts.CheckChunkSize == C)
-        addViolationField(Expected, {{nullptr, V.Index},
-                                     V.Node,
-                                     V.Route,
-                                     {}});
-    EXPECT_EQ(Checker.checkChunk(C).render(), Expected.render())
-        << "chunk " << C;
-  }
-
   // checkRange and checkScenario slice the full result.
+  size_t NumScenarios = referenceScenarios(P, Opts).size();
+  ASSERT_NE(NumScenarios % Window, 0u)
+      << "the window must leave a partial last window";
+  FtChecker Checker(Ctx, P, BaseEval, MetaR, Opts);
   FtCheckResult Full = checkFaultTolerance(Ctx, P, BaseEval, MetaR, Opts);
   auto Strs = [](const std::vector<FtViolation> &Vs) {
     std::vector<std::string> Out;
@@ -252,13 +238,13 @@ void expectMatchesReference(const std::string &Src, FtOptions Opts) {
                     std::to_string(V.Node) + "=" + V.routeStr());
     return Out;
   };
-  std::vector<FtViolation> ByChunk, ByScenario;
-  for (size_t C = 0; C < Checker.chunks().count(); ++C)
-    Checker.checkRange(Checker.chunks().begin(C), Checker.chunks().end(C),
-                       ByChunk);
+  std::vector<FtViolation> ByWindow, ByScenario;
+  for (uint64_t B = 0; B < NumScenarios; B += Window)
+    Checker.checkRange(B, std::min<uint64_t>(B + Window, NumScenarios),
+                       ByWindow);
   for (size_t I = 0; I < NumScenarios; ++I)
     Checker.checkScenario(I, ByScenario);
-  EXPECT_EQ(Strs(ByChunk), Strs(Full.Violations));
+  EXPECT_EQ(Strs(ByWindow), Strs(Full.Violations));
   EXPECT_EQ(Strs(ByScenario), Strs(Full.Violations));
   std::vector<FtViolation> Past;
   Checker.checkRange(NumScenarios, NumScenarios + 100, Past);
@@ -280,8 +266,7 @@ TEST(FaultTolerance, LeafWalkMatchesPerScenarioLookup) {
       FtOptions Opts;
       Opts.LinkFailures = Links;
       Opts.NodeFailure = Node;
-      Opts.CheckChunkSize = 5;
-      expectMatchesReference(spProgram(6, Shuffled, "d <= 2"), Opts);
+      expectMatchesReference(spProgram(6, Shuffled, "d <= 2"), Opts, 5);
     }
 }
 
@@ -289,13 +274,12 @@ TEST(FaultTolerance, LeafWalkMatchesPerScenarioLookupOnSparseTopology) {
   // 300 nodes, most of them isolated, which never have a route.
   FtOptions Opts;
   Opts.LinkFailures = 4;
-  Opts.CheckChunkSize = 64;
   expectMatchesReference(
       spProgram(300,
                 {{299, 3}, {0, 257}, {257, 3}, {3, 128}, {128, 0}, {299, 0},
                  {128, 257}},
                 "d <= 1"),
-      Opts);
+      Opts, 64);
 }
 
 TEST(FaultTolerance, LeafWalkMatchesPerScenarioLookupOnWideKeys) {
@@ -304,8 +288,7 @@ TEST(FaultTolerance, LeafWalkMatchesPerScenarioLookupOnWideKeys) {
   // changes routes (0-1 alone reroutes node 1; with 2-3 it cuts it off).
   FtOptions Opts;
   Opts.LinkFailures = 33;
-  Opts.CheckChunkSize = 64;
-  expectMatchesReference(spProgram(4, Diamond, "d <= 2"), Opts);
+  expectMatchesReference(spProgram(4, Diamond, "d <= 2"), Opts, 64);
 }
 
 /// (scenario, node, route) of each violation, in result order.
@@ -317,114 +300,97 @@ std::vector<std::string> violationStrs(const FtCheckResult &R) {
   return Out;
 }
 
-/// A converged meta-simulation whose chunk size leaves a partial last
-/// chunk, and a scratch journal for the checkpointed check.
+/// A two-failure run with violations (28 scenarios of 6 nodes), and a
+/// scratch journal for its one unit record.
 class FtCheckpoint : public ::testing::Test {
 protected:
-  static FtOptions options() {
-    FtOptions Opts;
-    Opts.LinkFailures = 2;
-    Opts.CheckChunkSize = 5;
-    return Opts;
-  }
-
   void SetUp() override {
-    ASSERT_TRUE(Meta.has_value()) << Diags.str();
-    ASSERT_TRUE(MetaR.Converged);
+    Opts.LinkFailures = 2;
     Binding.set("tool", "fault-tolerance-tests");
     std::remove(Path.c_str());
   }
   void TearDown() override { std::remove(Path.c_str()); }
 
-  /// Runs the checkpointed check against the journal at Path.
-  FtCheckResult resume(FtOptions Resumed = options()) {
+  /// Runs the analysis as its one unit against the journal at Path.
+  FtRunResult run(FtOptions Journaled) {
     auto L = ResumeLog::open(Path, Binding);
     EXPECT_TRUE(L.Log) << L.Error;
-    Resumed.Resume = L.Log.get();
-    return checkFaultTolerance(Ctx, P, BaseEval, MetaR, Resumed);
+    Journaled.Resume = L.Log.get();
+    DiagnosticEngine Diags;
+    return runFtUnit(P, Journaled, /*Compiled=*/false, Diags);
+  }
+
+  std::vector<UnitRecord> journaled() {
+    JournalRead JR = readJournal(Path);
+    EXPECT_EQ(JR.St, JournalRead::State::Ok) << JR.Error;
+    std::vector<UnitRecord> Out;
+    for (const std::string &E : JR.Entries) {
+      Out.emplace_back();
+      EXPECT_TRUE(UnitRecord::parse(E, Out.back())) << E;
+    }
+    return Out;
   }
 
   Program P = parseAndCheck(spProgram(6, Shuffled, "d <= 2"));
-  FtOptions Opts = options();
-  DiagnosticEngine Diags;
-  std::optional<Program> Meta = makeFaultTolerantProgram(P, Opts, Diags);
-  NvContext Ctx{P.numNodes()};
-  InterpProgramEvaluator MetaEval{Ctx, *Meta};
-  SimResult MetaR = simulate(*Meta, MetaEval);
-  InterpProgramEvaluator BaseEval{Ctx, P};
+  FtOptions Opts;
   std::string Path = ::testing::TempDir() + "nv_ft_checkpoint_journal";
   RunBinding Binding;
 };
 
-TEST_F(FtCheckpoint, ResumesFromChunkRecords) {
-  // Some chunks' records are journaled up front, as a fleet worker would
-  // send them; the checkpointed check must replay those, check the rest,
-  // and agree with a run without a journal.
-  FtCheckResult Ref = checkFaultTolerance(Ctx, P, BaseEval, MetaR, Opts);
-  ASSERT_FALSE(Ref.Violations.empty());
-  size_t NumScenarios = Ref.ScenariosChecked;
-  ASSERT_NE(NumScenarios % Opts.CheckChunkSize, 0u)
-      << "the chunk size must leave a partial last chunk";
-  size_t NumChunks =
-      (NumScenarios + Opts.CheckChunkSize - 1) / Opts.CheckChunkSize;
-  ASSERT_GE(NumChunks, 4u);
+TEST_F(FtCheckpoint, JournaledRunReplaysWithoutSimulating) {
+  DiagnosticEngine Diags;
+  FtRunResult Ref = runFaultTolerance(P, Opts, /*Compiled=*/false, Diags);
+  ASSERT_TRUE(Ref.Outcome.ok()) << Ref.Outcome.str();
+  ASSERT_FALSE(Ref.Check.Violations.empty());
+  ASSERT_EQ(Ref.Check.ScenariosChecked, 28u);
 
-  // The first, a middle and the (partial) last chunk are prefilled.
-  std::vector<size_t> Prefilled = {0, 2, NumChunks - 1};
-  uint64_t PrefilledScenarios = 0;
-  {
-    auto L = ResumeLog::open(Path, Binding);
-    ASSERT_TRUE(L.Log) << L.Error;
-    FtChecker Checker(Ctx, P, BaseEval, MetaR, Opts);
-    for (size_t C : Prefilled) {
-      L.Log->recordDone(Checker.checkChunk(C));
-      PrefilledScenarios +=
-          std::min(NumScenarios, (C + 1) * Opts.CheckChunkSize) -
-          C * Opts.CheckChunkSize;
-    }
-  }
+  FtRunResult First = run(Opts);
+  ASSERT_TRUE(First.Outcome.ok()) << First.Outcome.str();
+  EXPECT_GT(First.Stats.Pops, 0u);
+  EXPECT_EQ(First.Check.ScenariosReplayed, 0u);
+  EXPECT_EQ(violationStrs(First.Check), violationStrs(Ref.Check));
 
-  FtCheckResult R = resume();
-  EXPECT_TRUE(R.Outcome.ok()) << R.Outcome.str();
-  EXPECT_EQ(R.ScenariosChecked, Ref.ScenariosChecked);
-  EXPECT_EQ(R.ScenariosReplayed, PrefilledScenarios);
-  EXPECT_EQ(violationStrs(R), violationStrs(Ref));
+  // The journal holds the run's one record: the outcome fields, then one
+  // "v" field per violation.
+  UnitRecord Want;
+  Want.Key = "f0";
+  addOutcome(Want, RunOutcome(), 1);
+  for (const FtViolation &V : Ref.Check.Violations)
+    addViolationField(Want, V);
+  std::vector<UnitRecord> Recs = journaled();
+  ASSERT_EQ(Recs.size(), 1u);
+  EXPECT_EQ(Recs[0].render(), Want.render());
 
-  // The journal now holds every chunk exactly once.
-  JournalRead JR = readJournal(Path);
-  ASSERT_EQ(JR.St, JournalRead::State::Ok) << JR.Error;
-  std::set<std::string> Keys;
-  for (const std::string &E : JR.Entries) {
-    UnitRecord Rec;
-    ASSERT_TRUE(UnitRecord::parse(E, Rec));
-    Keys.insert(Rec.Key);
-  }
-  EXPECT_EQ(JR.Entries.size(), NumChunks);
-  std::set<std::string> Want;
-  for (size_t C = 0; C < NumChunks; ++C)
-    Want.insert(FtChunks::key(C));
-  EXPECT_EQ(Keys, Want);
+  FtRunResult Replayed = run(Opts);
+  ASSERT_TRUE(Replayed.Outcome.ok()) << Replayed.Outcome.str();
+  EXPECT_TRUE(Replayed.Converged);
+  EXPECT_EQ(Replayed.Stats.Pops, 0u) << "a replayed run must not simulate";
+  EXPECT_EQ(Replayed.Check.ScenariosChecked, Ref.Check.ScenariosChecked);
+  EXPECT_EQ(Replayed.Check.ScenariosReplayed,
+            Replayed.Check.ScenariosChecked);
+  EXPECT_EQ(violationStrs(Replayed.Check), violationStrs(Ref.Check));
+  EXPECT_EQ(journaled().size(), 1u);
 }
 
-TEST_F(FtCheckpoint, CancelStopsBetweenChunksAndRecordsNothing) {
+TEST_F(FtCheckpoint, CanceledRunJournalsNothing) {
   CancelToken Tok;
   Tok.requestCancel();
   FtOptions Canceled = Opts;
   Canceled.Budget.Cancel = &Tok;
-  FtCheckResult R = resume(Canceled);
+  FtRunResult R = run(Canceled);
   EXPECT_EQ(R.Outcome.Status, RunStatus::Canceled) << R.Outcome.str();
-  EXPECT_EQ(R.ScenariosChecked, 0u);
-  EXPECT_TRUE(readJournal(Path).Entries.empty());
+  EXPECT_EQ(R.Check.ScenariosChecked, 0u);
+  EXPECT_TRUE(journaled().empty());
 }
 
 TEST_F(FtCheckpoint, MalformedReplayedRecordIsReported) {
-  // Doctored "v" fields in journaled chunk c1 (scenarios [5, 10) of 6
-  // nodes): no fields, a non-numeric or signed number, trailing garbage
+  // Doctored "v" fields in the journaled record of scenarios [0, 28) of 6
+  // nodes: no fields, a non-numeric or signed number, trailing garbage
   // after the index or the node, a node past the topology, a scenario
-  // outside the chunk.
+  // past the set.
   for (const char *Bad :
        {"not-a-violation", "x 3 None", "5x 3 None", "5 3x None", "-5 3 None",
-        "5 +3 None", " 5 3 None", "5 6 None", "4 3 None", "10 3 None",
+        "5 +3 None", " 5 3 None", "5 6 None", "28 3 None",
         "99999999999999999999 3 None"}) {
     SCOPED_TRACE(Bad);
     std::remove(Path.c_str());
@@ -432,17 +398,59 @@ TEST_F(FtCheckpoint, MalformedReplayedRecordIsReported) {
       auto L = ResumeLog::open(Path, Binding);
       ASSERT_TRUE(L.Log) << L.Error;
       UnitRecord Rec;
-      Rec.Key = "c1";
-      Rec.add("status", "ok");
+      Rec.Key = "f0";
+      addOutcome(Rec, RunOutcome(), 1);
       Rec.add("v", Bad);
       L.Log->recordDone(Rec);
     }
-    FtCheckResult R = resume();
+    FtRunResult R = run(Opts);
     EXPECT_EQ(R.Outcome.Status, RunStatus::EvalError) << R.Outcome.str();
-    EXPECT_NE(R.Outcome.Detail.find("malformed unit record c1"),
+    EXPECT_NE(R.Outcome.Detail.find("malformed unit record f0"),
               std::string::npos)
         << R.Outcome.str();
+    EXPECT_EQ(R.Stats.Pops, 0u);
   }
+}
+
+TEST_F(FtCheckpoint, TrippedRunReplaysAsItsTrip) {
+  // A run that trips is journaled with its outcome, like a skipped naive
+  // scenario, and replays as that trip without simulating.
+  FtOptions Tight = Opts;
+  Tight.Budget.MaxSteps = 1;
+  FtRunResult First = run(Tight);
+  EXPECT_EQ(First.Outcome.Status, RunStatus::StepBudgetExceeded)
+      << First.Outcome.str();
+  std::vector<UnitRecord> Recs = journaled();
+  ASSERT_EQ(Recs.size(), 1u);
+  RunOutcome Recorded;
+  unsigned Attempts = 0;
+  ASSERT_TRUE(parseOutcome(Recs[0], Recorded, Attempts));
+  EXPECT_EQ(Recorded.str(), First.Outcome.str());
+
+  FtRunResult Replayed = run(Tight);
+  EXPECT_EQ(Replayed.Outcome.str(), First.Outcome.str());
+  EXPECT_EQ(Replayed.Stats.Pops, 0u);
+  EXPECT_EQ(journaled().size(), 1u);
+}
+
+TEST_F(FtCheckpoint, RetryRunsTheWholeRunAgain) {
+  // A one-shot fault in the meta-simulation fails the first attempt; the
+  // retry re-runs transform, simulation and check, and its record says so.
+  DiagnosticEngine Diags;
+  FtRunResult Ref = runFaultTolerance(P, Opts, /*Compiled=*/false, Diags);
+  ASSERT_TRUE(Ref.Outcome.ok()) << Ref.Outcome.str();
+  FtOptions Retried = Opts;
+  Retried.Retry.MaxAttempts = 2;
+  FaultInject::arm(GovSite::SimPop, 10);
+  FtRunResult R = run(Retried);
+  FaultInject::disarmAll();
+  ASSERT_TRUE(R.Outcome.ok()) << R.Outcome.str();
+  EXPECT_EQ(R.Check.RetriesPerformed, 1u);
+  EXPECT_EQ(violationStrs(R.Check), violationStrs(Ref.Check));
+  std::vector<UnitRecord> Recs = journaled();
+  ASSERT_EQ(Recs.size(), 1u);
+  ASSERT_TRUE(Recs[0].get("attempts"));
+  EXPECT_EQ(*Recs[0].get("attempts"), "2");
 }
 
 /// Journals \p Records, with \p Doctor applied to them first, at a fresh
@@ -497,53 +505,54 @@ bool foldNaiveRecords(
   return Out.Outcome.ok();
 }
 
-/// Checks every chunk of \p P's meta-simulation with a checker that is
-/// gone before the records, with \p Doctor applied, are journaled and
-/// folded by checkFtChunks without any checker, as a fleet coordinator
-/// does. False when some record was malformed.
-bool foldChunkRecords(
+/// The record a fleet worker sends for \p P's run: ftFleetWorker's one-job
+/// hook serves unit f0 in this process and prints its record.
+UnitRecord fleetRunRecord(const Program &P, const FtOptions &Opts) {
+  ::setenv("NV_FLEET_ONE_JOB", "f0", 1);
+  ::testing::internal::CaptureStdout();
+  int Rc = ftFleetWorker(P, Opts, /*Native=*/false);
+  std::string Text = ::testing::internal::GetCapturedStdout();
+  ::unsetenv("NV_FLEET_ONE_JOB");
+  EXPECT_EQ(Rc, 0);
+  UnitRecord Rec;
+  EXPECT_TRUE(UnitRecord::parse(Text, Rec)) << Text;
+  return Rec;
+}
+
+/// Journals the fleet worker's record of \p P's run, with \p Doctor
+/// applied, and restores it through runFtUnit, as a fleet coordinator
+/// does, without simulating. False when the record was malformed.
+bool foldRunRecord(
     const Program &P, const FtOptions &Opts,
     const std::function<void(std::map<std::string, UnitRecord> &)> &Doctor,
     FtCheckResult &Out) {
-  std::map<std::string, UnitRecord> Records;
-  std::shared_ptr<NvContext> Ctx = std::make_shared<NvContext>(P.numNodes());
-  {
-    DiagnosticEngine Diags;
-    auto Prep = PreparedFt::create(*Ctx, P, Opts, /*Compiled=*/false, Diags);
-    EXPECT_TRUE(Prep) << Diags.str();
-    if (!Prep)
-      return false;
-    SimResult Sim = Prep->simulate();
-    EXPECT_TRUE(Sim.Converged);
-    FtChecker Checker(*Ctx, P, Prep->baseEval(), Sim, Opts);
-    for (size_t C = 0; C < Checker.chunks().count(); ++C)
-      Records[FtChunks::key(C)] = Checker.checkChunk(C);
-  }
-  auto Log = journalRecords(std::move(Records), Doctor, "nv_ft_fold_chunks");
+  auto Log = journalRecords({{"f0", fleetRunRecord(P, Opts)}}, Doctor,
+                            "nv_ft_fold_run");
   FtOptions Resumed = Opts;
   Resumed.Resume = Log.get();
-  Out = checkFtChunks(std::make_shared<const FtScenarioSet>(P, Opts), Resumed,
-                      UnitExecutor());
+  DiagnosticEngine Diags;
+  FtRunResult R = runFtUnit(P, Resumed, /*Compiled=*/false, Diags);
+  EXPECT_EQ(R.Stats.Pops, 0u);
+  Out = std::move(R.Check);
   EXPECT_EQ(Out.ScenariosReplayed, Out.ScenariosChecked);
   return Out.Outcome.ok();
 }
 
 TEST(FaultTolerance, DoctoredViolationFieldsFailAggregation) {
-  // The line 0-1-2-3 at one link failure: scenarios 0..2, chunks of two.
+  // The line 0-1-2-3 at one link failure: scenarios 0..2.
   Program P = parseAndCheck(spProgram(4, Line));
   FtOptions Opts;
-  Opts.CheckChunkSize = 2;
   auto Keep = [](std::map<std::string, UnitRecord> &) {};
   FtCheckResult Clean, NaiveClean;
-  ASSERT_TRUE(foldChunkRecords(P, Opts, Keep, Clean));
+  ASSERT_TRUE(foldRunRecord(P, Opts, Keep, Clean));
   ASSERT_TRUE(foldNaiveRecords(P, Opts, Keep, NaiveClean));
   EXPECT_EQ(violationStrs(Clean), violationStrs(NaiveClean));
   ASSERT_EQ(Clean.Violations.size(), 6u);
 
-  // Each field lands in chunk c0 (scenarios 0 and 1) and in scenario s1's
-  // record; "1 3 None" is well formed for both.
+  // Each field lands in the run's record f0 (scenarios 0..2) and in
+  // scenario s1's record; "1 3 None" is well formed for both.
   for (const char *Bad : {"x 3 None", "1x 3 None", "1 3x None", "1 4 None",
-                          "-1 3 None", "1 3", "2 3 None", "1 99999999999 a"}) {
+                          "-1 3 None", "1 3", "3 3 None", "1 99999999999 a"}) {
     SCOPED_TRACE(Bad);
     auto Add = [&](const char *Key) {
       return [&, Key](std::map<std::string, UnitRecord> &Rs) {
@@ -551,7 +560,7 @@ TEST(FaultTolerance, DoctoredViolationFieldsFailAggregation) {
       };
     };
     FtCheckResult Out;
-    EXPECT_FALSE(foldChunkRecords(P, Opts, Add("c0"), Out));
+    EXPECT_FALSE(foldRunRecord(P, Opts, Add("f0"), Out));
     FtCheckResult NaiveOut;
     EXPECT_FALSE(foldNaiveRecords(P, Opts, Add("s1"), NaiveOut));
   }
@@ -564,10 +573,10 @@ TEST(FaultTolerance, DoctoredViolationFieldsFailAggregation) {
       },
       Out));
   FtCheckResult Good;
-  EXPECT_TRUE(foldChunkRecords(
+  EXPECT_TRUE(foldRunRecord(
       P, Opts,
       [](std::map<std::string, UnitRecord> &Rs) {
-        Rs["c0"].add("v", "1 3 None");
+        Rs["f0"].add("v", "1 3 None");
       },
       Good));
   EXPECT_EQ(Good.Violations.size(), 7u);
@@ -580,7 +589,6 @@ TEST(FaultTolerance, ViolationTextSurvivesMoveReplayAndAggregation) {
   FtOptions Opts;
   Opts.LinkFailures = 2;
   Opts.NodeFailure = true;
-  Opts.CheckChunkSize = 7;
   std::vector<std::string> Want;
   {
     DiagnosticEngine Diags;
@@ -620,13 +628,13 @@ TEST(FaultTolerance, ViolationTextSurvivesMoveReplayAndAggregation) {
   Binding.set("tool", "fault-tolerance-tests");
   FtCheckResult Replayed;
   for (int Run = 0; Run < 2; ++Run) {
-    // The first run journals every chunk, the second replays them all.
+    // The first run journals its record, the second replays it.
     auto L = ResumeLog::open(Path, Binding);
     ASSERT_TRUE(L.Log) << L.Error;
     FtOptions Journaled = Opts;
     Journaled.Resume = L.Log.get();
     DiagnosticEngine Diags;
-    FtRunResult R = runFaultTolerance(P, Journaled, false, Diags);
+    FtRunResult R = runFtUnit(P, Journaled, false, Diags);
     ASSERT_TRUE(R.Converged) << Diags.str();
     EXPECT_EQ(R.Check.ScenariosReplayed, Run ? R.Check.ScenariosChecked : 0);
     Replayed = std::move(R.Check);
@@ -636,7 +644,7 @@ TEST(FaultTolerance, ViolationTextSurvivesMoveReplayAndAggregation) {
 
   auto Keep = [](std::map<std::string, UnitRecord> &) {};
   FtCheckResult Folded;
-  ASSERT_TRUE(foldChunkRecords(P, Opts, Keep, Folded));
+  ASSERT_TRUE(foldRunRecord(P, Opts, Keep, Folded));
   Expect(FtCheckResult(std::move(Folded)), "fleet aggregate");
   FtCheckResult NaiveFolded;
   ASSERT_TRUE(foldNaiveRecords(P, Opts, Keep, NaiveFolded));
@@ -898,8 +906,8 @@ TEST(FaultTolerance, ScenarioSetPast32BitIndices) {
   DiagnosticEngine Fits;
   EXPECT_TRUE(makeFaultTolerantProgram(P, Opts, Fits)) << Fits.str();
 
-  // A record of chunk [2^33, 2^33 + 512) names scenarios by 64-bit index;
-  // one at the chunk's end or past the set is malformed.
+  // A record of scenarios [2^33, 2^33 + 512) names them by 64-bit index;
+  // one at the range's end or past the set is malformed.
   const uint64_t Begin = uint64_t(1) << 33, End = Begin + 512;
   auto Parse = [&](uint64_t Index, uint64_t B, uint64_t E) {
     UnitRecord R;

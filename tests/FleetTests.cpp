@@ -135,6 +135,26 @@ TEST(FleetMerge, ResultsFlowThroughOnResultExactlyOnce) {
   EXPECT_EQ(std::unique(Seen.begin(), Seen.end()), Seen.end());
 }
 
+TEST(FleetMerge, OversizedRecordFailsByNameWithoutKillingTheWorker) {
+  // Job "big" echoes 64 MiB: its 'R' frame would pass the frame cap, which
+  // the coordinator would read as a dead worker. The worker sends a
+  // failed record naming the cap instead, and serves the next job.
+  std::vector<FleetJob> Jobs = {{"big", "64MiB"}, {"small", "x"}};
+  FleetResult FR = runFleet(testOptions("echo", 1), Jobs);
+  ASSERT_TRUE(FR.Outcome.ok()) << FR.Outcome.str();
+  EXPECT_EQ(FR.Stats.WorkerDeaths, 0u);
+  RunOutcome O;
+  unsigned Attempts = 0;
+  ASSERT_TRUE(parseOutcome(FR.Results.at("big"), O, Attempts));
+  EXPECT_EQ(O.Status, RunStatus::InternalError);
+  EXPECT_NE(O.Detail.find("exceeds the fleet frame cap of 67108864 bytes"),
+            std::string::npos)
+      << O.str();
+  EXPECT_EQ(FR.Results.at("big").get("echo"), nullptr);
+  ASSERT_NE(FR.Results.at("small").get("echo"), nullptr);
+  EXPECT_EQ(*FR.Results.at("small").get("echo"), "x");
+}
+
 //===----------------------------------------------------------------------===//
 // Crash recovery
 //===----------------------------------------------------------------------===//
@@ -279,8 +299,10 @@ int main(int argc, char **argv) {
       Rec.Key = J.Key;
       Rec.add("status", "ok");
       // A deterministic pure function of the job — what makes the
-      // bit-identical merge assertion meaningful.
-      Rec.add("echo", J.Spec);
+      // bit-identical merge assertion meaningful. Spec "64MiB" echoes that
+      // many bytes, a record past the frame cap.
+      Rec.add("echo", J.Spec == "64MiB" ? std::string(64u << 20, 'x')
+                                        : J.Spec);
       Rec.add("digest", fnv1a64Hex(J.Key + ":" + J.Spec));
       return Rec;
     });

@@ -135,6 +135,29 @@ TEST(Journal, RoundTripAndAppendAfterReopen) {
   std::remove(Path.c_str());
 }
 
+TEST(Journal, FrameOverTheCapIsRefusedAndJournalStaysReadable) {
+  // The reader refuses a frame over 64 MiB as a corrupt length field, so
+  // the writer must refuse it by name rather than write it.
+  std::string Path = tmpPath("oversized");
+  std::remove(Path.c_str());
+  std::string Err;
+  auto W = createJournal(Path, "k=v\n", Err);
+  ASSERT_TRUE(W) << Err;
+  EXPECT_TRUE(W->append("unit-a"));
+  EXPECT_FALSE(W->append(std::string((64u << 20) + 1, 'x')));
+  EXPECT_NE(W->lastError().find("frame of 67108865 bytes exceeds the "
+                                "journal frame cap of 67108864 bytes"),
+            std::string::npos)
+      << W->lastError();
+  W.reset();
+
+  JournalRead R = readJournal(Path);
+  ASSERT_EQ(R.St, JournalRead::State::Ok) << R.Error;
+  EXPECT_EQ(R.Entries, std::vector<std::string>{"unit-a"});
+  EXPECT_FALSE(R.TornTail);
+  std::remove(Path.c_str());
+}
+
 TEST(Journal, TornTailDroppedAndTruncatedOnReopen) {
   std::string Path = tmpPath("torn");
   std::remove(Path.c_str());

@@ -112,12 +112,13 @@ diff <(strip_ms "$ART/ref-kill.json") <(strip_ms "$ART/kill.json") \
 echo "ok: $KILLED SIGKILLs, $DEATHS deaths survived, aggregate identical"
 
 #===----------------------------------------------------------------------===#
-# Stage 2: ft chunk fleet matches the in-process checker.
+# Stage 2: an ft run on the fleet (one unit, run by a worker) matches the
+# in-process run.
 #===----------------------------------------------------------------------===#
 
 echo "== ft --workers 2 vs in-process"
 GOT=0
-"$NV" ft "$NET" --links 2 --workers 2 --chunk 64 --json "$ART/ft-w2.json" \
+"$NV" ft "$NET" --links 2 --workers 2 --json "$ART/ft-w2.json" \
   > /dev/null || GOT=$?
 [ "$GOT" -eq "$REF_FT" ] || fail "ft fleet exit $GOT != reference $REF_FT"
 diff <(strip_ms "$ART/ref-ft.json") <(strip_ms "$ART/ft-w2.json") \

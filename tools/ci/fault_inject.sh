@@ -96,7 +96,7 @@ for CMD in ft naive; do
   expect_code 2 "$CMD: no failure at all" "$NV" $CMD "$EXAMPLE" --links 0
   expect_code 1 "$CMD: --links 0 --node" "$NV" $CMD "$EXAMPLE" --links 0 --node
 done
-expect_code 2 "ft: --chunk 0" "$NV" ft "$EXAMPLE" --chunk 0
+expect_code 2 "ft: --chunk 0 (unknown flag)" "$NV" ft "$EXAMPLE" --chunk 0
 
 # Every numeric flag parses strictly: "abc" and "3x" are usage errors
 # (exit 2 with the usage text), never 0 or 3. Only values that would be

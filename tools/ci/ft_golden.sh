@@ -4,8 +4,8 @@
 # --node, strips the *_ms timing lines, and diffs the result against
 # tests/golden/ft_answers.txt (scenario and violation counts, the
 # violations hash, the outcome, and each run's exit code). Every run is
-# repeated at --threads 4 and on a 2-worker fleet with 64-scenario check
-# chunks; those must give the same answer as the golden too.
+# repeated at --threads 4 and on a 2-worker fleet; those must give the
+# same answer as the golden too.
 #
 # The golden comes from an earlier implementation of the check and the
 # naive baselines, so a refactor of either must keep every answer
@@ -55,7 +55,7 @@ FAILED=0
         base=$(answer "$cmd" "$file" $cfg)
         echo "== $cmd $file $cfg"
         echo "$base"
-        for variant in "--threads 4" "--workers 2 --chunk 64"; do
+        for variant in "--threads 4" "--workers 2"; do
           # shellcheck disable=SC2086
           got=$(answer "$cmd" "$file" $cfg $variant)
           if [ "$got" != "$base" ]; then

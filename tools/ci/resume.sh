@@ -7,8 +7,11 @@
 # Also proves the journal failure modes (torn tail tolerated, interior
 # corruption and binding mismatch hard exit 2), retry semantics under
 # NV_FAULT_INJECT, that `nv ft` agrees with the naive reference (also on
-# a dict-attribute route-map instance), that a fleet ft journal resumes in
-# process and an in-process naive journal on a fleet, that replaying
+# a dict-attribute route-map instance), that an ft journal holds its run
+# as one unit record and replays it, that a fleet ft journal resumes in
+# process and an in-process naive journal on a fleet, that a journal of
+# the earlier chunked ft check is refused, that `nv ft --retry` recovers
+# from a one-shot injected fault, that replaying
 # tests/corpus twice under --resume shows no fingerprint drift, that an
 # interrupted nv-fuzz campaign resumes on a fleet and past a torn tail,
 # and that a corpus replay journal is refused once the file list changes.
@@ -173,9 +176,6 @@ echo "ok: transient fault retried, verdict preserved"
 expect_code 3 "exhausted retries degrade structurally" \
   "$NV" naive "$NET" --links 2 --retry 2 --max-steps 1
 
-echo "== fleet ft journal resumes in process =="
-# A fleet run journals the chunk records the in-process checkpointed check
-# does, so its journal replays in process; both match a journal-free run.
 ft_json() { # NAME FLAGS...: two-failure ft on NET, JSON to NAME.json
   local name=$1 got=0
   shift
@@ -183,16 +183,68 @@ ft_json() { # NAME FLAGS...: two-failure ft on NET, JSON to NAME.json
     > "$WORK/$name.out" || got=$?
   [ "$got" -le 1 ] || fail "ft $name died (exit $got)"
 }
+one_unit() { # JOURNAL: fails unless it holds exactly one unit record
+  "$NV" journal "$1" | grep -q '^summary: 1 unit(s),' \
+    || fail "$1 does not hold exactly one unit record"
+}
 ft_json ftref --threads 4
-ft_json ftfleet --workers 2 --chunk 64 --resume "$WORK/ft.journal"
-ft_json ftinproc --chunk 64 --resume "$WORK/ft.journal"
-grep -q "completed unit(s) replayed" "$WORK/ftinproc.out" \
+
+echo "== an ft journal holds the run as one unit record =="
+# The whole run is one unit: the journal gets one record, and a second
+# run replays it instead of simulating.
+ft_json ftjournal --resume "$WORK/ft1.journal"
+one_unit "$WORK/ft1.journal"
+ft_json ftreplay --resume "$WORK/ft1.journal"
+grep -q "1 completed unit(s) replayed" "$WORK/ftreplay.out" \
+  || fail "second ft run did not replay its one unit"
+for RUN in ftjournal ftreplay; do
+  diff <(strip_ms "$WORK/ftref.json") <(strip_ms "$WORK/$RUN.json") \
+    || fail "$RUN JSON differs from the journal-free reference"
+done
+echo "ok: one unit record, replayed, aggregate identical"
+
+echo "== fleet ft journal resumes in process =="
+# A fleet worker sends the record the in-process run journals, so the
+# fleet run's journal replays in process; both match a journal-free run.
+ft_json ftfleet --workers 2 --resume "$WORK/ft.journal"
+one_unit "$WORK/ft.journal"
+ft_json ftinproc --resume "$WORK/ft.journal"
+grep -q "1 completed unit(s) replayed" "$WORK/ftinproc.out" \
   || fail "in-process ft resume replayed nothing"
 for RUN in ftfleet ftinproc; do
   diff <(strip_ms "$WORK/ftref.json") <(strip_ms "$WORK/$RUN.json") \
     || fail "$RUN JSON differs from the journal-free reference"
 done
 echo "ok: fleet ft journal replayed in process, aggregates identical"
+
+echo "== a journal of the chunked ft check is refused =="
+# tests/golden/ft_chunked.journal was written by the earlier chunked check
+# (`nv ft examples/nv/sp_diamond.nv --resume ...`): it binds chunk=512 and
+# holds chunk records "c<C>". Its binding no longer matches, so resuming
+# from it is a hard error rather than a replay of chunks as a run.
+cp tests/golden/ft_chunked.journal "$WORK/chunked.journal"
+OLD=0
+"$NV" ft examples/nv/sp_diamond.nv --resume "$WORK/chunked.journal" \
+  > /dev/null 2> "$WORK/chunked.err" || OLD=$?
+[ "$OLD" -eq 2 ] || fail "chunked ft journal: expected exit 2, got $OLD"
+grep -q "chunk=512" "$WORK/chunked.err" \
+  || fail "the refusal does not name the chunk binding"
+cmp -s tests/golden/ft_chunked.journal "$WORK/chunked.journal" \
+  || fail "the refused journal was modified"
+echo "ok: chunked ft journal refused (exit 2), left as it was"
+
+echo "== ft retry under NV_FAULT_INJECT =="
+# The one-shot fault trips the meta-simulation; --retry 2 re-runs the
+# whole unit and ends at the fault-free reference, where one attempt stops.
+expect_code 3 "ft without retry stops at the fault" \
+  env NV_FAULT_INJECT=sim-pop:40 "$NV" ft "$NET" --links 2
+RFT=0
+env NV_FAULT_INJECT=sim-pop:40 "$NV" ft "$NET" --links 2 --retry 2 \
+  --json "$WORK/ftretry.json" > /dev/null || RFT=$?
+[ "$RFT" -le 1 ] || fail "ft retry-then-succeed died (exit $RFT)"
+diff <(strip_ms "$WORK/ftref.json") <(strip_ms "$WORK/ftretry.json") \
+  || fail "ft retry-then-succeed JSON differs from reference"
+echo "ok: ft fault retried, verdict preserved"
 
 echo "== in-process naive journal resumes on a fleet =="
 # The reverse direction: a --threads 4 run interrupted mid-flight resumes

@@ -32,18 +32,17 @@
 //   --node-budget N     MTBDD live-node budget (sim/ft/naive)
 //   --max-steps N       simulator step (worklist-pop) budget (sim/ft/naive)
 //   --resume PATH       checkpoint/resume journal (ft/naive): completed
-//                       units replay, new completions append durably
+//                       units replay, new completions append durably; a
+//                       naive unit is one scenario, an ft run is one unit
 //   --retry N           attempts per unit for transient trips (ft/naive)
 //   --json PATH         machine-readable result (ft/naive)
-//   --workers N         run the sharded units on N crash-isolated worker
+//   --workers N         run the units on N crash-isolated worker
 //                       subprocesses (ft/naive; 0 = in-process, the
-//                       default). A worker crash requeues its unit; a unit
-//                       that kills several workers is quarantined with a
-//                       runnable repro script and the run completes with
-//                       exit code 3. Aggregates are bit-identical to
-//                       --workers 0 for any N.
-//   --chunk N           scenarios per check chunk (ft; default 512) — the
-//                       journal/fleet unit of the assert check
+//                       default; ft's one unit needs one worker). A worker
+//                       crash requeues its unit; a unit that kills several
+//                       workers is quarantined with a runnable repro script
+//                       and the run completes with exit code 3. Aggregates
+//                       are bit-identical to --workers 0 for any N.
 //
 // There is also a hidden `nv worker FILE --cmd <naive|ft> [opts]` verb:
 // the fleet re-execs the current binary with that verb to obtain workers
@@ -118,8 +117,7 @@ int usage() {
                "  --deadline-ms MS  --node-budget N  --max-steps N\n"
                "  --resume PATH  --retry N  --json PATH\n"
                "  --workers N (ft/naive: crash-isolated worker fleet; 0 = "
-               "in-process)\n"
-               "  --chunk N (ft: scenarios per check chunk, default 512)\n");
+               "in-process)\n");
   return 2;
 }
 
@@ -134,7 +132,6 @@ struct CliOptions {
   unsigned TimeoutSec = 0;
   unsigned Retry = 1;
   unsigned Workers = 0;  ///< ft/naive: fleet size (0 = in-process).
-  unsigned Chunk = FtOptions{}.CheckChunkSize; ///< ft: scenarios per chunk.
   std::string WorkerCmd; ///< hidden worker verb: which analysis to serve.
   BudgetLimits Limits; ///< --deadline-ms, --max-steps, --node-budget.
   std::string ResumePath;
@@ -166,8 +163,6 @@ struct CliOptions {
     B.setInt("max-steps", (long long)Limits.MaxSteps);
     B.setInt("node-budget", (long long)Limits.NodeBudget);
     B.setInt("retry", Retry);
-    if (Command == "ft")
-      B.setInt("chunk", Chunk); // chunking changes ft's unit list
     // Worker count deliberately does NOT bind: fleet and in-process runs
     // produce identical unit records, so their journals are interchangeable
     // (resume a crashed --workers 8 run with --workers 0, or vice versa).
@@ -203,9 +198,6 @@ std::optional<CliOptions> parseCli(int argc, char **argv) {
         return std::nullopt;
     } else if (!std::strcmp(argv[I], "--workers") && I + 1 < argc) {
       if (!parseInteger(argv[++I], O.Workers))
-        return std::nullopt;
-    } else if (!std::strcmp(argv[I], "--chunk") && I + 1 < argc) {
-      if (!parseInteger(argv[++I], O.Chunk) || O.Chunk == 0)
         return std::nullopt;
     } else if (!std::strcmp(argv[I], "--cmd") && I + 1 < argc) {
       O.WorkerCmd = argv[++I];
@@ -385,7 +377,7 @@ int reportSweep(const CliOptions &O, const FtCheckResult &R,
     Out << "\n  }\n]\n";
   }
   if (!R.Outcome.ok()) {
-    // Skipped scenarios (budget trip, quarantined chunk, canceled check)
+    // Skipped scenarios (budget trip, quarantined unit, canceled run)
     // mean the sweep is incomplete: exit structurally, not with a verdict.
     std::printf("first non-ok outcome: %s\n", R.Outcome.str().c_str());
     if (int Code = exitCodeForOutcome(R.Outcome))
@@ -407,7 +399,6 @@ FtOptions ftOptionsFromCli(const CliOptions &O) {
   Opts.NodeFailure = O.NodeFailure;
   O.applyBudget(Opts.Budget);
   Opts.Retry.MaxAttempts = O.Retry;
-  Opts.CheckChunkSize = O.Chunk;
   Opts.Threads = O.Threads;
   return Opts;
 }
@@ -713,30 +704,20 @@ int cmdFt(const Program &P, const CliOptions &O) {
   if (!openResume(O, P, Opts, Log, Ec))
     return Ec;
 
-  // Fleet mode: transform + meta-simulation stay in-process (one
-  // deterministic fixpoint — there is nothing to shard), then the check's
-  // chunks run on the worker fleet through the same checkFtChunks the
-  // journaled in-process check uses, so the aggregate is bit-identical to
-  // --workers 0.
-  FtRunResult R = runFaultTolerance(P, Opts, O.Native, Diags,
-                                    /*CheckAsserts=*/O.Workers == 0);
-  if (O.Workers > 0 && R.Outcome.ok() && R.Converged) {
-    Stopwatch CW;
-    R.Check = checkFtChunks(std::make_shared<const FtScenarioSet>(P, Opts),
-                            Opts, executorFromCli(O, "ft", nullptr));
-    R.CheckMs = CW.elapsedMs();
-  }
+  // The whole run is one unit: replayed from the journal, run here, or
+  // run by a fleet worker, whose record is the one this process journals.
+  Stopwatch W;
+  FtRunResult R = runFtUnit(P, Opts, O.Native, Diags,
+                            executorFromCli(O, "ft", nullptr));
+  double Ms = W.elapsedMs();
   Diags.printToStderr();
   if (!R.Outcome.ok()) {
     std::printf("analysis stopped: %s\n", R.Outcome.str().c_str());
     return exitCodeForOutcome(R.Outcome);
   }
-  if (!R.Converged) {
-    std::printf("meta-simulation did not converge\n");
-    return 1;
-  }
-  std::printf("transform %.1fms, simulate %.1fms, check %.1fms\n",
-              R.TransformMs, R.SimulateMs, R.CheckMs);
+  std::printf("transform %.1fms, simulate %.1fms, check %.1fms (%.1fms "
+              "elapsed)\n",
+              R.TransformMs, R.SimulateMs, R.CheckMs, Ms);
   std::printf("%llu scenarios checked: ",
               static_cast<unsigned long long>(R.Check.ScenariosChecked));
   if (R.Check.holds())
@@ -746,7 +727,8 @@ int cmdFt(const Program &P, const CliOptions &O) {
   return reportSweep(O, R.Check,
                      {{"transform_ms", R.TransformMs},
                       {"simulate_ms", R.SimulateMs},
-                      {"check_ms", R.CheckMs}});
+                      {"check_ms", R.CheckMs},
+                      {"elapsed_ms", Ms}});
 }
 
 } // namespace
