@@ -5,6 +5,7 @@
 #include "core/Parser.h"
 #include "core/TypeChecker.h"
 #include "support/Journal.h"
+#include "support/PageAllocator.h"
 #include "support/Timer.h"
 #include "transform/Transforms.h"
 
@@ -821,7 +822,10 @@ struct FtChecker::ImplTy {
     uint32_t Node;
     const Value *Route;
   };
-  std::vector<Hit> Hits;
+  /// Mapped pages, like the MTBDD buffers: the next checker on this
+  /// thread reuses them (support/PageAllocator.h).
+  using HitVector = std::vector<Hit, PageAllocator<Hit>>;
+  HitVector Hits;
 
   ImplTy(NvContext &Ctx, const Program &BaseProgram,
          ProtocolEvaluator &BaseEval, const SimResult &Meta,
@@ -882,7 +886,7 @@ struct FtChecker::ImplTy {
       for (const HitRange &R : PerNode[U])
         for (uint64_t I = R.First; I <= R.Last; ++I)
           Hits.push_back({I, U, R.Route});
-    std::vector<Hit> Into(Total);
+    HitVector Into(Total);
     unsigned KeyBits = unsigned(std::bit_width(Scenarios->size() - 1));
     for (unsigned Shift = 0; Shift < KeyBits; Shift += 8) {
       std::array<size_t, 257> At{};

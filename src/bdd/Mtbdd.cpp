@@ -37,7 +37,7 @@ void BddManager::growUnique() {
   // Safe point before the table is touched: a throw here leaves the old
   // table intact and no node allocated (callers grow before inserting).
   pollSafePoint(GovSite::TableGrow, UniqueSlots.size() * sizeof(Ref));
-  std::vector<Ref> Old = std::move(UniqueSlots);
+  PageVector<Ref> Old = std::move(UniqueSlots);
   UniqueSlots.assign(Old.size() * 2, InvalidRef);
   UniqueMask = UniqueSlots.size() - 1;
   for (Ref S : Old) {
@@ -53,7 +53,7 @@ void BddManager::growUnique() {
 
 void BddManager::growLeaf() {
   pollSafePoint(GovSite::TableGrow, LeafSlots.size() * sizeof(Ref));
-  std::vector<Ref> Old = std::move(LeafSlots);
+  PageVector<Ref> Old = std::move(LeafSlots);
   LeafSlots.assign(Old.size() * 2, InvalidRef);
   LeafMask = LeafSlots.size() - 1;
   for (Ref S : Old) {

@@ -368,21 +368,27 @@ private:
     Ref Result = 0;
   };
 
-  std::vector<Node> Nodes;
+  /// The node store, the tables and the op cache are mapped pages once
+  /// they reach 128 KiB (support/PageAllocator.h): the untouched tail of a
+  /// reservation costs no resident memory, and a context built after
+  /// another on the same thread reuses its buffers without faulting pages
+  /// in again.
+  template <class T> using PageVector = std::vector<T, PageAllocator<T>>;
+
+  PageVector<Node> Nodes;
   /// Open-addressed hash-consing tables: slots hold Refs into Nodes (the
   /// key — (Var, Lo, Hi) or leaf payload — is read back from the node).
   /// InvalidRef marks an empty slot. Power-of-two sized, linear probing,
   /// grown by wholesale rebuild at 3/4 load; no tombstones ever.
-  std::vector<Ref> UniqueSlots;
+  PageVector<Ref> UniqueSlots;
   size_t UniqueMask = 0;
   size_t UniqueCount = 0; ///< Internal nodes in UniqueSlots.
-  std::vector<Ref> LeafSlots;
+  PageVector<Ref> LeafSlots;
   size_t LeafMask = 0;
   size_t LeafCount = 0; ///< Leaves in LeafSlots.
 
-  /// Power-of-two sized, lossy. Its reservation is mapped pages, so the
-  /// untouched tail of the cap costs no resident memory.
-  std::vector<OpEntry, PageAllocator<OpEntry>> OpCache;
+  /// Power-of-two sized, lossy.
+  PageVector<OpEntry> OpCache;
   size_t OpCacheMask = 0;
   size_t OpCacheCap = 0; ///< Power of two; OpCache never grows past it.
 
@@ -477,10 +483,11 @@ private:
   /// cancellation and fault injection. Sits before any recursion or table
   /// mutation, so a throw leaves the manager fully consistent. A growing
   /// table passes the bytes it is about to add as \p GrowBytes, so a heap
-  /// watermark trips before the growth instead of after it. Ungoverned
-  /// runs pay one flag test.
+  /// watermark trips before the growth instead of after it. A run that
+  /// nothing can trip here (no governor, or a step budget alone) pays one
+  /// flag test, and memoryBytes() is computed only for a poll.
   void pollSafePoint(GovSite Site, size_t GrowBytes = 0) const {
-    if (Governor::active())
+    if (Governor::pollsKernelSites())
       Governor::pollSafePoint(Site, Nodes.size(), memoryBytes() + GrowBytes);
   }
 

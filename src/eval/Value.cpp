@@ -131,7 +131,7 @@ void ValueArena::remapMapRoots(const std::vector<BddManager::Ref> &Remap) {
 Value *ValueArena::append(Value &&V) {
   // Safe point before the arena grows: hits stay free, and a throw here
   // leaves the arena and table untouched.
-  if (Governor::active())
+  if (Governor::pollsKernelSites())
     Governor::pollSafePoint(GovSite::EvalAlloc);
   V.Serial = static_cast<uint32_t>(Storage.size());
   Storage.push_back(std::move(V));

@@ -257,6 +257,9 @@ Governor::Governor(const RunBudget &Budget) : B(Budget) {
                    std::chrono::duration<double, std::milli>(B.DeadlineMs));
     DeadlineCountdown = 1; // first hot-site poll reads the clock
   }
+  PollsKernel = HasDeadline || B.MaxLiveNodes > 0 || B.MaxHeapBytes > 0 ||
+                B.Cancel != nullptr;
+  KernelPollers += PollsKernel;
   Prev = Head;
   Head = this;
 }
@@ -269,6 +272,7 @@ Governor::Scope::Scope(const RunBudget &Budget) {
 Governor::Scope::~Scope() {
   if (G) {
     Head = G->Prev;
+    KernelPollers -= G->PollsKernel;
     delete G;
   }
 }

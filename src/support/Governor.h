@@ -20,9 +20,12 @@
 ///    Governor::Scope at entry; cheap safe points — simulator worklist
 ///    pop, MTBDD apply-cache miss and table grow, evaluator allocation,
 ///    SMT encode loop, solver check — poll the thread-local governor
-///    chain and throw EngineError when a budget trips. Safe points sit
-///    only where engine state is consistent (before a mutation), so
-///    unwinding leaves arenas and tables valid.
+///    chain and throw EngineError when a budget trips. The three kernel
+///    sites (apply-cache miss, table grow, allocation) poll only when
+///    something can trip there (Governor::pollsKernelSites), so a run
+///    governed by a step budget alone pays for it only at the pop. Safe
+///    points sit only where engine state is consistent (before a
+///    mutation), so unwinding leaves arenas and tables valid.
 ///
 ///  - EngineError / RunOutcome: the recoverable replacement for the old
 ///    user-triggerable fatalError aborts. Engines catch EngineError at
@@ -277,8 +280,9 @@ public:
   /// spec silently injecting nothing would defeat the CI matrix).
   static void armFromEnv();
 
-  /// True when any site is armed. One relaxed load — this is the only cost
-  /// ungoverned runs pay on hot paths.
+  /// True when any site is armed. One relaxed load; with a thread-local
+  /// counter (Governor::pollsKernelSites) it is all a kernel site costs a
+  /// run that nothing can trip there.
   static bool armed() { return AnyArmed.load(std::memory_order_relaxed); }
 
   /// Registers a hit of \p Site; throws when its countdown fires. Called
@@ -316,10 +320,16 @@ public:
   /// The innermost governor armed on this thread, or null.
   static Governor *current() { return Head; }
 
-  /// True when any safe-point work is needed on this thread (a governor is
-  /// armed or fault injection is active). Hot paths branch on this before
-  /// computing poll arguments.
-  static bool active() { return Head != nullptr || FaultInject::armed(); }
+  /// True when a poll at a kernel site (apply-cache-miss, table-grow,
+  /// alloc) can trip on this thread: fault injection is armed, or some
+  /// governor in the chain has a deadline, node budget, heap watermark or
+  /// cancel token. A step budget counts only at sim-pop, so under a chain
+  /// of step-only governors these sites cost this one test. Kernel sites
+  /// branch on it before computing poll arguments; every other site polls
+  /// unconditionally.
+  static bool pollsKernelSites() {
+    return KernelPollers != 0 || FaultInject::armed();
+  }
 
   /// The safe-point check: fault injection first, then every governor in
   /// the chain. \p LiveNodes / \p HeapBytes carry the MTBDD manager's
@@ -350,6 +360,8 @@ private:
 
   RunBudget B;
   Governor *Prev = nullptr;
+  /// B can trip at a kernel site (counted in KernelPollers while armed).
+  bool PollsKernel = false;
   std::chrono::steady_clock::time_point Deadline{};
   bool HasDeadline = false;
   uint64_t Steps = 0;
@@ -363,6 +375,9 @@ private:
   /// the address a wrapper computes, and once the linker relaxes that TLS
   /// access the check reads stale flags: a false report.)
   static inline constinit thread_local Governor *Head = nullptr;
+  /// Armed governors in this thread's chain, outer ones included, whose
+  /// budget can trip at a kernel site.
+  static inline constinit thread_local uint32_t KernelPollers = 0;
 };
 
 } // namespace nv

@@ -8,7 +8,6 @@
 #include "support/Resume.h"
 
 #include <cstdio>
-#include <ctime>
 
 namespace nv {
 
@@ -316,14 +315,14 @@ GracefulShutdown::GracefulShutdown(CancelToken &Token) : Token(Token) {
   sigaddset(&WaitSet, SIGINT);
   sigaddset(&WaitSet, SIGTERM);
   // Block in this thread; threads created from here on (pool workers, the
-  // watcher) inherit the mask, so delivery funnels to sigtimedwait below.
+  // watcher) inherit the mask, so delivery funnels to sigwaitinfo below.
   pthread_sigmask(SIG_BLOCK, &WaitSet, &OldMask);
   Watcher = std::thread([this] {
     for (;;) {
-      struct timespec Ts;
-      Ts.tv_sec = 0;
-      Ts.tv_nsec = 100 * 1000 * 1000; // 100ms stop-poll granularity
-      int S = sigtimedwait(&WaitSet, nullptr, &Ts);
+      int S = sigwaitinfo(&WaitSet, nullptr);
+      // The destructor wakes the watcher with a signal of its own.
+      if (Stop.load())
+        return;
       if (S > 0) {
         int Expected = 0;
         if (Sig.compare_exchange_strong(Expected, S)) {
@@ -339,16 +338,18 @@ GracefulShutdown::GracefulShutdown(CancelToken &Token) : Token(Token) {
           std::_Exit(3);
         }
       }
-      if (Stop.load(std::memory_order_relaxed))
-        return;
     }
   });
 }
 
 GracefulShutdown::~GracefulShutdown() {
-  Stop.store(true, std::memory_order_relaxed);
-  if (Watcher.joinable())
+  Stop.store(true);
+  // A thread-directed SIGTERM stays pending on the watcher (it blocks
+  // both signals) until sigwaitinfo takes it, so the wake is never lost.
+  if (Watcher.joinable()) {
+    pthread_kill(Watcher.native_handle(), SIGTERM);
     Watcher.join();
+  }
   pthread_sigmask(SIG_SETMASK, &OldMask, nullptr);
 }
 

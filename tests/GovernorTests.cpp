@@ -336,7 +336,7 @@ TEST(Governor, UnlimitedScopeArmsNothing) {
   {
     Governor::Scope Scope((RunBudget()));
     EXPECT_EQ(Governor::current(), nullptr);
-    EXPECT_FALSE(Governor::active());
+    EXPECT_FALSE(Governor::pollsKernelSites());
   }
   Governor::pollSafePoint(GovSite::SimPop); // no governor: no-op, no throw
 }
@@ -475,6 +475,67 @@ TEST(Governor, StepBudgetReportsThroughFtRun) {
   FtRunResult R = runFaultTolerance(P, Opts, /*Compiled=*/false, Diags);
   EXPECT_FALSE(R.Converged);
   EXPECT_EQ(R.Outcome.Status, RunStatus::StepBudgetExceeded);
+}
+
+// Kernel sites poll only when something in the chain can trip there. An
+// outer driver's node budget and cancel token sit behind runFaultTolerance's
+// own step-only scope, so gating on the innermost governor alone would let
+// the meta-simulation run to convergence.
+TEST(Governor, OuterNodeBudgetTripsBehindStepOnlyScope) {
+  Program P = parseAndCheck(spProgram(4, Line));
+  DiagnosticEngine Diags;
+  CancelToken Tok;
+  RunBudget Outer;
+  Outer.MaxLiveNodes = 4;
+  Outer.Cancel = &Tok;
+  Governor::Scope OuterScope(Outer);
+  EXPECT_TRUE(Governor::pollsKernelSites());
+  FtOptions Opts;
+  ASSERT_GT(Opts.Budget.MaxSteps, 0u);
+  ASSERT_FALSE(Opts.Budget.MaxLiveNodes || Opts.Budget.MaxHeapBytes ||
+               Opts.Budget.DeadlineMs > 0 || Opts.Budget.Cancel);
+  FtRunResult R = runFaultTolerance(P, Opts, /*Compiled=*/true, Diags);
+  EXPECT_FALSE(R.Converged);
+  ASSERT_EQ(R.Outcome.Status, RunStatus::NodeBudgetExceeded)
+      << R.Outcome.str();
+  EXPECT_TRUE(std::string(R.Outcome.Site) == "apply-cache-miss" ||
+              std::string(R.Outcome.Site) == "table-grow")
+      << R.Outcome.str();
+}
+
+TEST(Governor, StepOnlyScopeStillPollsArmedFaultInjection) {
+  FaultInjectGuard Guard;
+  Program P = parseAndCheck(spProgram(4, Line));
+  DiagnosticEngine Diags;
+  RunBudget StepOnly;
+  StepOnly.MaxSteps = 1'000'000;
+  Governor::Scope Scope(StepOnly);
+  EXPECT_FALSE(Governor::pollsKernelSites());
+  FaultInject::arm(GovSite::ApplyCacheMiss, 3);
+  EXPECT_TRUE(Governor::pollsKernelSites());
+  FtRunResult R = runFaultTolerance(P, FtOptions{}, /*Compiled=*/true, Diags);
+  EXPECT_FALSE(R.Converged);
+  EXPECT_EQ(R.Outcome.Status, RunStatus::FaultInjected) << R.Outcome.str();
+  EXPECT_STREQ(R.Outcome.Site, "apply-cache-miss");
+}
+
+TEST(Governor, KernelPollersCountEveryArmedScope) {
+  CancelToken Tok;
+  RunBudget Cancelable;
+  Cancelable.Cancel = &Tok;
+  RunBudget StepOnly;
+  StepOnly.MaxSteps = 10;
+  EXPECT_FALSE(Governor::pollsKernelSites());
+  {
+    Governor::Scope A(Cancelable);
+    {
+      Governor::Scope B(StepOnly);
+      Governor::Scope C(Cancelable);
+      EXPECT_TRUE(Governor::pollsKernelSites());
+    }
+    EXPECT_TRUE(Governor::pollsKernelSites()); // A is still armed
+  }
+  EXPECT_FALSE(Governor::pollsKernelSites());
 }
 
 //===----------------------------------------------------------------------===//
@@ -724,6 +785,21 @@ TEST(GracefulShutdownTest, SigintDrainsShardsAndJournalsCompletedJobsOnce) {
   EXPECT_EQ(Keys.size(), JR2.Entries.size()) << "duplicate after resume";
 
   std::remove(Path.c_str());
+}
+
+// The CLI drivers destroy a GracefulShutdown on every exit: waking its
+// watcher must not wait out a poll interval (a 100 ms one made each of
+// these take 100 ms).
+TEST(GracefulShutdownTest, DestructionWakesTheWatcherAtOnce) {
+  auto Start = std::chrono::steady_clock::now();
+  for (int I = 0; I < 10; ++I) {
+    CancelToken Tok;
+    GracefulShutdown Shutdown(Tok);
+  }
+  double Ms = std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - Start)
+                  .count();
+  EXPECT_LT(Ms, 500) << "10 constructions and destructions";
 }
 
 } // namespace
