@@ -117,10 +117,12 @@ int main(int argc, char **argv) {
           .field("check_ms", R.CheckMs)
           .field("scenarios", R.Check.ScenariosChecked)
           .field("violations",
-                 static_cast<uint64_t>(R.Check.Violations.size()))
+                 R.Check.numViolations())
           .field("pops", R.Stats.Pops)
           .field("cache_hit_rate",
                  Lookups ? static_cast<double>(R.CacheHits) / Lookups : 0.0)
+          .field("key_memo_hits", R.KeyMemoHits)
+          .field("key_memo_misses", R.KeyMemoMisses)
           .field("memory_bytes", static_cast<uint64_t>(Ctx.Mgr.memoryBytes()))
           .field("peak_nodes", static_cast<uint64_t>(Gc.PeakNodes))
           .field("gc_collections", Gc.Collections)

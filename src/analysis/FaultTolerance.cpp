@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <new>
 #include <unordered_map>
 
 using namespace nv;
@@ -679,11 +680,19 @@ struct HitRange {
 /// stays below its bound), and Eq, the prefix equals the previous link
 /// field's (so link fields never decrease). Only bits those allow are
 /// taken, so every prefix walked has a canonical completion.
+///
+/// The last field is walked once per part node, not once per arrival: a
+/// node met at that field's first bit answers from its Tail, the values
+/// below the bound that reach a failing leaf, and each arrival clips the
+/// Tail at its lower bound (the previous field's value). A scenario's rank
+/// grows by one per step of the last field, so each clipped interval is
+/// one index range.
 class LeafWalk {
 public:
   LeafWalk(const FtScenarioSet &Set, unsigned NodeBits, uint32_t U,
            const FailingPart &Part, std::vector<HitRange> &Out)
-      : Set(Set), U(U), Part(Part), Out(Out) {
+      : Set(Set), U(U), Part(Part), Out(Out),
+        TailOf(Part.Nodes.size(), {FailingPart::None, 0}) {
     unsigned Fields = Set.nodeFailure() + Set.linkFields();
     auto AddField = [&](unsigned Width, uint32_t Max, bool AfterLink) {
       unsigned F = unsigned(Bound.size());
@@ -703,6 +712,8 @@ public:
     Val.assign(Fields + 1, 0);
     Least.resize(Fields);
     Greatest.resize(Fields);
+    TailBit = unsigned(std::find(FieldOf.begin(), FieldOf.end(), Fields - 1) -
+                       FieldOf.begin());
   }
 
   void run() { walk(Part.Root, 0, true, true); }
@@ -716,6 +727,12 @@ private:
       const FailingPart::Node &Nd = Part.Nodes[Id];
       if (Nd.Var == BddManager::LeafVar) {
         emit(B, Tight, Eq, Nd.Route);
+        return;
+      }
+      if (B == TailBit) {
+        // A field starts with both flags set.
+        assert(Tight && Eq && "the last field starts unconstrained");
+        emitTail(Id);
         return;
       }
       assert(Nd.Var >= B && B < FieldOf.size() && "diagram tests a key bit");
@@ -768,7 +785,85 @@ private:
         Greatest[G] = Bound[G];
       }
     }
-    uint64_t First = rank(Least), Last = rank(Greatest);
+    emitRange(rank(Least), rank(Greatest), Route);
+  }
+
+  /// Emits the completions of the prefix before the last field through
+  /// part node \p Id: its Tail, clipped at the field's lower bound.
+  void emitTail(uint32_t Id) {
+    auto [Begin, End] = tail(Id);
+    unsigned F = unsigned(Bound.size()) - 1;
+    uint32_t Lb = Val[LowerBound[F]];
+    auto It = std::partition_point(
+        Tails.begin() + Begin, Tails.begin() + End,
+        [Lb](const TailRange &T) { return T.Hi < Lb; });
+    if (It == Tails.begin() + End)
+      return;
+    std::copy(Val.begin(), Val.begin() + F, Least.begin());
+    Least[F] = Lb;
+    uint64_t AtLb = rank(Least);
+    for (; It != Tails.begin() + End; ++It) {
+      uint32_t Lo = std::max(It->Lo, Lb);
+      uint64_t First = AtLb + (Lo - Lb);
+      emitRange(First, First + (It->Hi - Lo), It->Route);
+    }
+  }
+
+  /// Part node \p Id's Tail, as [Begin, End) in Tails: computed by the
+  /// first arrival, read by the rest.
+  std::pair<uint32_t, uint32_t> tail(uint32_t Id) {
+    std::pair<uint32_t, uint32_t> &T = TailOf[Id];
+    if (T.first == FailingPart::None) {
+      TailBegin = uint32_t(Tails.size());
+      walkTail(Id, TailBit, true, 0);
+      T = {TailBegin, uint32_t(Tails.size())};
+    }
+    return T;
+  }
+
+  /// Appends to Tails the last field's values that lead from part node
+  /// \p Id, with bit \p B next and \p V the bits before it, to a failing
+  /// leaf: walk's descent with the Tight flag alone, in value order.
+  void walkTail(uint32_t Id, unsigned B, bool Tight, uint32_t V) {
+    uint32_t Max = Bound.back();
+    for (;;) {
+      const FailingPart::Node &Nd = Part.Nodes[Id];
+      if (Nd.Var == BddManager::LeafVar) {
+        uint32_t Hi = Tight ? Max
+                      : B < FieldOf.size()
+                          ? V | ((uint32_t(2) << ShiftOf[B]) - 1)
+                          : V;
+        if (Tails.size() > TailBegin && Tails.back().Hi + 1 == V &&
+            Tails.back().Route == Nd.Route)
+          Tails.back().Hi = Hi;
+        else
+          Tails.push_back({V, Hi, Nd.Route});
+        return;
+      }
+      unsigned S = ShiftOf[B];
+      bool MaxBit = Max >> S & 1;
+      uint32_t Lo = Nd.Var == B ? Nd.Lo : Id, Hi = Nd.Var == B ? Nd.Hi : Id;
+      bool Take0 = Lo != FailingPart::None;
+      bool Take1 = Hi != FailingPart::None && !(Tight && !MaxBit);
+      if (!Take1) {
+        if (!Take0)
+          return;
+        Tight = Tight && !MaxBit;
+        Id = Lo;
+        ++B;
+        continue;
+      }
+      if (Take0)
+        walkTail(Lo, B + 1, Tight && !MaxBit, V);
+      V |= uint32_t(1) << S;
+      Tight = Tight && MaxBit;
+      Id = Hi;
+      ++B;
+    }
+  }
+
+  /// Emits [First, Last] less the walked node's own failure block.
+  void emitRange(uint64_t First, uint64_t Last, const Value *Route) {
     if (Set.nodeFailure()) {
       uint64_t Own = uint64_t(U) * Set.combos(), OwnEnd = Own + Set.combos();
       if (First < Own)
@@ -806,7 +901,29 @@ private:
   std::vector<uint32_t> Val;
   /// emit's least and greatest completions.
   std::vector<uint32_t> Least, Greatest;
+  /// The last field's first bit.
+  unsigned TailBit;
+  /// Last-field values [Lo, Hi] that reach failing leaf Route.
+  struct TailRange {
+    uint32_t Lo, Hi;
+    const Value *Route;
+  };
+  /// Every computed Tail, each sorted by value, adjacent intervals with
+  /// one route joined.
+  std::vector<TailRange> Tails;
+  /// Per part node: its Tail in Tails, or None before its first arrival.
+  std::vector<std::pair<uint32_t, uint32_t>> TailOf;
+  /// Where the Tail being computed starts.
+  uint32_t TailBegin = 0;
 };
+
+/// The heap-budget outcome of \p Count violations that were counted but
+/// not listed, because \p Why.
+RunOutcome unlisted(uint64_t Count, const std::string &Why) {
+  return {RunStatus::HeapBudgetExceeded,
+          std::to_string(Count) + " violations counted; listing them " + Why,
+          ""};
+}
 
 } // namespace
 
@@ -826,6 +943,14 @@ struct FtChecker::ImplTy {
   /// thread reuses them (support/PageAllocator.h).
   using HitVector = std::vector<Hit, PageAllocator<Hit>>;
   HitVector Hits;
+  /// Every violation, counted before any is listed.
+  uint64_t Count = 0;
+  /// Ok, or why Hits stays empty: listing Count violations would pass the
+  /// heap watermark, or failed to allocate.
+  RunOutcome Listing;
+  /// What a listed violation holds: its hit, and the FtViolation a caller
+  /// copies it into.
+  static constexpr size_t ListedBytes = sizeof(Hit) + sizeof(FtViolation);
 
   ImplTy(NvContext &Ctx, const Program &BaseProgram,
          ProtocolEvaluator &BaseEval, const SimResult &Meta,
@@ -869,7 +994,22 @@ struct FtChecker::ImplTy {
     else
       for (uint32_t U = 0; U < N; ++U)
         Walk(U);
-    merge(PerNode);
+    for (const std::vector<HitRange> &Rs : PerNode)
+      for (const HitRange &R : Rs)
+        Count += R.Last - R.First + 1;
+    size_t Limit = Governor::heapWatermark(), Bytes;
+    if (Limit && (__builtin_mul_overflow(Count, ListedBytes, &Bytes) ||
+                  Ctx.Mgr.memoryBytes() + Bytes > Limit)) {
+      Listing = unlisted(Count, "needs more than the heap watermark of " +
+                                    std::to_string(Limit) + " bytes");
+      return;
+    }
+    try {
+      merge(PerNode);
+    } catch (const std::bad_alloc &) {
+      HitVector().swap(Hits);
+      Listing = unlisted(Count, "failed to allocate");
+    }
   }
 
   /// Orders the per-node ranges' hits by (scenario, node): laid out node
@@ -877,22 +1017,18 @@ struct FtChecker::ImplTy {
   /// scenario a byte at a time (LSD radix), which keeps the node order
   /// among a scenario's hits. Work and memory follow the hits.
   void merge(const std::vector<std::vector<HitRange>> &PerNode) {
-    size_t Total = 0;
-    for (const std::vector<HitRange> &Rs : PerNode)
-      for (const HitRange &R : Rs)
-        Total += R.Last - R.First + 1;
-    Hits.reserve(Total);
+    Hits.reserve(Count);
     for (uint32_t U = 0; U < PerNode.size(); ++U)
       for (const HitRange &R : PerNode[U])
         for (uint64_t I = R.First; I <= R.Last; ++I)
           Hits.push_back({I, U, R.Route});
-    HitVector Into(Total);
+    HitVector Into(Count);
     unsigned KeyBits = unsigned(std::bit_width(Scenarios->size() - 1));
     for (unsigned Shift = 0; Shift < KeyBits; Shift += 8) {
       std::array<size_t, 257> At{};
       for (const Hit &H : Hits)
         ++At[(H.Index >> Shift & 255) + 1];
-      if (std::ranges::count(At, Total))
+      if (std::ranges::count(At, Count))
         continue; // one digit throughout: already in order
       for (size_t D = 1; D < At.size(); ++D)
         At[D] += At[D - 1];
@@ -926,7 +1062,9 @@ const std::shared_ptr<const FtScenarioSet> &FtChecker::scenarios() const {
   return Impl->Scenarios;
 }
 
-size_t FtChecker::numViolations() const { return Impl->Hits.size(); }
+uint64_t FtChecker::numViolations() const { return Impl->Count; }
+
+const RunOutcome &FtChecker::listing() const { return Impl->Listing; }
 
 void FtChecker::checkRange(uint64_t Begin, uint64_t End,
                            std::vector<FtViolation> &Out) const {
@@ -945,7 +1083,18 @@ FtCheckResult nv::checkFaultTolerance(NvContext &Ctx,
   FtCheckResult R;
   R.Scenarios = Scenarios;
   R.ScenariosChecked = Scenarios->size();
-  R.Violations.reserve(Checker.numViolations());
+  R.Outcome = Checker.listing();
+  if (R.Outcome.ok()) {
+    try {
+      R.Violations.reserve(Checker.numViolations());
+    } catch (const std::bad_alloc &) {
+      R.Outcome = unlisted(Checker.numViolations(), "failed to allocate");
+    }
+  }
+  if (!R.Outcome.ok()) {
+    R.UnlistedViolations = Checker.numViolations();
+    return R;
+  }
   Checker.checkRange(0, Scenarios->size(), R.Violations);
   return R;
 }
@@ -979,6 +1128,8 @@ FtRunResult PreparedFt::run(const FtOptions &Opts, bool CheckAsserts) {
   FtRunResult Out;
   // Deltas, not totals: a reused manager's counters span earlier runs.
   uint64_t Hits0 = Ctx.Mgr.cacheHits(), Misses0 = Ctx.Mgr.cacheMisses();
+  uint64_t KeyHits0 = Ctx.Mgr.keyMemoHits(),
+           KeyMisses0 = Ctx.Mgr.keyMemoMisses();
   try {
     Stopwatch W;
     SimResult R = simulate();
@@ -988,11 +1139,15 @@ FtRunResult PreparedFt::run(const FtOptions &Opts, bool CheckAsserts) {
     Out.Stats = R.Stats;
     Out.CacheHits = Ctx.Mgr.cacheHits() - Hits0;
     Out.CacheMisses = Ctx.Mgr.cacheMisses() - Misses0;
+    Out.KeyMemoHits = Ctx.Mgr.keyMemoHits() - KeyHits0;
+    Out.KeyMemoMisses = Ctx.Mgr.keyMemoMisses() - KeyMisses0;
     if (R.Converged && CheckAsserts) {
       W.restart();
       ThreadPool Pool(Opts.Threads); // one thread spawns no worker
       Out.Check = checkFaultTolerance(Ctx, Base, BaseEval, R, Opts, &Pool);
       Out.CheckMs = W.elapsedMs();
+      if (!Out.Check.Outcome.ok())
+        Out.Outcome = Out.Check.Outcome;
     }
   } catch (const EngineError &E) {
     // A trip outside the simulator's own catch (e.g. the assert check).

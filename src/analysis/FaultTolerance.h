@@ -281,7 +281,13 @@ struct FtCheckResult {
   /// and the internally-owned context for runFaultTolerance (empty when a
   /// caller-provided context already owns the values).
   std::vector<std::shared_ptr<NvContext>> RetainedContexts;
-  bool holds() const { return Violations.empty(); }
+  /// Violations counted but not listed in Violations: Outcome is the
+  /// heap-budget trip that refused the listing.
+  uint64_t UnlistedViolations = 0;
+  uint64_t numViolations() const {
+    return Violations.size() + UnlistedViolations;
+  }
+  bool holds() const { return numViolations() == 0; }
 };
 
 /// FNV-1a 64 hex fingerprint of violations in result order: identical for
@@ -295,7 +301,9 @@ std::string ftViolationsHash(const std::vector<FtViolation> &Vs);
 /// order, each pointing into the result's Scenarios. The work is
 /// FtChecker's; see there for the algorithm. \p Pool shards its per-node
 /// walks. Output is identical for any pool size, including the
-/// violation order.
+/// violation order. When listing the violations would pass the heap
+/// watermark or fails to allocate, none is listed: Outcome is that
+/// heap-budget trip and UnlistedViolations the exact count.
 FtCheckResult checkFaultTolerance(NvContext &Ctx, const Program &BaseProgram,
                                   ProtocolEvaluator &BaseEval,
                                   const SimResult &MetaResult,
@@ -312,8 +320,12 @@ FtCheckResult checkFaultTolerance(NvContext &Ctx, const Program &BaseProgram,
 ///     MSB first, visiting only prefixes of canonical keys (every field
 ///     below its bound, link fields non-decreasing). Below a failing leaf
 ///     the canonical completions of the prefix are one index range,
-///     emitted whole; a failed node's own block is cut out of it;
-///  3. merge the per-node ranges by (scenario, node) into the sorted hits.
+///     emitted whole; a failed node's own block is cut out of it. The
+///     last key field is walked once per diagram node, into the sorted
+///     value intervals that reach failing leaves; each later arrival at
+///     that node clips them at its lower bound;
+///  3. count the violations, then merge the per-node ranges by
+///     (scenario, node) into the sorted hits.
 /// Step 2 only reads step 1's copies and the set, so it shards over
 /// \p Pool. It relies on the MTBDD variable index being the key bit
 /// position.
@@ -331,8 +343,13 @@ public:
 
   /// The checked scenarios, which every violation points into.
   const std::shared_ptr<const FtScenarioSet> &scenarios() const;
-  /// The number of violations over all scenarios.
-  size_t numViolations() const;
+  /// The number of violations over all scenarios, listed or not.
+  uint64_t numViolations() const;
+  /// Ok when the violations are listed. Otherwise a heap-budget outcome
+  /// saying why not (listing them would pass the heap watermark armed on
+  /// the constructing thread, or failed to allocate), and checkRange
+  /// appends nothing.
+  const RunOutcome &listing() const;
 
   /// Appends scenario \p I's violations in node order (thread-safe;
   /// read-only).
@@ -357,6 +374,8 @@ struct FtRunResult {
   double TransformMs = 0, SimulateMs = 0, CheckMs = 0;
   /// MTBDD operation-cache statistics of the meta-simulation's manager.
   uint64_t CacheHits = 0, CacheMisses = 0;
+  /// Its key-memo statistics (map get/set), counted apart.
+  uint64_t KeyMemoHits = 0, KeyMemoMisses = 0;
   /// How the run ended: Ok, a budget/cancellation/fault trip (Converged
   /// false, phases completed so far are reported), or an evaluation error.
   RunOutcome Outcome;

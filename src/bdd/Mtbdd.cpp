@@ -171,14 +171,19 @@ BddManager::Ref BddManager::mkNode(uint32_t Var, Ref Lo, Ref Hi) {
   return R;
 }
 
-const void *BddManager::get(Ref M, const std::vector<bool> &KeyBits) const {
+BddManager::Ref BddManager::getLeaf(Ref M,
+                                    const std::vector<bool> &KeyBits) const {
   Ref R = M;
   while (!isLeaf(R)) {
     const Node &N = Nodes[R];
     assert(N.Var < KeyBits.size() && "key narrower than the diagram");
     R = KeyBits[N.Var] ? N.Hi : N.Lo;
   }
-  return leafPayload(R);
+  return R;
+}
+
+const void *BddManager::get(Ref M, const std::vector<bool> &KeyBits) const {
+  return leafPayload(getLeaf(M, KeyBits));
 }
 
 BddManager::Ref BddManager::setRec(Ref M, const std::vector<bool> &KeyBits,
@@ -562,11 +567,12 @@ void BddManager::forEachCube(
 
 void BddManager::clearCaches() {
   std::fill(OpCache.begin(), OpCache.end(), OpEntry{});
+  std::fill(KeyMemo.begin(), KeyMemo.end(), KeyEntry{});
 }
 
 size_t BddManager::memoryBytes() const {
   return Nodes.capacity() * sizeof(Node) +
          UniqueSlots.size() * sizeof(Ref) + LeafSlots.size() * sizeof(Ref) +
-         OpCache.size() * sizeof(OpEntry) +
+         OpCache.size() * sizeof(OpEntry) + KeyMemo.size() * sizeof(KeyEntry) +
          Pins.size() * (sizeof(Ref) + sizeof(uint32_t) + 16);
 }

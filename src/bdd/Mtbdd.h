@@ -174,6 +174,34 @@ public:
   /// (KeyBits.size() == NumBits).
   Ref set(Ref M, const std::vector<bool> &KeyBits, const void *Payload);
 
+  /// get and set through the key memo, a small direct-mapped table apart
+  /// from the operation cache: a repeated (M, key) get or (M, key,
+  /// Payload) set is answered without encoding the key or walking M. The
+  /// key is named by two canonical pointers, \p Key and \p KeyType: equal
+  /// pairs must encode to equal bits. \p Encode() returns those bits and
+  /// runs only on a miss. Key and payload hash through the payload hash,
+  /// so hits and misses repeat from run to run; the memo is emptied with
+  /// the operation cache.
+  template <typename EncodeFn>
+  const void *getKeyed(Ref M, const void *Key, const void *KeyType,
+                       EncodeFn &&Encode) {
+    KeyEntry &E = keyEntry(M, Key, KeyType, nullptr);
+    if (!keyHit(E, M, Key, KeyType, nullptr))
+      E = {M, getLeaf(M, Encode()), Key, KeyType, nullptr};
+    return leafPayload(E.Result);
+  }
+  template <typename EncodeFn>
+  Ref setKeyed(Ref M, const void *Key, const void *KeyType,
+               const void *Payload, EncodeFn &&Encode) {
+    KeyEntry &E = keyEntry(M, Key, KeyType, Payload);
+    if (keyHit(E, M, Key, KeyType, Payload))
+      return E.Result;
+    Ref R = set(M, Encode(), Payload);
+    // set may grow the node store, never the memo: E is still its slot.
+    E = {M, R, Key, KeyType, Payload};
+    return R;
+  }
+
   //===--------------------------------------------------------------------===//
   // Boolean diagrams (predicates over keys)
   //===--------------------------------------------------------------------===//
@@ -348,6 +376,11 @@ public:
   /// Current number of direct-mapped operation-cache slots.
   size_t opCacheSlots() const { return OpCache.size(); }
 
+  /// Key-memo statistics (getKeyed/setKeyed), apart from the operation
+  /// cache's.
+  uint64_t keyMemoHits() const { return KeyMemoHits; }
+  uint64_t keyMemoMisses() const { return KeyMemoMisses; }
+
   /// Disables operation caching (for the cache ablation bench).
   void setCachingEnabled(bool On) { CachingEnabled = On; }
 
@@ -386,6 +419,20 @@ private:
   PageVector<Ref> LeafSlots;
   size_t LeafMask = 0;
   size_t LeafCount = 0; ///< Leaves in LeafSlots.
+
+  /// One key-memo slot: get's (M, Key, KeyType) or set's (M, Key,
+  /// KeyType, Payload), and get's leaf or set's diagram. M == InvalidRef
+  /// marks an empty slot.
+  struct KeyEntry {
+    Ref M = InvalidRef;
+    Ref Result = 0;
+    const void *Key = nullptr, *KeyType = nullptr, *Payload = nullptr;
+  };
+  /// Slots of the key memo, allocated at its first use.
+  static constexpr size_t KeyMemoSlots = 256;
+  std::vector<KeyEntry> KeyMemo;
+  uint64_t KeyMemoHits = 0;
+  uint64_t KeyMemoMisses = 0;
 
   /// Power-of-two sized, lossy.
   PageVector<OpEntry> OpCache;
@@ -437,9 +484,11 @@ private:
   static size_t hashTriple(uint32_t Var, Ref Lo, Ref Hi) {
     return mix3(Var, Lo, Hi);
   }
+  uint64_t hashOf(const void *P) const {
+    return PayloadHash ? PayloadHash(P) : reinterpret_cast<uint64_t>(P);
+  }
   size_t hashPayload(const void *P) const {
-    uint64_t H = PayloadHash ? PayloadHash(P) : reinterpret_cast<uint64_t>(P);
-    H *= 0x9E3779B97F4A7C15ull;
+    uint64_t H = hashOf(P) * 0x9E3779B97F4A7C15ull;
     return static_cast<size_t>(H ^ (H >> 32));
   }
 
@@ -457,6 +506,23 @@ private:
   void rebuildTables();
 
   static size_t opHash(uint64_t Tag, Ref A, Ref B) { return mix3(Tag, A, B); }
+
+  KeyEntry &keyEntry(Ref M, const void *Key, const void *KeyType,
+                     const void *Payload) {
+    if (KeyMemo.empty())
+      KeyMemo.resize(KeyMemoSlots);
+    size_t H = mix3(M, hashOf(Key), Payload ? hashOf(Payload) : 0);
+    return KeyMemo[H & (KeyMemoSlots - 1)];
+  }
+  bool keyHit(const KeyEntry &E, Ref M, const void *Key, const void *KeyType,
+              const void *Payload) {
+    bool Hit = CachingEnabled && E.M == M && E.Key == Key &&
+               E.KeyType == KeyType && E.Payload == Payload;
+    ++(Hit ? KeyMemoHits : KeyMemoMisses);
+    return Hit;
+  }
+  /// The leaf \p KeyBits leads to from \p M.
+  Ref getLeaf(Ref M, const std::vector<bool> &KeyBits) const;
 
   bool cacheLookup(uint64_t Tag, Ref A, Ref B, Ref &Out) {
     if (!CachingEnabled) {

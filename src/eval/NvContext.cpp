@@ -322,19 +322,34 @@ const Value *NvContext::mapCreate(const TypePtr &KeyTy, const Value *Default) {
   return mapV(Mgr.leaf(Default), resolve(KeyTy));
 }
 
-const Value *NvContext::mapGet(const Value *M, const Value *Key) {
-  assert(M->K == Value::Kind::Map && "get on a non-map");
+const std::vector<bool> &NvContext::keyBits(const Value *M,
+                                            const Value *Key) {
   KeyBits.clear();
   encodeValue(Key, M->KeyType, KeyBits);
-  return static_cast<const Value *>(Mgr.get(M->MapRoot, KeyBits));
+  return KeyBits;
+}
+
+// Keys are interned and never freed, and a key type lives as long as the
+// maps over it, so (key, key type) names one bit string for the context's
+// lifetime.
+const Value *NvContext::mapGet(const Value *M, const Value *Key) {
+  assert(M->K == Value::Kind::Map && "get on a non-map");
+  return static_cast<const Value *>(
+      Mgr.getKeyed(M->MapRoot, Key, M->KeyType.get(),
+                   [&]() -> const std::vector<bool> & {
+                     return keyBits(M, Key);
+                   }));
 }
 
 const Value *NvContext::mapSet(const Value *M, const Value *Key,
                                const Value *V) {
   assert(M->K == Value::Kind::Map && "set on a non-map");
-  KeyBits.clear();
-  encodeValue(Key, M->KeyType, KeyBits);
-  return mapV(Mgr.set(M->MapRoot, KeyBits, V), M->KeyType);
+  BddManager::Ref R =
+      Mgr.setKeyed(M->MapRoot, Key, M->KeyType.get(), V,
+                   [&]() -> const std::vector<bool> & {
+                     return keyBits(M, Key);
+                   });
+  return mapV(R, M->KeyType);
 }
 
 const Value *NvContext::mapMap(const Value *Fn, const Value *M) {

@@ -315,6 +315,8 @@ private:
   };
 
   [[noreturn]] static void encodeError(const Type *Ty);
+  /// \p Key's bits under \p M's key type, in KeyBits.
+  const std::vector<bool> &keyBits(const Value *M, const Value *Key);
 
   std::vector<Frame> FramePool;
   size_t FramesLeased = 0;

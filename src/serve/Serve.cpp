@@ -875,6 +875,8 @@ Json ServeCore::doFt(ServeSession &S, const Json &Req, const std::string &Id,
     Resp.set("violations_hash", ftViolationsHash(C.Violations));
     Resp.set("cache_hits", R.CacheHits);
     Resp.set("cache_misses", R.CacheMisses);
+    Resp.set("key_memo_hits", R.KeyMemoHits);
+    Resp.set("key_memo_misses", R.KeyMemoMisses);
     Json Sample = Json::array();
     for (size_t I = 0; I < std::min<size_t>(5, C.Violations.size()); ++I) {
       const FtViolation &V = C.Violations[I];
@@ -1005,6 +1007,8 @@ Json ServeCore::statsJson() const {
               static_cast<uint64_t>(S->Ctx->Mgr.memoryBytes()));
         E.set("cache_hits", S->Ctx->Mgr.cacheHits());
         E.set("cache_misses", S->Ctx->Mgr.cacheMisses());
+        E.set("key_memo_hits", S->Ctx->Mgr.keyMemoHits());
+        E.set("key_memo_misses", S->Ctx->Mgr.keyMemoMisses());
         const BddManager::GcStats &G = S->Ctx->Mgr.gcStats();
         E.set("gc_collections", G.Collections);
         E.set("gc_reclaimed", G.NodesReclaimed);

@@ -293,6 +293,14 @@ double Governor::remainingMs() {
   return Best;
 }
 
+size_t Governor::heapWatermark() {
+  size_t Best = 0;
+  for (Governor *G = Head; G; G = G->Prev)
+    if (G->B.MaxHeapBytes && (!Best || G->B.MaxHeapBytes < Best))
+      Best = G->B.MaxHeapBytes;
+  return Best;
+}
+
 void Governor::trip(RunStatus S, GovSite Site, std::string Detail) {
   throwEngineError(S, govSiteName(Site), std::move(Detail));
 }

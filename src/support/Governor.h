@@ -348,6 +348,11 @@ public:
   /// timeouts so z3 respects the run's deadline.
   static double remainingMs();
 
+  /// The tightest heap watermark (RunBudget::MaxHeapBytes) in this
+  /// thread's chain, or 0 when none is armed: for work that must refuse a
+  /// large allocation before making it.
+  static size_t heapWatermark();
+
   const RunBudget &budget() const { return B; }
   uint64_t stepsTaken() const { return Steps; }
 

@@ -788,4 +788,173 @@ TEST(Simulate, LeafProbeCountsIgnoreHeapLayout) {
   EXPECT_EQ(First, Second);
 }
 
+//===----------------------------------------------------------------------===//
+// Key memo (map get/set)
+//===----------------------------------------------------------------------===//
+
+/// Every key of \p M's key type (at most 8 bits here) with its value.
+std::string mapDump(NvContext &Ctx, const Value *M) {
+  std::string S;
+  for (const Value *K : Ctx.enumerateType(M->KeyType))
+    S += K->str() + "=" + Ctx.mapGet(M, K)->str() + ";";
+  return S;
+}
+
+TEST(KeyMemo, RepeatedGetAndSetHitAtEveryKeyWidth) {
+  // Keys of 1, 8 and 32 bits: a repeated set is answered from the memo
+  // with the same map, and gets and sets agree with a context whose
+  // caching (memo included) is off.
+  NvContext Ctx(4), Off(4);
+  Off.Mgr.setCachingEnabled(false);
+  struct Width {
+    TypePtr Ty;
+    uint64_t A, B;
+  };
+  for (const Width &W : {Width{Type::boolTy(), 1, 0},
+                         Width{Type::intTy(8), 200, 3},
+                         Width{Type::intTy(32), 1, 0xFFFFFFFF}}) {
+    unsigned Bits = resolve(W.Ty)->Kind == TypeKind::Bool ? 1 : W.Ty->Width;
+    SCOPED_TRACE(std::to_string(Bits) + "-bit keys");
+    auto Key = [&](NvContext &C, uint64_t X) {
+      return Bits == 1 ? C.boolV(X) : C.intV(X, Bits);
+    };
+    auto Build = [&](NvContext &C) {
+      const Value *M = C.mapCreate(W.Ty, C.intV(7));
+      M = C.mapSet(M, Key(C, W.A), C.intV(1));
+      M = C.mapSet(M, Key(C, W.B), C.intV(2));
+      return C.mapSet(M, Key(C, W.A), C.intV(3));
+    };
+    uint64_t Hits0 = Ctx.Mgr.keyMemoHits();
+    const Value *M = Build(Ctx);
+    EXPECT_EQ(Build(Ctx), M);
+    EXPECT_EQ(Ctx.Mgr.keyMemoHits() - Hits0, 3u);
+    const Value *R = Build(Off);
+    for (uint64_t X : {W.A, W.B, W.A ^ 1})
+      EXPECT_EQ(Ctx.mapGet(M, Key(Ctx, X))->str(),
+                Off.mapGet(R, Key(Off, X))->str());
+    EXPECT_EQ(Ctx.printValue(M), Off.printValue(R));
+  }
+  EXPECT_EQ(Off.Mgr.keyMemoHits(), 0u);
+}
+
+TEST(KeyMemo, OneKeyUnderTwoKeyTypesStaysApart) {
+  // None is one interned value in every option type, and a constant map's
+  // root is one leaf whatever its key type; the memo keeps the sets of
+  // None into a 2-bit and a 9-bit key type apart.
+  NvContext Ctx(4);
+  TypePtr Narrow = Type::optionTy(Type::boolTy());
+  TypePtr Wide = Type::optionTy(Type::intTy(8));
+  const Value *A = Ctx.mapSet(Ctx.mapCreate(Narrow, Ctx.FalseV), Ctx.NoneV,
+                              Ctx.TrueV);
+  const Value *B = Ctx.mapSet(Ctx.mapCreate(Wide, Ctx.FalseV), Ctx.NoneV,
+                              Ctx.TrueV);
+  EXPECT_EQ(A->KeyBits, 2u);
+  EXPECT_EQ(B->KeyBits, 9u);
+  EXPECT_NE(A->MapRoot, B->MapRoot);
+  EXPECT_EQ(Ctx.mapGet(B, Ctx.someV(Ctx.intV(0, 8))), Ctx.FalseV);
+  EXPECT_EQ(Ctx.mapGet(B, Ctx.NoneV), Ctx.TrueV);
+  EXPECT_EQ(Ctx.mapGet(A, Ctx.someV(Ctx.FalseV)), Ctx.FalseV);
+}
+
+TEST(KeyMemo, CollectionEmptiesTheMemo) {
+  // A set memoized before a collection names nodes the sweep freed: after
+  // it, the same set must be rebuilt, not answered from the stale entry,
+  // once new diagrams fill the freed Refs.
+  NvContext Ctx(4), Off(4);
+  Off.Mgr.setCachingEnabled(false);
+  TypePtr Ty = Type::intTy(8);
+  const Value *Empty = Ctx.mapCreate(Ty, Ctx.intV(0));
+  Ctx.pinValue(Empty);
+  // Garbage below the memoized set, so that the sweep compacts past it.
+  for (uint64_t K = 0; K < 8; ++K)
+    Ctx.mapSet(Empty, Ctx.intV(K, 8), Ctx.intV(100 + K));
+  const Value *Key = Ctx.intV(5, 8), *Val = Ctx.intV(9);
+  Ctx.mapSet(Empty, Key, Val);
+  Ctx.Mgr.collectGarbage();
+  for (uint64_t K = 0; K < 32; ++K)
+    Ctx.pinValue(Ctx.mapSet(Empty, Ctx.intV(7 * K + 1, 8), Ctx.intV(K)));
+  uint64_t Misses0 = Ctx.Mgr.keyMemoMisses();
+  const Value *After = Ctx.mapSet(Empty, Key, Val);
+  EXPECT_EQ(Ctx.Mgr.keyMemoMisses(), Misses0 + 1);
+  const Value *Want = Off.mapSet(Off.mapCreate(Ty, Off.intV(0)),
+                                 Off.intV(5, 8), Off.intV(9));
+  EXPECT_EQ(mapDump(Ctx, After), mapDump(Off, Want));
+}
+
+/// A record attribute holding maps keyed by 1, 8 and 32 bits: trans sets
+/// and reads each, merge prefers the shorter route.
+const char *NestedMapProgram = R"nv(
+let nodes = 5
+let edges = {0n=1n;1n=2n;2n=3n;3n=4n;0n=4n;1n=3n}
+type route = {len : int8; comms : dict[int, bool]; hops : dict[int8, bool];
+              up : dict[bool, int8]}
+type attribute = option[route]
+
+let init (u : node) =
+  match u with
+  | 0n -> Some {len = 0u8; comms = createDict false; hops = createDict false;
+                up = createDict 0u8}
+  | _ -> None
+
+let near (u : node) = match u with | 0n -> true | 1n -> true | _ -> false
+
+let trans (e : edge) (x : attribute) =
+  let (u, v) = e in
+  match x with
+  | None -> None
+  | Some r ->
+    let len = r.len + 1u8 in
+    if r.comms[7] && r.hops[3u8] then None
+    else
+      let comms = if near u then r.comms[1 := true] else r.comms[7 := r.comms[1]] in
+      let hops = r.hops[len := true] in
+      let up = r.up[near v := r.up[near v] + 1u8] in
+      Some {len = len; comms = comms; hops = hops; up = up}
+
+let merge (u : node) (x : attribute) (y : attribute) =
+  match x, y with
+  | _, None -> x
+  | None, _ -> y
+  | Some a, Some b -> if a.len <= b.len then x else y
+)nv";
+
+/// NestedMapProgram's labels, each rendered with every map in it.
+std::vector<std::string> nestedMapLabels(bool Native, bool MemoOff,
+                                         bool GcStress) {
+  Program P = parseAndCheck(NestedMapProgram);
+  NvContext Ctx(P.numNodes());
+  Ctx.Mgr.setCachingEnabled(!MemoOff);
+  if (GcStress)
+    Ctx.Mgr.setGcWatermark(1);
+  auto Eval = makeProgramEvaluator(Ctx, P, Native);
+  SimResult R = simulate(P, *Eval);
+  EXPECT_TRUE(R.Converged);
+  EXPECT_EQ(Ctx.Mgr.keyMemoHits() > 0, !MemoOff);
+  if (GcStress) {
+    EXPECT_GT(Ctx.Mgr.gcStats().Collections, 0u);
+  }
+  std::vector<std::string> Out;
+  for (const Value *L : R.Labels) {
+    std::string S = L->isNone() ? "None" : "";
+    if (!L->isNone())
+      for (const Value *F : L->Inner->Elems)
+        S += F->K == Value::Kind::Map ? Ctx.printValue(F) + " "
+                                      : F->str() + " ";
+    Out.push_back(S);
+  }
+  return Out;
+}
+
+TEST(KeyMemo, NestedMapsAgreeInBothEvaluatorsWithMemoOffAndUnderGc) {
+  std::vector<std::string> Want = nestedMapLabels(false, true, false);
+  EXPECT_NE(Want[2].find("1 := true"), std::string::npos) << Want[2];
+  for (bool Native : {false, true})
+    for (bool GcStress : {false, true}) {
+      SCOPED_TRACE(std::string(Native ? "compiled" : "interpreted") +
+                   (GcStress ? ", GC at every safe point" : ""));
+      EXPECT_EQ(nestedMapLabels(Native, false, GcStress), Want);
+      EXPECT_EQ(nestedMapLabels(Native, true, GcStress), Want);
+    }
+}
+
 } // namespace

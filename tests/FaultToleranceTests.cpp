@@ -291,6 +291,72 @@ TEST(FaultTolerance, LeafWalkMatchesPerScenarioLookupOnWideKeys) {
   expectMatchesReference(spProgram(4, Diamond, "d <= 2"), Opts, 64);
 }
 
+// The walk answers the last key field from one Tail per diagram node
+// (LeafWalk): the tests below hold it to the per-scenario lookup where a
+// Tail is met by many prefixes, cut by a failed node's block, clipped at
+// the field's bound, and clipped at different lower bounds.
+
+/// A six-node ring with two chords: eight links, so link fields are 3
+/// bits wide and every value is a link.
+const std::vector<std::pair<int, int>> RingChords = {
+    {0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {0, 3}, {1, 4}};
+
+TEST(FaultTolerance, LastFieldTailsMatchLookupAtThreeLinkFields) {
+  // Three failures cut some nodes off or push them past two hops; the
+  // third field's Tails are met under every (k0, k1) prefix.
+  FtOptions Opts;
+  Opts.LinkFailures = 3;
+  expectMatchesReference(spProgram(6, RingChords, "d <= 2"), Opts, 7);
+}
+
+TEST(FaultTolerance, LastFieldTailsMatchLookupWithNodeFailure) {
+  // A failed node's own block is cut, and another failed node's is not.
+  // With link fields, a failed node's label is the drop throughout its
+  // own block, so its walk leaves the block at a leaf before the last
+  // field and the Tails serve the other blocks; in a node-only sweep the
+  // node field is the last, and the cut falls inside a Tail.
+  for (unsigned Links : {2u, 0u}) {
+    SCOPED_TRACE(std::to_string(Links) + " links + node");
+    FtOptions Opts;
+    Opts.LinkFailures = Links;
+    Opts.NodeFailure = true;
+    expectMatchesReference(spProgram(6, RingChords, "d <= 2"), Opts,
+                           Links ? 10 : 4);
+  }
+}
+
+TEST(FaultTolerance, LastFieldTailsMatchLookupBelowTheFieldBound) {
+  // Eleven links take 4 bits; values 11..15 name no link. With "d <= 1",
+  // nodes two hops out fail in every scenario, so the leaves that cover
+  // the top values fail too and each Tail ends clipped at 10.
+  FtOptions Opts;
+  Opts.LinkFailures = 2;
+  expectMatchesReference(
+      spProgram(7,
+                {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {0, 2},
+                 {0, 4}, {1, 5}, {2, 6}, {3, 6}},
+                "d <= 1"),
+      Opts, 5);
+}
+
+TEST(FaultTolerance, LastFieldTailsMatchLookupUnderEveryLowerBound) {
+  // A line whose links are listed from the far end: link j-1 - j has
+  // index 7 - j, and node j keeps its route Some j until a link of index
+  // 7 - j or more fails. With "d <= 0" every node but 0 fails in every
+  // scenario, so its diagram below each first-field value k0 < 7 - j is
+  // one node whose Tail is [0, 6 - j] -> Some j, [7 - j, 6] -> None.
+  // Each arrival clips that Tail inside its first interval, at k0.
+  // Seven links leave the value 7 unused.
+  const std::vector<std::pair<int, int>> FarFirst = {
+      {6, 7}, {5, 6}, {4, 5}, {3, 4}, {2, 3}, {1, 2}, {0, 1}};
+  for (unsigned Links : {2u, 3u}) {
+    SCOPED_TRACE(std::to_string(Links) + " links");
+    FtOptions Opts;
+    Opts.LinkFailures = Links;
+    expectMatchesReference(spProgram(8, FarFirst, "d <= 0"), Opts, 5);
+  }
+}
+
 /// (scenario, node, route) of each violation, in result order.
 std::vector<std::string> violationStrs(const FtCheckResult &R) {
   std::vector<std::string> Out;
@@ -1140,6 +1206,49 @@ TEST(FaultTolerance, CompiledEvaluatorAgrees) {
   ASSERT_TRUE(RI.Converged && RC.Converged);
   EXPECT_EQ(RI.Check.holds(), RC.Check.holds());
   EXPECT_EQ(RI.Check.Violations.size(), RC.Check.Violations.size());
+}
+
+TEST(FaultTolerance, ListingPastTheHeapWatermarkEndsWithTheExactCount) {
+  // Every node fails its assert in every scenario: a 40-node ring with +7
+  // chords (80 links) at 2 failures has 3,240 scenarios and 129,600
+  // violations, megabytes to list against a much smaller diagram store.
+  std::vector<std::pair<int, int>> Links;
+  for (int U = 0; U < 40; ++U)
+    Links.push_back({U, (U + 1) % 40});
+  for (int U = 0; U < 40; ++U)
+    Links.push_back({U, (U + 7) % 40});
+  std::string Src = spProgram(40, Links);
+  Src.replace(Src.rfind("let assert"), std::string::npos,
+              "let assert u x = false\n");
+  Program P = parseAndCheck(Src);
+  FtOptions Opts;
+  Opts.LinkFailures = 2;
+  DiagnosticEngine Diags;
+
+  NvContext Ctx(P.numNodes());
+  FtRunResult Listed = runFaultTolerance(P, Opts, /*Compiled=*/true, Diags,
+                                         /*CheckAsserts=*/true, &Ctx);
+  ASSERT_TRUE(Listed.Outcome.ok()) << Listed.Outcome.str();
+  ASSERT_EQ(Listed.Check.Violations.size(), 129600u);
+  EXPECT_EQ(Listed.Check.UnlistedViolations, 0u);
+
+  // The same run under a watermark 1 MiB above what its diagrams take:
+  // the meta-simulation fits, the listing does not.
+  Opts.Budget.MaxHeapBytes = Ctx.Mgr.memoryBytes() + (size_t(1) << 20);
+  FtRunResult R = runFaultTolerance(P, Opts, /*Compiled=*/true, Diags);
+  EXPECT_TRUE(R.Converged);
+  EXPECT_EQ(R.Outcome.Status, RunStatus::HeapBudgetExceeded)
+      << R.Outcome.str();
+  EXPECT_EQ(R.Check.Outcome.Status, RunStatus::HeapBudgetExceeded);
+  EXPECT_NE(R.Outcome.Detail.find("129600 violations counted"),
+            std::string::npos)
+      << R.Outcome.Detail;
+  EXPECT_TRUE(R.Check.Violations.empty());
+  EXPECT_EQ(R.Check.UnlistedViolations, 129600u);
+  EXPECT_EQ(R.Check.numViolations(), 129600u);
+  EXPECT_FALSE(R.Check.holds());
+  EXPECT_EQ(R.Check.ScenariosChecked, 3240u);
+  EXPECT_EQ(exitCodeForOutcome(R.Outcome), 3);
 }
 
 /// The meta-simulation's MTBDD work on a FAT8 at two link failures, in

@@ -368,7 +368,7 @@ int reportSweep(const CliOptions &O, const FtCheckResult &R,
         << "    \"node_failure\": " << (O.NodeFailure ? 1 : 0) << ",\n"
         << "    \"scenarios\": " << R.ScenariosChecked << ",\n"
         << "    \"skipped\": " << R.ScenariosSkipped << ",\n"
-        << "    \"violations\": " << R.Violations.size() << ",\n"
+        << "    \"violations\": " << R.numViolations() << ",\n"
         << "    \"violations_hash\": \"" << ftViolationsHash(R.Violations)
         << "\",\n"
         << "    \"outcome\": " << Json(R.Outcome.str()).dump();
@@ -711,9 +711,19 @@ int cmdFt(const Program &P, const CliOptions &O) {
                             executorFromCli(O, "ft", nullptr));
   double Ms = W.elapsedMs();
   Diags.printToStderr();
+  std::vector<std::pair<const char *, double>> Times = {
+      {"transform_ms", R.TransformMs},
+      {"simulate_ms", R.SimulateMs},
+      {"check_ms", R.CheckMs},
+      {"elapsed_ms", Ms}};
   if (!R.Outcome.ok()) {
     std::printf("analysis stopped: %s\n", R.Outcome.str().c_str());
-    return exitCodeForOutcome(R.Outcome);
+    if (!R.Check.UnlistedViolations)
+      return exitCodeForOutcome(R.Outcome);
+    // The check counted the violations but could not list them.
+    std::printf("%llu violations counted, none listed\n",
+                static_cast<unsigned long long>(R.Check.UnlistedViolations));
+    return reportSweep(O, R.Check, Times);
   }
   std::printf("transform %.1fms, simulate %.1fms, check %.1fms (%.1fms "
               "elapsed)\n",
@@ -724,11 +734,7 @@ int cmdFt(const Program &P, const CliOptions &O) {
     std::printf("property holds under every failure scenario\n");
   else
     std::printf("%zu violations; first few:\n", R.Check.Violations.size());
-  return reportSweep(O, R.Check,
-                     {{"transform_ms", R.TransformMs},
-                      {"simulate_ms", R.SimulateMs},
-                      {"check_ms", R.CheckMs},
-                      {"elapsed_ms", Ms}});
+  return reportSweep(O, R.Check, Times);
 }
 
 } // namespace
